@@ -1,7 +1,7 @@
-//! Training hot-path benchmarks: batched RNN epochs and the three GBDT
-//! split-search kernels (per-node re-sort, presort-once, histogram).
+//! Training hot-path benchmarks: RNN epochs and the two GBDT split-search
+//! kernels (per-node re-sort reference, presort-once production kernel).
 
-use autosuggest_gbdt::{BinnedDataset, Dataset, Presorted, RegressionTree, TreeParams};
+use autosuggest_gbdt::{Dataset, Presorted, RegressionTree, TreeParams};
 use autosuggest_nn::{RnnClassifier, RnnConfig, SequenceExample};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};
@@ -32,37 +32,32 @@ fn sequences(n: usize, vocab: usize, seed: u64) -> Vec<SequenceExample> {
         .collect()
 }
 
-/// One epoch of RNN training at batch size 1 (the bit-stable default) vs 16
-/// (the batched macro-chunk path).
+/// One epoch of RNN training (one Adam step per example).
 fn bench_rnn_epoch(c: &mut Criterion) {
     let vocab = 12;
     let examples = sequences(512, vocab, 7);
     let mut group = c.benchmark_group("rnn_epoch");
     group.sample_size(10);
-    for bs in [1usize, 16] {
-        group.bench_with_input(BenchmarkId::from_parameter(bs), &bs, |b, &bs| {
-            b.iter(|| {
-                let cfg = RnnConfig {
-                    vocab,
-                    classes: vocab,
-                    extra_dim: 1,
-                    epochs: 1,
-                    batch_size: bs,
-                    seed: 11,
-                    ..Default::default()
-                };
-                let mut model = RnnClassifier::new(cfg);
-                black_box(model.train(&examples))
-            })
-        });
-    }
+    group.bench_function("train", |b| {
+        b.iter(|| {
+            let cfg = RnnConfig {
+                vocab,
+                classes: vocab,
+                extra_dim: 1,
+                epochs: 1,
+                seed: 11,
+                ..Default::default()
+            };
+            let mut model = RnnClassifier::new(cfg);
+            black_box(model.train(&examples))
+        })
+    });
     group.finish();
 }
 
 /// A full tree fit per kernel, at three node sizes. `resort` is the
 /// historical per-node per-feature re-sort, `presorted` sorts once per tree
-/// and partitions the feature lists down, `hist` bins once and scans ≤256
-/// bins per node.
+/// and partitions the feature lists down.
 fn bench_split_search(c: &mut Criterion) {
     let params = TreeParams::default();
     let mut group = c.benchmark_group("split_search");
@@ -76,12 +71,6 @@ fn bench_split_search(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("presorted", n), &n, |b, _| {
             b.iter(|| black_box(RegressionTree::fit(&data, &targets, &idx, &params)))
-        });
-        let binned = BinnedDataset::build(&data, 256);
-        group.bench_with_input(BenchmarkId::new("hist", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(RegressionTree::fit_hist(&data, &targets, &binned, &idx, &params))
-            })
         });
         group.bench_with_input(BenchmarkId::new("presort_build", n), &n, |b, _| {
             b.iter(|| black_box(Presorted::build(&data, &idx)))

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro [--fast] [--seed N] [--timing] [--trace PATH] [--cache-stats]
-//!       [--gbdt-hist]
 //!       [--corpus-scale N] [--store-dir PATH] [--shard-size K]
 //!       all | table2 | table3 | table4 | table5 | table6 | table7 |
 //!       table8 | table9 | table10 | table11 | ablation-ampt |
@@ -30,10 +29,10 @@
 //! directory with per-stage pipeline timings, per-table wall-clock,
 //! per-stage histograms from the obs layer, the thread count used
 //! (see `AUTOSUGGEST_THREADS`), and a `"training"` breakdown (RNN and
-//! GBDT trainer wall-clock plus deterministic work counters: batches,
-//! examples, nodes split, histogram bins built). It also gains a
+//! GBDT trainer wall-clock plus deterministic work counters: examples
+//! trained, nodes split). It also gains a
 //! `"retrain"` section: a smaller base snapshot is trained, incrementally
-//! retrained up to the full corpus via the core `RetrainPlanner`, and
+//! retrained up to the full corpus via `AutoSuggest::retrain`, and
 //! compared against the full training run — wall-clock side by side, and
 //! an asserted bit-identical served-suggestion check over held-out probe
 //! requests.
@@ -54,17 +53,12 @@
 //! held-out tables (a throwaway shard directory is attached for the
 //! sweep when none is configured).
 //!
-//! `--gbdt-hist` trains every GBDT with the histogram split kernel (≤256
-//! bins, sibling subtraction) instead of the exact presorted scan. Tables
-//! then agree with exact mode to statistical precision but are not
-//! byte-identical — don't diff them against exact-mode goldens.
-//!
 //! Tables are evaluated concurrently on the shared work-stealing pool —
 //! each evaluator is a pure function of the trained context, so results
 //! are printed in canonical table order regardless of completion order.
 
 use autosuggest_bench::tables::{self, ReproContext};
-use autosuggest_core::{wire, AutoSuggest, AutoSuggestConfig, RetrainPlanner, SuggestRequest};
+use autosuggest_core::{wire, AutoSuggest, AutoSuggestConfig, SuggestRequest};
 use autosuggest_corpus::CorpusConfig;
 use autosuggest_obs as obs;
 use serde_json::{json, Value};
@@ -212,7 +206,6 @@ fn main() {
     let mut fast = false;
     let mut timing = false;
     let mut cache_stats = false;
-    let mut gbdt_hist = false;
     let mut seed = 42u64;
     let mut trace_path: Option<String> = None;
     let mut corpus_scale: Option<usize> = None;
@@ -225,7 +218,6 @@ fn main() {
             "--fast" => fast = true,
             "--timing" => timing = true,
             "--cache-stats" => cache_stats = true,
-            "--gbdt-hist" => gbdt_hist = true,
             "--seed" => {
                 seed = it
                     .next()
@@ -275,7 +267,6 @@ fn main() {
         AutoSuggestConfig::default()
     };
     config.corpus = if fast { CorpusConfig::small(seed) } else { CorpusConfig { seed, ..CorpusConfig::default() } };
-    config.gbdt.histogram = gbdt_hist;
 
     let threads = autosuggest_parallel::current_threads();
     eprintln!(
@@ -431,16 +422,14 @@ fn main() {
             .unwrap_or(Value::Object(serde_json::Map::new()));
         // Training-kernel breakdown: trainer wall-clock comes from the
         // timing histograms the trainers record; the work counters
-        // (batches, nodes, bins) come from the deterministic section, so
+        // (examples, nodes) come from the deterministic section, so
         // they are bit-identical at any thread count.
         let hist = |name: &str| snapshot.histograms.get(name);
         let hist_sum = |name: &str| hist(name).map(|h| h.sum).unwrap_or(0.0);
         let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
         let training = json!({
-            "histogram_mode": ctx.system.config.gbdt.histogram,
             "rnn": {
                 "train_seconds": hist_sum("nextop.rnn_train_seconds"),
-                "batches": counter("nn.rnn.batches"),
                 "examples_trained": counter("nn.rnn.examples_trained"),
             },
             "gbdt": {
@@ -448,7 +437,6 @@ fn main() {
                 "split_scan_seconds": hist_sum("gbdt.split_scan_seconds"),
                 "fits": hist("gbdt.fit_seconds").map(|h| h.count).unwrap_or(0),
                 "nodes_split": counter("gbdt.nodes_split"),
-                "bins_built": counter("gbdt.bins_built"),
             },
         });
         // Cache timing comparison: the same featurisation workload (join
@@ -573,7 +561,7 @@ fn main() {
 
         // Incremental-retrain comparison: train a smaller "previous"
         // snapshot (the union corpus minus half its json notebooks), fold
-        // the union back in through the RetrainPlanner, and compare
+        // the union back in through `AutoSuggest::retrain`, and compare
         // against the full union training above — wall-clock plus
         // served-suggestion equivalence over held-out probe requests.
         // Runs after the obs snapshot so the extra training does not
@@ -590,7 +578,7 @@ fn main() {
         let prev = AutoSuggest::train(base_config);
         let base_seconds = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let (inc, retrain) = RetrainPlanner::new().retrain(&prev, union_config);
+        let (inc, retrain) = AutoSuggest::retrain(&prev, union_config);
         let incremental_seconds = t.elapsed().as_secs_f64();
 
         // Probe battery from the held-out test cases: the incrementally

@@ -323,9 +323,17 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// Deepest array/object nesting [`from_str`] accepts — the same limit as
+/// upstream serde_json. The parser recurses once per level, so without a
+/// bound a body of a few hundred thousand `[` overflows the parsing
+/// thread's stack and aborts the process.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -374,11 +382,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(self.error(format!("unexpected character `{}`", other as char))),
         }
+    }
+
+    /// Run a container parser one nesting level down, failing instead of
+    /// recursing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
@@ -531,7 +551,7 @@ impl<'a> Parser<'a> {
 
 /// Parse a JSON document into a [`Value`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     let value = parser.parse_value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
@@ -654,6 +674,39 @@ mod tests {
         assert!(from_str("{not json").is_err());
         assert!(from_str("[1,]").is_err());
         assert!(from_str("42 junk").is_err());
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let value = from_str(&nested_arrays(MAX_DEPTH)).unwrap();
+        assert_eq!(value.to_string(), nested_arrays(MAX_DEPTH));
+        let objects = "{\"a\":".repeat(MAX_DEPTH - 1) + "[]" + &"}".repeat(MAX_DEPTH - 1);
+        assert!(from_str(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let err = from_str(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str(&objects).is_err());
+    }
+
+    #[test]
+    fn a_million_open_brackets_error_instead_of_overflowing_the_stack() {
+        // A default-sized (2 MiB) thread stack, the same as a daemon handler
+        // thread: unbounded recursion would abort the whole process here.
+        let result = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(|| from_str(&"[".repeat(1_000_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(result);
     }
 
     #[test]

@@ -40,6 +40,6 @@ pub use pipeline::{
 };
 pub use model_slot::{ModelSlot, VersionedModel};
 pub use pivot::{PivotPredictor, PivotSuggestion};
-pub use retrain::{RetrainDelta, RetrainPlanner, RetrainReport, RetrainStrategy};
+pub use retrain::{RetrainDelta, RetrainReport};
 pub use unpivot::{UnpivotPredictor, UnpivotSuggestion};
 pub use wire::{OwnedSuggestRequest, WireError};

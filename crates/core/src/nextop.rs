@@ -115,9 +115,6 @@ pub struct NextOpConfig {
     pub mlp_hidden: usize,
     pub epochs: usize,
     pub lr: f64,
-    /// Examples per Adam step (see [`RnnConfig::batch_size`]); 1 keeps the
-    /// historical per-example schedule bit-for-bit.
-    pub batch_size: usize,
     pub seed: u64,
 }
 
@@ -130,7 +127,6 @@ impl Default for NextOpConfig {
             mlp_hidden: 24,
             epochs: 40,
             lr: 5e-3,
-            batch_size: 1,
             seed: 7,
         }
     }
@@ -159,7 +155,6 @@ impl NextOpPredictor {
                     classes: NUM_OPS,
                     lr: cfg.lr,
                     epochs: cfg.epochs,
-                    batch_size: cfg.batch_size,
                     seed: cfg.seed,
                 };
                 let seq_examples: Vec<SequenceExample> = examples
@@ -180,35 +175,6 @@ impl NextOpPredictor {
             }
         };
         NextOpPredictor { cfg, rnn }
-    }
-
-    /// Warm-start fine-tuning: clone `prev` and continue training its RNN
-    /// over `examples` for another `cfg.epochs` epochs (fresh optimiser
-    /// moments, resumed weights). This is the *approximate* incremental
-    /// path — the result is deterministic (same prev + same examples ⇒
-    /// same bits) but is **not** claimed equal to retraining from scratch
-    /// on any union; callers opt in via the planner's warm strategy and
-    /// give up the exactness guarantee in exchange for touching only the
-    /// (reservoir-bounded) example buffer. `SingleOperators` predictors
-    /// have nothing to tune and come back as plain clones.
-    pub fn train_continue_from(prev: &NextOpPredictor, examples: &[NextOpExample]) -> Self {
-        let mut next = prev.clone();
-        if let Some(rnn) = &mut next.rnn {
-            let extra_dim = if next.cfg.mode == NextOpMode::Full { NUM_OPS } else { 0 };
-            let seq_examples: Vec<SequenceExample> = examples
-                .iter()
-                .map(|e| SequenceExample {
-                    prefix: e.prefix.clone(),
-                    extra: if extra_dim > 0 { e.table_scores.clone() } else { vec![] },
-                    label: e.label,
-                })
-                .collect();
-            let started = std::time::Instant::now();
-            let mut state = rnn.train_state();
-            rnn.train_continue(&seq_examples, &mut state);
-            autosuggest_obs::observe_since("nextop.rnn_train_seconds", started);
-        }
-        next
     }
 
     /// Operator ids ranked by likelihood of coming next.

@@ -10,7 +10,7 @@ use autosuggest_cache::{table_fingerprint, ColumnCache};
 use autosuggest_dataframe::DataFrame;
 use autosuggest_corpus::replay::OpInvocation;
 use autosuggest_corpus::{
-    filter_invocations, grouped_split, CorpusConfig, CorpusGenerator, FaultSpec, FilterStats,
+    filter_invocations, is_test_group, CorpusConfig, CorpusGenerator, FaultSpec, FilterStats,
     OpKind, ReplayEngine, ReplayReport, RobustnessStats, StreamConfig, StreamSummary,
 };
 use autosuggest_features::CandidateParams;
@@ -182,10 +182,10 @@ impl NextOpReuse {
             if len < 2 {
                 continue;
             }
-            let is_test = split_is_test(
-                prev.config.split_seed,
-                prev.config.test_fraction,
+            let is_test = is_test_group(
                 &report.dataset_group,
+                prev.config.test_fraction,
+                prev.config.split_seed,
             );
             let cursor = if is_test { &mut test_cursor } else { &mut train_cursor };
             ranges.insert(report.notebook_id.clone(), (is_test, *cursor, len));
@@ -195,16 +195,6 @@ impl NextOpReuse {
         debug_assert_eq!(test_cursor, prev.test.nextop.len());
         NextOpReuse { ranges }
     }
-}
-
-/// Same membership rule as `grouped_split`: hash of (seed, group) against
-/// the test fraction.
-fn split_is_test(split_seed: u64, test_fraction: f64, dataset_group: &str) -> bool {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    split_seed.hash(&mut h);
-    dataset_group.hash(&mut h);
-    h.finish() < (test_fraction * u64::MAX as f64) as u64
 }
 
 impl AutoSuggest {
@@ -312,7 +302,7 @@ impl AutoSuggest {
     /// invocation identity — see [`same_invocations`]) and hyper-parameters
     /// are unchanged is carried over by clone instead of retrained; only
     /// families whose inputs actually shifted pay for training. The caller
-    /// (the retrain planner) is responsible for only passing `prev` when
+    /// ([`AutoSuggest::retrain`]) is responsible for only passing `prev` when
     /// `reports` reuses the previous system's replay logs verbatim for
     /// overlapping notebook ids.
     pub(crate) fn build_from_reports(
@@ -332,21 +322,10 @@ impl AutoSuggest {
         let (filtered, filter_stats) = filter_invocations(all_invocations, 5);
 
         // Grouped 80/20 split (§6.1): group key = dataset_group.
-        let split = grouped_split(
-            &filtered,
-            |inv| inv.dataset_group.as_str(),
-            config.test_fraction,
-            config.split_seed,
-        );
-        let mut train_invs: Vec<OpInvocation> = Vec::new();
-        let mut test_invs: Vec<OpInvocation> = Vec::new();
-        for (i, inv) in filtered.into_iter().enumerate() {
-            if split.test.contains(&i) {
-                test_invs.push(inv);
-            } else {
-                train_invs.push(inv);
-            }
-        }
+        let (test_invs, train_invs): (Vec<OpInvocation>, Vec<OpInvocation>) =
+            filtered.into_iter().partition(|inv| {
+                is_test_group(&inv.dataset_group, config.test_fraction, config.split_seed)
+            });
 
         let of_kind = |invs: &[OpInvocation], k: OpKind| -> Vec<OpInvocation> {
             invs.iter().filter(|i| i.op == k).cloned().collect()
@@ -466,7 +445,7 @@ impl AutoSuggest {
                     return None;
                 }
                 let is_test =
-                    split_is_test(config.split_seed, config.test_fraction, &report.dataset_group);
+                    is_test_group(&report.dataset_group, config.test_fraction, config.split_seed);
                 if let Some((reuse, p)) = &nextop_reuse {
                     if let Some(&(was_test, start, len)) = reuse.ranges.get(&report.notebook_id) {
                         debug_assert_eq!(was_test, is_test);

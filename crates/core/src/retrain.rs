@@ -3,15 +3,16 @@
 //!
 //! ## How the delta path stays *exact*
 //!
-//! The planner never tries to "patch" models. It reconstructs the same
-//! inputs a full [`AutoSuggest::train`] on the new config would see, but
-//! skips the work whose outputs it can prove are already in hand:
+//! [`AutoSuggest::retrain`] never tries to "patch" models. It
+//! reconstructs the same inputs a full [`AutoSuggest::train`] on the new
+//! config would see, but skips the work whose outputs it can prove are
+//! already in hand:
 //!
 //! 1. **Corpus generation is content-addressed.** Notebook ids, RNG
 //!    streams, and table contents are pure functions of
 //!    `(corpus seed, archetype, per-archetype ordinal)`, so growing an
 //!    archetype's notebook count leaves every existing notebook
-//!    bit-identical. The planner verifies the previous corpus is a prefix
+//!    bit-identical. Retrain verifies the previous corpus is a prefix
 //!    of the new one (same seed/table config/failure planting, previous
 //!    notebook ids ⊆ new ids) before reusing anything.
 //! 2. **Replay reports are reused by notebook id.** Replay (and fault
@@ -30,38 +31,14 @@
 //! Any gate failure (different corpus seed, changed fault spec, shrunk
 //! corpus, …) falls back to the full path — correctness never depends on
 //! the gates firing, they only decide how much work is skipped.
-//!
-//! ## The approximate alternative
-//!
-//! [`RetrainStrategy::WarmNextOp`] additionally fine-tunes the previous
-//! next-op networks over a seeded reservoir ([`ExampleBuffer`]) of the
-//! union's examples instead of retraining them from scratch when their
-//! training set grew. That path is deterministic but *not* equal to full
-//! retraining — it trades the exactness guarantee for a bounded training
-//! set. The default strategy is [`RetrainStrategy::Exact`].
 
 use crate::pipeline::{AutoSuggest, AutoSuggestConfig, StageTiming};
 use autosuggest_corpus::replay::ReplayReport;
 use autosuggest_corpus::{
     CorpusGenerator, FaultSpec, Notebook, OpKind, ReplayEngine, RobustnessStats,
 };
-use autosuggest_nn::ExampleBuffer;
 use autosuggest_obs as obs;
 use std::collections::HashMap;
-
-/// How the planner handles model families whose training inputs changed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetrainStrategy {
-    /// Retrain changed families from scratch on the merged logs. The
-    /// resulting system is bit-for-bit identical to `AutoSuggest::train`
-    /// on the same config (pinned by `tests/retrain_equivalence.rs`).
-    Exact,
-    /// Like `Exact`, except a rebuilt next-op network is replaced by
-    /// fine-tuning the previous one over a seeded reservoir of at most
-    /// `reservoir_capacity` union examples. Deterministic, bounded-cost,
-    /// and explicitly approximate.
-    WarmNextOp { reservoir_capacity: usize },
-}
 
 /// What changed between the previous snapshot and the new corpus.
 #[derive(Debug, Clone, Default)]
@@ -79,7 +56,7 @@ pub struct RetrainDelta {
     pub new_invocations_per_op: Vec<(String, usize)>,
 }
 
-/// Outcome summary of one planner run.
+/// Outcome summary of one [`AutoSuggest::retrain`] run.
 #[derive(Debug, Clone)]
 pub struct RetrainReport {
     pub delta: RetrainDelta,
@@ -87,40 +64,19 @@ pub struct RetrainReport {
     pub carried: Vec<&'static str>,
     /// Model families retrained on the merged logs.
     pub rebuilt: Vec<&'static str>,
-    /// True when a reuse gate failed and the planner replayed everything
+    /// True when a reuse gate failed and retrain replayed everything
     /// (the result is still correct — just not cheaper).
     pub full_replay_fallback: bool,
-    /// True when the warm strategy actually fine-tuned the next-op models
-    /// (requires `WarmNextOp` *and* a rebuilt next-op family).
-    pub warm_applied: bool,
     /// Per-stage wall clock, same stage names as `train_timed`.
     pub timings: Vec<StageTiming>,
-    /// Total planner wall clock.
+    /// Total retrain wall clock.
     pub seconds: f64,
-}
-
-/// Drives incremental retraining of a trained [`AutoSuggest`] system
-/// against a (typically grown) configuration.
-#[derive(Debug, Clone)]
-pub struct RetrainPlanner {
-    strategy: RetrainStrategy,
-    /// When set, full-replay fallbacks stream through a disk-backed
-    /// [`autosuggest_corpus::SampleStore`] at `(root, shard_size)` instead
-    /// of replaying in memory: bounded RSS, and a fallback interrupted
-    /// mid-way resumes from its shard manifest on the next run.
-    store: Option<(std::path::PathBuf, usize)>,
-}
-
-impl Default for RetrainPlanner {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Additive merge of replay robustness accounting: `prev` and `new` cover
 /// disjoint notebook sets, and every field is a per-notebook (or
 /// per-event) count. The fault spec must already have been checked equal,
-/// and the planner keeps the previous one verbatim.
+/// and the previous one is kept verbatim.
 fn merge_robustness(prev: &RobustnessStats, new: &RobustnessStats) -> RobustnessStats {
     let mut merged = prev.clone();
     merged.merge_from(new);
@@ -128,32 +84,13 @@ fn merge_robustness(prev: &RobustnessStats, new: &RobustnessStats) -> Robustness
     merged
 }
 
-impl RetrainPlanner {
-    /// A planner with the default [`RetrainStrategy::Exact`].
-    pub fn new() -> Self {
-        RetrainPlanner { strategy: RetrainStrategy::Exact, store: None }
-    }
-
-    /// Override the strategy.
-    pub fn with_strategy(strategy: RetrainStrategy) -> Self {
-        RetrainPlanner { strategy, store: None }
-    }
-
-    /// Route full-replay fallbacks through a disk-backed sample store at
-    /// `root`, sharded by `shard_size` notebooks (see the field docs).
-    pub fn with_store(mut self, root: impl Into<std::path::PathBuf>, shard_size: usize) -> Self {
-        self.store = Some((root.into(), shard_size));
-        self
-    }
-
+impl AutoSuggest {
     /// Retrain `prev` against `config`, reusing every replay report and
-    /// model the gates can prove unchanged. See the module docs for the
+    /// model the gates can prove unchanged; families whose inputs changed
+    /// retrain from scratch. The result is bit-for-bit identical to
+    /// [`AutoSuggest::train`] on `config`. See the module docs for the
     /// exactness argument.
-    pub fn retrain(
-        &self,
-        prev: &AutoSuggest,
-        config: AutoSuggestConfig,
-    ) -> (AutoSuggest, RetrainReport) {
+    pub fn retrain(prev: &AutoSuggest, config: AutoSuggestConfig) -> (AutoSuggest, RetrainReport) {
         let _span = obs::span("retrain");
         let started = std::time::Instant::now();
         obs::counter_add("retrain.runs", 1);
@@ -247,63 +184,19 @@ impl RetrainPlanner {
         } else {
             obs::counter_add("retrain.full_replay_fallbacks", 1);
             delta.replayed_notebooks = corpus.notebooks.len();
-            let streamed = self.store.as_ref().and_then(|(root, shard_size)| {
-                let faults = config.faults.clone().or_else(FaultSpec::from_env);
-                let opts = autosuggest_corpus::StreamConfig {
-                    shard_size: *shard_size,
-                    ..Default::default()
-                };
-                let (store, summary) = autosuggest_corpus::replay_corpus_streamed(
-                    &config.corpus,
-                    faults,
-                    root,
-                    &opts,
-                )
-                .ok()?;
-                let reports = store.reports().collect::<std::io::Result<Vec<_>>>().ok()?;
-                obs::counter_add("retrain.streamed_fallbacks", 1);
-                Some((reports, summary.stats))
-            });
-            // A store failure degrades to the in-memory path — the result
-            // is identical either way (pinned by the equivalence suite).
-            match streamed {
-                Some(result) => result,
-                None => engine.replay_corpus(&corpus.notebooks),
-            }
+            engine.replay_corpus(&corpus.notebooks)
         };
         crate::pipeline::lap(&mut timings, "replay", &mut stage_start);
         obs::counter_add("retrain.notebooks_replayed", delta.replayed_notebooks as u64);
         obs::counter_add("retrain.reports_reused", delta.reused_reports as u64);
 
-        let (mut system, outcome) = AutoSuggest::build_from_reports(
+        let (system, outcome) = AutoSuggest::build_from_reports(
             config,
             reports,
             robustness,
             reuse_ok.then_some(prev),
             &mut timings,
         );
-
-        let mut warm_applied = false;
-        if let RetrainStrategy::WarmNextOp { reservoir_capacity } = self.strategy {
-            if outcome.rebuilt.contains(&"nextop") {
-                let mut buffer = ExampleBuffer::new(
-                    reservoir_capacity,
-                    system.config.corpus.seed ^ 0x7e7a11,
-                );
-                buffer.extend(system.train.nextop.iter().cloned());
-                system.models.nextop_full = crate::nextop::NextOpPredictor::train_continue_from(
-                    &prev.models.nextop_full,
-                    buffer.items(),
-                );
-                system.models.nextop_rnn_only =
-                    crate::nextop::NextOpPredictor::train_continue_from(
-                        &prev.models.nextop_rnn_only,
-                        buffer.items(),
-                    );
-                warm_applied = true;
-                obs::counter_add("retrain.warm_nextop", 1);
-            }
-        }
 
         obs::counter_add("retrain.models_carried", outcome.carried.len() as u64);
         obs::counter_add("retrain.models_rebuilt", outcome.rebuilt.len() as u64);
@@ -314,7 +207,6 @@ impl RetrainPlanner {
             carried: outcome.carried,
             rebuilt: outcome.rebuilt,
             full_replay_fallback: !reuse_ok,
-            warm_applied,
             timings,
             seconds,
         };

@@ -15,27 +15,27 @@ pub struct SplitSets {
     pub test: Vec<usize>,
 }
 
-/// Split items `(1 - test_frac) : test_frac` by hashing each item's group
-/// key.
+/// The split rule: `group` is on the test side iff the hash of
+/// `(seed, group)` falls below `test_frac · u64::MAX`. A pure function of
+/// the group, so every item derived from the same files lands on the same
+/// side, whatever else is being split alongside it.
+pub fn is_test_group(group: &str, test_frac: f64, seed: u64) -> bool {
+    assert!((0.0..=1.0).contains(&test_frac));
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    seed.hash(&mut h);
+    group.hash(&mut h);
+    h.finish() < (test_frac * u64::MAX as f64) as u64
+}
+
+/// Split items `(1 - test_frac) : test_frac` by [`is_test_group`] on each
+/// item's group key.
 /// Deterministic in `seed`; items sharing a group always land together.
 pub fn grouped_split<T, F>(items: &[T], group_of: F, test_frac: f64, seed: u64) -> SplitSets
 where
     F: Fn(&T) -> &str,
 {
-    assert!((0.0..=1.0).contains(&test_frac));
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    let threshold = (test_frac * u64::MAX as f64) as u64;
-    for (i, item) in items.iter().enumerate() {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        seed.hash(&mut h);
-        group_of(item).hash(&mut h);
-        if h.finish() < threshold {
-            test.push(i);
-        } else {
-            train.push(i);
-        }
-    }
+    let (test, train) = (0..items.len())
+        .partition(|&i| is_test_group(group_of(&items[i]), test_frac, seed));
     SplitSets { train, test }
 }
 

@@ -1,6 +1,6 @@
 //! Gradient boosting over regression trees (squared loss).
 
-use crate::data::{BinnedDataset, Dataset};
+use crate::data::Dataset;
 use crate::tree::{Presorted, RegressionTree, TreeParams};
 use autosuggest_obs as obs;
 use serde::{Deserialize, Serialize};
@@ -14,28 +14,11 @@ pub struct GbdtParams {
     pub learning_rate: f64,
     /// Per-tree parameters.
     pub tree: TreeParams,
-    /// Fraction of rows sampled (without replacement, deterministically
-    /// strided) per round; 1.0 disables subsampling.
-    pub subsample: f64,
-    /// Use LightGBM-style histogram split finding instead of exact scans:
-    /// features are binned once per fit (≤ `max_bins` bins) and split
-    /// thresholds land on bin boundaries. Off by default — the exact
-    /// kernel keeps the committed goldens byte-stable.
-    pub histogram: bool,
-    /// Bins per feature in histogram mode (`2..=256`); ignored otherwise.
-    pub max_bins: usize,
 }
 
 impl Default for GbdtParams {
     fn default() -> Self {
-        GbdtParams {
-            n_trees: 100,
-            learning_rate: 0.1,
-            tree: TreeParams::default(),
-            subsample: 1.0,
-            histogram: false,
-            max_bins: 256,
-        }
+        GbdtParams { n_trees: 100, learning_rate: 0.1, tree: TreeParams::default() }
     }
 }
 
@@ -65,7 +48,6 @@ impl Gbdt {
     /// upstream bugs.
     pub fn fit(data: &Dataset, params: &GbdtParams) -> Self {
         assert!(!data.is_empty(), "cannot fit GBDT on an empty dataset");
-        assert!(params.subsample > 0.0 && params.subsample <= 1.0);
         let _fit_span = obs::span("gbdt_fit");
         let fit_started = std::time::Instant::now();
         obs::counter_add("gbdt.fits", 1);
@@ -75,119 +57,22 @@ impl Gbdt {
         let mut preds = vec![base; n];
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut residuals = vec![0.0; n];
-        // Target-independent per-fit structures, built once and reused by
-        // every round: bin codes in histogram mode, presorted feature
-        // lists in exact mode (only when all rounds train on all rows —
-        // subsampling changes the row set per round).
-        let binned = params.histogram.then(|| BinnedDataset::build(data, params.max_bins));
-        let presorted = (!params.histogram && params.subsample >= 1.0)
-            .then(|| Presorted::build(data, &(0..n).collect::<Vec<_>>()));
-        for round in 0..params.n_trees {
+        // Every round trains on all rows, so the presorted feature lists
+        // (target-independent) are built once and reused by every tree.
+        let idx: Vec<usize> = (0..n).collect();
+        let presorted = Presorted::build(data, &idx);
+        for _ in 0..params.n_trees {
             let _tree_span = obs::span("gbdt_tree");
             for (i, (r, p)) in residuals.iter_mut().zip(&preds).enumerate() {
                 *r = data.label(i) - p;
             }
-            let idx = subsample_indices(n, params.subsample, round);
             let scan_started = std::time::Instant::now();
-            let tree = match (&binned, &presorted) {
-                (Some(b), _) => RegressionTree::fit_hist(data, &residuals, b, &idx, &params.tree),
-                (None, Some(pre)) => {
-                    RegressionTree::fit_with_presorted(data, &residuals, &idx, &params.tree, pre)
-                }
-                (None, None) => RegressionTree::fit(data, &residuals, &idx, &params.tree),
-            };
+            let tree =
+                RegressionTree::fit_with_presorted(data, &residuals, &idx, &params.tree, &presorted);
             obs::observe_since("gbdt.split_scan_seconds", scan_started);
             // Row predictions are independent; the pool returns them in row
             // order and each update touches only its own slot, so the new
             // prediction vector matches the sequential loop bit for bit.
-            let deltas = autosuggest_parallel::Pool::global()
-                .with_min_items(PAR_PREDICT_MIN_ROWS)
-                .par_map_indexed(n, |i| tree.predict(data.row(i)));
-            for (p, d) in preds.iter_mut().zip(deltas) {
-                *p += params.learning_rate * d;
-            }
-            trees.push(tree);
-        }
-        obs::observe_since("gbdt.fit_seconds", fit_started);
-        Gbdt {
-            base,
-            learning_rate: params.learning_rate,
-            trees,
-            feature_names: data.feature_names().to_vec(),
-        }
-    }
-
-    /// Continue boosting from a previously fitted ensemble: carry `prev`'s
-    /// base prediction and trees, rebuild the running prediction vector by
-    /// replaying the carried trees, then train `params.n_trees`
-    /// **additional** rounds with round numbering continuing where `prev`
-    /// stopped.
-    ///
-    /// When `data` is exactly the dataset `prev` was fitted on, the result
-    /// is bit-for-bit identical to [`Gbdt::fit`] run for
-    /// `prev.num_trees() + params.n_trees` rounds: the replay uses the same
-    /// per-tree parallel delta pass and the same `p += lr · d`
-    /// accumulation order as the fit loop, the carried base equals the
-    /// label mean `fit` would compute, and `subsample_indices` sees the
-    /// same round numbers (so the strided row sample per round is
-    /// unchanged). On a grown dataset the carried trees act as a warm
-    /// start: residuals are recomputed against the carried ensemble over
-    /// the new rows too, and only the new rounds fit them.
-    ///
-    /// Panics if the learning rate or feature space differs from `prev`'s —
-    /// warm-starting across either would silently change what the carried
-    /// trees mean.
-    pub fn fit_incremental(prev: &Gbdt, data: &Dataset, params: &GbdtParams) -> Self {
-        assert!(!data.is_empty(), "cannot fit GBDT on an empty dataset");
-        assert!(params.subsample > 0.0 && params.subsample <= 1.0);
-        assert!(
-            params.learning_rate.to_bits() == prev.learning_rate.to_bits(),
-            "warm start requires the carried ensemble's learning rate"
-        );
-        assert_eq!(
-            data.feature_names(),
-            prev.feature_names.as_slice(),
-            "warm start requires the carried ensemble's feature space"
-        );
-        let _fit_span = obs::span("gbdt_fit");
-        let fit_started = std::time::Instant::now();
-        obs::counter_add("gbdt.fits", 1);
-        obs::counter_add("gbdt.incremental_fits", 1);
-        obs::counter_add("gbdt.rounds", params.n_trees as u64);
-        obs::counter_add("gbdt.trees_carried", prev.trees.len() as u64);
-        let n = data.len();
-        let base = prev.base;
-        let mut preds = vec![base; n];
-        for tree in &prev.trees {
-            let deltas = autosuggest_parallel::Pool::global()
-                .with_min_items(PAR_PREDICT_MIN_ROWS)
-                .par_map_indexed(n, |i| tree.predict(data.row(i)));
-            for (p, d) in preds.iter_mut().zip(deltas) {
-                *p += params.learning_rate * d;
-            }
-        }
-        let mut trees = prev.trees.clone();
-        trees.reserve(params.n_trees);
-        let mut residuals = vec![0.0; n];
-        let binned = params.histogram.then(|| BinnedDataset::build(data, params.max_bins));
-        let presorted = (!params.histogram && params.subsample >= 1.0)
-            .then(|| Presorted::build(data, &(0..n).collect::<Vec<_>>()));
-        let first_round = prev.trees.len();
-        for round in first_round..first_round + params.n_trees {
-            let _tree_span = obs::span("gbdt_tree");
-            for (i, (r, p)) in residuals.iter_mut().zip(&preds).enumerate() {
-                *r = data.label(i) - p;
-            }
-            let idx = subsample_indices(n, params.subsample, round);
-            let scan_started = std::time::Instant::now();
-            let tree = match (&binned, &presorted) {
-                (Some(b), _) => RegressionTree::fit_hist(data, &residuals, b, &idx, &params.tree),
-                (None, Some(pre)) => {
-                    RegressionTree::fit_with_presorted(data, &residuals, &idx, &params.tree, pre)
-                }
-                (None, None) => RegressionTree::fit(data, &residuals, &idx, &params.tree),
-            };
-            obs::observe_since("gbdt.split_scan_seconds", scan_started);
             let deltas = autosuggest_parallel::Pool::global()
                 .with_min_items(PAR_PREDICT_MIN_ROWS)
                 .par_map_indexed(n, |i| tree.predict(data.row(i)));
@@ -238,18 +123,6 @@ impl Gbdt {
     pub fn num_trees(&self) -> usize {
         self.trees.len()
     }
-}
-
-/// Deterministic strided subsample: stable across runs without an RNG
-/// dependency, varying by round so different trees see different rows.
-fn subsample_indices(n: usize, frac: f64, round: usize) -> Vec<usize> {
-    if frac >= 1.0 {
-        return (0..n).collect();
-    }
-    let take = ((n as f64 * frac).ceil() as usize).max(1);
-    (0..take)
-        .map(|i| (i * n / take + round * 7919) % n)
-        .collect()
 }
 
 #[cfg(test)]
@@ -330,17 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn subsampling_still_learns() {
-        let rows: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
-        let labels: Vec<f64> = (0..100).map(|i| if i < 50 { 0.0 } else { 1.0 }).collect();
-        let data = dataset(rows, labels);
-        let params = GbdtParams { subsample: 0.5, ..Default::default() };
-        let model = Gbdt::fit(&data, &params);
-        assert!(model.predict(&[10.0]) < 0.3);
-        assert!(model.predict(&[90.0]) > 0.7);
-    }
-
-    #[test]
     fn deterministic_across_fits() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, (i * i % 17) as f64]).collect();
         let labels: Vec<f64> = (0..50).map(|i| (i % 3) as f64).collect();
@@ -352,136 +214,10 @@ mod tests {
         }
     }
 
-    fn warm_start_dataset() -> Dataset {
-        let rows: Vec<Vec<f64>> =
-            (0..160).map(|i| vec![(i as f64 * 0.618).fract(), (i % 13) as f64]).collect();
-        let labels: Vec<f64> =
-            rows.iter().map(|r| r[0] * 3.0 + if r[1] > 6.0 { 1.0 } else { 0.0 }).collect();
-        dataset(rows, labels)
-    }
-
-    fn assert_bitwise_equal(a: &Gbdt, b: &Gbdt, data: &Dataset) {
-        assert_eq!(a.num_trees(), b.num_trees());
-        assert_eq!(a.base.to_bits(), b.base.to_bits());
-        for i in 0..data.len() {
-            assert_eq!(
-                a.predict(data.row(i)).to_bits(),
-                b.predict(data.row(i)).to_bits(),
-                "row {i} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_on_unchanged_data_is_bitwise_equal_to_full_fit() {
-        let data = warm_start_dataset();
-        for params in [
-            GbdtParams::default(),
-            GbdtParams { histogram: true, max_bins: 32, ..Default::default() },
-            GbdtParams { subsample: 0.7, ..Default::default() },
-        ] {
-            let full = Gbdt::fit(&data, &GbdtParams { n_trees: 12, ..params.clone() });
-            let base = Gbdt::fit(&data, &GbdtParams { n_trees: 8, ..params.clone() });
-            let warm =
-                Gbdt::fit_incremental(&base, &data, &GbdtParams { n_trees: 4, ..params.clone() });
-            assert_bitwise_equal(&warm, &full, &data);
-        }
-    }
-
-    #[test]
-    fn incremental_with_zero_new_trees_is_identity() {
-        let data = warm_start_dataset();
-        let base = Gbdt::fit(&data, &GbdtParams { n_trees: 6, ..Default::default() });
-        let same =
-            Gbdt::fit_incremental(&base, &data, &GbdtParams { n_trees: 0, ..Default::default() });
-        assert_bitwise_equal(&same, &base, &data);
-    }
-
-    #[test]
-    fn incremental_on_grown_data_improves_fit_on_new_rows() {
-        // Warm-start on a grown dataset: the carried trees only ever saw
-        // the first half, the new rounds must pick up the new regime.
-        let rows: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64]).collect();
-        let labels: Vec<f64> = (0..200).map(|i| if i < 150 { 0.0 } else { 1.0 }).collect();
-        let old = dataset(rows[..100].to_vec(), labels[..100].to_vec());
-        let all = dataset(rows, labels);
-        let base = Gbdt::fit(&old, &GbdtParams { n_trees: 10, ..Default::default() });
-        let before = base.predict(&[190.0]);
-        let warm =
-            Gbdt::fit_incremental(&base, &all, &GbdtParams { n_trees: 20, ..Default::default() });
-        assert!(before < 0.3, "carried ensemble never saw the new regime: {before}");
-        assert!(warm.predict(&[190.0]) > 0.7);
-        assert!(warm.predict(&[10.0]) < 0.3);
-        assert_eq!(warm.num_trees(), 30);
-    }
-
-    #[test]
-    #[should_panic(expected = "learning rate")]
-    fn incremental_rejects_mismatched_learning_rate() {
-        let data = warm_start_dataset();
-        let base = Gbdt::fit(&data, &GbdtParams { n_trees: 2, ..Default::default() });
-        let other = GbdtParams { learning_rate: 0.05, n_trees: 2, ..Default::default() };
-        let _ = Gbdt::fit_incremental(&base, &data, &other);
-    }
-
-    #[test]
-    #[should_panic(expected = "feature space")]
-    fn incremental_rejects_mismatched_feature_space() {
-        let data = warm_start_dataset();
-        let base = Gbdt::fit(&data, &GbdtParams { n_trees: 2, ..Default::default() });
-        let narrow = dataset(vec![vec![0.0], vec![1.0]], vec![0.0, 1.0]);
-        let _ = Gbdt::fit_incremental(&base, &narrow, &GbdtParams::default());
-    }
-
-    #[test]
-    fn histogram_mode_learns_and_is_deterministic() {
-        let rows: Vec<Vec<f64>> = (0..300).map(|i| vec![i as f64 / 300.0, (i % 7) as f64]).collect();
-        let labels: Vec<f64> = rows.iter().map(|r| if r[0] < 0.4 { 0.0 } else { 1.0 }).collect();
-        let data = dataset(rows, labels);
-        let params = GbdtParams { histogram: true, max_bins: 32, ..Default::default() };
-        let a = Gbdt::fit(&data, &params);
-        let b = Gbdt::fit(&data, &params);
-        assert!(a.predict(&[0.1, 3.0]) < 0.2);
-        assert!(a.predict(&[0.9, 3.0]) > 0.8);
-        for i in 0..data.len() {
-            assert_eq!(a.predict(data.row(i)).to_bits(), b.predict(data.row(i)).to_bits());
-        }
-    }
-
-    #[test]
-    fn histogram_mode_tracks_exact_mode_closely() {
-        let rows: Vec<Vec<f64>> = (0..400)
-            .map(|i| vec![(i as f64 * 0.618).fract(), (i as f64 * 0.323).fract()])
-            .collect();
-        let labels: Vec<f64> =
-            rows.iter().map(|r| r[0] * 2.0 + if r[1] > 0.5 { 1.0 } else { 0.0 }).collect();
-        let data = dataset(rows, labels);
-        let exact = Gbdt::fit(&data, &GbdtParams::default());
-        let hist = Gbdt::fit(
-            &data,
-            &GbdtParams { histogram: true, max_bins: 64, ..Default::default() },
-        );
-        let mse = |m: &Gbdt| {
-            (0..data.len())
-                .map(|i| (m.predict(data.row(i)) - data.label(i)).powi(2))
-                .sum::<f64>()
-                / data.len() as f64
-        };
-        assert!(mse(&hist) < mse(&exact) + 0.01, "hist {} exact {}", mse(&hist), mse(&exact));
-    }
-
     #[test]
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_panics() {
         let data = Dataset::new(vec!["a".into()], vec![], vec![]).unwrap();
         Gbdt::fit(&data, &GbdtParams::default());
-    }
-
-    #[test]
-    fn subsample_indices_cover_range() {
-        let idx = subsample_indices(100, 0.3, 2);
-        assert_eq!(idx.len(), 30);
-        assert!(idx.iter().all(|&i| i < 100));
-        assert_eq!(subsample_indices(10, 1.0, 0), (0..10).collect::<Vec<_>>());
     }
 }

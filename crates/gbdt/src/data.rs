@@ -78,118 +78,6 @@ impl Dataset {
     }
 }
 
-/// Per-feature bin codes for histogram-mode split finding, computed once
-/// per ensemble and shared by every tree.
-///
-/// Each feature gets a strictly-increasing list of `cuts`; bin `b` holds the
-/// values in `(cuts[b-1], cuts[b]]`-style ranges, i.e. `code(v)` = number of
-/// cuts strictly below `v`, so `code(v) <= b  ⟺  v <= cuts[b]` — the split
-/// predicate on codes is exactly the tree's raw-value predicate.
-///
-/// When a feature has at most `max_bins` distinct values, bins are exact:
-/// one per distinct value, with the same midpoint-with-fallback thresholds
-/// the exact kernels use — histogram splits on such features are identical
-/// to exact splits. Otherwise cuts sit at rank quantiles of the observed
-/// (duplicated) column, so every bin holds roughly `rows / max_bins`
-/// values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BinnedDataset {
-    /// Per feature: strictly increasing thresholds between adjacent bins.
-    cuts: Vec<Vec<f64>>,
-    /// Per feature: one bin code per row.
-    codes: Vec<Vec<u8>>,
-    num_rows: usize,
-}
-
-/// The hard ceiling on bins per feature (codes are `u8`).
-pub const MAX_HIST_BINS: usize = 256;
-
-impl BinnedDataset {
-    /// Bin every feature of `data` into at most `max_bins` bins
-    /// (`2..=256`).
-    pub fn build(data: &Dataset, max_bins: usize) -> Self {
-        assert!(
-            (2..=MAX_HIST_BINS).contains(&max_bins),
-            "max_bins must be in 2..=256, got {max_bins}"
-        );
-        let n = data.len();
-        let mut cuts = Vec::with_capacity(data.num_features());
-        let mut codes = Vec::with_capacity(data.num_features());
-        let mut bins_built = 0u64;
-        for f in 0..data.num_features() {
-            let mut sorted: Vec<f64> = (0..n).map(|i| data.row(i)[f]).collect();
-            sorted.sort_by(f64::total_cmp);
-            let mut distinct = sorted.clone();
-            distinct.dedup();
-            let fcuts: Vec<f64> = if distinct.len() <= max_bins {
-                // Exact bins: midpoint thresholds between adjacent distinct
-                // values, with the same round-up fallback as the exact
-                // kernels (a midpoint that rounds to the upper value would
-                // send every row left).
-                distinct
-                    .windows(2)
-                    .map(|w| {
-                        let mid = (w[0] + w[1]) / 2.0;
-                        if mid > w[0] && mid < w[1] {
-                            mid
-                        } else {
-                            w[0]
-                        }
-                    })
-                    .collect()
-            } else {
-                // Rank-quantile cuts over the raw (duplicated) column, so
-                // dense value ranges get more bins. Cuts are data values;
-                // `v <= cut` splits below/above, and deduplication keeps
-                // them strictly increasing. A cut at the maximum would
-                // create an empty top bin; drop it.
-                let max_val = sorted[n - 1];
-                let mut qs: Vec<f64> = (1..max_bins).map(|b| sorted[b * n / max_bins]).collect();
-                qs.dedup();
-                qs.retain(|&c| c < max_val);
-                qs
-            };
-            let fcodes: Vec<u8> = (0..n)
-                .map(|i| {
-                    let v = data.row(i)[f];
-                    fcuts.partition_point(|&c| c < v) as u8
-                })
-                .collect();
-            bins_built += (fcuts.len() + 1) as u64;
-            cuts.push(fcuts);
-            codes.push(fcodes);
-        }
-        autosuggest_obs::counter_add("gbdt.bins_built", bins_built);
-        BinnedDataset { cuts, codes, num_rows: n }
-    }
-
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
-    }
-
-    pub fn num_features(&self) -> usize {
-        self.cuts.len()
-    }
-
-    /// Number of bins for feature `f` (≥1; 1 means the feature is
-    /// constant and can never split).
-    pub fn num_bins(&self, f: usize) -> usize {
-        self.cuts[f].len() + 1
-    }
-
-    /// Bin code of `row` for feature `f`.
-    pub fn code(&self, f: usize, row: usize) -> usize {
-        self.codes[f][row] as usize
-    }
-
-    /// The raw-value threshold separating bins `b` and `b + 1` of feature
-    /// `f`: rows with `value <= cut` are exactly the rows with
-    /// `code <= b`.
-    pub fn cut(&self, f: usize, b: usize) -> f64 {
-        self.cuts[f][b]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,52 +88,5 @@ mod tests {
         assert!(Dataset::new(vec!["a".into()], vec![vec![1.0, 2.0]], vec![0.0]).is_err());
         assert!(Dataset::new(vec!["a".into()], vec![vec![1.0]], vec![]).is_err());
         assert!(Dataset::new(vec!["a".into()], vec![vec![f64::NAN]], vec![0.0]).is_err());
-    }
-
-    fn dataset_1f(col: Vec<f64>) -> Dataset {
-        let labels = vec![0.0; col.len()];
-        let rows = col.into_iter().map(|v| vec![v]).collect();
-        Dataset::new(vec!["f0".into()], rows, labels).unwrap()
-    }
-
-    #[test]
-    fn exact_bins_assign_one_code_per_distinct_value() {
-        let data = dataset_1f(vec![3.0, 1.0, 2.0, 1.0, 3.0, 2.0]);
-        let b = BinnedDataset::build(&data, 8);
-        assert_eq!(b.num_bins(0), 3);
-        // Codes follow value rank: 1.0 → 0, 2.0 → 1, 3.0 → 2.
-        let codes: Vec<usize> = (0..data.len()).map(|i| b.code(0, i)).collect();
-        assert_eq!(codes, vec![2, 0, 1, 0, 2, 1]);
-        // code <= b ⟺ value <= cut(b).
-        for i in 0..data.len() {
-            for bd in 0..b.num_bins(0) - 1 {
-                assert_eq!(b.code(0, i) <= bd, data.row(i)[0] <= b.cut(0, bd));
-            }
-        }
-    }
-
-    #[test]
-    fn quantile_bins_respect_the_cap_and_predicate() {
-        let data = dataset_1f((0..500).map(|i| (i as f64 * 0.731).sin()).collect());
-        let b = BinnedDataset::build(&data, 16);
-        assert!(b.num_bins(0) <= 16);
-        assert!(b.num_bins(0) >= 8, "got {}", b.num_bins(0));
-        for i in 0..data.len() {
-            for bd in 0..b.num_bins(0) - 1 {
-                assert_eq!(b.code(0, i) <= bd, data.row(i)[0] <= b.cut(0, bd));
-            }
-        }
-        // Cuts strictly increasing.
-        for w in (0..b.num_bins(0) - 1).collect::<Vec<_>>().windows(2) {
-            assert!(b.cut(0, w[0]) < b.cut(0, w[1]));
-        }
-    }
-
-    #[test]
-    fn constant_feature_gets_a_single_bin() {
-        let data = dataset_1f(vec![4.2; 10]);
-        let b = BinnedDataset::build(&data, 256);
-        assert_eq!(b.num_bins(0), 1);
-        assert!((0..10).all(|i| b.code(0, i) == 0));
     }
 }

@@ -3,9 +3,8 @@
 //! Auto-Suggest trains point-wise ranking models with binary 0/1 labels and
 //! "uses gradient boosted decision trees to directly optimize regression
 //! loss" (§4.1). This crate implements exactly that model family: CART-style
-//! regression trees fit to residuals under squared loss, with shrinkage,
-//! optional row subsampling, and gain-based feature importances (the numbers
-//! behind Tables 4 and 7).
+//! regression trees fit to residuals under squared loss, with shrinkage and
+//! gain-based feature importances (the numbers behind Tables 4 and 7).
 //!
 //! ```
 //! use autosuggest_gbdt::{Dataset, Gbdt, GbdtParams};
@@ -25,6 +24,6 @@ mod importance;
 mod tree;
 
 pub use boost::{Gbdt, GbdtParams};
-pub use data::{BinnedDataset, Dataset, MAX_HIST_BINS};
+pub use data::Dataset;
 pub use importance::{aggregate_importance, normalize};
 pub use tree::{Presorted, RegressionTree, TreeParams};

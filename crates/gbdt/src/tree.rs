@@ -2,32 +2,24 @@
 //!
 //! ## Split-search kernels
 //!
-//! Three interchangeable kernels find splits:
+//! Two kernels find splits:
 //!
-//! - **Presorted** (the default, used by [`RegressionTree::fit`]): every
-//!   feature is stable-sorted **once per tree**; the sorted `(row, value)`
-//!   lists are then partitioned down the tree, so a node's scan is `O(n)`
-//!   instead of `O(n log n)`. A counting-sort realignment pass (see
-//!   [`scan_feature_presorted`]) reproduces the historical per-node sort
-//!   order bit for bit, so the chosen splits — and the committed goldens —
-//!   are identical to the re-sort kernel.
+//! - **Presorted** (the production kernel, used by [`RegressionTree::fit`]):
+//!   every feature is stable-sorted **once per ensemble**; the sorted
+//!   `(row, value)` lists are then partitioned down the tree, so a node's
+//!   scan is `O(n)` instead of `O(n log n)`. A counting-sort realignment
+//!   pass (see [`scan_feature_presorted`]) reproduces the historical
+//!   per-node sort order bit for bit, so the chosen splits — and the
+//!   committed goldens — are identical to the re-sort kernel.
 //! - **Re-sort** ([`RegressionTree::fit_resort`]): the historical kernel
-//!   that re-sorts rows per node per feature. Kept as the executable
+//!   that re-sorts rows per node per feature. Kept only as the executable
 //!   reference the equivalence tests compare against.
-//! - **Histogram** ([`RegressionTree::fit_hist`]): LightGBM-style binned
-//!   split finding over a [`BinnedDataset`] (≤256 bins per feature,
-//!   computed once per ensemble) with the sibling-subtraction trick: only
-//!   the smaller child's histogram is accumulated fresh; the larger child
-//!   is the parent minus the smaller. Split thresholds can only land on
-//!   bin boundaries, so chosen splits are within one bin of the exact
-//!   kernel's (and identical when every feature has ≤ `max_bins` distinct
-//!   values).
 //!
-//! All three are deterministic at any thread count: per-feature scans are
+//! Both are deterministic at any thread count: per-feature scans are
 //! independent, and candidates are reduced in ascending feature order with
 //! a strictly-greater comparison (earliest feature wins ties).
 
-use crate::data::{BinnedDataset, Dataset};
+use crate::data::Dataset;
 use autosuggest_obs as obs;
 use serde::{Deserialize, Serialize};
 
@@ -84,7 +76,7 @@ struct FeatureList {
 
 /// Per-feature presorted row lists for a fixed `(data, row_idx)` pair —
 /// independent of targets, so boosting builds this **once per ensemble**
-/// (when every round trains on the same rows) and reuses it for every tree.
+/// and reuses it for every tree.
 #[derive(Debug, Clone)]
 pub struct Presorted {
     lists: Vec<FeatureList>,
@@ -166,7 +158,7 @@ impl RegressionTree {
 
     /// Historical split kernel: re-sorts rows per node per feature. Kept as
     /// the executable reference for the presorted kernel's equivalence
-    /// tests (and A/B benchmarks); produces bit-identical trees.
+    /// tests and benchmarks; produces bit-identical trees.
     pub fn fit_resort(
         data: &Dataset,
         targets: &[f64],
@@ -178,27 +170,6 @@ impl RegressionTree {
         let mut tree = RegressionTree { nodes: Vec::new(), num_features: data.num_features() };
         let mut idx = row_idx.to_vec();
         tree.build_resort(data, targets, &mut idx, 0, params);
-        tree
-    }
-
-    /// Histogram split kernel over pre-binned features: split thresholds
-    /// land on bin boundaries of `binned`, within one bin of the exact
-    /// kernels (identical when every feature has ≤ `max_bins` distinct
-    /// values). Leaf values are still exact row means.
-    pub fn fit_hist(
-        data: &Dataset,
-        targets: &[f64],
-        binned: &BinnedDataset,
-        row_idx: &[usize],
-        params: &TreeParams,
-    ) -> Self {
-        assert_eq!(data.len(), targets.len());
-        assert_eq!(binned.num_rows(), data.len(), "binned dataset arity");
-        assert!(!row_idx.is_empty(), "cannot fit a tree on zero rows");
-        let mut tree = RegressionTree { nodes: Vec::new(), num_features: data.num_features() };
-        let mut idx = row_idx.to_vec();
-        let hists = compute_hists(binned, targets, &idx);
-        tree.build_hist(data, targets, binned, &mut idx, 0, params, hists);
         tree
     }
 
@@ -282,57 +253,6 @@ impl RegressionTree {
                 let right = {
                     let mut r = right_idx.to_vec();
                     self.build_resort(data, targets, &mut r, depth + 1, params)
-                };
-                self.nodes[node] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    gain: split.gain,
-                    left,
-                    right,
-                };
-                node
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build_hist(
-        &mut self,
-        data: &Dataset,
-        targets: &[f64],
-        binned: &BinnedDataset,
-        idx: &mut [usize],
-        depth: usize,
-        params: &TreeParams,
-        hists: Vec<Vec<BinStat>>,
-    ) -> usize {
-        let mean = idx.iter().map(|&i| targets[i]).sum::<f64>() / idx.len() as f64;
-        if depth >= params.max_depth || idx.len() < 2 * params.min_samples_leaf {
-            return self.push(Node::Leaf { value: mean });
-        }
-        match best_split_hist(targets, idx, params, binned, &hists) {
-            None => self.push(Node::Leaf { value: mean }),
-            Some(split) => {
-                let mid = partition(idx, |i| data.row(i)[split.feature] <= split.threshold);
-                let (left_idx, right_idx) = idx.split_at_mut(mid);
-                debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
-                // Sibling subtraction: accumulate only the smaller child
-                // fresh; the larger child's histogram is parent − smaller.
-                let left_smaller = left_idx.len() <= right_idx.len();
-                let small_h =
-                    compute_hists(binned, targets, if left_smaller { left_idx } else { right_idx });
-                let big_h = subtract_hists(hists, &small_h);
-                let (left_h, right_h) =
-                    if left_smaller { (small_h, big_h) } else { (big_h, small_h) };
-                obs::counter_add("gbdt.nodes_split", 1);
-                let node = self.push(Node::Leaf { value: mean }); // placeholder
-                let left = {
-                    let mut l = left_idx.to_vec();
-                    self.build_hist(data, targets, binned, &mut l, depth + 1, params, left_h)
-                };
-                let right = {
-                    let mut r = right_idx.to_vec();
-                    self.build_hist(data, targets, binned, &mut r, depth + 1, params, right_h)
                 };
                 self.nodes[node] = Node::Split {
                     feature: split.feature,
@@ -698,97 +618,6 @@ fn best_split_resort(
     reduce_candidates(candidates)
 }
 
-/// Per-bin target statistics for the histogram kernel.
-#[derive(Debug, Clone, Copy, Default)]
-struct BinStat {
-    count: u32,
-    sum: f64,
-    sumsq: f64,
-}
-
-/// Accumulate per-feature histograms over the node's rows (in `idx`
-/// order). Features are independent, so large nodes fan out across the
-/// pool; each feature's bins are accumulated with identical sequential
-/// arithmetic, so the result is the same at any thread count.
-fn compute_hists(binned: &BinnedDataset, targets: &[f64], idx: &[usize]) -> Vec<Vec<BinStat>> {
-    let num_features = binned.num_features();
-    let accumulate = |f: usize| -> Vec<BinStat> {
-        let mut bins = vec![BinStat::default(); binned.num_bins(f)];
-        for &row in idx {
-            let b = &mut bins[binned.code(f, row)];
-            let t = targets[row];
-            b.count += 1;
-            b.sum += t;
-            b.sumsq += t * t;
-        }
-        bins
-    };
-    if idx.len() * num_features >= PAR_SPLIT_WORK && autosuggest_parallel::current_threads() > 1 {
-        autosuggest_parallel::par_map_indexed(num_features, accumulate)
-    } else {
-        (0..num_features).map(accumulate).collect()
-    }
-}
-
-/// `parent − small` per feature per bin: the sibling-subtraction trick.
-/// Consumes the parent histograms (they are never needed again).
-fn subtract_hists(mut parent: Vec<Vec<BinStat>>, small: &[Vec<BinStat>]) -> Vec<Vec<BinStat>> {
-    for (pf, sf) in parent.iter_mut().zip(small) {
-        for (pb, sb) in pf.iter_mut().zip(sf) {
-            pb.count -= sb.count;
-            pb.sum -= sb.sum;
-            pb.sumsq -= sb.sumsq;
-        }
-    }
-    parent
-}
-
-/// Histogram split search: scan bin boundaries left-to-right per feature,
-/// computing gains from cumulative bin statistics. Thresholds are the bin
-/// cuts of `binned`, so a chosen split is within one bin of the exact
-/// kernel's choice.
-fn best_split_hist(
-    targets: &[f64],
-    idx: &[usize],
-    params: &TreeParams,
-    binned: &BinnedDataset,
-    hists: &[Vec<BinStat>],
-) -> Option<SplitChoice> {
-    let (total_sum, total_sq, parent_sse) = parent_stats(targets, idx);
-    let n = idx.len() as f64;
-    let mut candidates: Vec<Option<SplitChoice>> = Vec::with_capacity(hists.len());
-    for (f, bins) in hists.iter().enumerate() {
-        let mut best: Option<SplitChoice> = None;
-        let mut left_count = 0u32;
-        let mut left_sum = 0.0;
-        let mut left_sq = 0.0;
-        // Boundary b splits bins 0..=b from b+1.. (threshold = cut b).
-        for (b, bin) in bins.iter().enumerate().take(bins.len().saturating_sub(1)) {
-            left_count += bin.count;
-            left_sum += bin.sum;
-            left_sq += bin.sumsq;
-            if bin.count == 0 {
-                continue; // same partition as the previous boundary
-            }
-            let nl = left_count as usize;
-            let nr = idx.len() - nl;
-            if nl < params.min_samples_leaf || nr < params.min_samples_leaf {
-                continue;
-            }
-            let right_sum = total_sum - left_sum;
-            let right_sq = total_sq - left_sq;
-            let sse = (left_sq - left_sum * left_sum / nl as f64)
-                + (right_sq - right_sum * right_sum / (n - nl as f64));
-            let gain = parent_sse - sse;
-            if gain > params.min_gain && best.as_ref().is_none_or(|x| gain > x.gain) {
-                best = Some(SplitChoice { feature: f, threshold: binned.cut(f, b), gain });
-            }
-        }
-        candidates.push(best);
-    }
-    reduce_candidates(candidates)
-}
-
 /// Stable-ish partition: move rows satisfying `pred` to the front, returning
 /// the boundary.
 fn partition<F: Fn(usize) -> bool>(idx: &mut [usize], pred: F) -> usize {
@@ -939,7 +768,7 @@ mod tests {
 
     #[test]
     fn presorted_matches_resort_on_scrambled_row_subset() {
-        // Non-ascending row_idx (the subsampling case): tie order inside
+        // Non-ascending row_idx: tie order inside
         // the node scans comes from the idx array, not from row ids.
         let data = random_tied_dataset(150, 3, 42);
         let idx: Vec<usize> = (0..data.len()).filter(|i| i % 3 != 1).rev().collect();
@@ -958,59 +787,5 @@ mod tests {
         let a = RegressionTree::fit_with_presorted(&data, data.labels(), &idx, &params, &pre);
         let b = RegressionTree::fit(&data, data.labels(), &idx, &params);
         assert_trees_identical(&a, &b, &data);
-    }
-
-    #[test]
-    fn histogram_is_exact_when_bins_cover_all_distinct_values() {
-        // ≤ max_bins distinct values per feature ⇒ one bin per value with
-        // the same midpoint thresholds ⇒ identical split choices.
-        let data = random_tied_dataset(200, 3, 99); // values on a 9-point grid
-        let idx: Vec<usize> = (0..data.len()).collect();
-        let params = TreeParams::default();
-        let binned = BinnedDataset::build(&data, 16);
-        let hist = RegressionTree::fit_hist(&data, data.labels(), &binned, &idx, &params);
-        let exact = RegressionTree::fit(&data, data.labels(), &idx, &params);
-        assert_eq!(hist.root_split().map(|(f, t)| (f, t.to_bits())),
-                   exact.root_split().map(|(f, t)| (f, t.to_bits())));
-        assert_eq!(hist.num_nodes(), exact.num_nodes());
-        for i in 0..data.len() {
-            // Leaf membership identical ⇒ leaf means identical up to
-            // summation order (idx partitions are the same rows).
-            assert!((hist.predict(data.row(i)) - exact.predict(data.row(i))).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn histogram_split_is_within_one_bin_of_exact() {
-        // Continuous values, more distinct values than bins: the chosen
-        // root threshold must land within one bin width of the exact one.
-        let n = 512;
-        let mut s = 5u64;
-        let rows: Vec<Vec<f64>> = (0..n).map(|_| vec![lcg(&mut s)]).collect();
-        let labels: Vec<f64> = rows.iter().map(|r| if r[0] < 0.37 { 0.0 } else { 1.0 }).collect();
-        let data = dataset(rows, labels);
-        let idx: Vec<usize> = (0..n).collect();
-        let params = TreeParams { max_depth: 1, ..Default::default() };
-        let max_bins = 32;
-        let binned = BinnedDataset::build(&data, max_bins);
-        let exact = RegressionTree::fit(&data, data.labels(), &idx, &params);
-        let hist = RegressionTree::fit_hist(&data, data.labels(), &binned, &idx, &params);
-        let (ef, et) = exact.root_split().unwrap();
-        let (hf, ht) = hist.root_split().unwrap();
-        assert_eq!(ef, hf);
-        // Uniform data ⇒ bin width ≈ 1/max_bins; allow one full bin.
-        assert!((et - ht).abs() <= 1.5 / max_bins as f64, "exact {et} vs hist {ht}");
-    }
-
-    #[test]
-    fn histogram_respects_min_samples_leaf() {
-        let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64]).collect();
-        let labels = vec![0.0, 0.0, 0.0, 0.0, 0.0, 100.0];
-        let data = dataset(rows, labels);
-        let idx: Vec<usize> = (0..6).collect();
-        let params = TreeParams { min_samples_leaf: 3, ..Default::default() };
-        let binned = BinnedDataset::build(&data, 256);
-        let tree = RegressionTree::fit_hist(&data, data.labels(), &binned, &idx, &params);
-        assert!(tree.depth() <= 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The Adam optimiser (Kingma & Ba, 2015).
 //!
-//! The element update is division/sqrt-bound, and at `batch_size = 1` the
-//! RNN takes one full-parameter Adam step per example — profiling showed
+//! The element update is division/sqrt-bound, and the RNN takes one
+//! full-parameter Adam step per example — profiling showed
 //! the scalar loop dominating next-op training. [`Adam::update`] therefore
 //! dispatches to an explicitly vectorised x86-64 kernel (4-wide AVX when
 //! the CPU has it, guaranteed-baseline 2-wide SSE2 otherwise). IEEE-754
@@ -56,11 +56,6 @@ impl Adam {
     /// Advance the global step (bias-correction counter).
     pub fn begin_step(&mut self) {
         self.t += 1;
-    }
-
-    /// Number of steps taken so far (the bias-correction counter `t`).
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 
     /// Apply one Adam update to the tensor registered at `slot`.

@@ -9,14 +9,12 @@
 //! language model used as a baseline in Table 11.
 
 pub mod adam;
-pub mod buffer;
 pub mod layers;
 pub mod matmul;
 pub mod ngram;
 pub mod rnn;
 
 pub use adam::Adam;
-pub use buffer::ExampleBuffer;
 pub use layers::{softmax, Dense, Embedding};
 pub use ngram::NgramModel;
-pub use rnn::{RnnClassifier, RnnConfig, SequenceExample, TrainState};
+pub use rnn::{RnnClassifier, RnnConfig, SequenceExample};

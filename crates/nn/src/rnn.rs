@@ -4,19 +4,12 @@
 //! ## Training kernels
 //!
 //! Training runs through the allocation-free batch kernels of
-//! [`crate::matmul`] with one reusable [`Scratch`] workspace per call.
-//! Two modes share those kernels:
-//!
-//! - **Per-example** (`batch_size == 1`, the default): one Adam step per
-//!   example, bit-identical to the historical implementation.
-//! - **Mini-batched** (`batch_size > 1`): the epoch order is shuffled
-//!   exactly as in per-example mode, then carved into contiguous chunks
-//!   of `batch_size` examples. Each chunk takes one Adam step on the
-//!   gradient *summed* over its examples in chunk order; within a chunk,
-//!   examples are grouped by prefix length (first-appearance order) so
-//!   BPTT runs on rectangular batches. With `batch_size == 1` every chunk
-//!   is a singleton and the schedule degrades to exactly the per-example
-//!   path — the equivalence tests pin this bit-for-bit.
+//! [`crate::matmul`] with one reusable [`Scratch`] workspace per call, one
+//! example per Adam step: each epoch shuffles the examples with a seeded
+//! RNG and steps through them in that order. Batch prediction
+//! ([`RnnClassifier::predict_proba_batch`]) runs the same forward kernel
+//! on rectangular batches of equal-length prefixes; each row is
+//! bit-identical to scoring that example alone.
 //!
 //! Training is single-threaded by design (an Adam step is a sequential
 //! dependence); determinism needs no thread-count argument.
@@ -27,6 +20,7 @@ use autosuggest_obs as obs;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Hyper-parameters of the [`RnnClassifier`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -49,10 +43,6 @@ pub struct RnnConfig {
     pub lr: f64,
     /// Training epochs over the full example set.
     pub epochs: usize,
-    /// Examples per Adam step. `1` (the default) reproduces the historical
-    /// per-example schedule bit-for-bit; larger values take one step per
-    /// gradient summed over the batch.
-    pub batch_size: usize,
     /// RNG seed for initialisation and shuffling (full determinism).
     pub seed: u64,
 }
@@ -68,7 +58,6 @@ impl Default for RnnConfig {
             classes: 7,
             lr: 5e-3,
             epochs: 30,
-            batch_size: 1,
             seed: 0,
         }
     }
@@ -131,25 +120,6 @@ impl Scratch {
         if self.ids.len() < batch {
             self.ids.resize(batch, 0);
         }
-    }
-}
-
-/// Resumable training state: the Adam optimiser (step count plus first and
-/// second moments for every parameter tensor) and the epoch-shuffle RNG.
-/// Produced by [`RnnClassifier::train_state`], advanced in place by
-/// [`RnnClassifier::train_continue`]. Deliberately opaque — the only
-/// supported operations are resuming training with it and inspecting the
-/// optimiser step count.
-#[derive(Debug, Clone)]
-pub struct TrainState {
-    opt: Adam,
-    rng: rand::rngs::StdRng,
-}
-
-impl TrainState {
-    /// Number of Adam steps taken so far through this state.
-    pub fn steps(&self) -> u64 {
-        self.opt.steps()
     }
 }
 
@@ -286,10 +256,13 @@ impl RnnClassifier {
             .iter()
             .map(|(p, e)| SequenceExample { prefix: p.to_vec(), extra: e.to_vec(), label: 0 })
             .collect();
+        let mut by_len: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, ex) in examples.iter().enumerate() {
+            by_len.entry(ex.prefix.len()).or_default().push(i);
+        }
         let mut out = vec![Vec::new(); queries.len()];
         let mut scratch = Scratch::default();
-        let all: Vec<usize> = (0..examples.len()).collect();
-        for (len, group) in group_by_len(&examples, &all) {
+        for (len, group) in by_len {
             self.forward_group(&examples, &group, len, &mut scratch);
             for (r, &qi) in group.iter().enumerate() {
                 out[qi] = scratch.logits[r * self.cfg.classes..(r + 1) * self.cfg.classes].to_vec();
@@ -310,29 +283,16 @@ impl RnnClassifier {
         self.predict_proba_batch(queries).iter().map(|p| rank_desc(p)).collect()
     }
 
-    /// Train with the schedule selected by `cfg.batch_size`; returns the
-    /// mean cross-entropy of the final epoch.
+    /// Train for `cfg.epochs` epochs, one Adam step per example in a
+    /// seeded shuffle order; returns the mean cross-entropy of the final
+    /// epoch.
     pub fn train(&mut self, examples: &[SequenceExample]) -> f64 {
-        self.train_with_batch_size(examples, self.cfg.batch_size)
-    }
-
-    /// Train with an explicit examples-per-Adam-step batch size (the
-    /// batched code path is exercised even at `batch_size == 1`, which the
-    /// equivalence tests compare bit-for-bit against the default
-    /// schedule). Returns the mean cross-entropy of the final epoch.
-    pub fn train_with_batch_size(&mut self, examples: &[SequenceExample], batch_size: usize) -> f64 {
         assert!(!examples.is_empty(), "no training examples");
-        let mut state = self.train_state();
-        self.train_continue_with_batch_size(examples, batch_size, &mut state)
-    }
-
-    /// Fresh resumable training state for this classifier: a zeroed Adam
-    /// optimiser sized to the parameter tensors plus the seeded epoch
-    /// shuffler. Feeding this to [`Self::train_continue`] reproduces
-    /// [`Self::train`] bit-for-bit; holding on to it afterwards lets later
-    /// calls resume the optimiser (step count, first/second moments) and
-    /// the shuffle stream instead of reinitialising.
-    pub fn train_state(&self) -> TrainState {
+        for ex in examples {
+            assert!(ex.label < self.cfg.classes);
+            assert_eq!(ex.extra.len(), self.cfg.extra_dim);
+            assert!(ex.prefix.iter().all(|&s| s < self.cfg.vocab));
+        }
         let sizes = [
             self.emb.table.len(),
             self.x2h.w.len(),
@@ -344,47 +304,17 @@ impl RnnClassifier {
             self.l2.w.len(),
             self.l2.b.len(),
         ];
-        TrainState {
-            opt: Adam::new(self.cfg.lr, &sizes),
-            rng: rand::rngs::StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed),
-        }
-    }
-
-    /// Continue training over `examples` for `cfg.epochs` more epochs,
-    /// resuming the Adam moments/step count and shuffle stream in `state`.
-    /// An empty `examples` slice is a guaranteed bitwise no-op: weights,
-    /// optimiser state, and the shuffle stream are all left untouched and
-    /// the returned loss is `0.0`.
-    pub fn train_continue(&mut self, examples: &[SequenceExample], state: &mut TrainState) -> f64 {
-        self.train_continue_with_batch_size(examples, self.cfg.batch_size, state)
-    }
-
-    /// [`Self::train_continue`] with an explicit batch size.
-    pub fn train_continue_with_batch_size(
-        &mut self,
-        examples: &[SequenceExample],
-        batch_size: usize,
-        state: &mut TrainState,
-    ) -> f64 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        for ex in examples {
-            assert!(ex.label < self.cfg.classes);
-            assert_eq!(ex.extra.len(), self.cfg.extra_dim);
-            assert!(ex.prefix.iter().all(|&s| s < self.cfg.vocab));
-        }
-        let batch_size = batch_size.max(1);
+        let mut opt = Adam::new(self.cfg.lr, &sizes);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed);
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut scratch = Scratch::default();
         let mut last_epoch_loss = f64::INFINITY;
         for _ in 0..self.cfg.epochs {
             let _epoch_span = obs::span("rnn_epoch");
-            order.shuffle(&mut state.rng);
+            order.shuffle(&mut rng);
             let mut loss_sum = 0.0;
-            for chunk_start in (0..order.len()).step_by(batch_size) {
-                let chunk = &order[chunk_start..(chunk_start + batch_size).min(order.len())];
-                loss_sum += self.step_chunk(examples, chunk, &mut state.opt, &mut scratch);
+            for &i in &order {
+                loss_sum += self.step(examples, i, &mut opt, &mut scratch);
             }
             last_epoch_loss = loss_sum / examples.len() as f64;
         }
@@ -392,33 +322,26 @@ impl RnnClassifier {
         last_epoch_loss
     }
 
-    /// One optimizer step over a chunk of examples: zero gradients, run
-    /// batched forward/backward per length group (accumulating gradients
-    /// in group order), clip the summed gradient, apply one Adam update.
-    /// Returns the summed cross-entropy of the chunk.
-    fn step_chunk(&mut self, examples: &[SequenceExample], chunk: &[usize], opt: &mut Adam, scratch: &mut Scratch) -> f64 {
-        obs::counter_add("nn.rnn.batches", 1);
+    /// One optimizer step on example `i`: zero gradients, run the forward
+    /// and backward kernels on a batch of one, clip the gradient, apply one
+    /// Adam update. Returns the example's cross-entropy.
+    fn step(&mut self, examples: &[SequenceExample], i: usize, opt: &mut Adam, scratch: &mut Scratch) -> f64 {
         self.emb.zero_grad();
         self.x2h.zero_grad();
         self.h2h.zero_grad();
         self.l1.zero_grad();
         self.l2.zero_grad();
 
-        let mut loss_sum = 0.0;
-        for (len, group) in group_by_len(examples, chunk) {
-            let b = group.len();
-            self.forward_group(examples, &group, len, scratch);
-            // Loss and dlogits (softmax cross-entropy) in place.
-            for (r, &gi) in group.iter().enumerate() {
-                let row = &mut scratch.logits[r * self.cfg.classes..(r + 1) * self.cfg.classes];
-                loss_sum += -row[examples[gi].label].max(1e-12).ln();
-                row[examples[gi].label] -= 1.0;
-            }
-            debug_assert!(b <= chunk.len());
-            self.backward_group(examples, &group, len, scratch);
-        }
+        let group = [i];
+        let len = examples[i].prefix.len();
+        let label = examples[i].label;
+        self.forward_group(examples, &group, len, scratch);
+        // Loss and dlogits (softmax cross-entropy) in place.
+        let row = &mut scratch.logits[..self.cfg.classes];
+        let loss = -row[label].max(1e-12).ln();
+        row[label] -= 1.0;
+        self.backward_group(examples, &group, len, scratch);
 
-        // Clip the global norm of the chunk-summed gradient.
         clip_grads(
             &mut [
                 &mut self.emb.grad,
@@ -444,23 +367,8 @@ impl RnnClassifier {
         opt.update(6, &mut self.l1.b, &self.l1.db);
         opt.update(7, &mut self.l2.w, &self.l2.dw);
         opt.update(8, &mut self.l2.b, &self.l2.db);
-        loss_sum
+        loss
     }
-}
-
-/// Group `chunk` (indices into `examples`) by prefix length, preserving
-/// first-appearance order of lengths and chunk order within each group —
-/// deterministic, and the identity schedule for singleton chunks.
-fn group_by_len(examples: &[SequenceExample], chunk: &[usize]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &i in chunk {
-        let len = examples[i].prefix.len();
-        match groups.iter_mut().find(|(l, _)| *l == len) {
-            Some((_, g)) => g.push(i),
-            None => groups.push((len, vec![i])),
-        }
-    }
-    groups
 }
 
 /// Indices of `p` sorted by descending value (ties broken by index).
@@ -502,7 +410,6 @@ mod tests {
             classes: 4,
             lr: 1e-2,
             epochs: 60,
-            batch_size: 1,
             seed: 3,
         }
     }
@@ -519,23 +426,6 @@ mod tests {
         let mut model = RnnClassifier::new(small_cfg(0));
         let loss = model.train(&examples);
         assert!(loss < 0.3, "final loss {loss}");
-        for ex in &examples {
-            assert_eq!(model.predict_ranked(&ex.prefix, &[])[0], ex.label);
-        }
-    }
-
-    #[test]
-    fn mini_batches_learn_identity_transition_too() {
-        let mut examples = Vec::new();
-        for a in 0..4usize {
-            for b in 0..4usize {
-                examples.push(SequenceExample { prefix: vec![a, b], extra: vec![], label: b });
-            }
-        }
-        let cfg = RnnConfig { batch_size: 8, epochs: 220, ..small_cfg(0) };
-        let mut model = RnnClassifier::new(cfg);
-        let loss = model.train(&examples);
-        assert!(loss < 0.5, "final loss {loss}");
         for ex in &examples {
             assert_eq!(model.predict_ranked(&ex.prefix, &[])[0], ex.label);
         }
@@ -582,32 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_training_at_batch_size_one_is_bit_identical() {
-        // The explicit batched entry point with singleton chunks must
-        // reproduce the default schedule exactly.
-        let mut examples = Vec::new();
-        for i in 0..17usize {
-            examples.push(SequenceExample {
-                prefix: (0..(i % 4)).map(|s| s % 4).collect(),
-                extra: vec![],
-                label: i % 4,
-            });
-        }
-        let mut a = RnnClassifier::new(small_cfg(0));
-        let mut b = RnnClassifier::new(small_cfg(0));
-        let la = a.train(&examples);
-        let lb = b.train_with_batch_size(&examples, 1);
-        assert_eq!(la.to_bits(), lb.to_bits());
-        for ex in &examples {
-            let pa = a.predict_proba(&ex.prefix, &[]);
-            let pb = b.predict_proba(&ex.prefix, &[]);
-            for (x, y) in pa.iter().zip(&pb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn batch_prediction_matches_per_example_prediction() {
         let mut examples = Vec::new();
         for a in 0..4usize {
@@ -643,16 +507,6 @@ mod tests {
         let mut r = model.predict_ranked(&[1, 2, 3], &[]);
         r.sort_unstable();
         assert_eq!(r, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn group_by_len_preserves_first_appearance_order() {
-        let examples: Vec<SequenceExample> = [2usize, 0, 2, 1, 0]
-            .iter()
-            .map(|&l| SequenceExample { prefix: vec![0; l], extra: vec![], label: 0 })
-            .collect();
-        let groups = group_by_len(&examples, &[0, 1, 2, 3, 4]);
-        assert_eq!(groups, vec![(2, vec![0, 2]), (0, vec![1, 4]), (1, vec![3])]);
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! default mode (`?mode=full`, or no query) trains a replacement from
 //! scratch via [`ServerConfig::trainer`]; `?mode=incremental` instead
 //! hands the *currently served* system to
-//! [`ServerConfig::incremental_trainer`], which by default runs the
-//! core [`RetrainPlanner`] so unchanged replay reports and model
+//! [`ServerConfig::incremental_trainer`], which by default runs
+//! [`AutoSuggest::retrain`] so unchanged replay reports and model
 //! families are carried over rather than recomputed. Either way the new
 //! system is built entirely off-thread from serving: in-flight batches
 //! finish on the snapshot they loaded, and the swap is one atomic slot
@@ -65,7 +65,7 @@ use crate::http::{self, HttpError, Request};
 use crate::queue::{BatchQueue, PushError};
 use autosuggest_core::model_slot::ModelSlot;
 use autosuggest_core::pipeline::{AutoSuggest, AutoSuggestConfig, SuggestResponse};
-use autosuggest_core::retrain::{RetrainPlanner, RetrainReport};
+use autosuggest_core::retrain::RetrainReport;
 use autosuggest_core::wire;
 use autosuggest_corpus::faults::{FaultKind, FaultSpec};
 use autosuggest_obs as obs;
@@ -91,7 +91,7 @@ pub const RETRAIN_REPLAYED_COUNTER: &str = "server.retrain.notebooks_replayed";
 
 /// Closure that produces the replacement system for an incremental
 /// reload: `(reload seed, currently served system) → (new system,
-/// planner accounting)`.
+/// retrain accounting)`.
 pub type IncrementalTrainer =
     Box<dyn Fn(u64, &AutoSuggest) -> (AutoSuggest, RetrainReport) + Send + Sync>;
 
@@ -111,8 +111,8 @@ pub struct ServerConfig {
     pub trainer: Box<dyn Fn(u64) -> AutoSuggest + Send + Sync>,
     /// Produces the replacement for `POST /admin/reload?mode=incremental`:
     /// given the reload seed and the currently served system, returns the
-    /// new system plus the planner's accounting. The default runs
-    /// [`RetrainPlanner`] against the served system's own config — an
+    /// new system plus the retrain accounting. The default runs
+    /// [`AutoSuggest::retrain`] against the served system's own config — an
     /// empty-delta retrain that re-proves every model carriable and swaps
     /// in an equivalent system cheaply.
     pub incremental_trainer: IncrementalTrainer,
@@ -128,7 +128,7 @@ impl Default for ServerConfig {
             max_body_bytes: 16 * 1024 * 1024,
             trainer: Box::new(|seed| AutoSuggest::train(AutoSuggestConfig::fast(seed))),
             incremental_trainer: Box::new(|_seed, prev| {
-                RetrainPlanner::new().retrain(prev, prev.config.clone())
+                AutoSuggest::retrain(prev, prev.config.clone())
             }),
         }
     }
@@ -368,9 +368,6 @@ fn handle_suggest(writer: &mut impl Write, body: &[u8], shared: &Arc<Shared>) ->
     let trace_header = trace_id.to_string();
     let headers = [("X-Trace-Id", trace_header.as_str())];
     let _span = obs::span("server.request");
-    // Per-trace child spans make every request individually visible in
-    // the obs tree, at unbounded span-path cardinality — debugging only.
-    let _trace_span = trace_requests_enabled().then(|| obs::span(&format!("t{trace_id}")));
     obs::counter_add(REQUESTS_COUNTER, 1);
 
     let parsed = std::str::from_utf8(body)
@@ -477,7 +474,7 @@ fn handle_reload(
     let response = if incremental {
         let started = Instant::now();
         // Snapshot the served system; serving continues against it (and
-        // any concurrently swapped successor) while the planner works.
+        // any concurrently swapped successor) while retrain works.
         let current = shared.slot.load();
         let (replacement, report) = (shared.incremental_trainer)(seed, &current.system);
         let version = shared.slot.swap(replacement);
@@ -576,13 +573,6 @@ fn execute_batch(jobs: &[Job], shared: &Arc<Shared>) {
 fn injected_fault(shared: &Arc<Shared>, body_hash: u64) -> Option<FaultKind> {
     let spec = shared.faults.as_ref()?;
     spec.fault_for(&format!("req:{body_hash:016x}"), 0, 0, 0)
-}
-
-fn trace_requests_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("AUTOSUGGEST_TRACE_REQUESTS").is_ok_and(|v| v == "1")
-    })
 }
 
 fn fnv1a64(bytes: &[u8]) -> u64 {

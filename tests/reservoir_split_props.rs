@@ -1,103 +1,18 @@
-//! Seeded property tests for the two sampling primitives the retrain and
-//! split paths lean on: `nn::ExampleBuffer` (Algorithm R reservoir with
-//! stateless per-index randomness) and `corpus::grouped_split` (leakage-
-//! safe train/test split). Cases come from a seeded `StdRng`, same idiom
-//! as `tests/properties.rs` — deterministic, no external framework.
+//! Seeded property tests for `corpus::grouped_split`, the leakage-safe
+//! train/test split. Cases come from a seeded `StdRng`, same idiom as
+//! `tests/properties.rs` — deterministic, no external framework.
 //!
 //! The edges pinned here are exactly the ones config arithmetic can
-//! produce: capacity 0, capacity ≥ population, a 1-notebook shard, and
-//! extreme test fractions — plus the invariant that makes streamed replay
-//! safe: chunking (however shards or threads batch the offers) never
-//! changes the outcome.
+//! produce: a 1-notebook shard and extreme test fractions — plus the
+//! invariant that makes streamed replay safe: a group's side is a pure
+//! function of `(seed, group)`, so however shards or threads batch the
+//! notebooks, no group ever changes side.
 
 use auto_suggest::corpus::grouped_split;
-use auto_suggest::nn::ExampleBuffer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const CASES: u64 = 64;
-
-/// Random chunk lengths covering `total` items (some chunks empty).
-fn random_chunks(rng: &mut StdRng, total: usize) -> Vec<usize> {
-    let mut lens = Vec::new();
-    let mut left = total;
-    while left > 0 {
-        let take = rng.random_range(0..=left.min(17));
-        lens.push(take);
-        left -= take;
-    }
-    lens
-}
-
-#[test]
-fn reservoir_capacity_zero_retains_nothing_for_any_offer_count() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xb0f_0001 + case);
-        let n = rng.random_range(0usize..200);
-        let mut buf = ExampleBuffer::new(0, rng.random_range(0..u64::MAX));
-        buf.extend(0..n as u32);
-        assert!(buf.is_empty(), "case {case}: capacity 0 retained items");
-        assert_eq!(buf.seen(), n as u64);
-        assert_eq!(buf.capacity(), 0);
-    }
-}
-
-#[test]
-fn reservoir_at_or_above_population_is_the_identity() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xb0f_0002 + case);
-        let n = rng.random_range(0usize..150);
-        let extra = rng.random_range(0usize..50);
-        let items: Vec<u32> = (0..n as u32).collect();
-        // capacity == population and capacity > population both reduce to
-        // "keep everything in insertion order".
-        for capacity in [n, n + extra.max(1)] {
-            let mut buf = ExampleBuffer::new(capacity, rng.random_range(0..u64::MAX));
-            buf.extend(items.iter().copied());
-            assert_eq!(buf.items(), items.as_slice(), "case {case} capacity {capacity}");
-        }
-    }
-}
-
-#[test]
-fn reservoir_is_invariant_to_offer_chunking() {
-    // The streamed-replay guarantee: per-shard batches of any size (the
-    // thread count only changes batching, never offer order) produce the
-    // same retained set as one sequential pass.
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xb0f_0003 + case);
-        let n = rng.random_range(1usize..400);
-        let capacity = rng.random_range(0usize..40);
-        let seed = rng.random_range(0..u64::MAX);
-        let items: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
-
-        let mut whole = ExampleBuffer::new(capacity, seed);
-        whole.extend(items.iter().copied());
-
-        let mut chunked = ExampleBuffer::new(capacity, seed);
-        let mut offset = 0;
-        for len in random_chunks(&mut rng, n) {
-            chunked.extend(items[offset..offset + len].iter().copied());
-            offset += len;
-        }
-        assert_eq!(chunked.items(), whole.items(), "case {case}: chunking changed reservoir");
-        assert_eq!(chunked.seen(), whole.seen());
-    }
-}
-
-#[test]
-fn reservoir_never_exceeds_capacity_and_counts_all_offers() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0xb0f_0004 + case);
-        let n = rng.random_range(0usize..300);
-        let capacity = rng.random_range(0usize..20);
-        let mut buf = ExampleBuffer::new(capacity, case);
-        buf.extend(0..n as u32);
-        assert!(buf.len() <= capacity, "case {case}: len {} > capacity {capacity}", buf.len());
-        assert_eq!(buf.len(), n.min(capacity));
-        assert_eq!(buf.seen(), n as u64);
-    }
-}
 
 #[test]
 fn split_single_item_shard_lands_wholly_on_one_side() {

@@ -1,198 +1,24 @@
-//! Equivalence suite for the incremental-retrain subsystem.
+//! Equivalence suite for incremental retraining.
 //!
-//! The load-bearing claim: the planner's default `Exact` strategy makes
-//! `retrain(prev, union_config)` **bit-for-bit identical** to
-//! `AutoSuggest::train(union_config)` — every served suggestion, every
-//! next-op ranking — while replaying only the notebooks the previous
-//! snapshot has not seen. The suite pins that claim from the bottom up:
-//!
-//! 1. warm-start GBDT boosting (`fit_incremental`) reproduces full
-//!    training bitwise on unchanged data, in every split-kernel mode;
-//! 2. `train_continue` with an empty delta is a bitwise no-op (weights,
-//!    optimiser step count, and predictions all untouched), and resuming
-//!    a fresh state reproduces `train` exactly;
-//! 3. the seeded reservoir retains an identical set no matter how pushes
-//!    are chunked, with per-item retention frequencies near `cap/n`;
-//! 4. incremental retrain ≡ full union training (suggestion fingerprints
-//!    bitwise), the empty delta carries every model and replays nothing,
-//!    fingerprints are thread-count-invariant, and a seeded property loop
-//!    over random base/delta splits never finds a divergence;
-//! 5. the opt-in `WarmNextOp` strategy is deterministic (it trades
-//!    exactness for a bounded training set — never determinism).
+//! The load-bearing claim: `AutoSuggest::retrain(&prev, union_config)` is
+//! **bit-for-bit identical** to `AutoSuggest::train(union_config)` —
+//! every served suggestion, every next-op ranking — while replaying only
+//! the notebooks the previous snapshot has not seen. The suite pins that
+//! incremental retrain ≡ full union training (suggestion fingerprints
+//! bitwise), that the empty delta carries every model and replays
+//! nothing, that fingerprints are thread-count-invariant, and that a
+//! seeded property loop over random base/delta splits never finds a
+//! divergence.
 
 use auto_suggest::core::wire;
-use auto_suggest::core::{
-    AutoSuggest, AutoSuggestConfig, RetrainPlanner, RetrainStrategy, SuggestRequest,
-};
+use auto_suggest::core::{AutoSuggest, AutoSuggestConfig, SuggestRequest};
 use auto_suggest::dataframe::{DataFrame, Value as Cell};
-use auto_suggest::gbdt::{Dataset, Gbdt, GbdtParams};
-use auto_suggest::nn::{ExampleBuffer, RnnClassifier, RnnConfig, SequenceExample};
 use auto_suggest::parallel::set_thread_override;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
 /// The thread override is process-global; tests that sweep it serialise.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
-
-// ---------------------------------------------------------------------
-// 1. GBDT warm start
-// ---------------------------------------------------------------------
-
-fn gbdt_dataset(n: usize, seed: u64) -> Dataset {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let rows: Vec<Vec<f64>> = (0..n)
-        .map(|_| vec![(rng.random::<f64>() * 8.0).floor() / 8.0, (rng.random::<f64>() * 4.0).floor()])
-        .collect();
-    let labels: Vec<f64> =
-        rows.iter().map(|r| if r[0] + 0.1 * r[1] > 0.6 { 1.0 } else { 0.0 }).collect();
-    let names = (0..2).map(|i| format!("f{i}")).collect();
-    Dataset::new(names, rows, labels).unwrap()
-}
-
-#[test]
-fn gbdt_incremental_matches_full_fit_bitwise_in_every_mode() {
-    let data = gbdt_dataset(180, 11);
-    for (name, params) in [
-        ("exact", GbdtParams::default()),
-        ("histogram", GbdtParams { histogram: true, max_bins: 64, ..Default::default() }),
-        ("subsample", GbdtParams { subsample: 0.6, ..Default::default() }),
-    ] {
-        let full = Gbdt::fit(&data, &GbdtParams { n_trees: 15, ..params.clone() });
-        let head = Gbdt::fit(&data, &GbdtParams { n_trees: 9, ..params.clone() });
-        let warm = Gbdt::fit_incremental(&head, &data, &GbdtParams { n_trees: 6, ..params });
-        assert_eq!(warm.num_trees(), full.num_trees(), "{name}");
-        for i in 0..data.len() {
-            assert_eq!(
-                warm.predict(data.row(i)).to_bits(),
-                full.predict(data.row(i)).to_bits(),
-                "{name}: row {i} diverged between warm-start and full fit"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// 2. RNN train_continue
-// ---------------------------------------------------------------------
-
-fn rnn_examples(n: usize, seed: u64) -> Vec<SequenceExample> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let len = rng.random_range(0..5);
-            let prefix: Vec<usize> = (0..len).map(|_| rng.random_range(0..7)).collect();
-            let label = prefix.last().copied().unwrap_or(0);
-            SequenceExample { prefix, extra: vec![], label: (label + 1) % 7 }
-        })
-        .collect()
-}
-
-fn rnn_cfg(seed: u64) -> RnnConfig {
-    RnnConfig {
-        vocab: 7,
-        embed_dim: 6,
-        hidden_dim: 8,
-        extra_dim: 0,
-        mlp_hidden: 10,
-        classes: 7,
-        lr: 5e-3,
-        epochs: 6,
-        batch_size: 1,
-        seed,
-    }
-}
-
-fn rnn_fingerprint(model: &RnnClassifier) -> Vec<u64> {
-    let probes: Vec<Vec<usize>> = vec![vec![], vec![0], vec![3, 5], vec![1, 2, 6, 4]];
-    probes
-        .iter()
-        .flat_map(|p| model.predict_proba(p, &[]).into_iter().map(f64::to_bits))
-        .collect()
-}
-
-#[test]
-fn train_continue_with_empty_delta_is_a_bitwise_noop() {
-    let examples = rnn_examples(40, 3);
-    let mut model = RnnClassifier::new(rnn_cfg(9));
-    let mut state = model.train_state();
-    model.train_continue(&examples, &mut state);
-    let before = rnn_fingerprint(&model);
-    let steps_before = state.steps();
-    assert!(steps_before > 0);
-
-    let loss = model.train_continue(&[], &mut state);
-    assert_eq!(loss, 0.0);
-    assert_eq!(state.steps(), steps_before, "empty delta advanced the optimiser");
-    assert_eq!(rnn_fingerprint(&model), before, "empty delta changed the weights");
-
-    // And the state still works: continuing with real examples trains.
-    model.train_continue(&examples, &mut state);
-    assert!(state.steps() > steps_before);
-}
-
-#[test]
-fn train_continue_from_fresh_state_reproduces_train_bitwise() {
-    let examples = rnn_examples(50, 4);
-    let mut direct = RnnClassifier::new(rnn_cfg(21));
-    let direct_loss = direct.train(&examples);
-
-    let mut resumed = RnnClassifier::new(rnn_cfg(21));
-    let mut state = resumed.train_state();
-    let resumed_loss = resumed.train_continue(&examples, &mut state);
-
-    assert_eq!(direct_loss.to_bits(), resumed_loss.to_bits());
-    assert_eq!(rnn_fingerprint(&direct), rnn_fingerprint(&resumed));
-}
-
-// ---------------------------------------------------------------------
-// 3. Reservoir properties
-// ---------------------------------------------------------------------
-
-#[test]
-fn reservoir_retained_set_is_invariant_to_insertion_chunking() {
-    let items: Vec<u32> = (0..400).collect();
-    let mut whole = ExampleBuffer::new(24, 77);
-    whole.extend(items.iter().copied());
-    for chunk_size in [1usize, 2, 5, 24, 101, 399] {
-        let mut chunked = ExampleBuffer::new(24, 77);
-        for chunk in items.chunks(chunk_size) {
-            chunked.extend(chunk.iter().copied());
-        }
-        assert_eq!(chunked.items(), whole.items(), "chunk size {chunk_size}");
-    }
-    // Capacity ≥ offers keeps everything in insertion order — the planner
-    // relies on this for "reservoir keeps everything" retrains.
-    let mut roomy = ExampleBuffer::new(400, 77);
-    roomy.extend(items.iter().copied());
-    assert_eq!(roomy.items(), items.as_slice());
-}
-
-#[test]
-fn reservoir_retention_frequencies_are_near_uniform() {
-    const CAP: usize = 10;
-    const N: usize = 40;
-    const TRIALS: u64 = 1000;
-    let mut kept = [0u32; N];
-    for seed in 0..TRIALS {
-        let mut buf = ExampleBuffer::new(CAP, seed);
-        buf.extend(0..N);
-        for &item in buf.items() {
-            kept[item] += 1;
-        }
-    }
-    let expected = CAP as f64 / N as f64; // 0.25
-    for (item, &count) in kept.iter().enumerate() {
-        let freq = count as f64 / TRIALS as f64;
-        assert!(
-            (freq - expected).abs() < 0.07,
-            "item {item} retained with frequency {freq:.3}, expected ≈ {expected}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// 4. End-to-end incremental retrain
-// ---------------------------------------------------------------------
 
 /// A corpus sized for many trainings per test: big enough that every model
 /// family trains, small enough for debug builds.
@@ -281,7 +107,7 @@ fn incremental_retrain_is_bitwise_equal_to_full_union_training() {
     union.corpus.join_notebooks += 5;
     let prev = AutoSuggest::train(base);
     let full = AutoSuggest::train(union.clone());
-    let (inc, report) = RetrainPlanner::new().retrain(&prev, union);
+    let (inc, report) = AutoSuggest::retrain(&prev, union);
 
     assert!(!report.full_replay_fallback, "reuse gates should pass on a pure growth");
     // Only the notebooks absent from the previous corpus replay (the grown
@@ -320,7 +146,7 @@ fn pure_growth_without_training_input_shift_carries_every_model() {
     union.corpus.json_notebooks += 4;
     let prev = AutoSuggest::train(base);
     let full = AutoSuggest::train(union.clone());
-    let (inc, report) = RetrainPlanner::new().retrain(&prev, union);
+    let (inc, report) = AutoSuggest::retrain(&prev, union);
 
     assert!(!report.full_replay_fallback);
     assert!(report.delta.replayed_notebooks >= 4);
@@ -342,7 +168,7 @@ fn flow_growth_rebuilds_every_family_yet_stays_equal_to_full_training() {
     union.corpus.flow_notebooks += 4;
     let prev = AutoSuggest::train(base);
     let full = AutoSuggest::train(union.clone());
-    let (inc, report) = RetrainPlanner::new().retrain(&prev, union);
+    let (inc, report) = AutoSuggest::retrain(&prev, union);
     assert!(!report.full_replay_fallback);
     assert!(report.rebuilt.contains(&"nextop"), "rebuilt: {:?}", report.rebuilt);
     assert_eq!(fingerprint(&inc), fingerprint(&full));
@@ -352,7 +178,7 @@ fn flow_growth_rebuilds_every_family_yet_stays_equal_to_full_training() {
 fn empty_delta_retrain_replays_nothing_and_carries_every_model() {
     let base = tiny_config(31);
     let prev = AutoSuggest::train(base.clone());
-    let (inc, report) = RetrainPlanner::new().retrain(&prev, base);
+    let (inc, report) = AutoSuggest::retrain(&prev, base);
 
     assert!(!report.full_replay_fallback);
     assert_eq!(report.delta.replayed_notebooks, 0);
@@ -369,7 +195,7 @@ fn changed_corpus_seed_falls_back_to_full_replay_and_stays_correct() {
     let prev = AutoSuggest::train(tiny_config(5));
     let other = tiny_config(6); // different corpus seed → no reuse is sound
     let full = AutoSuggest::train(other.clone());
-    let (inc, report) = RetrainPlanner::new().retrain(&prev, other);
+    let (inc, report) = AutoSuggest::retrain(&prev, other);
     assert!(report.full_replay_fallback);
     assert_eq!(report.delta.reused_reports, 0);
     assert_eq!(fingerprint(&inc), fingerprint(&full));
@@ -384,7 +210,7 @@ fn incremental_retrain_fingerprints_are_thread_invariant() {
     for threads in [1usize, 4] {
         set_thread_override(Some(threads));
         let prev = AutoSuggest::train(base.clone());
-        let (inc, report) = RetrainPlanner::new().retrain(&prev, union.clone());
+        let (inc, report) = AutoSuggest::retrain(&prev, union.clone());
         assert!(!report.full_replay_fallback);
         fps.push(fingerprint(&inc));
     }
@@ -407,7 +233,7 @@ fn seeded_property_random_growth_never_changes_ranked_suggestions() {
 
         let prev = AutoSuggest::train(base);
         let full = AutoSuggest::train(union.clone());
-        let (inc, report) = RetrainPlanner::new().retrain(&prev, union);
+        let (inc, report) = AutoSuggest::retrain(&prev, union);
         assert!(!report.full_replay_fallback, "round {round}");
         assert_eq!(
             fingerprint(&inc),
@@ -417,22 +243,4 @@ fn seeded_property_random_growth_never_changes_ranked_suggestions() {
             report.rebuilt
         );
     }
-}
-
-// ---------------------------------------------------------------------
-// 5. Warm strategy: approximate but deterministic
-// ---------------------------------------------------------------------
-
-#[test]
-fn warm_nextop_strategy_is_deterministic_and_reports_itself() {
-    let base = tiny_config(53);
-    let union = grown_config(&base);
-    let prev = AutoSuggest::train(base);
-    let planner =
-        RetrainPlanner::with_strategy(RetrainStrategy::WarmNextOp { reservoir_capacity: 64 });
-    let (a, report_a) = planner.retrain(&prev, union.clone());
-    let (b, report_b) = planner.retrain(&prev, union);
-    assert!(report_a.warm_applied, "growth in flow notebooks must rebuild nextop");
-    assert_eq!(report_a.warm_applied, report_b.warm_applied);
-    assert_eq!(fingerprint(&a), fingerprint(&b), "warm retrain is not deterministic");
 }

@@ -9,7 +9,7 @@
 
 use auto_suggest::core::model_slot::ModelSlot;
 use auto_suggest::core::wire::{self, OwnedSuggestRequest};
-use auto_suggest::core::{AutoSuggest, AutoSuggestConfig, RetrainPlanner};
+use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
 use auto_suggest::dataframe::{DataFrame, Value as Cell};
 use auto_suggest::server::{http, serve, Server, ServerConfig};
 use serde_json::Value;
@@ -373,6 +373,26 @@ fn post_framing_errors_answer_411_and_400_without_stalling() {
     server.wait().expect("clean shutdown");
 }
 
+/// A deeply nested body is a parse error, not a crash: 200k open brackets
+/// would overflow a handler thread's stack in a recursive parser, and a
+/// stack overflow aborts the whole daemon.
+#[test]
+fn deeply_nested_json_body_answers_400_and_the_daemon_keeps_serving() {
+    let (server, _bodies, _expected) = start_server();
+    let addr = server.addr().to_string();
+
+    let (status, v) = call(&addr, "POST", "/suggest", &"[".repeat(200_000));
+    assert_eq!(status, 400, "{v}");
+    let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(msg.contains("recursion limit"), "unhelpful error: {msg}");
+
+    let (status, _) = call(&addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+
+    server.shutdown();
+    server.wait().expect("clean shutdown");
+}
+
 /// While one reload is training, any further reload (either mode) must be
 /// answered `409 Conflict` with a JSON error — not queued behind the lock.
 #[test]
@@ -390,7 +410,7 @@ fn second_reload_while_one_is_in_flight_answers_409() {
         incremental_trainer: Box::new(move |_seed, prev| {
             entered_tx.lock().unwrap().send(()).expect("test alive");
             release_rx.lock().unwrap().recv().expect("release signal");
-            RetrainPlanner::new().retrain(prev, prev.config.clone())
+            AutoSuggest::retrain(prev, prev.config.clone())
         }),
         ..Default::default()
     };

@@ -1,15 +1,11 @@
-//! Equivalence and determinism suite for the batched training kernels.
+//! Equivalence and determinism suite for the training kernels.
 //!
-//! Four claims, each checked bit-for-bit through the public API:
+//! Two claims, each checked bit-for-bit through the public API:
 //!
 //! 1. the presort-once GBDT split search produces the *same tree* as the
 //!    historical per-node re-sort kernel, ties and all;
-//! 2. histogram mode with enough bins to cover every distinct value is
-//!    exact, and both GBDT modes train deterministically;
-//! 3. RNN training at `batch_size = 1` (the default) and at larger batch
-//!    sizes is a pure function of the seed — and batched prediction matches
-//!    per-example prediction bitwise;
-//! 4. every trainer is bit-identical at 1 thread vs 4 (the pool contract).
+//! 2. every trainer (GBDT boosting and per-example RNN training) is
+//!    bit-identical at 1 thread vs 4 (the pool contract).
 //!
 //! Thread width is switched in-process via `set_thread_override`; tests
 //! that sweep it serialise on a lock because the override is process-global.
@@ -102,49 +98,6 @@ fn presorted_tree_matches_historical_resort_kernel() {
 }
 
 #[test]
-fn histogram_mode_is_exact_when_bins_cover_the_grid() {
-    // Grid-snapped values have ≤ 17 distinct values per feature, far under
-    // max_bins, so the binner reuses the exact midpoint cuts.
-    // Split choices are identical; leaf values agree up to summation order
-    // (bin-ordered vs row-ordered accumulation), so compare predictions at
-    // a tolerance far below any label scale.
-    let data = tied_dataset(300, 6, 5);
-    let exact = Gbdt::fit(&data, &GbdtParams { n_trees: 12, ..Default::default() });
-    let hist = Gbdt::fit(
-        &data,
-        &GbdtParams { n_trees: 12, histogram: true, ..Default::default() },
-    );
-    for i in 0..data.len() {
-        let x: Vec<f64> = (0..6).map(|f| data.row(i)[f]).collect();
-        let (e, h) = (exact.predict(&x), hist.predict(&x));
-        assert!(
-            (e - h).abs() < 1e-9,
-            "histogram mode with covering bins must reproduce exact mode: {e} vs {h} (row {i})"
-        );
-    }
-}
-
-#[test]
-fn rnn_batched_training_at_batch_size_one_matches_default() {
-    let vocab = 9;
-    let examples = sequences(80, vocab, 21);
-    let cfg = RnnConfig {
-        vocab,
-        classes: vocab,
-        extra_dim: 1,
-        epochs: 4,
-        seed: 13,
-        ..Default::default()
-    };
-    let mut a = RnnClassifier::new(cfg.clone());
-    let mut b = RnnClassifier::new(cfg);
-    let loss_a = a.train(&examples);
-    let loss_b = b.train_with_batch_size(&examples, 1);
-    assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-    assert_eq!(rnn_fingerprint(&a, &examples), rnn_fingerprint(&b, &examples));
-}
-
-#[test]
 fn trainers_are_bit_identical_across_thread_counts() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
     let data = tied_dataset(500, 9, 29);
@@ -154,30 +107,21 @@ fn trainers_are_bit_identical_across_thread_counts() {
     let fingerprint = |threads: usize| {
         set_thread_override(Some(threads));
         let mut log = String::new();
-        // Exact-mode and histogram-mode ensembles: split scans and histogram
-        // builds both cross the parallel gate at this size.
-        for histogram in [false, true] {
-            let model = Gbdt::fit(
-                &data,
-                &GbdtParams { n_trees: 16, histogram, ..Default::default() },
-            );
-            log.push_str(&gbdt_fingerprint(&model, &data, 9));
-        }
-        // Both RNN schedules (per-example and macro-batched).
-        for bs in [1usize, 8] {
-            let mut model = RnnClassifier::new(RnnConfig {
-                vocab,
-                classes: vocab,
-                extra_dim: 1,
-                epochs: 3,
-                batch_size: bs,
-                seed: 41,
-                ..Default::default()
-            });
-            let loss = model.train(&examples);
-            log.push_str(&format!("loss {:016x}\n", loss.to_bits()));
-            log.push_str(&rnn_fingerprint(&model, &examples));
-        }
+        // The boosted ensemble: split scans cross the parallel gate at
+        // this size.
+        let model = Gbdt::fit(&data, &GbdtParams { n_trees: 16, ..Default::default() });
+        log.push_str(&gbdt_fingerprint(&model, &data, 9));
+        let mut model = RnnClassifier::new(RnnConfig {
+            vocab,
+            classes: vocab,
+            extra_dim: 1,
+            epochs: 3,
+            seed: 41,
+            ..Default::default()
+        });
+        let loss = model.train(&examples);
+        log.push_str(&format!("loss {:016x}\n", loss.to_bits()));
+        log.push_str(&rnn_fingerprint(&model, &examples));
         set_thread_override(None);
         log
     };
