@@ -15,14 +15,15 @@
 //!
 //! # Format and corruption safety
 //!
-//! Shards use a hand-rolled (vendored, std-only) little-endian codec — no
-//! mmap, plain `fs::read` — framed as `magic · version · kind · payload ·
-//! fnv64 checksum`. Floats are stored as exact IEEE bit patterns
-//! (`f64::to_bits`), so a disk-warm run is byte-identical to a cold one.
-//! Every read is length-checked, checksummed, and semantically validated
-//! (sorted sketch mins, consistent counts); any failure deletes the bad
-//! shard, counts `cache.disk.corrupt`, and falls back to recomputation —
-//! a truncated or bit-flipped file can cost at most one recompute.
+//! A shard is a [`crate::durable`] record file (`ASGC`, version 2) holding
+//! one record whose tag is the kind (column or tuple set), read with plain
+//! `fs::read` and written with [`durable::publish`]. Floats are stored as
+//! exact IEEE bit patterns, so a disk-warm run is byte-identical to a cold
+//! one. Every read is length-checked, checksummed, and semantically
+//! validated (sorted sketch mins, consistent counts); any failure —
+//! including a version-1 shard from an older build — deletes the bad
+//! shard, counts `cache.disk.corrupt`, and falls back to recomputation — a
+//! truncated or bit-flipped file can cost at most one recompute.
 //!
 //! # Eviction and determinism
 //!
@@ -39,6 +40,7 @@
 //! the fixed victim order whose removal brings the directory back under
 //! budget — a pure function of the key set, not of scheduling.
 
+use crate::durable::{self, ByteReader, ByteWriter, RecordFile, Records};
 use crate::pair::KeyTupleSet;
 use crate::{artifacts, ColumnArtifacts, ColumnFingerprint, MinHashSketch};
 use std::collections::{HashSet, VecDeque};
@@ -58,7 +60,7 @@ pub const DISK_WRITES_COUNTER: &str = "cache.disk.writes";
 pub const DEFAULT_DISK_BUDGET: u64 = 256 * 1024 * 1024;
 
 const MAGIC: [u8; 4] = *b"ASGC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 const KIND_COLUMN: u8 = 1;
 const KIND_TUPLES: u8 = 2;
 
@@ -112,175 +114,81 @@ impl DiskStats {
 // Codec
 // ---------------------------------------------------------------------------
 
-struct Writer(Vec<u8>);
-
-impl Writer {
-    fn new(kind: u8) -> Writer {
-        let mut w = Writer(Vec::with_capacity(256));
-        w.0.extend_from_slice(&MAGIC);
-        w.0.extend_from_slice(&VERSION.to_le_bytes());
-        w.0.push(kind);
-        w
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u128(&mut self, v: u128) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        let sum = fnv64(&self.0);
-        self.u64(sum);
-        self.0
-    }
+/// One `ASGC` v2 shard image: a single durable record tagged with `kind`.
+fn shard_image(kind: u8, payload: ByteWriter) -> Vec<u8> {
+    let mut file = RecordFile::new(MAGIC, VERSION);
+    file.record(kind, &payload.into_bytes());
+    file.into_bytes()
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Validate the frame (magic, version, kind, checksum) and position the
-    /// cursor at the payload.
-    fn open(buf: &'a [u8], kind: u8) -> Option<Reader<'a>> {
-        // Frame floor: magic(4) + version(2) + kind(1) + checksum(8).
-        if buf.len() < 15 || buf[..4] != MAGIC {
-            return None;
-        }
-        let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version != VERSION || buf[6] != kind {
-            return None;
-        }
-        let (body, sum_bytes) = buf.split_at(buf.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().ok()?);
-        if fnv64(body) != stored {
-            return None;
-        }
-        Some(Reader { buf: body, pos: 7 })
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
-    }
-
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
-    }
-
-    fn f64_bits(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    /// True when the payload was consumed exactly (no trailing garbage).
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Validate the frame (magic, version, a single record of `kind`) and
+/// return a reader over its payload, positioned after a key check against
+/// `want` — a misplaced file must not satisfy a foreign lookup.
+fn shard_payload(bytes: &[u8], kind: u8, want: ColumnFingerprint) -> Option<ByteReader<'_>> {
+    let mut records = Records::open(bytes, MAGIC, VERSION).ok()?;
+    let (tag, payload) = records.next_record().ok()?;
+    records.finish().ok()?;
+    let mut r = ByteReader::new(payload);
+    (tag == kind && r.get_u128().ok()? == want.0).then_some(r)
 }
 
 /// Serialize column artifacts (exact: floats as IEEE bit patterns).
 pub fn encode_column(fp: ColumnFingerprint, art: &ColumnArtifacts) -> Vec<u8> {
-    let mut w = Writer::new(KIND_COLUMN);
-    w.u128(fp.0);
-    w.u64(art.len() as u64);
-    w.u64(art.null_count() as u64);
-    w.u64(art.distinct_count() as u64);
-    w.u64(art.peak_frequency() as u64);
+    let mut w = ByteWriter::default();
+    w.put_u128(fp.0);
+    w.put_usize(art.len());
+    w.put_usize(art.null_count());
+    w.put_usize(art.distinct_count());
+    w.put_usize(art.peak_frequency());
     match art.min_max() {
         Some((lo, hi)) => {
-            w.u8(1);
-            w.f64_bits(lo);
-            w.f64_bits(hi);
+            w.put_u8(1);
+            w.put_f64(lo);
+            w.put_f64(hi);
         }
-        None => w.u8(0),
+        None => w.put_u8(0),
     }
-    w.u8(artifacts::dtype_slot(art.dtype()) as u8);
+    w.put_u8(artifacts::dtype_slot(art.dtype()) as u8);
     for &c in art.dtype_counts() {
-        w.u64(c);
+        w.put_u64(c);
     }
     let sk = art.sketch();
-    w.u64(sk.k() as u64);
-    w.u64(sk.cardinality() as u64);
-    w.u64(sk.mins().len() as u64);
+    w.put_usize(sk.k());
+    w.put_usize(sk.cardinality());
+    w.put_usize(sk.mins().len());
     for &m in sk.mins() {
-        w.u64(m);
+        w.put_u64(m);
     }
-    w.finish()
+    shard_image(KIND_COLUMN, w)
 }
 
 /// Decode column artifacts; `None` on any framing, checksum, or semantic
 /// violation (including a fingerprint that does not match the requested
 /// key — a misplaced file must not satisfy a foreign lookup).
 pub fn decode_column(bytes: &[u8], want: ColumnFingerprint) -> Option<ColumnArtifacts> {
-    let mut r = Reader::open(bytes, KIND_COLUMN)?;
-    if r.u128()? != want.0 {
-        return None;
-    }
-    let len = r.usize()?;
-    let null_count = r.usize()?;
-    let distinct_count = r.usize()?;
-    let peak_frequency = r.usize()?;
-    let min_max = match r.u8()? {
+    let mut r = shard_payload(bytes, KIND_COLUMN, want)?;
+    let len = r.get_usize().ok()?;
+    let null_count = r.get_usize().ok()?;
+    let distinct_count = r.get_usize().ok()?;
+    let peak_frequency = r.get_usize().ok()?;
+    let min_max = match r.get_u8().ok()? {
         0 => None,
-        1 => Some((r.f64_bits()?, r.f64_bits()?)),
+        1 => Some((r.get_f64().ok()?, r.get_f64().ok()?)),
         _ => return None,
     };
-    let dtype = artifacts::dtype_from_slot(r.u8()? as usize)?;
+    let dtype = artifacts::dtype_from_slot(r.get_u8().ok()? as usize)?;
     let mut dtype_counts = [0u64; 6];
     for c in &mut dtype_counts {
-        *c = r.u64()?;
+        *c = r.get_u64().ok()?;
     }
-    let k = r.usize()?;
-    let cardinality = r.usize()?;
-    let n_mins = r.usize()?;
-    if n_mins > bytes.len() / 8 {
-        return None; // length field larger than the file itself
-    }
+    let k = r.get_usize().ok()?;
+    let cardinality = r.get_usize().ok()?;
+    let n_mins = r.get_count(8).ok()?;
     let mut mins = Vec::with_capacity(n_mins);
     for _ in 0..n_mins {
-        mins.push(r.u64()?);
+        mins.push(r.get_u64().ok()?);
     }
-    if !r.done() {
-        return None;
-    }
+    r.finish().ok()?;
     let sketch = MinHashSketch::from_parts(k, mins, cardinality)?;
     ColumnArtifacts::from_parts(
         len,
@@ -296,34 +204,26 @@ pub fn decode_column(bytes: &[u8], want: ColumnFingerprint) -> Option<ColumnArti
 
 /// Serialize a key-tuple set.
 pub fn encode_tuples(set: &KeyTupleSet) -> Vec<u8> {
-    let mut w = Writer::new(KIND_TUPLES);
-    w.u128(set.fingerprint().0);
-    w.u64(set.width() as u64);
-    w.u64(set.len() as u64);
+    let mut w = ByteWriter::default();
+    w.put_u128(set.fingerprint().0);
+    w.put_usize(set.width());
+    w.put_usize(set.len());
     for &h in set.hashes() {
-        w.u64(h);
+        w.put_u64(h);
     }
-    w.finish()
+    shard_image(KIND_TUPLES, w)
 }
 
 /// Decode a key-tuple set; `None` on any violation.
 pub fn decode_tuples(bytes: &[u8], want: ColumnFingerprint) -> Option<KeyTupleSet> {
-    let mut r = Reader::open(bytes, KIND_TUPLES)?;
-    if r.u128()? != want.0 {
-        return None;
-    }
-    let width = r.usize()?;
-    let n = r.usize()?;
-    if n > bytes.len() / 8 {
-        return None;
-    }
+    let mut r = shard_payload(bytes, KIND_TUPLES, want)?;
+    let width = r.get_usize().ok()?;
+    let n = r.get_count(8).ok()?;
     let mut hashes = Vec::with_capacity(n);
     for _ in 0..n {
-        hashes.push(r.u64()?);
+        hashes.push(r.get_u64().ok()?);
     }
-    if !r.done() {
-        return None;
-    }
+    r.finish().ok()?;
     KeyTupleSet::from_parts(want, width, hashes)
 }
 
@@ -352,8 +252,6 @@ struct DiskState {
     victims: VecDeque<(PathBuf, u64)>,
     /// Files read or written by this process (LRU-touched): never evicted.
     pinned: HashSet<PathBuf>,
-    /// Monotonic suffix for unique temp-file names.
-    tmp_counter: u64,
 }
 
 /// A write-once, content-addressed shard directory shared by the column and
@@ -385,25 +283,19 @@ impl DiskCache {
     /// granularity, so either would make eviction order (and hence the
     /// post-eviction cache contents) platform-dependent.
     pub fn open(root: &Path, budget_bytes: u64) -> std::io::Result<Arc<DiskCache>> {
-        std::fs::create_dir_all(root.join("col"))?;
-        std::fs::create_dir_all(root.join("tup"))?;
         let mut existing: Vec<(PathBuf, u64)> = Vec::new();
         for sub in ["col", "tup"] {
-            for entry in std::fs::read_dir(root.join(sub))? {
+            let dir = root.join(sub);
+            std::fs::create_dir_all(&dir)?;
+            // Reclaim tmp files from interrupted writers first.
+            durable::sweep_tmp(&dir)?;
+            for entry in std::fs::read_dir(&dir)? {
                 let entry = entry?;
                 let path = entry.path();
-                let name = entry.file_name();
-                let name = name.to_string_lossy().into_owned();
                 let meta = entry.metadata()?;
-                if !meta.is_file() {
-                    continue;
+                if meta.is_file() && path.extension().is_some_and(|e| e == "shard") {
+                    existing.push((path, meta.len()));
                 }
-                if !name.ends_with(".shard") {
-                    // Stale temp file from an interrupted writer: reclaim.
-                    let _ = std::fs::remove_file(&path);
-                    continue;
-                }
-                existing.push((path, meta.len()));
             }
         }
         existing.sort();
@@ -412,12 +304,7 @@ impl DiskCache {
         Ok(Arc::new(DiskCache {
             root: root.to_path_buf(),
             budget_bytes: budget_bytes.max(1),
-            state: Mutex::new(DiskState {
-                bytes_total,
-                victims,
-                pinned: HashSet::new(),
-                tmp_counter: 0,
-            }),
+            state: Mutex::new(DiskState { bytes_total, victims, pinned: HashSet::new() }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -446,14 +333,6 @@ impl DiskCache {
                 None
             }
         }
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
     }
 
     /// Bytes currently accounted under the root.
@@ -561,11 +440,8 @@ impl DiskCache {
             st.pinned.insert(path.to_path_buf());
             return;
         }
-        st.tmp_counter += 1;
-        let tmp = path.with_extension(format!("tmp{}-{}", std::process::id(), st.tmp_counter));
-        // Write + atomic rename: readers can never observe a torn shard.
-        if std::fs::write(&tmp, &bytes).is_err() || std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
+        // Atomic publish: readers can never observe a torn shard.
+        if durable::publish(path, &bytes).is_err() {
             return;
         }
         st.bytes_total = st
@@ -660,11 +536,11 @@ mod tests {
         let good = encode_column(fp, &art);
         assert!(decode_column(&good, fp).is_some());
         // Every truncation point fails cleanly.
-        for cut in [0, 3, 7, 14, 15, good.len() / 2, good.len() - 1] {
+        for cut in 0..good.len() {
             assert!(decode_column(&good[..cut], fp).is_none(), "cut at {cut} accepted");
         }
         // Every single-byte flip is caught by the checksum (or framing).
-        for i in (0..good.len()).step_by(13) {
+        for i in 0..good.len() {
             let mut bad = good.clone();
             bad[i] ^= 0x40;
             assert!(decode_column(&bad, fp).is_none(), "flip at {i} accepted");
@@ -676,10 +552,30 @@ mod tests {
             .unwrap();
         let set = KeyTupleSet::compute(&df, &[0]);
         let good_t = encode_tuples(&set);
-        assert!(decode_tuples(&good_t[..good_t.len() - 2], set.fingerprint()).is_none());
-        let mut bad_t = good_t.clone();
-        bad_t[good_t.len() / 2] ^= 0x01;
-        assert!(decode_tuples(&bad_t, set.fingerprint()).is_none());
+        for cut in 0..good_t.len() {
+            assert!(decode_tuples(&good_t[..cut], set.fingerprint()).is_none(), "cut at {cut}");
+        }
+        for i in 0..good_t.len() {
+            let mut bad_t = good_t.clone();
+            bad_t[i] ^= 0x01;
+            assert!(decode_tuples(&bad_t, set.fingerprint()).is_none(), "flip at {i}");
+        }
+    }
+
+    #[test]
+    fn version_1_shards_are_rejected() {
+        // The pre-durable-layer frame: magic · version 1 · kind · payload ·
+        // fnv64 of everything before it.
+        let col = mixed_column();
+        let fp = crate::column_fingerprint(&col);
+        let good = encode_column(fp, &ColumnArtifacts::compute(&col, 64));
+        let mut v1 = b"ASGC".to_vec();
+        v1.extend_from_slice(&1u16.to_le_bytes());
+        v1.push(KIND_COLUMN);
+        v1.extend_from_slice(&good[11..good.len() - 8]);
+        let sum = durable::fnv64(&v1);
+        v1.extend_from_slice(&sum.to_le_bytes());
+        assert!(decode_column(&v1, fp).is_none());
     }
 
     #[test]
@@ -846,8 +742,9 @@ mod tests {
     #[test]
     fn stale_tmp_files_are_swept_and_not_counted() {
         // A crash between tmp write and rename leaves `<name>.tmp<pid>-<n>`
-        // orphans. They must be reclaimed on open and never counted against
-        // the byte budget.
+        // holding a prefix of a valid image. Whatever its length, open
+        // reclaims it, never counts it against the byte budget, and never
+        // serves it: its key stays a plain miss.
         let dir = tmpdir("tmpsweep");
         {
             let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
@@ -859,15 +756,21 @@ mod tests {
             );
         }
         let real_bytes = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap().bytes_total();
-        let orphan = dir.join("col").join("00deadbeef.tmp99999-1");
-        std::fs::write(&orphan, vec![0u8; 4096]).unwrap();
-        let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
-        assert!(!orphan.exists(), "stale tmp file must be swept on open");
-        assert_eq!(
-            disk.bytes_total(),
-            real_bytes,
-            "tmp orphans must not count against the budget"
-        );
+        let other = Column::new("o", (0..40).map(Value::Int).collect::<Vec<_>>());
+        let fp = crate::column_fingerprint(&other);
+        let image = encode_column(fp, &ColumnArtifacts::compute(&other, 64));
+        for k in 0..=image.len() {
+            let orphan = dir.join("col").join(format!("{fp}.tmp99999-{k}"));
+            std::fs::write(&orphan, &image[..k]).unwrap();
+            let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
+            assert!(!orphan.exists(), "stale tmp file of {k} bytes must be swept on open");
+            assert_eq!(
+                disk.bytes_total(),
+                real_bytes,
+                "tmp orphans must not count against the budget"
+            );
+            assert!(disk.load_column(fp, 1).is_none(), "a tmp file must never be read");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,6 +15,9 @@
 //!   so a hit is bit-identical to recomputation.
 //! * [`ColumnCache`] — a sharded LRU keyed by fingerprint, returning
 //!   `Arc`-interned artifacts.
+//! * [`durable`] — the checksummed record format, atomic publish and tmp
+//!   sweep behind the on-disk shard tier ([`DiskCache`]) and the corpus
+//!   sample store.
 //!
 //! # Determinism contract
 //!
@@ -44,6 +47,7 @@
 
 mod artifacts;
 mod disk;
+pub mod durable;
 mod fingerprint;
 mod pair;
 mod sketch;

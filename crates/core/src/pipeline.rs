@@ -11,7 +11,7 @@ use autosuggest_dataframe::DataFrame;
 use autosuggest_corpus::replay::OpInvocation;
 use autosuggest_corpus::{
     filter_invocations, is_test_group, CorpusConfig, CorpusGenerator, FaultSpec, FilterStats,
-    OpKind, ReplayEngine, ReplayReport, RobustnessStats, StreamConfig, StreamSummary,
+    OpKind, ReplayEngine, ReplayReport, RobustnessStats,
 };
 use autosuggest_features::CandidateParams;
 use autosuggest_gbdt::GbdtParams;
@@ -233,62 +233,6 @@ impl AutoSuggest {
         let (system, _outcome) =
             Self::build_from_reports(config, reports, robustness, None, &mut timings);
         (system, timings)
-    }
-
-    /// [`AutoSuggest::train`] through the disk-backed streamed replay path:
-    /// generate + replay shard by shard into a `SampleStore` under
-    /// `store_root` (resuming any compatible manifest found there), then
-    /// read the reports back through the store's streaming iterator and run
-    /// the shared model-building back half. Produces a system bit-identical
-    /// to [`AutoSuggest::train_timed`] — same reports in the same order,
-    /// same merged robustness stats — which is pinned by
-    /// `tests/streamed_replay_equivalence.rs`.
-    pub fn train_streamed_timed(
-        config: AutoSuggestConfig,
-        store_root: impl Into<std::path::PathBuf>,
-        shard_size: usize,
-    ) -> std::io::Result<(AutoSuggest, Vec<StageTiming>, StreamSummary)> {
-        let _train_span = obs::span("train");
-        let mut timings: Vec<StageTiming> = Vec::new();
-        let mut stage_start = std::time::Instant::now();
-
-        let faults = config.faults.clone().or_else(FaultSpec::from_env);
-        let stream_cfg = StreamConfig { shard_size, ..StreamConfig::default() };
-        let (store, summary) = {
-            let _s = obs::span("replay_streamed");
-            autosuggest_corpus::replay_corpus_streamed(
-                &config.corpus,
-                faults,
-                store_root,
-                &stream_cfg,
-            )?
-        };
-        lap(&mut timings, "replay_streamed", &mut stage_start);
-
-        // Model building still needs the invocation set in memory; the
-        // bounded-memory win of this path is that generation + replay (the
-        // raw-table-heavy stages) never hold more than one shard. Training
-        // on a sampled subset at 100k+ scale is the next roadmap step.
-        let reports = store.reports().collect::<std::io::Result<Vec<_>>>()?;
-        lap(&mut timings, "store_read", &mut stage_start);
-
-        let (system, _outcome) = Self::build_from_reports(
-            config,
-            reports,
-            summary.stats.clone(),
-            None,
-            &mut timings,
-        );
-        Ok((system, timings, summary))
-    }
-
-    /// Untimed convenience wrapper over [`AutoSuggest::train_streamed_timed`].
-    pub fn train_streamed(
-        config: AutoSuggestConfig,
-        store_root: impl Into<std::path::PathBuf>,
-        shard_size: usize,
-    ) -> std::io::Result<AutoSuggest> {
-        Self::train_streamed_timed(config, store_root, shard_size).map(|(s, _, _)| s)
     }
 
     /// The model-building back half of the pipeline: filter + grouped

@@ -50,7 +50,7 @@ pub use nbgen::{CorpusConfig, CorpusGenerator, GeneratedCorpus};
 pub use notebook::{Cell, Notebook};
 pub use replay::{OpInvocation, ReplayEngine, ReplayOutcome, ReplayReport};
 pub use split::{grouped_split, is_test_group, SplitSets};
-pub use store::{SampleStore, ShardMeta};
+pub use store::SampleStore;
 pub use stream::{
     corpus_id, replay_corpus_streamed, scan_scenario_stats, ScenarioStats, StreamConfig,
     StreamSummary,

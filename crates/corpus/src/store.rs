@@ -8,26 +8,29 @@
 //! file per shard of notebooks, plus a JSON manifest of completed shards so
 //! a killed run resumes where it left off.
 //!
-//! The file conventions mirror `crates/cache/src/disk.rs`: a magic/version
-//! header, FNV-1a-64 checksums over every record payload, floats stored as
-//! IEEE-754 bit patterns (bit-exact round-trips, NaN payloads preserved),
-//! and tmp-write + atomic rename so readers never observe a partial file. A
-//! shard that fails verification is deleted and re-replayed, never trusted.
+//! Shard files are `ASGS` record files in the disk cache's on-disk layer,
+//! `autosuggest_cache::durable` (magic, version, fnv64-checksummed records,
+//! floats as IEEE-754 bit patterns); they and the JSON manifest are written
+//! with its atomic, fsynced `publish`. A shard that fails verification is
+//! deleted and re-replayed, never trusted.
 //!
 //! The vendored serde shim has no generic deserializer (its `Deserialize`
-//! is a marker trait), so records use a hand-rolled little-endian binary
+//! is a marker trait), so records use the durable layer's little-endian
 //! codec. Every encoder/decoder pair below is pinned by round-trip tests.
 
 use crate::faults::{KindCounters, RobustnessStats};
 use crate::flowgraph::{FlowGraph, OpKind};
 use crate::replay::{OpInvocation, OpParams, ReplayOutcome, ReplayReport};
+use autosuggest_cache::durable::{
+    self, bad_data, fnv64, ByteReader, ByteWriter, RecordFile, Records,
+};
 use autosuggest_dataframe::ops::{Agg, JoinType};
 use autosuggest_dataframe::{Column, DataFrame, Value};
 use autosuggest_obs as obs;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 
 /// Shard file magic: "Auto-Suggest Generated Samples".
 const MAGIC: [u8; 4] = *b"ASGS";
@@ -41,116 +44,9 @@ const TAG_INVOCATION: u8 = 3;
 const TAG_STATS: u8 = 4;
 const TAG_END: u8 = 5;
 
-/// FNV-1a 64-bit — same constants as the disk cache's shard checksums.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn bad_data(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 // ---------------------------------------------------------------------------
-// Binary codec
+// Record payloads
 // ---------------------------------------------------------------------------
-
-/// Append-only little-endian byte sink.
-#[derive(Default)]
-struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-    fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    /// IEEE-754 bit pattern: bit-exact round-trip incl. NaN payloads, -0.0.
-    fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-    fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-    fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Cursor over a record payload.
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad_data("record payload truncated"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn get_u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn get_u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-    fn get_usize(&mut self) -> io::Result<usize> {
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| bad_data("length overflows usize"))
-    }
-    fn get_i64(&mut self) -> io::Result<i64> {
-        Ok(self.get_u64()? as i64)
-    }
-    fn get_f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-    fn get_bool(&mut self) -> io::Result<bool> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(bad_data(format!("invalid bool byte {v}"))),
-        }
-    }
-    fn get_str(&mut self) -> io::Result<String> {
-        let len = self.get_usize()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad_data("invalid utf-8 in record"))
-    }
-
-    fn finish(&self) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad_data("trailing bytes in record payload"))
-        }
-    }
-}
 
 fn put_opt_str(w: &mut ByteWriter, v: Option<&str>) {
     match v {
@@ -577,7 +473,7 @@ fn encode_invocation(inv: &OpInvocation) -> Vec<u8> {
     w.put_u64(inv.output_hash);
     w.put_usize(inv.output_rows);
     w.put_usize(inv.output_cols);
-    w.buf
+    w.into_bytes()
 }
 
 fn decode_invocation(payload: &[u8]) -> io::Result<OpInvocation> {
@@ -631,7 +527,7 @@ fn encode_report_skeleton(rep: &ReplayReport) -> Vec<u8> {
     for &k in &rep.injected_faults {
         w.put_u8(error_kind_tag(k));
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// A decoded skeleton plus the number of invocation records that follow.
@@ -706,7 +602,7 @@ fn encode_stats(s: &RobustnessStats) -> Vec<u8> {
     put_kind_counters(&mut w, &s.schema_mismatch);
     put_kind_counters(&mut w, &s.operator_panic);
     put_kind_counters(&mut w, &s.timeout);
-    w.buf
+    w.into_bytes()
 }
 
 fn decode_stats(payload: &[u8]) -> io::Result<RobustnessStats> {
@@ -733,75 +629,29 @@ fn decode_stats(payload: &[u8]) -> io::Result<RobustnessStats> {
 // Shard files
 // ---------------------------------------------------------------------------
 
-/// Append one `tag · len · payload · fnv64(payload)` record.
-fn append_record(file_buf: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    file_buf.push(tag);
-    let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-    debug_assert!(payload.len() <= u32::MAX as usize, "record payload over 4 GiB");
-    file_buf.extend_from_slice(&len.to_le_bytes());
-    file_buf.extend_from_slice(payload);
-    file_buf.extend_from_slice(&fnv64(payload).to_le_bytes());
-}
-
-/// One parsed record: `(tag, payload)`, checksum already verified.
-fn next_record<'a>(buf: &'a [u8], pos: &mut usize) -> io::Result<(u8, &'a [u8])> {
-    let rest = &buf[*pos..];
-    if rest.len() < 5 {
-        return Err(bad_data("shard truncated at record header"));
-    }
-    let tag = rest[0];
-    let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]) as usize;
-    let body = &rest[5..];
-    if body.len() < len + 8 {
-        return Err(bad_data("shard truncated inside record"));
-    }
-    let payload = &body[..len];
-    let stored = u64::from_le_bytes(
-        body[len..len + 8]
-            .try_into()
-            .map_err(|_| bad_data("shard truncated at checksum"))?,
-    );
-    if fnv64(payload) != stored {
-        return Err(bad_data(format!("record checksum mismatch (tag {tag})")));
-    }
-    *pos += 5 + len + 8;
-    Ok((tag, payload))
-}
-
 /// Serialise one shard's reports + stats into a complete shard file image.
 fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessStats) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-
+    let mut file = RecordFile::new(MAGIC, VERSION);
     let mut header = ByteWriter::default();
     header.put_usize(shard_id);
     header.put_usize(reports.len());
-    append_record(&mut buf, TAG_SHARD_HEADER, &header.buf);
+    file.record(TAG_SHARD_HEADER, &header.into_bytes());
 
     for rep in reports {
-        append_record(&mut buf, TAG_REPORT, &encode_report_skeleton(rep));
+        file.record(TAG_REPORT, &encode_report_skeleton(rep));
         for inv in &rep.invocations {
-            append_record(&mut buf, TAG_INVOCATION, &encode_invocation(inv));
+            file.record(TAG_INVOCATION, &encode_invocation(inv));
         }
     }
-    append_record(&mut buf, TAG_STATS, &encode_stats(stats));
-    append_record(&mut buf, TAG_END, &[]);
-    buf
+    file.record(TAG_STATS, &encode_stats(stats));
+    file.record(TAG_END, &[]);
+    file.into_bytes()
 }
 
 /// Parse a complete shard file image back into reports + stats.
 fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
-    if buf.len() < 6 || buf[..4] != MAGIC {
-        return Err(bad_data("bad shard magic"));
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if version != VERSION {
-        return Err(bad_data(format!("unsupported shard version {version}")));
-    }
-    let mut pos = 6usize;
-
-    let (tag, payload) = next_record(buf, &mut pos)?;
+    let mut records = Records::open(buf, MAGIC, VERSION)?;
+    let (tag, payload) = records.next_record()?;
     if tag != TAG_SHARD_HEADER {
         return Err(bad_data("shard does not start with a header record"));
     }
@@ -819,7 +669,7 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
     let mut pending = 0usize;
     let mut stats: Option<RobustnessStats> = None;
     loop {
-        let (tag, payload) = next_record(buf, &mut pos)?;
+        let (tag, payload) = records.next_record()?;
         match tag {
             TAG_REPORT => {
                 if pending != 0 {
@@ -849,9 +699,7 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
             t => return Err(bad_data(format!("unknown record tag {t}"))),
         }
     }
-    if pos != buf.len() {
-        return Err(bad_data("trailing bytes after end record"));
-    }
+    records.finish()?;
     if reports.len() != notebook_count {
         return Err(bad_data(format!(
             "shard header declared {notebook_count} reports, found {}",
@@ -868,7 +716,7 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
 
 /// Per-shard bookkeeping recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMeta {
+pub(crate) struct ShardMeta {
     /// FNV-1a-64 of the full shard file, verified on open and on read.
     pub file_fnv: u64,
     /// Reports in the shard.
@@ -886,7 +734,7 @@ pub struct ShardMeta {
 /// shards/shard-00042.asg one write-once file per completed shard
 /// ```
 ///
-/// Writes go through tmp + rename (same convention as the disk cache), the
+/// Writes go through `durable::publish` (same as the disk cache), the
 /// manifest is rewritten after *each* shard, and `open` drops any manifest
 /// entry whose file is missing or fails checksum — so a crash at any point
 /// loses at most the shard in flight.
@@ -896,7 +744,6 @@ pub struct SampleStore {
     shard_size: usize,
     total_shards: usize,
     shards: BTreeMap<usize, ShardMeta>,
-    tmp_counter: u64,
 }
 
 impl SampleStore {
@@ -923,9 +770,9 @@ impl SampleStore {
             shard_size,
             total_shards,
             shards: BTreeMap::new(),
-            tmp_counter: 0,
         };
-        store.sweep_tmp_files()?;
+        durable::sweep_tmp(&store.root)?;
+        durable::sweep_tmp(&store.root.join("shards"))?;
 
         let manifest = store.root.join("manifest.json");
         let resumed = match fs::read_to_string(&manifest) {
@@ -949,7 +796,7 @@ impl SampleStore {
             let listed: Vec<usize> = store.shards.keys().copied().collect();
             let mut dropped = false;
             for id in listed {
-                if !store.verify_shard_file(id) {
+                if store.read_shard_verified(id).is_err() {
                     store.shards.remove(&id);
                     let _ = fs::remove_file(store.shard_path(id));
                     dropped = true;
@@ -965,29 +812,6 @@ impl SampleStore {
 
     fn shard_path(&self, id: usize) -> PathBuf {
         self.root.join("shards").join(format!("shard-{id:05}.asg"))
-    }
-
-    /// Remove tmp files orphaned by a writer killed between write and
-    /// rename (tmp names carry a `tmp<pid>-<n>` extension, never `.asg` /
-    /// `.json`, so anything else in the tree is sweepable).
-    fn sweep_tmp_files(&self) -> io::Result<()> {
-        for dir in [self.root.clone(), self.root.join("shards")] {
-            let mut entries: Vec<PathBuf> = fs::read_dir(&dir)?
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.is_file())
-                .collect();
-            entries.sort();
-            for path in entries {
-                let keep = matches!(
-                    path.extension().and_then(|e| e.to_str()),
-                    Some("asg") | Some("json")
-                );
-                if !keep {
-                    let _ = fs::remove_file(path);
-                }
-            }
-        }
-        Ok(())
     }
 
     fn load_manifest(&mut self, text: &str) -> bool {
@@ -1032,7 +856,7 @@ impl SampleStore {
         true
     }
 
-    fn write_manifest(&mut self) -> io::Result<()> {
+    fn write_manifest(&self) -> io::Result<()> {
         let shards: Vec<serde_json::Value> = self
             .shards
             .iter()
@@ -1054,43 +878,7 @@ impl SampleStore {
         });
         let text = serde_json::to_string(&doc)
             .map_err(|e| io::Error::other(format!("manifest encode: {e}")))?;
-        self.write_atomic(&self.root.join("manifest.json"), text.as_bytes())
-    }
-
-    /// tmp-write + atomic rename, mirroring the disk cache's convention.
-    fn write_atomic(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.tmp_counter += 1;
-        let tmp = path.with_extension(format!("tmp{}-{}", std::process::id(), self.tmp_counter));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        match fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-
-    fn verify_shard_file(&self, id: usize) -> bool {
-        let Some(meta) = self.shards.get(&id) else { return false };
-        let Ok(bytes) = fs::read(self.shard_path(id)) else { return false };
-        fnv64(&bytes) == meta.file_fnv
-    }
-
-    pub fn corpus_id(&self) -> &str {
-        &self.corpus_id
-    }
-
-    pub fn shard_size(&self) -> usize {
-        self.shard_size
-    }
-
-    pub fn total_shards(&self) -> usize {
-        self.total_shards
+        durable::publish(&self.root.join("manifest.json"), text.as_bytes())
     }
 
     /// Ids of completed shards, ascending.
@@ -1102,7 +890,7 @@ impl SampleStore {
         self.shards.contains_key(&id)
     }
 
-    pub fn shard_meta(&self, id: usize) -> Option<ShardMeta> {
+    pub(crate) fn shard_meta(&self, id: usize) -> Option<ShardMeta> {
         self.shards.get(&id).copied()
     }
 
@@ -1129,7 +917,7 @@ impl SampleStore {
         let _span = obs::span("store_write");
         let bytes = encode_shard(id, reports, stats);
         let file_fnv = fnv64(&bytes);
-        self.write_atomic(&self.shard_path(id), &bytes)?;
+        durable::publish(&self.shard_path(id), &bytes)?;
         let invocations = reports.iter().map(|r| r.invocations.len()).sum::<usize>();
         self.shards.insert(
             id,
@@ -1169,12 +957,9 @@ impl SampleStore {
     /// report and invocation payloads).
     pub fn read_shard_stats(&self, id: usize) -> io::Result<RobustnessStats> {
         let bytes = self.read_shard_verified(id)?;
-        if bytes.len() < 6 || bytes[..4] != MAGIC {
-            return Err(bad_data("bad shard magic"));
-        }
-        let mut pos = 6usize;
+        let mut records = Records::open(&bytes, MAGIC, VERSION)?;
         loop {
-            let (tag, payload) = next_record(&bytes, &mut pos)?;
+            let (tag, payload) = records.next_record()?;
             match tag {
                 TAG_STATS => return decode_stats(payload),
                 TAG_END => return Err(bad_data("shard missing stats record")),
@@ -1184,49 +969,17 @@ impl SampleStore {
     }
 
     /// Stream every completed shard's reports in shard-id order, holding
-    /// one shard in memory at a time. This is the bounded-memory read path
-    /// training uses; concatenated output equals the in-memory
-    /// `replay_corpus` report order exactly.
-    pub fn reports(&self) -> ReportIter<'_> {
-        ReportIter {
-            store: self,
-            shard_ids: self.completed_shards(),
-            next_shard: 0,
-            buffered: Vec::new(),
-        }
-    }
-}
-
-/// Streaming reader over all completed shards (see [`SampleStore::reports`]).
-pub struct ReportIter<'a> {
-    store: &'a SampleStore,
-    shard_ids: Vec<usize>,
-    next_shard: usize,
-    /// Current shard's reports, reversed so `pop` yields original order.
-    buffered: Vec<ReplayReport>,
-}
-
-impl Iterator for ReportIter<'_> {
-    type Item = io::Result<ReplayReport>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(rep) = self.buffered.pop() {
-                return Some(Ok(rep));
-            }
-            if self.next_shard >= self.shard_ids.len() {
-                return None;
-            }
-            let id = self.shard_ids[self.next_shard];
-            self.next_shard += 1;
-            match self.store.read_shard(id) {
-                Ok((mut reports, _stats)) => {
-                    reports.reverse();
-                    self.buffered = reports;
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
+    /// one shard in memory at a time; concatenated output equals the
+    /// in-memory `replay_corpus` report order exactly. A shard that fails
+    /// to read yields one error in its place.
+    pub fn reports(&self) -> impl Iterator<Item = io::Result<ReplayReport>> + '_ {
+        self.shards.keys().flat_map(move |&id| {
+            let (reports, err) = match self.read_shard(id) {
+                Ok((reports, _stats)) => (reports, None),
+                Err(e) => (Vec::new(), Some(e)),
+            };
+            reports.into_iter().map(Ok).chain(err.map(Err))
+        })
     }
 }
 
@@ -1452,16 +1205,45 @@ mod tests {
 
     #[test]
     fn stale_tmp_files_are_swept_on_open() {
+        // A publish killed mid-write leaves `<name>.tmp<pid>-<n>` holding a
+        // prefix of the image; whatever its length, open sweeps it and the
+        // shard it would have become stays absent.
         let root = tmpdir("tmpsweep");
-        fs::create_dir_all(root.join("shards")).unwrap();
-        let orphan = root.join("shards").join("shard-00000.tmp12345-1");
-        fs::write(&orphan, b"partial").unwrap();
-        let orphan2 = root.join("manifest.tmp12345-2");
-        fs::write(&orphan2, b"partial").unwrap();
+        let image = encode_shard(0, &[report()], &stats());
+        for k in 0..=image.len() {
+            fs::create_dir_all(root.join("shards")).unwrap();
+            let orphan = root.join("shards").join(format!("shard-00000.tmp12345-{k}"));
+            fs::write(&orphan, &image[..k]).unwrap();
+            let orphan2 = root.join("manifest.tmp12345-2");
+            fs::write(&orphan2, b"partial").unwrap();
 
-        let _store = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
-        assert!(!orphan.exists());
-        assert!(!orphan2.exists());
+            let store = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
+            assert!(!orphan.exists(), "tmp of {k} bytes survived open");
+            assert!(!orphan2.exists());
+            assert!(store.completed_shards().is_empty());
+            assert!(store.read_shard(0).is_err());
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_truncation_of_a_published_shard_drops_exactly_that_shard() {
+        let root = tmpdir("truncate");
+        let mut store = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
+        let mut rep = report();
+        rep.invocations.truncate(1); // every record kind, fewer lengths to try
+        store.write_shard(0, &[rep], &stats()).unwrap();
+        store.write_shard(1, &[], &RobustnessStats::default()).unwrap();
+        let shard0 = root.join("shards").join("shard-00000.asg");
+        let image = fs::read(&shard0).unwrap();
+        let manifest = fs::read(root.join("manifest.json")).unwrap();
+        for k in 0..image.len() {
+            fs::write(&shard0, &image[..k]).unwrap();
+            fs::write(root.join("manifest.json"), &manifest).unwrap();
+            let reopened = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
+            assert_eq!(reopened.completed_shards(), vec![1], "truncated to {k} bytes");
+            assert!(!shard0.exists(), "shard truncated to {k} bytes was not deleted");
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -78,12 +78,7 @@ pub fn corpus_id(cfg: &CorpusConfig, faults: Option<&FaultSpec>) -> String {
         faults.map(|f| f.render()).unwrap_or_default(),
         ReplayConfig::default(),
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in descriptor.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", autosuggest_cache::durable::fnv64(descriptor.as_bytes()))
 }
 
 /// Generate and replay `cfg`'s corpus shard by shard, spilling each shard's

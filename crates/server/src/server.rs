@@ -384,7 +384,7 @@ fn handle_suggest(writer: &mut impl Write, body: &[u8], shared: &Arc<Shared>) ->
     };
 
     let (tx, rx) = mpsc::channel();
-    let job = Job { body_hash: fnv1a64(body), request, reply: tx };
+    let job = Job { body_hash: autosuggest_cache::durable::fnv64(body), request, reply: tx };
     match shared.queue.try_push(job) {
         Ok(()) => {}
         Err(PushError::Full) => {
@@ -573,15 +573,6 @@ fn execute_batch(jobs: &[Job], shared: &Arc<Shared>) {
 fn injected_fault(shared: &Arc<Shared>, body_hash: u64) -> Option<FaultKind> {
     let spec = shared.faults.as_ref()?;
     spec.fault_for(&format!("req:{body_hash:016x}"), 0, 0, 0)
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 // ---------------------------------------------------------------------------

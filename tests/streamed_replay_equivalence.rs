@@ -2,17 +2,12 @@
 //! the disk-backed [`SampleStore`] must be **byte-identical** to the
 //! in-memory `replay_corpus` sweep — same reports in the same order, same
 //! robustness accounting — at any shard size, across kill/resume cycles,
-//! after shard corruption, and with fault injection active. Plus the
-//! end-to-end form: `AutoSuggest::train_streamed` serves the same bits as
-//! `AutoSuggest::train`.
+//! after shard corruption, and with fault injection active.
 
-use auto_suggest::core::wire;
-use auto_suggest::core::{AutoSuggest, AutoSuggestConfig, SuggestRequest};
 use auto_suggest::corpus::{
     replay_corpus_streamed, CorpusConfig, CorpusGenerator, FaultSpec, ReplayEngine, ReplayReport,
     RobustnessStats, StreamConfig,
 };
-use auto_suggest::dataframe::{DataFrame, Value as Cell};
 use std::path::PathBuf;
 
 /// A corpus small enough to replay several times in one test binary.
@@ -170,63 +165,5 @@ fn fault_injected_streamed_replay_matches_in_memory() {
         "fault injection must be shard-invariant (notebook-indexed, not stream-indexed)"
     );
     assert_eq!(summary.stats, baseline_stats);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Wire renderings of every suggestion kind — the served-behaviour
-/// fingerprint (same idiom as `retrain_equivalence.rs`).
-fn fingerprint(system: &AutoSuggest) -> Vec<String> {
-    let customers = DataFrame::from_columns(vec![
-        ("customer_id", (0..24).map(Cell::Int).collect()),
-        (
-            "segment",
-            (0..24).map(|i| Cell::Str(["retail", "wholesale"][i % 2].to_string())).collect(),
-        ),
-        ("balance", (0..24).map(|i| Cell::Float(i as f64 * 1.5)).collect()),
-    ])
-    .unwrap();
-    let orders = DataFrame::from_columns(vec![
-        ("customer_id", (0..24).map(|i| Cell::Int(i % 8)).collect()),
-        ("total", (0..24).map(|i| Cell::Float(100.0 + i as f64)).collect()),
-    ])
-    .unwrap();
-    let sales = DataFrame::from_columns(vec![
-        ("region", (0..32).map(|i| Cell::Str(["n", "s", "e", "w"][i % 4].to_string())).collect()),
-        ("year", (0..32).map(|i| Cell::Int(2020 + (i as i64 % 3))).collect()),
-        ("revenue", (0..32).map(|i| Cell::Float(i as f64 * 7.25)).collect()),
-    ])
-    .unwrap();
-    let wide = DataFrame::from_columns(vec![
-        ("id", (0..16).map(Cell::Int).collect()),
-        ("q1", (0..16).map(|i| Cell::Float(i as f64)).collect()),
-        ("q2", (0..16).map(|i| Cell::Float(i as f64 + 0.5)).collect()),
-    ])
-    .unwrap();
-    let requests = [
-        SuggestRequest::Join { left: &customers, right: &orders, top_k: 3 },
-        SuggestRequest::GroupBy { table: &sales },
-        SuggestRequest::Pivot { table: &sales, dims: &[0, 1] },
-        SuggestRequest::Unpivot { table: &wide },
-    ];
-    requests.iter().map(|r| wire::encode_response(&system.suggest(r)).to_string()).collect()
-}
-
-#[test]
-fn train_streamed_serves_the_same_bits_as_train() {
-    let config = AutoSuggestConfig {
-        corpus: tiny_corpus(3),
-        ..AutoSuggestConfig::fast(3)
-    };
-    let direct = AutoSuggest::train(config.clone());
-
-    let dir = store_dir("train");
-    let streamed =
-        AutoSuggest::train_streamed(config, &dir, 6).expect("streamed training");
-
-    assert_eq!(fingerprint(&streamed), fingerprint(&direct), "served suggestions diverged");
-    assert_eq!(streamed.reports.len(), direct.reports.len());
-    assert_eq!(streamed.filter_stats, direct.filter_stats);
-    assert_eq!(streamed.robustness, direct.robustness);
-    assert_eq!(streamed.train.nextop.len(), direct.train.nextop.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
