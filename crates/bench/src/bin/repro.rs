@@ -46,8 +46,7 @@
 //! `--cache-stats` prints the content-addressed cache's cumulative
 //! per-tier counters after the run — column artifacts, key-tuple sets,
 //! pair overlaps, and the optional disk shard store
-//! (`AUTOSUGGEST_CACHE=0` disables the in-memory tiers;
-//! `AUTOSUGGEST_CACHE_DIR` attaches the disk tier). With `--timing`,
+//! (`AUTOSUGGEST_CACHE_DIR` attaches the disk tier). With `--timing`,
 //! BENCH_repro.json additionally gains a `"cache"` section with per-tier
 //! counters and an off/cold/warm/disk-warm featurisation sweep over the
 //! held-out tables (a throwaway shard directory is attached for the
@@ -447,8 +446,6 @@ fn main() {
         // unaffected. When no AUTOSUGGEST_CACHE_DIR is configured, a
         // throwaway directory is attached for the sweep so the disk-warm
         // phase is always measured, then detached and removed.
-        let was_enabled = cache.enabled();
-        let pair_was_enabled = pair_cache.enabled();
         let had_disk = cache.disk().is_some();
         let tmp_disk_dir = if had_disk {
             None
@@ -493,8 +490,6 @@ fn main() {
         let work_disk = featurise_workload(&ctx);
         let disk_warm_seconds = t.elapsed().as_secs_f64();
         let disk_tiers = autosuggest_cache::tier_stats().since(&before_disk_warm);
-        cache.set_enabled(was_enabled);
-        pair_cache.set_enabled(pair_was_enabled);
         if let Some(dir) = &tmp_disk_dir {
             autosuggest_cache::attach_disk(autosuggest_cache::default_disk());
             let _ = std::fs::remove_dir_all(dir);
@@ -511,7 +506,6 @@ fn main() {
                    "corrupt": d.corrupt, "writes": d.writes, "hit_rate": d.hit_rate()})
         };
         let cache_report = json!({
-            "enabled_during_run": was_enabled,
             "run": {
                 "hits": run_stats.hits,
                 "misses": run_stats.misses,

@@ -3,12 +3,12 @@
 use crate::sketch::MinHashSketch;
 use autosuggest_dataframe::{Column, DType};
 
-/// Sketch size columns are cached at. Every consumer in the pipeline asks
-/// for `k ≤ BASE_SKETCH_K` (the default `CandidateParams::sketch_k` is 64),
-/// and [`MinHashSketch::truncated`] derives the exact smaller sketch from
-/// the cached one, so one entry serves all requested sizes without
-/// recomputation. Requests above the base are served by building the larger
-/// sketch directly (uncached) to keep answers exact.
+/// The one sketch size artifacts are built at. Every consumer asks for
+/// `k ≤ BASE_SKETCH_K` (join enumeration uses
+/// `features::candidates::JOIN_SKETCH_K`, checked at compile time), and
+/// [`MinHashSketch::truncated`] derives the exact smaller sketch from the
+/// cached one, so one entry serves every requested size without
+/// recomputation.
 pub const BASE_SKETCH_K: usize = 256;
 
 /// The row-order-invariant statistics of a column, computed once per
@@ -36,7 +36,7 @@ impl ColumnArtifacts {
     /// Compute the full bundle for a column. Statistics delegate to the
     /// `Column` methods the featurisers previously called directly, so a
     /// cache hit is bit-identical to recomputation.
-    pub fn compute(col: &Column, sketch_k: usize) -> ColumnArtifacts {
+    pub fn compute(col: &Column) -> ColumnArtifacts {
         let mut dtype_counts = [0u64; 6];
         for v in col.values() {
             dtype_counts[dtype_slot(v.dtype())] += 1;
@@ -51,7 +51,7 @@ impl ColumnArtifacts {
             peak_frequency: col.peak_frequency(),
             sketch: MinHashSketch::from_hashes(
                 col.non_null().map(|v| v.fingerprint()),
-                sketch_k.max(BASE_SKETCH_K),
+                BASE_SKETCH_K,
             ),
         }
     }
@@ -146,13 +146,13 @@ impl ColumnArtifacts {
         self.peak_frequency
     }
 
-    /// The cached sketch at its base size (`max(requested, BASE_SKETCH_K)`).
+    /// The cached sketch at [`BASE_SKETCH_K`].
     pub fn sketch(&self) -> &MinHashSketch {
         &self.sketch
     }
 
-    /// The exact bottom-`k` sketch of this column, derived from the cached
-    /// base sketch when `k` fits inside it (the common case).
+    /// The exact bottom-`k` sketch of this column for `k ≤ BASE_SKETCH_K`,
+    /// derived from the cached base sketch.
     pub fn sketch_at(&self, k: usize) -> MinHashSketch {
         self.sketch.truncated(k)
     }
@@ -201,7 +201,7 @@ mod tests {
                 Value::Int(-2),
             ],
         );
-        let art = ColumnArtifacts::compute(&col, 64);
+        let art = ColumnArtifacts::compute(&col);
         assert_eq!(art.len(), col.len());
         assert_eq!(art.null_count(), col.null_count());
         assert_eq!(art.null_fraction(), col.emptiness());
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn sketch_at_matches_direct_build() {
         let col = Column::new("c", (0..500).map(Value::Int).collect::<Vec<_>>());
-        let art = ColumnArtifacts::compute(&col, 64);
+        let art = ColumnArtifacts::compute(&col);
         assert_eq!(art.sketch().k(), BASE_SKETCH_K);
         let direct = MinHashSketch::from_hashes(col.non_null().map(|v| v.fingerprint()), 64);
         let derived = art.sketch_at(64);
@@ -227,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_column_artifacts() {
-        let art = ColumnArtifacts::compute(&Column::empty("e"), 16);
+        let art = ColumnArtifacts::compute(&Column::empty("e"));
         assert!(art.is_empty());
         assert_eq!(art.null_fraction(), 0.0);
         assert_eq!(art.distinct_ratio(), 0.0);

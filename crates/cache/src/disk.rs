@@ -41,12 +41,13 @@
 //! budget — a pure function of the key set, not of scheduling.
 
 use crate::durable::{self, ByteReader, ByteWriter, RecordFile, Records};
+use crate::lru::lock_recover;
 use crate::pair::KeyTupleSet;
 use crate::{artifacts, ColumnArtifacts, ColumnFingerprint, MinHashSketch};
 use std::collections::{HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Obs counter names for the disk tier (deterministic section).
 pub const DISK_HITS_COUNTER: &str = "cache.disk.hits";
@@ -231,15 +232,6 @@ pub fn decode_tuples(bytes: &[u8], want: ColumnFingerprint) -> Option<KeyTupleSe
 // Store
 // ---------------------------------------------------------------------------
 
-/// Outcome of decoding one shard file.
-enum Loaded<T> {
-    Hit(T),
-    /// Valid shard, but insufficient for the request (undersized sketch).
-    TooSmall,
-    /// Framing/checksum/semantic failure: delete and recompute.
-    Bad,
-}
-
 struct DiskState {
     /// Total bytes currently accounted under the root (shards only).
     bytes_total: u64,
@@ -265,13 +257,6 @@ pub struct DiskCache {
     evictions: AtomicU64,
     corrupt: AtomicU64,
     writes: AtomicU64,
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl DiskCache {
@@ -358,31 +343,18 @@ impl DiskCache {
         self.root.join("tup").join(format!("{fp}.shard"))
     }
 
-    /// Load column artifacts for `fp` whose sketch is at least `min_k`
-    /// wide. Counts a hit, miss, or corrupt; corrupt shards are deleted so
-    /// the subsequent store can rewrite them.
-    pub fn load_column(&self, fp: ColumnFingerprint, min_k: usize) -> Option<ColumnArtifacts> {
-        let path = self.column_path(fp);
-        self.load_with(&path, |bytes| match decode_column(bytes, fp) {
-            // A valid shard whose sketch is narrower than requested is a
-            // plain miss (the caller recomputes and overwrites), not
-            // corruption.
-            Some(art) if art.sketch().k() < min_k => Loaded::TooSmall,
-            Some(art) => Loaded::Hit(art),
-            None => Loaded::Bad,
-        })
+    /// Load column artifacts for `fp`. Counts a hit, miss, or corrupt;
+    /// corrupt shards are deleted so the subsequent store can rewrite them.
+    pub fn load_column(&self, fp: ColumnFingerprint) -> Option<ColumnArtifacts> {
+        self.load_with(&self.column_path(fp), |bytes| decode_column(bytes, fp))
     }
 
     /// Load a key-tuple set for `fp`.
     pub fn load_tuples(&self, fp: ColumnFingerprint) -> Option<KeyTupleSet> {
-        let path = self.tuples_path(fp);
-        self.load_with(&path, |bytes| match decode_tuples(bytes, fp) {
-            Some(set) => Loaded::Hit(set),
-            None => Loaded::Bad,
-        })
+        self.load_with(&self.tuples_path(fp), |bytes| decode_tuples(bytes, fp))
     }
 
-    fn load_with<T>(&self, path: &Path, decode: impl FnOnce(&[u8]) -> Loaded<T>) -> Option<T> {
+    fn load_with<T>(&self, path: &Path, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(_) => {
@@ -392,20 +364,15 @@ impl DiskCache {
             }
         };
         match decode(&bytes) {
-            Loaded::Hit(v) => {
+            Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 autosuggest_obs::counter_add(DISK_HITS_COUNTER, 1);
                 lock_recover(&self.state).pinned.insert(path.to_path_buf());
                 Some(v)
             }
-            Loaded::TooSmall => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                autosuggest_obs::counter_add(DISK_MISSES_COUNTER, 1);
-                None
-            }
-            Loaded::Bad => {
-                // Corrupted, truncated, undersized, or misfiled shard:
-                // delete it and fall back to recomputation.
+            None => {
+                // Corrupted, truncated, or misfiled shard: delete it and
+                // fall back to recomputation.
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 autosuggest_obs::counter_add(DISK_CORRUPT_COUNTER, 1);
                 let mut st = lock_recover(&self.state);
@@ -420,23 +387,19 @@ impl DiskCache {
         }
     }
 
-    /// Persist column artifacts (write-once unless `overwrite`, used when a
-    /// sketch is upgraded to a larger `k`).
-    pub fn store_column(&self, fp: ColumnFingerprint, art: &ColumnArtifacts, overwrite: bool) {
-        let path = self.column_path(fp);
-        self.store_bytes(&path, encode_column(fp, art), overwrite);
+    /// Persist column artifacts (write-once).
+    pub fn store_column(&self, fp: ColumnFingerprint, art: &ColumnArtifacts) {
+        self.store_bytes(&self.column_path(fp), encode_column(fp, art));
     }
 
     /// Persist a key-tuple set (write-once).
     pub fn store_tuples(&self, set: &KeyTupleSet) {
-        let path = self.tuples_path(set.fingerprint());
-        self.store_bytes(&path, encode_tuples(set), false);
+        self.store_bytes(&self.tuples_path(set.fingerprint()), encode_tuples(set));
     }
 
-    fn store_bytes(&self, path: &Path, bytes: Vec<u8>, overwrite: bool) {
+    fn store_bytes(&self, path: &Path, bytes: Vec<u8>) {
         let mut st = lock_recover(&self.state);
-        let existing = std::fs::metadata(path).ok().map(|m| m.len());
-        if existing.is_some() && !overwrite {
+        if path.exists() {
             st.pinned.insert(path.to_path_buf());
             return;
         }
@@ -444,14 +407,8 @@ impl DiskCache {
         if durable::publish(path, &bytes).is_err() {
             return;
         }
-        st.bytes_total = st
-            .bytes_total
-            .saturating_sub(existing.unwrap_or(0))
-            .saturating_add(bytes.len() as u64);
+        st.bytes_total = st.bytes_total.saturating_add(bytes.len() as u64);
         st.pinned.insert(path.to_path_buf());
-        if let Some(idx) = st.victims.iter().position(|(p, _)| p == path) {
-            st.victims.remove(idx); // replaced a pre-existing file in place
-        }
         self.writes.fetch_add(1, Ordering::Relaxed);
         autosuggest_obs::counter_add(DISK_WRITES_COUNTER, 1);
         // Enforce the byte budget against pre-existing, unpinned shards in
@@ -475,7 +432,6 @@ impl DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BASE_SKETCH_K;
     use autosuggest_dataframe::{Column, DataFrame, Value};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -499,7 +455,7 @@ mod tests {
     fn column_roundtrip_is_bit_identical() {
         let col = mixed_column();
         let fp = crate::column_fingerprint(&col);
-        let art = ColumnArtifacts::compute(&col, 64);
+        let art = ColumnArtifacts::compute(&col);
         let decoded = decode_column(&encode_column(fp, &art), fp).unwrap();
         assert_eq!(decoded.len(), art.len());
         assert_eq!(decoded.null_count(), art.null_count());
@@ -532,7 +488,7 @@ mod tests {
     fn truncated_and_corrupted_shards_are_rejected() {
         let col = mixed_column();
         let fp = crate::column_fingerprint(&col);
-        let art = ColumnArtifacts::compute(&col, 64);
+        let art = ColumnArtifacts::compute(&col);
         let good = encode_column(fp, &art);
         assert!(decode_column(&good, fp).is_some());
         // Every truncation point fails cleanly.
@@ -568,7 +524,7 @@ mod tests {
         // fnv64 of everything before it.
         let col = mixed_column();
         let fp = crate::column_fingerprint(&col);
-        let good = encode_column(fp, &ColumnArtifacts::compute(&col, 64));
+        let good = encode_column(fp, &ColumnArtifacts::compute(&col));
         let mut v1 = b"ASGC".to_vec();
         v1.extend_from_slice(&1u16.to_le_bytes());
         v1.push(KIND_COLUMN);
@@ -585,18 +541,16 @@ mod tests {
         let col = mixed_column();
         let fp = crate::column_fingerprint(&col);
         // Miss before any store.
-        assert!(disk.load_column(fp, 1).is_none());
-        let art = ColumnArtifacts::compute(&col, BASE_SKETCH_K);
-        disk.store_column(fp, &art, false);
+        assert!(disk.load_column(fp).is_none());
+        let art = ColumnArtifacts::compute(&col);
+        disk.store_column(fp, &art);
         // Second store of the same key is write-once (no second write).
-        disk.store_column(fp, &art, false);
-        let loaded = disk.load_column(fp, BASE_SKETCH_K).unwrap();
+        disk.store_column(fp, &art);
+        let loaded = disk.load_column(fp).unwrap();
         assert_eq!(loaded.distinct_count(), art.distinct_count());
-        // A larger-k requirement than the stored sketch is a miss.
-        assert!(disk.load_column(fp, BASE_SKETCH_K + 1).is_none());
         assert_eq!(
             disk.stats(),
-            DiskStats { hits: 1, misses: 2, evictions: 0, corrupt: 0, writes: 1 }
+            DiskStats { hits: 1, misses: 1, evictions: 0, corrupt: 0, writes: 1 }
         );
         assert!(disk.bytes_total() > 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -608,20 +562,20 @@ mod tests {
         let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
         let col = mixed_column();
         let fp = crate::column_fingerprint(&col);
-        let art = ColumnArtifacts::compute(&col, BASE_SKETCH_K);
-        disk.store_column(fp, &art, false);
+        let art = ColumnArtifacts::compute(&col);
+        disk.store_column(fp, &art);
         // Flip a byte in the stored shard.
         let path = disk.column_path(fp);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(disk.load_column(fp, 1).is_none());
+        assert!(disk.load_column(fp).is_none());
         assert_eq!(disk.stats().corrupt, 1);
         assert!(!path.exists(), "corrupt shard must be deleted");
         // Recompute-and-store works again afterwards.
-        disk.store_column(fp, &art, false);
-        assert!(disk.load_column(fp, 1).is_some());
+        disk.store_column(fp, &art);
+        assert!(disk.load_column(fp).is_some());
         // Effective-hit-rate convention: the corrupt read is a failed
         // lookup, so hits=1 over lookups = hits+misses+corrupt = 2.
         let stats = disk.stats();
@@ -653,7 +607,7 @@ mod tests {
         let per_shard = {
             let disk = DiskCache::open(&dir, u64::MAX).unwrap();
             for c in &cols {
-                disk.store_column(crate::column_fingerprint(c), &ColumnArtifacts::compute(c, 64), false);
+                disk.store_column(crate::column_fingerprint(c), &ColumnArtifacts::compute(c));
             }
             disk.bytes_total() / cols.len() as u64
         };
@@ -666,7 +620,7 @@ mod tests {
         assert!(before > budget, "seeded dir must exceed the budget");
         for i in 100..103 {
             let c = Column::new("n", (i * 100..i * 100 + 60).map(Value::Int).collect::<Vec<_>>());
-            disk.store_column(crate::column_fingerprint(&c), &ColumnArtifacts::compute(&c, 64), false);
+            disk.store_column(crate::column_fingerprint(&c), &ColumnArtifacts::compute(&c));
         }
         assert!(
             disk.bytes_total() <= budget,
@@ -679,7 +633,7 @@ mod tests {
         // The 3 new shards survive (pinned); evictions came from the old set.
         for i in 100..103i64 {
             let c = Column::new("n", (i * 100..i * 100 + 60).map(Value::Int).collect::<Vec<_>>());
-            assert!(disk.load_column(crate::column_fingerprint(&c), 1).is_some());
+            assert!(disk.load_column(crate::column_fingerprint(&c)).is_some());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -705,8 +659,7 @@ mod tests {
                 for &i in order {
                     disk.store_column(
                         crate::column_fingerprint(&cols[i]),
-                        &ColumnArtifacts::compute(&cols[i], 64),
-                        false,
+                        &ColumnArtifacts::compute(&cols[i]),
                     );
                     // Space mtimes apart so an mtime-ordered queue would
                     // really follow creation order.
@@ -716,11 +669,7 @@ mod tests {
             };
             let disk = DiskCache::open(&dir, per_shard * 5).unwrap();
             let c = Column::new("n", (10_000..10_060).map(Value::Int).collect::<Vec<_>>());
-            disk.store_column(
-                crate::column_fingerprint(&c),
-                &ColumnArtifacts::compute(&c, 64),
-                false,
-            );
+            disk.store_column(crate::column_fingerprint(&c), &ColumnArtifacts::compute(&c));
             assert!(disk.stats().evictions > 0, "budget must force evictions");
             let mut names: Vec<String> = std::fs::read_dir(dir.join("col"))
                 .unwrap()
@@ -749,16 +698,12 @@ mod tests {
         {
             let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
             let col = mixed_column();
-            disk.store_column(
-                crate::column_fingerprint(&col),
-                &ColumnArtifacts::compute(&col, 64),
-                false,
-            );
+            disk.store_column(crate::column_fingerprint(&col), &ColumnArtifacts::compute(&col));
         }
         let real_bytes = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap().bytes_total();
         let other = Column::new("o", (0..40).map(Value::Int).collect::<Vec<_>>());
         let fp = crate::column_fingerprint(&other);
-        let image = encode_column(fp, &ColumnArtifacts::compute(&other, 64));
+        let image = encode_column(fp, &ColumnArtifacts::compute(&other));
         for k in 0..=image.len() {
             let orphan = dir.join("col").join(format!("{fp}.tmp99999-{k}"));
             std::fs::write(&orphan, &image[..k]).unwrap();
@@ -769,7 +714,7 @@ mod tests {
                 real_bytes,
                 "tmp orphans must not count against the budget"
             );
-            assert!(disk.load_column(fp, 1).is_none(), "a tmp file must never be read");
+            assert!(disk.load_column(fp).is_none(), "a tmp file must never be read");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -779,17 +724,17 @@ mod tests {
         let dir = tmpdir("reopen");
         let col = mixed_column();
         let fp = crate::column_fingerprint(&col);
-        let art = ColumnArtifacts::compute(&col, BASE_SKETCH_K);
+        let art = ColumnArtifacts::compute(&col);
         {
             let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
-            disk.store_column(fp, &art, false);
+            disk.store_column(fp, &art);
             let df = DataFrame::from_columns(vec![("a", (0..40).map(Value::Int).collect())])
                 .unwrap();
             disk.store_tuples(&KeyTupleSet::compute(&df, &[0]));
         }
         let disk = DiskCache::open(&dir, DEFAULT_DISK_BUDGET).unwrap();
         assert!(disk.bytes_total() > 0);
-        let loaded = disk.load_column(fp, BASE_SKETCH_K).unwrap();
+        let loaded = disk.load_column(fp).unwrap();
         assert_eq!(loaded.sketch().mins(), art.sketch().mins());
         let df = DataFrame::from_columns(vec![("a", (0..40).map(Value::Int).collect())])
             .unwrap();

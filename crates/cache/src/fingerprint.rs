@@ -18,6 +18,7 @@
 //!
 //! [`ColumnArtifacts`]: crate::ColumnArtifacts
 
+use crate::dtype_slot;
 use autosuggest_dataframe::{Column, DataFrame};
 use std::fmt;
 
@@ -47,8 +48,18 @@ const LANE_B: (u64, u64) = (0xff51_afd7_ed55_8ccd, 0xc4ce_b9fe_1a85_ec53);
 /// Fingerprint a column's values. Nulls participate (through
 /// `Value::fingerprint`, which gives all nulls one canonical digest), so an
 /// all-null column and an empty column fingerprint differently.
+///
+/// Each value digest is salted with its dtype slot. `Value::hash` hashes
+/// `Int`, `Float` and `Date` through their `f64` view so that joins match
+/// `5 == 5.0`, but the cached artifacts carry the column's dtype, so
+/// `[1, 2]` as `Int` and `[1.0, 2.0]` as `Float` must be different keys.
 pub fn column_fingerprint(col: &Column) -> ColumnFingerprint {
-    values_fingerprint(col.values().iter().map(|v| v.fingerprint()), col.len())
+    values_fingerprint(
+        col.values()
+            .iter()
+            .map(|v| v.fingerprint() ^ mix(dtype_slot(v.dtype()) as u64, LANE_A.0, LANE_A.1)),
+        col.len(),
+    )
 }
 
 /// Fold pre-hashed digests into a 128-bit multiset fingerprint under a

@@ -7,8 +7,8 @@
 //! pair rebuilt both hash sets and re-ran the intersection even though the
 //! same column tuples recur across dozens of candidates per table pair.
 //!
-//! Two sharded-LRU tiers memoize that work, with the same single-flight +
-//! deterministic-counter discipline as the column cache:
+//! Two `ShardedLru` tiers memoize that work, with the same single-flight
+//! and deterministic-counter discipline as the column cache:
 //!
 //! * **Tuple-set tier** — `tuple fingerprint → Arc<KeyTupleSet>`: the
 //!   sorted, deduplicated tuple hashes of one `(table, column tuple)`. The
@@ -26,26 +26,19 @@
 //!   share one entry (intersection is symmetric; the direction-sensitive
 //!   containments are derived by the caller from the two set sizes).
 //!
-//! # Determinism contract
-//!
-//! Same as the column cache: computation happens inside the owning shard's
-//! lock (single-flight per key), so `misses = distinct keys` and
-//! `hits = lookups − misses` at any `AUTOSUGGEST_THREADS`, and eviction
-//! counts depend only on the key set per shard. Counters mirror into the
-//! deterministic obs section as `cache.tuple.*` and `cache.pair.*`.
+//! Counters mirror into the deterministic obs section as `cache.tuple.*`
+//! and `cache.pair.*`.
 //!
 //! [`tagged multiset fingerprint`]: crate::fingerprint
 
 use crate::disk::DiskCache;
 use crate::fingerprint::tagged_multiset_fingerprint;
+use crate::lru::{lock_recover, ShardedLru};
 use crate::{CacheStats, ColumnFingerprint, DEFAULT_CAPACITY};
 use autosuggest_dataframe::DataFrame;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-const SHARDS: usize = 16;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Obs counter names for the tuple-set tier (deterministic section).
 pub const TUPLE_HITS_COUNTER: &str = "cache.tuple.hits";
@@ -193,126 +186,6 @@ pub struct PairOverlap {
     pub intersection: usize,
 }
 
-#[derive(Debug)]
-struct Entry<V> {
-    value: V,
-    last_used: u64,
-}
-
-struct LruShard<K, V> {
-    map: HashMap<K, Entry<V>>,
-    tick: u64,
-}
-
-impl<K, V> Default for LruShard<K, V> {
-    fn default() -> Self {
-        LruShard { map: HashMap::new(), tick: 0 }
-    }
-}
-
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// A sharded LRU with the column cache's determinism discipline: compute
-/// inside the shard lock (single-flight), evict the least-recently-used
-/// entry with fingerprint tie-break, mirror counters into obs.
-struct ShardedLru<K, V> {
-    shards: Vec<Mutex<LruShard<K, V>>>,
-    per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    counter_names: [&'static str; 3],
-}
-
-impl<K: std::hash::Hash + Eq + Ord + Copy, V: Clone> ShardedLru<K, V> {
-    fn new(capacity: usize, counter_names: [&'static str; 3]) -> Self {
-        ShardedLru {
-            shards: (0..SHARDS).map(|_| Mutex::new(LruShard::default())).collect(),
-            per_shard_capacity: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            counter_names,
-        }
-    }
-
-    /// Fetch `key`, computing (and inserting) with `compute` on a miss —
-    /// all inside the owning shard's lock, so concurrent first lookups of
-    /// one key cannot both count as misses.
-    fn get_or_insert_with(&self, key: K, shard_sel: u64, compute: impl FnOnce() -> V) -> V {
-        let shard_idx = (shard_sel % SHARDS as u64) as usize;
-        let mut evicted = 0u64;
-        let (value, hit) = {
-            let mut guard = lock_recover(&self.shards[shard_idx]);
-            let shard = &mut *guard;
-            shard.tick += 1;
-            let tick = shard.tick;
-            match shard.map.get_mut(&key) {
-                Some(entry) => {
-                    entry.last_used = tick;
-                    (entry.value.clone(), true)
-                }
-                None => {
-                    let value = compute();
-                    if shard.map.len() >= self.per_shard_capacity {
-                        let victim = shard
-                            .map
-                            .iter()
-                            .min_by_key(|(k, e)| (e.last_used, **k))
-                            .map(|(k, _)| *k);
-                        if let Some(v) = victim {
-                            shard.map.remove(&v);
-                            evicted = 1;
-                        }
-                    }
-                    shard.map.insert(key, Entry { value: value.clone(), last_used: tick });
-                    (value, false)
-                }
-            }
-        };
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            autosuggest_obs::counter_add(self.counter_names[0], 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            autosuggest_obs::counter_add(self.counter_names[1], 1);
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            autosuggest_obs::counter_add(self.counter_names[2], evicted);
-        }
-        value
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            let mut guard = lock_recover(s);
-            guard.map.clear();
-            guard.tick = 0;
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Default entry budgets. Tuple sets carry a `Vec<u64>` per table-rows, so
 /// their tier is smaller than the (tiny) pair-overlap tier.
 pub const DEFAULT_TUPLE_CAPACITY: usize = 8_192;
@@ -344,14 +217,12 @@ impl PairCache {
     }
 
     /// The process-wide pair tier used by the join featuriser. Shares the
-    /// `AUTOSUGGEST_CACHE` gate and `AUTOSUGGEST_CACHE_DIR` disk tier with
-    /// the column cache.
+    /// `AUTOSUGGEST_CACHE_DIR` disk tier with the column cache.
     pub fn global() -> &'static PairCache {
         static GLOBAL: OnceLock<PairCache> = OnceLock::new();
         GLOBAL.get_or_init(|| {
             let cache = PairCache::new(DEFAULT_TUPLE_CAPACITY, DEFAULT_PAIR_CAPACITY);
-            cache.enabled.store(crate::env_enabled(), Ordering::Relaxed);
-            *lock_recover(&cache.disk) = crate::default_disk();
+            cache.set_disk(crate::default_disk());
             cache
         })
     }
@@ -388,8 +259,8 @@ impl PairCache {
         }
         let raw = KeyTupleSet::raw_tuple_hashes(df, cols);
         let fp = KeyTupleSet::fingerprint_hashes(&raw, cols.len());
-        let disk = self.disk();
         self.sets.get_or_insert_with(fp, (fp.0 >> 64) as u64, || {
+            let disk = self.disk();
             if let Some(d) = &disk {
                 if let Some(set) = d.load_tuples(fp) {
                     return Arc::new(set);
@@ -581,19 +452,6 @@ mod tests {
         assert_eq!(cache.tuple_stats(), CacheStats { hits: 24, misses: 8, evictions: 0 });
         // 4 threads × 7 pair lookups: 7 distinct → 7 misses, 21 hits.
         assert_eq!(cache.pair_stats(), CacheStats { hits: 21, misses: 7, evictions: 0 });
-    }
-
-    #[test]
-    fn eviction_respects_capacity() {
-        let cache = PairCache::new(16, 16); // one tuple entry per shard
-        for i in 0..40i64 {
-            let t = df(vec![("a", ints(&[i * 10, i * 10 + 1, i * 10 + 2]))]);
-            cache.key_tuples(&t, &[0]);
-        }
-        let stats = cache.tuple_stats();
-        assert_eq!(stats.misses, 40);
-        assert!(cache.len().0 <= 16);
-        assert_eq!(stats.evictions, 40 - cache.len().0 as u64);
     }
 
     #[test]

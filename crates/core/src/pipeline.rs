@@ -593,7 +593,7 @@ impl AutoSuggest {
     /// shared columns per request. Returns the number of columns warmed.
     ///
     /// The warm phase only runs when the global column cache is enabled:
-    /// with `AUTOSUGGEST_CACHE=0` the warmed artifacts would be computed,
+    /// with the cache switched off the warmed artifacts would be computed,
     /// discarded, and recomputed per request — pure wasted work. The
     /// `suggest.warm_columns` counter counts every column pushed through
     /// the warm phase, so a disabled cache must leave it untouched.
@@ -620,9 +620,8 @@ impl AutoSuggest {
         let cols: Vec<&autosuggest_dataframe::Column> =
             distinct.iter().flat_map(|t| t.columns()).collect();
         obs::counter_add(WARM_COLUMNS_COUNTER, cols.len() as u64);
-        let sketch_k = self.config.candidates.sketch_k;
         autosuggest_parallel::par_map(&cols, |c| {
-            cache.get_or_compute(c, sketch_k);
+            cache.artifacts(c);
         });
         cols.len()
     }

@@ -1,6 +1,6 @@
 //! Join-candidate enumeration with type and sketch pruning (§4.1, fn. 2).
 
-use autosuggest_cache::{ColumnArtifacts, ColumnCache, MinHashSketch};
+use autosuggest_cache::{ColumnArtifacts, ColumnCache, MinHashSketch, BASE_SKETCH_K};
 use autosuggest_dataframe::{DataFrame, DType};
 use autosuggest_obs as obs;
 use serde::{Deserialize, Serialize};
@@ -14,11 +14,14 @@ pub struct JoinCandidate {
     pub right_cols: Vec<usize>,
 }
 
+/// Sketch size for the containment pre-check, truncated from the cached
+/// base sketch.
+pub const JOIN_SKETCH_K: usize = 64;
+const _: () = assert!(JOIN_SKETCH_K <= BASE_SKETCH_K);
+
 /// Knobs for candidate enumeration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CandidateParams {
-    /// Sketch size for the containment pre-check.
-    pub sketch_k: usize,
     /// Single-column pairs whose best-direction containment estimate falls
     /// below this are pruned (kept lax: pruning must not drop ground truth).
     pub min_containment: f64,
@@ -31,7 +34,6 @@ pub struct CandidateParams {
 impl Default for CandidateParams {
     fn default() -> Self {
         CandidateParams {
-            sketch_k: 64,
             min_containment: 0.02,
             max_width: 2,
             max_candidates: 2_000,
@@ -87,15 +89,13 @@ fn enumerate_inner(
     let pool = autosuggest_parallel::Pool::global().with_min_items(8);
     let cache = ColumnCache::global();
     let lart: Vec<std::sync::Arc<ColumnArtifacts>> =
-        pool.par_map(left.columns(), |c| cache.get_or_compute(c, params.sketch_k));
+        pool.par_map(left.columns(), |c| cache.artifacts(c));
     let rart: Vec<std::sync::Arc<ColumnArtifacts>> =
-        pool.par_map(right.columns(), |c| cache.get_or_compute(c, params.sketch_k));
+        pool.par_map(right.columns(), |c| cache.artifacts(c));
     let ltypes: Vec<DType> = lart.iter().map(|a| a.dtype()).collect();
     let rtypes: Vec<DType> = rart.iter().map(|a| a.dtype()).collect();
-    let lsketch: Vec<MinHashSketch> =
-        lart.iter().map(|a| a.sketch_at(params.sketch_k)).collect();
-    let rsketch: Vec<MinHashSketch> =
-        rart.iter().map(|a| a.sketch_at(params.sketch_k)).collect();
+    let lsketch: Vec<MinHashSketch> = lart.iter().map(|a| a.sketch_at(JOIN_SKETCH_K)).collect();
+    let rsketch: Vec<MinHashSketch> = rart.iter().map(|a| a.sketch_at(JOIN_SKETCH_K)).collect();
 
     // One parallel task per left column; flattening the per-`li` rows in
     // order reproduces the sequential lexicographic (li, ri) enumeration.

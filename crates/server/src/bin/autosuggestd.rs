@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Environment: `AUTOSUGGEST_THREADS` sizes the suggest pool,
-//! `AUTOSUGGEST_CACHE` / `AUTOSUGGEST_CACHE_DIR` control the column
-//! cache, `AUTOSUGGEST_FAULTS` enables per-request fault injection
+//! `AUTOSUGGEST_CACHE_DIR` attaches the cache's disk tier,
+//! `AUTOSUGGEST_FAULTS` enables per-request fault injection
 //! (testing only). Stop with `POST /admin/shutdown`.
 
 use autosuggest_core::model_slot::ModelSlot;

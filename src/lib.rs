@@ -21,9 +21,8 @@
 //! * [`obs`] — deterministic observability: spans, counters, gauges and
 //!   histograms whose non-timing view is bit-identical at any thread count;
 //! * [`cache`] — the content-addressed column-artifact cache (128-bit
-//!   multiset fingerprints → interned sketches/statistics; on by default,
-//!   `AUTOSUGGEST_CACHE=0` disables, hit/miss/eviction counters land in the
-//!   deterministic obs section);
+//!   multiset fingerprints → interned sketches/statistics; hit/miss/eviction
+//!   counters land in the deterministic obs section);
 //! * [`server`] — `autosuggestd`, the long-running HTTP suggestion daemon
 //!   (bounded admission queue, cross-request micro-batching, versioned
 //!   model hot-reload, JSON wire format from [`core::wire`]).

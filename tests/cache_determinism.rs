@@ -1,13 +1,14 @@
 //! The content-addressed column cache's contracts, end to end:
 //!
-//! * fingerprints are stable under row permutation and sensitive to edits;
+//! * fingerprints are stable under row permutation and sensitive to edits
+//!   and to each value's dtype;
 //! * cache counters (the deterministic-trace contract) are bit-identical
 //!   at 1 and 4 threads, including under LRU eviction pressure;
 //! * `AutoSuggest::suggest_batch` answers exactly like sequential
 //!   `suggest` calls;
 //! * hit/miss counters surface in the deterministic obs section.
 
-use auto_suggest::cache::{column_fingerprint, CacheStats, ColumnCache};
+use auto_suggest::cache::{column_fingerprint, CacheStats, ColumnArtifacts, ColumnCache};
 use auto_suggest::core::{AutoSuggest, AutoSuggestConfig, SuggestRequest, SuggestResponse};
 use auto_suggest::dataframe::{Column, DataFrame, Value};
 use auto_suggest::obs;
@@ -56,6 +57,31 @@ fn fingerprint_stable_across_row_order_sensitive_to_edits() {
         column_fingerprint(frame.column_at(1)),
         column_fingerprint(edited.column_at(1))
     );
+}
+
+#[test]
+fn numerically_equal_columns_of_different_dtypes_keep_their_own_artifacts() {
+    // `Value::hash` treats Int(1), Float(1.0) and Date(1) as equal (joins
+    // match 5 == 5.0), but the cached artifacts carry the dtype, so the
+    // three columns must be three cache keys.
+    let cols = [
+        Column::new("i", (1..4).map(Value::Int).collect::<Vec<_>>()),
+        Column::new("f", (1..4).map(|i| Value::Float(i as f64)).collect::<Vec<_>>()),
+        Column::new("d", (1..4).map(Value::Date).collect::<Vec<_>>()),
+    ];
+    let fps: Vec<_> = cols.iter().map(column_fingerprint).collect();
+    assert_ne!(fps[0], fps[1]);
+    assert_ne!(fps[0], fps[2]);
+    assert_ne!(fps[1], fps[2]);
+    // Whichever column is interned first, every lookup answers with the
+    // column's own dtype.
+    for order in [[0, 1, 2], [2, 1, 0]] {
+        let cache = ColumnCache::new(64);
+        for i in order {
+            let c = &cols[i];
+            assert_eq!(cache.artifacts(c).dtype(), ColumnArtifacts::compute(c).dtype());
+        }
+    }
 }
 
 /// Drive `n` distinct columns (each looked up twice) through a private

@@ -5,8 +5,9 @@
 //!
 //! Counter-based proof: `suggest.warm_columns` counts every column pushed
 //! through the warm phase. Disabled cache → the counter never moves and
-//! responses still exactly match sequential `suggest`. Enabled cache →
-//! the counter equals the distinct-column count of the batch.
+//! responses still exactly match sequential `suggest` — and the cache-on
+//! responses, so turning the cache off never changes an answer. Enabled
+//! cache → the counter equals the distinct-column count of the batch.
 //!
 //! Lives in its own integration-test binary because it toggles the
 //! process-global cache switch.
@@ -56,8 +57,8 @@ fn warm_phase_skips_entirely_when_cache_disabled() {
         let sequential: Vec<_> = reqs.iter().map(|r| system.suggest(r)).collect();
         (batch, sequential)
     });
-    let (batch, sequential) = enabled_responses;
-    assert_eq!(batch, sequential, "batch diverged from sequential (cache on)");
+    let (enabled_batch, sequential) = enabled_responses;
+    assert_eq!(enabled_batch, sequential, "batch diverged from sequential (cache on)");
     assert_eq!(
         enabled_snap.counters.get(WARM_COLUMNS_COUNTER).copied(),
         Some(distinct_columns),
@@ -80,6 +81,7 @@ fn warm_phase_skips_entirely_when_cache_disabled() {
 
     let (batch, sequential) = disabled_responses;
     assert_eq!(batch, sequential, "batch diverged from sequential (cache off)");
+    assert_eq!(batch, enabled_batch, "turning the cache off changed an answer");
     assert_eq!(
         disabled_snap.counters.get(WARM_COLUMNS_COUNTER),
         None,
