@@ -30,12 +30,7 @@
 //! per-stage histograms from the obs layer, the thread count used
 //! (see `AUTOSUGGEST_THREADS`), and a `"training"` breakdown (RNN and
 //! GBDT trainer wall-clock plus deterministic work counters: examples
-//! trained, nodes split). It also gains a
-//! `"retrain"` section: a smaller base snapshot is trained, incrementally
-//! retrained up to the full corpus via `AutoSuggest::retrain`, and
-//! compared against the full training run — wall-clock side by side, and
-//! an asserted bit-identical served-suggestion check over held-out probe
-//! requests.
+//! trained, nodes split).
 //!
 //! `--trace PATH` writes the full observability trace: the span tree
 //! (generate/replay/train/evaluate, down to per-notebook replay), every
@@ -57,7 +52,7 @@
 //! are printed in canonical table order regardless of completion order.
 
 use autosuggest_bench::tables::{self, ReproContext};
-use autosuggest_core::{wire, AutoSuggest, AutoSuggestConfig, SuggestRequest};
+use autosuggest_core::AutoSuggestConfig;
 use autosuggest_corpus::CorpusConfig;
 use autosuggest_obs as obs;
 use serde_json::{json, Value};
@@ -553,93 +548,6 @@ fn main() {
             disk_tiers.disk.hit_rate() * 100.0,
         );
 
-        // Incremental-retrain comparison: train a smaller "previous"
-        // snapshot (the union corpus minus half its json notebooks), fold
-        // the union back in through `AutoSuggest::retrain`, and compare
-        // against the full union training above — wall-clock plus
-        // served-suggestion equivalence over held-out probe requests.
-        // Runs after the obs snapshot so the extra training does not
-        // perturb the trace sections.
-        let union_config = ctx.system.config.clone();
-        let mut base_config = union_config.clone();
-        base_config.corpus.json_notebooks -= base_config.corpus.json_notebooks / 2;
-        eprintln!(
-            "[repro] retrain benchmark: training base snapshot ({} of {} json notebooks)...",
-            base_config.corpus.json_notebooks, union_config.corpus.json_notebooks,
-        );
-        let base_json_notebooks = base_config.corpus.json_notebooks;
-        let t = Instant::now();
-        let prev = AutoSuggest::train(base_config);
-        let base_seconds = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let (inc, retrain) = AutoSuggest::retrain(&prev, union_config);
-        let incremental_seconds = t.elapsed().as_secs_f64();
-
-        // Probe battery from the held-out test cases: the incrementally
-        // retrained system must answer every request bit-identically to
-        // the fully trained one.
-        let dims = [0usize];
-        let mut probes: Vec<SuggestRequest> = Vec::new();
-        for inv in ctx.system.test.join.iter().take(3) {
-            if inv.inputs.len() >= 2 {
-                probes.push(SuggestRequest::Join {
-                    left: &inv.inputs[0],
-                    right: &inv.inputs[1],
-                    top_k: 3,
-                });
-            }
-        }
-        for inv in ctx.system.test.groupby.iter().take(3) {
-            if let Some(table) = inv.inputs.first() {
-                probes.push(SuggestRequest::GroupBy { table });
-            }
-        }
-        for inv in ctx.system.test.pivot.iter().take(3) {
-            if let Some(table) = inv.inputs.first() {
-                probes.push(SuggestRequest::Pivot { table, dims: &dims });
-            }
-        }
-        for inv in ctx.system.test.melt.iter().take(3) {
-            if let Some(table) = inv.inputs.first() {
-                probes.push(SuggestRequest::Unpivot { table });
-            }
-        }
-        let served_identical = probes.iter().all(|req| {
-            wire::encode_response(&ctx.system.suggest(req)).to_string()
-                == wire::encode_response(&inc.suggest(req)).to_string()
-        });
-        assert!(
-            served_identical,
-            "incremental retrain diverged from full training on served suggestions"
-        );
-        eprintln!(
-            "[repro] retrain: full {train_seconds:.1}s, base {base_seconds:.1}s, incremental {incremental_seconds:.1}s ({} replayed / {} reused, carried {:?}, rebuilt {:?}, {} probes identical)",
-            retrain.delta.replayed_notebooks,
-            retrain.delta.reused_reports,
-            retrain.carried,
-            retrain.rebuilt,
-            probes.len(),
-        );
-        let retrain_report = json!({
-            "base_json_notebooks": base_json_notebooks,
-            "union_notebooks": retrain.delta.union_notebooks,
-            "full_seconds": train_seconds,
-            "base_seconds": base_seconds,
-            "incremental_seconds": incremental_seconds,
-            "speedup_vs_full": if incremental_seconds > 0.0 {
-                train_seconds / incremental_seconds
-            } else {
-                0.0
-            },
-            "notebooks_replayed": retrain.delta.replayed_notebooks,
-            "reports_reused": retrain.delta.reused_reports,
-            "carried": retrain.carried,
-            "rebuilt": retrain.rebuilt,
-            "full_replay_fallback": retrain.full_replay_fallback,
-            "probes": probes.len(),
-            "served_identical": served_identical,
-        });
-
         let report = json!({
             "threads": threads,
             "fast": fast,
@@ -652,7 +560,6 @@ fn main() {
             "training": training,
             "robustness": robustness,
             "cache": cache_report,
-            "retrain": retrain_report,
         });
         let path = "BENCH_repro.json";
         match std::fs::write(path, report.to_string()) {

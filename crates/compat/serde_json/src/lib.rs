@@ -171,6 +171,13 @@ impl Value {
         }
     }
 
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Number(n) => n.as_u64(),
+            _ => None,
+        }
+    }
+
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Number(n) => n.as_f64(),

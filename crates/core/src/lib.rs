@@ -13,8 +13,8 @@
 //!    every single-operator model on the current table (Fig. 13).
 //!
 //! [`pipeline::AutoSuggest`] wires the whole system together: generate or
-//! load a corpus, replay it, train every predictor on the resulting logs,
-//! and serve ranked recommendations.
+//! load a corpus, replay it, and train every predictor on the resulting
+//! logs; its [`pipeline::TrainedModels`] serve ranked recommendations.
 
 // Library code must degrade gracefully at crawl scale — panicking escape
 // hatches are confined to tests.
@@ -27,7 +27,6 @@ pub mod model_slot;
 pub mod nextop;
 pub mod pipeline;
 pub mod pivot;
-pub mod retrain;
 pub mod unpivot;
 pub mod wire;
 
@@ -40,6 +39,5 @@ pub use pipeline::{
 };
 pub use model_slot::{ModelSlot, VersionedModel};
 pub use pivot::{PivotPredictor, PivotSuggestion};
-pub use retrain::{RetrainDelta, RetrainReport};
 pub use unpivot::{UnpivotPredictor, UnpivotSuggestion};
 pub use wire::{OwnedSuggestRequest, WireError};

@@ -1,4 +1,4 @@
-//! Versioned, hot-swappable handle to a trained [`AutoSuggest`] system.
+//! Versioned, hot-swappable handle to the [`TrainedModels`] a daemon serves.
 //!
 //! The daemon serves from a [`ModelSlot`]: readers grab an
 //! `Arc<VersionedModel>` under a briefly-held lock and then answer any
@@ -7,17 +7,20 @@
 //! installs it with [`ModelSlot::swap`] — a single `Arc` store, so
 //! in-flight batches finish on the model they started with and new
 //! batches pick up the new version. Nothing ever serves a half-trained
-//! model and no request observes two versions.
+//! model and no request observes two versions. The slot holds only the
+//! models: the replayed corpus and train/test invocations an
+//! [`AutoSuggest`](crate::pipeline::AutoSuggest) carries for evaluation
+//! are dropped on the way in.
 
-use crate::pipeline::AutoSuggest;
+use crate::pipeline::TrainedModels;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A trained system plus the monotonically increasing version it was
+/// The served models plus the monotonically increasing version they were
 /// installed as. Versions start at 1 for the model the slot was created
 /// with and bump by one per [`ModelSlot::swap`].
 pub struct VersionedModel {
     pub version: u64,
-    pub system: AutoSuggest,
+    pub system: TrainedModels,
 }
 
 /// A shared, swappable slot holding the current [`VersionedModel`].
@@ -47,7 +50,8 @@ fn write_recover(lock: &RwLock<Arc<VersionedModel>>) -> RwLockWriteGuard<'_, Arc
 
 impl ModelSlot {
     /// Wrap an initial trained system as version 1.
-    pub fn new(system: AutoSuggest) -> ModelSlot {
+    pub fn new(system: impl Into<TrainedModels>) -> ModelSlot {
+        let system = system.into();
         ModelSlot {
             current: RwLock::new(Arc::new(VersionedModel { version: 1, system })),
         }
@@ -62,7 +66,8 @@ impl ModelSlot {
     /// Install a replacement system, returning the version it was
     /// assigned. Callers train the replacement *before* calling this;
     /// the critical section is just the pointer store.
-    pub fn swap(&self, system: AutoSuggest) -> u64 {
+    pub fn swap(&self, system: impl Into<TrainedModels>) -> u64 {
+        let system = system.into();
         let mut guard = write_recover(&self.current);
         let version = guard.version + 1;
         *guard = Arc::new(VersionedModel { version, system });
@@ -78,7 +83,7 @@ impl ModelSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::AutoSuggestConfig;
+    use crate::pipeline::{AutoSuggest, AutoSuggestConfig};
 
     #[test]
     fn swap_bumps_version_and_old_snapshots_survive() {

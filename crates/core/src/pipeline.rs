@@ -115,86 +115,11 @@ pub struct StageTiming {
 }
 
 /// Record one pipeline stage's wall clock and restart the stopwatch.
-pub(crate) fn lap(timings: &mut Vec<StageTiming>, stage: &'static str, start: &mut std::time::Instant) {
+fn lap(timings: &mut Vec<StageTiming>, stage: &'static str, start: &mut std::time::Instant) {
     let seconds = start.elapsed().as_secs_f64();
     obs::observe(&format!("pipeline.{stage}_seconds"), seconds);
     timings.push(StageTiming { stage, seconds });
     *start = std::time::Instant::now();
-}
-
-/// Positional identity comparison of two invocation lists. Within the
-/// incremental-retrain reuse path the reports backing `a` are literal
-/// clones of the reports backing `b` wherever notebook ids coincide (and
-/// new notebooks get ids no previous corpus used), so identical
-/// `(notebook_id, cell_index, op)` sequences imply identical invocation
-/// *content* — which is what makes carrying a model trained on `b` sound.
-fn same_invocations(a: &[OpInvocation], b: &[OpInvocation]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.notebook_id == y.notebook_id && x.cell_index == y.cell_index && x.op == y.op
-        })
-}
-
-/// Bitwise equality of next-op example lists (prefixes, labels, and the
-/// exact f64 bits of the single-operator score vectors).
-fn same_examples(a: &[NextOpExample], b: &[NextOpExample]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.prefix == y.prefix
-                && x.label == y.label
-                && x.table_scores.len() == y.table_scores.len()
-                && x.table_scores
-                    .iter()
-                    .zip(&y.table_scores)
-                    .all(|(s, t)| s.to_bits() == t.to_bits())
-        })
-}
-
-/// Which model families [`build_from_reports`] carried over from the
-/// previous system unchanged vs. retrained from the (new) logs.
-#[derive(Debug, Clone, Default)]
-pub struct ModelBuildOutcome {
-    pub carried: Vec<&'static str>,
-    pub rebuilt: Vec<&'static str>,
-}
-
-/// Flattened per-report example ranges of the previous system's next-op
-/// sets, keyed by notebook id — lets the rebuild lift a prev report's
-/// already-scored examples instead of re-running single-operator scoring.
-struct NextOpReuse {
-    /// notebook id → (is_test, start, len) into the matching flattened set.
-    ranges: std::collections::HashMap<String, (bool, usize, usize)>,
-}
-
-impl NextOpReuse {
-    /// Rebuild the per-report boundaries of `prev`'s flattened
-    /// `train.nextop` / `test.nextop` vectors by walking its reports with
-    /// the same stream/split rules the builder uses.
-    fn index(prev: &AutoSuggest) -> NextOpReuse {
-        let mut ranges = std::collections::HashMap::new();
-        let (mut train_cursor, mut test_cursor) = (0usize, 0usize);
-        for report in &prev.reports {
-            let len = report
-                .invocations
-                .iter()
-                .filter(|i| i.op.sequence_id().is_some())
-                .count();
-            if len < 2 {
-                continue;
-            }
-            let is_test = is_test_group(
-                &report.dataset_group,
-                prev.config.test_fraction,
-                prev.config.split_seed,
-            );
-            let cursor = if is_test { &mut test_cursor } else { &mut train_cursor };
-            ranges.insert(report.notebook_id.clone(), (is_test, *cursor, len));
-            *cursor += len;
-        }
-        debug_assert_eq!(train_cursor, prev.train.nextop.len());
-        debug_assert_eq!(test_cursor, prev.test.nextop.len());
-        NextOpReuse { ranges }
-    }
 }
 
 impl AutoSuggest {
@@ -230,34 +155,6 @@ impl AutoSuggest {
         };
         lap(&mut timings, "replay", &mut stage_start);
 
-        let (system, _outcome) =
-            Self::build_from_reports(config, reports, robustness, None, &mut timings);
-        (system, timings)
-    }
-
-    /// The model-building back half of the pipeline: filter + grouped
-    /// split, train (or carry) every predictor, assemble the system.
-    ///
-    /// With `prev = None` this **is** [`AutoSuggest::train_timed`] minus
-    /// corpus generation and replay — both callers share this body, which
-    /// is what makes the incremental path's "bit-identical to a full
-    /// retrain" guarantee structural rather than aspirational. With
-    /// `prev = Some(..)`, each model family whose training inputs (by
-    /// invocation identity — see [`same_invocations`]) and hyper-parameters
-    /// are unchanged is carried over by clone instead of retrained; only
-    /// families whose inputs actually shifted pay for training. The caller
-    /// ([`AutoSuggest::retrain`]) is responsible for only passing `prev` when
-    /// `reports` reuses the previous system's replay logs verbatim for
-    /// overlapping notebook ids.
-    pub(crate) fn build_from_reports(
-        config: AutoSuggestConfig,
-        reports: Vec<ReplayReport>,
-        robustness: RobustnessStats,
-        prev: Option<&AutoSuggest>,
-        timings: &mut Vec<StageTiming>,
-    ) -> (AutoSuggest, ModelBuildOutcome) {
-        let mut stage_start = std::time::Instant::now();
-        let mut outcome = ModelBuildOutcome::default();
         let split_span = obs::span("filter_and_split");
         let all_invocations: Vec<OpInvocation> = reports
             .iter()
@@ -279,65 +176,20 @@ impl AutoSuggest {
         let train_pivot = of_kind(&train_invs, OpKind::Pivot);
         let train_melt = of_kind(&train_invs, OpKind::Melt);
         drop(split_span);
-        lap(timings, "filter_and_split", &mut stage_start);
+        lap(&mut timings, "filter_and_split", &mut stage_start);
 
         let predictors_span = obs::span("train_predictors");
         fn refs(v: &[OpInvocation]) -> Vec<&OpInvocation> {
             v.iter().collect()
         }
-        // Carry analysis: a family may be cloned from `prev` only when its
-        // exact training inputs (positional invocation identity) and every
-        // hyper-parameter feeding it are unchanged. Training is
-        // deterministic, so same inputs ⇒ same model bits ⇒ carrying the
-        // clone is indistinguishable from retraining — just free.
-        let gbdt_carry = prev.filter(|p| format!("{:?}", p.config.gbdt) == format!("{:?}", config.gbdt));
-        let join = match gbdt_carry.filter(|p| {
-            same_invocations(&train_join, &p.train.join)
-                && format!("{:?}", p.config.candidates) == format!("{:?}", config.candidates)
-        }) {
-            Some(p) => {
-                outcome.carried.push("join");
-                p.models.join.clone()
-            }
-            None => {
-                outcome.rebuilt.push("join");
-                JoinColumnPredictor::train(&refs(&train_join), &config.gbdt, config.candidates.clone())
-            }
-        };
-        let join_type = match gbdt_carry.filter(|p| same_invocations(&train_join, &p.train.join)) {
-            Some(p) => {
-                outcome.carried.push("join_type");
-                p.models.join_type.clone()
-            }
-            None => {
-                outcome.rebuilt.push("join_type");
-                JoinTypePredictor::train(&refs(&train_join), &config.gbdt)
-            }
-        };
-        let groupby = match gbdt_carry.filter(|p| same_invocations(&train_groupby, &p.train.groupby)) {
-            Some(p) => {
-                outcome.carried.push("groupby");
-                p.models.groupby.clone()
-            }
-            None => {
-                outcome.rebuilt.push("groupby");
-                GroupByAggPredictor::train(&refs(&train_groupby), &config.gbdt)
-            }
-        };
-        let (pivot, unpivot) = match gbdt_carry.filter(|p| {
-            same_invocations(&train_pivot, &p.train.pivot) && same_invocations(&train_melt, &p.train.melt)
-        }) {
-            Some(p) => {
-                outcome.carried.push("pivot");
-                (p.models.pivot.clone(), p.models.unpivot.clone())
-            }
-            None => {
-                outcome.rebuilt.push("pivot");
-                let compat =
-                    CompatibilityModel::train(&refs(&train_pivot), &refs(&train_melt), &config.gbdt);
-                (compat.clone().map(PivotPredictor::new), compat.map(UnpivotPredictor::new))
-            }
-        };
+        let join =
+            JoinColumnPredictor::train(&refs(&train_join), &config.gbdt, config.candidates.clone());
+        let join_type = JoinTypePredictor::train(&refs(&train_join), &config.gbdt);
+        let groupby = GroupByAggPredictor::train(&refs(&train_groupby), &config.gbdt);
+        let compat =
+            CompatibilityModel::train(&refs(&train_pivot), &refs(&train_melt), &config.gbdt);
+        let (pivot, unpivot) =
+            (compat.clone().map(PivotPredictor::new), compat.map(UnpivotPredictor::new));
         // Gauges are last-write-wins, so they are only ever set here, on
         // the sequential training path — never from pool tasks.
         if let Some(j) = &join {
@@ -351,30 +203,13 @@ impl AutoSuggest {
             }
         }
         drop(predictors_span);
-        lap(timings, "train_predictors", &mut stage_start);
+        lap(&mut timings, "train_predictors", &mut stage_start);
         let nextop_span = obs::span("train_nextop");
 
         // Next-operator examples from per-notebook invocation streams,
         // split on the same dataset groups. Scoring each step's input table
         // with the single-operator models dominates this stage, and reports
         // are independent — fan out per report, fold in report order.
-        //
-        // Incremental reuse: when the scoring models (groupby, pivot) were
-        // carried and the split rule is unchanged, a report whose notebook
-        // id appears in `prev` would produce bit-identical examples — its
-        // report *is* a clone of the prev report and the scorers are the
-        // same models — so its already-scored examples are lifted from the
-        // prev flattened sets instead of re-running single-operator scoring
-        // (the dominant cost of this stage). Only genuinely new notebooks
-        // pay for scoring.
-        let nextop_reuse = prev
-            .filter(|p| {
-                outcome.carried.contains(&"groupby")
-                    && outcome.carried.contains(&"pivot")
-                    && p.config.split_seed == config.split_seed
-                    && p.config.test_fraction.to_bits() == config.test_fraction.to_bits()
-            })
-            .map(|p| (NextOpReuse::index(p), p));
         let mut train_examples: Vec<NextOpExample> = Vec::new();
         let mut test_examples: Vec<NextOpExample> = Vec::new();
         let mut train_sequences: Vec<Vec<usize>> = Vec::new();
@@ -390,16 +225,6 @@ impl AutoSuggest {
                 }
                 let is_test =
                     is_test_group(&report.dataset_group, config.test_fraction, config.split_seed);
-                if let Some((reuse, p)) = &nextop_reuse {
-                    if let Some(&(was_test, start, len)) = reuse.ranges.get(&report.notebook_id) {
-                        debug_assert_eq!(was_test, is_test);
-                        debug_assert_eq!(len, stream.len());
-                        let source = if was_test { &p.test.nextop } else { &p.train.nextop };
-                        let examples = source[start..start + len].to_vec();
-                        let prefix = examples.iter().map(|e| e.label).collect();
-                        return Some((is_test, examples, prefix));
-                    }
-                }
                 let mut prefix: Vec<usize> = Vec::new();
                 let mut examples = Vec::new();
                 for inv in &stream {
@@ -424,34 +249,14 @@ impl AutoSuggest {
             }
         }
 
-        // The next-op networks themselves carry only on bitwise-identical
-        // training sets (cheap to check, and the set is exactly what the
-        // deterministic trainer consumes).
-        let nextop_carry = prev.filter(|p| {
-            format!("{:?}", p.config.nextop) == format!("{:?}", config.nextop)
-                && same_examples(&train_examples, &p.train.nextop)
-        });
-        let (nextop_full, nextop_rnn_only) = match nextop_carry {
-            Some(p) => {
-                outcome.carried.push("nextop");
-                (p.models.nextop_full.clone(), p.models.nextop_rnn_only.clone())
-            }
-            None => {
-                outcome.rebuilt.push("nextop");
-                let full = NextOpPredictor::train(
-                    NextOpConfig { mode: NextOpMode::Full, ..config.nextop.clone() },
-                    &train_examples,
-                );
-                let rnn_only = NextOpPredictor::train(
-                    NextOpConfig { mode: NextOpMode::RnnOnly, ..config.nextop.clone() },
-                    &train_examples,
-                );
-                (full, rnn_only)
-            }
-        };
-        // Always rebuilt: both are cheap deterministic functions of their
-        // inputs (no example scoring involved), so rebuilding is bitwise
-        // identical to carrying and needs no gate.
+        let nextop_full = NextOpPredictor::train(
+            NextOpConfig { mode: NextOpMode::Full, ..config.nextop.clone() },
+            &train_examples,
+        );
+        let nextop_rnn_only = NextOpPredictor::train(
+            NextOpConfig { mode: NextOpMode::RnnOnly, ..config.nextop.clone() },
+            &train_examples,
+        );
         let nextop_single_ops = NextOpPredictor::train(
             NextOpConfig { mode: NextOpMode::SingleOperators, ..config.nextop.clone() },
             &[],
@@ -459,7 +264,7 @@ impl AutoSuggest {
         let mut ngram = NgramModel::new(3, crate::nextop::NUM_OPS);
         ngram.train(&train_sequences);
         drop(nextop_span);
-        lap(timings, "train_nextop", &mut stage_start);
+        lap(&mut timings, "train_nextop", &mut stage_start);
 
         let system = AutoSuggest {
             models: TrainedModels {
@@ -493,7 +298,7 @@ impl AutoSuggest {
             robustness,
             config,
         };
-        (system, outcome)
+        (system, timings)
     }
 }
 
@@ -544,26 +349,34 @@ pub enum SuggestResponse {
 }
 
 /// Obs counter names for the interactive suggest path (deterministic
-/// section; see the warm-phase gating note on [`AutoSuggest::warm_tables`]).
+/// section; see the warm-phase gating note on [`TrainedModels::warm_tables`]).
 pub const WARM_COLUMNS_COUNTER: &str = "suggest.warm_columns";
 
-impl AutoSuggest {
+/// The served half of a trained system: keep the models, drop the replayed
+/// corpus and the train/test invocations.
+impl From<AutoSuggest> for TrainedModels {
+    fn from(system: AutoSuggest) -> TrainedModels {
+        system.models
+    }
+}
+
+impl TrainedModels {
     /// Answer one interactive request with the trained models.
     pub fn suggest(&self, req: &SuggestRequest<'_>) -> SuggestResponse {
         match req {
-            SuggestRequest::Join { left, right, top_k } => match &self.models.join {
+            SuggestRequest::Join { left, right, top_k } => match &self.join {
                 Some(j) => SuggestResponse::Join(j.suggest(left, right, *top_k)),
                 None => SuggestResponse::Unavailable("join"),
             },
-            SuggestRequest::GroupBy { table } => match &self.models.groupby {
+            SuggestRequest::GroupBy { table } => match &self.groupby {
                 Some(g) => SuggestResponse::GroupBy(g.suggest(table)),
                 None => SuggestResponse::Unavailable("groupby"),
             },
-            SuggestRequest::Pivot { table, dims } => match &self.models.pivot {
+            SuggestRequest::Pivot { table, dims } => match &self.pivot {
                 Some(p) => SuggestResponse::Pivot(p.suggest(table, dims)),
                 None => SuggestResponse::Unavailable("pivot"),
             },
-            SuggestRequest::Unpivot { table } => match &self.models.unpivot {
+            SuggestRequest::Unpivot { table } => match &self.unpivot {
                 Some(u) => SuggestResponse::Unpivot(u.suggest(table)),
                 None => SuggestResponse::Unavailable("unpivot"),
             },
@@ -580,7 +393,7 @@ impl AutoSuggest {
     /// exactly once across the pool; the per-request featurisers then hit
     /// the cache instead of re-sketching shared columns per request.
     /// Responses come back in request order and are identical to calling
-    /// [`AutoSuggest::suggest`] sequentially.
+    /// [`TrainedModels::suggest`] sequentially.
     pub fn suggest_batch(&self, reqs: &[SuggestRequest<'_>]) -> Vec<SuggestResponse> {
         let _span = obs::span("suggest_batch");
         obs::counter_add("suggest.batch_requests", reqs.len() as u64);
@@ -626,7 +439,7 @@ impl AutoSuggest {
         cols.len()
     }
 
-    /// [`AutoSuggest::suggest`] with panic isolation: a panic anywhere in
+    /// [`TrainedModels::suggest`] with panic isolation: a panic anywhere in
     /// this request's featurisation or model scoring is caught and returned
     /// as `Err` with the panic message, leaving the process (and any other
     /// request sharing a batch with this one) untouched. The serving layer

@@ -70,7 +70,7 @@ pub enum OwnedSuggestRequest {
 }
 
 impl OwnedSuggestRequest {
-    /// Borrow as the library request type (what `AutoSuggest::suggest`
+    /// Borrow as the library request type (what `TrainedModels::suggest`
     /// consumes).
     pub fn as_request(&self) -> SuggestRequest<'_> {
         match self {
@@ -267,10 +267,14 @@ pub fn decode_request(v: &Value) -> Result<OwnedSuggestRequest, WireError> {
                         .ok_or_else(|| WireError::new("pivot: dims must be column indices"))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(OwnedSuggestRequest::Pivot {
-                table: decode_table(field(v, "table", op)?)?,
-                dims,
-            })
+            let table = decode_table(field(v, "table", op)?)?;
+            let columns = table.columns().len();
+            if let Some(d) = dims.iter().find(|&&d| d >= columns) {
+                return Err(WireError::new(format!(
+                    "pivot: dim {d} is out of range for a {columns}-column table"
+                )));
+            }
+            Ok(OwnedSuggestRequest::Pivot { table, dims })
         }
         "unpivot" => Ok(OwnedSuggestRequest::Unpivot {
             table: decode_table(field(v, "table", op)?)?,

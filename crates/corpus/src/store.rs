@@ -750,8 +750,7 @@ impl SampleStore {
     /// Open (or create) a store at `root` for the given corpus identity.
     ///
     /// An existing manifest is honoured only if `(corpus_id, shard_size,
-    /// total_shards)` all match — the same compatibility gating idea as
-    /// `AutoSuggest::retrain`'s corpus-id check; otherwise the store is reset.
+    /// total_shards)` all match; otherwise the store is reset.
     /// Listed shards are verified against their whole-file checksum;
     /// corrupt or missing shards are dropped from the manifest (and will be
     /// re-replayed). Stale tmp files from crashed writers are swept.

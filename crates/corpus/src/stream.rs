@@ -70,8 +70,7 @@ pub struct StreamSummary {
 
 /// Content-addressed identity of a streamed corpus: configuration, fault
 /// spec, and replay budgets all feed the id, so a store written under any
-/// different setting fails the resume gate and is rebuilt — the same
-/// compatibility-gating idea as `AutoSuggest::retrain`'s corpus-id check.
+/// different setting fails the resume gate and is rebuilt.
 pub fn corpus_id(cfg: &CorpusConfig, faults: Option<&FaultSpec>) -> String {
     let descriptor = format!(
         "{cfg:?}|faults={}|replay={:?}",

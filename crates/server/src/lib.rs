@@ -2,8 +2,10 @@
 //! Auto-Suggest models.
 //!
 //! The library pipeline ([`autosuggest_core::pipeline::AutoSuggest`])
-//! answers one borrowed request at a time; this crate wraps it in a
-//! std-only HTTP/1.1 front end so notebook clients can query a warm,
+//! trains the models, and its
+//! [`TrainedModels`](autosuggest_core::pipeline::TrainedModels) answer one
+//! borrowed request at a time; this crate wraps them in a std-only
+//! HTTP/1.1 front end so notebook clients can query a warm,
 //! already-trained model over loopback instead of retraining per process:
 //!
 //! - **Wire format**: JSON requests/responses via
@@ -16,10 +18,11 @@
 //!   few milliseconds (or every `max_batch` requests, whichever first)
 //!   and answers the batch through the same warm-then-parallel-map path
 //!   as `suggest_batch`, so concurrent clients share column-sketch work.
-//! - **Hot reload**: `POST /admin/reload` trains a replacement model and
-//!   installs it with an atomic `Arc` swap
-//!   ([`autosuggest_core::model_slot::ModelSlot`]); in-flight batches
-//!   finish on the version they started with.
+//! - **Hot reload**: `POST /admin/reload` trains a replacement model from
+//!   scratch and installs it with an atomic `Arc` swap
+//!   ([`autosuggest_core::model_slot::ModelSlot`]), which keeps only the
+//!   trained models; in-flight batches finish on the version they started
+//!   with. There is one reload mode.
 //! - **Graceful degradation**: with `AUTOSUGGEST_FAULTS` set, injected
 //!   per-request featurisation faults (including real panics) error only
 //!   the affected request; the rest of the batch and the daemon survive.

@@ -16,15 +16,16 @@
 //! Admission control is the queue bound: a full queue answers `429`
 //! immediately, so daemon memory is capped regardless of offered load.
 //! The batcher drains cross-request micro-batches and answers them via
-//! the same warm-then-map machinery as [`AutoSuggest::suggest_batch`],
+//! the same warm-then-map machinery as
+//! [`TrainedModels::suggest_batch`](autosuggest_core::pipeline::TrainedModels::suggest_batch),
 //! so concurrent clients share column-sketch work.
 //!
 //! ## Determinism contract
 //!
 //! The obs counters recorded under `server.` with plain names
 //! (`server.requests`, `server.responses_ok`, `server.responses_error`,
-//! `server.faults_injected`, and the `server.retrain.*` reload family)
-//! are *per-request facts*: commutative sums of
+//! `server.faults_injected`, and `server.model_swaps` for reloads) are
+//! *per-request facts*: commutative sums of
 //! values that depend only on each request's content, never on how
 //! requests were partitioned into batches. They are bit-identical across
 //! thread counts and batch timings for a fixed request set, and they are
@@ -38,18 +39,17 @@
 //!
 //! ## Model reloads
 //!
-//! `POST /admin/reload` swaps the served model without downtime. The
-//! default mode (`?mode=full`, or no query) trains a replacement from
-//! scratch via [`ServerConfig::trainer`]; `?mode=incremental` instead
-//! hands the *currently served* system to
-//! [`ServerConfig::incremental_trainer`], which by default runs
-//! [`AutoSuggest::retrain`] so unchanged replay reports and model
-//! families are carried over rather than recomputed. Either way the new
-//! system is built entirely off-thread from serving: in-flight batches
-//! finish on the snapshot they loaded, and the swap is one atomic slot
-//! store. Exactly one reload runs at a time — a second request while one
-//! is in flight answers `409 Conflict` with a JSON body instead of
-//! queueing up redundant training behind a lock.
+//! `POST /admin/reload` with `{"seed": N}` swaps the served model without
+//! downtime. [`ServerConfig::trainer`] trains a replacement from scratch
+//! off the serving threads; the slot keeps only its
+//! [`TrainedModels`](autosuggest_core::pipeline::TrainedModels), so the
+//! replayed corpus is freed as soon as training returns. In-flight
+//! batches finish on the snapshot they loaded, and the swap is one atomic
+//! slot store. `?mode=full` is accepted as the explicit spelling of the
+//! one mode; any other mode answers `400`. Exactly one reload runs at a
+//! time — a second request while one is in flight answers `409 Conflict`
+//! with a JSON body instead of queueing up redundant training behind a
+//! lock.
 //!
 //! ## Fault injection
 //!
@@ -65,7 +65,6 @@ use crate::http::{self, HttpError, Request};
 use crate::queue::{BatchQueue, PushError};
 use autosuggest_core::model_slot::ModelSlot;
 use autosuggest_core::pipeline::{AutoSuggest, AutoSuggestConfig, SuggestResponse};
-use autosuggest_core::retrain::RetrainReport;
 use autosuggest_core::wire;
 use autosuggest_corpus::faults::{FaultKind, FaultSpec};
 use autosuggest_obs as obs;
@@ -84,16 +83,6 @@ pub const REQUESTS_COUNTER: &str = "server.requests";
 pub const RESPONSES_OK_COUNTER: &str = "server.responses_ok";
 pub const RESPONSES_ERROR_COUNTER: &str = "server.responses_error";
 pub const FAULTS_INJECTED_COUNTER: &str = "server.faults_injected";
-pub const RETRAIN_RELOADS_COUNTER: &str = "server.retrain.reloads";
-pub const RETRAIN_CARRIED_COUNTER: &str = "server.retrain.models_carried";
-pub const RETRAIN_REBUILT_COUNTER: &str = "server.retrain.models_rebuilt";
-pub const RETRAIN_REPLAYED_COUNTER: &str = "server.retrain.notebooks_replayed";
-
-/// Closure that produces the replacement system for an incremental
-/// reload: `(reload seed, currently served system) → (new system,
-/// retrain accounting)`.
-pub type IncrementalTrainer =
-    Box<dyn Fn(u64, &AutoSuggest) -> (AutoSuggest, RetrainReport) + Send + Sync>;
 
 /// Tuning knobs for one daemon instance.
 pub struct ServerConfig {
@@ -107,15 +96,8 @@ pub struct ServerConfig {
     pub batch_window: Duration,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Trains the replacement model for `POST /admin/reload` (full mode).
+    /// Trains the replacement model for `POST /admin/reload`.
     pub trainer: Box<dyn Fn(u64) -> AutoSuggest + Send + Sync>,
-    /// Produces the replacement for `POST /admin/reload?mode=incremental`:
-    /// given the reload seed and the currently served system, returns the
-    /// new system plus the retrain accounting. The default runs
-    /// [`AutoSuggest::retrain`] against the served system's own config — an
-    /// empty-delta retrain that re-proves every model carriable and swaps
-    /// in an equivalent system cheaply.
-    pub incremental_trainer: IncrementalTrainer,
 }
 
 impl Default for ServerConfig {
@@ -127,9 +109,6 @@ impl Default for ServerConfig {
             batch_window: Duration::from_millis(2),
             max_body_bytes: 16 * 1024 * 1024,
             trainer: Box::new(|seed| AutoSuggest::train(AutoSuggestConfig::fast(seed))),
-            incremental_trainer: Box::new(|_seed, prev| {
-                AutoSuggest::retrain(prev, prev.config.clone())
-            }),
         }
     }
 }
@@ -169,7 +148,6 @@ struct Shared {
     max_batch: usize,
     batch_window: Duration,
     trainer: Box<dyn Fn(u64) -> AutoSuggest + Send + Sync>,
-    incremental_trainer: IncrementalTrainer,
     /// Exact batch-size → count histogram, maintained by the (single)
     /// batcher thread; scheduling-dependent, reported under `live`.
     batch_sizes: Mutex<BTreeMap<usize, u64>>,
@@ -208,7 +186,6 @@ pub fn serve(slot: Arc<ModelSlot>, config: ServerConfig) -> io::Result<Server> {
         max_batch: config.max_batch,
         batch_window: config.batch_window,
         trainer: config.trainer,
-        incremental_trainer: config.incremental_trainer,
         batch_sizes: Mutex::new(BTreeMap::new()),
         rejected_busy: AtomicU64::new(0),
         reload_lock: Mutex::new(()),
@@ -439,28 +416,22 @@ fn handle_reload(
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
     let _span = obs::span("server.reload");
-    let incremental = match query_param(query, "mode").unwrap_or("full") {
-        "full" => false,
-        "incremental" => true,
-        other => {
-            let body = json!({
-                "error": format!("unknown reload mode {other:?} (expected \"full\" or \"incremental\")"),
-            });
-            return http::write_response(writer, 400, &[], &body.to_string());
-        }
-    };
+    let mode = query_param(query, "mode").unwrap_or("full");
+    if mode != "full" {
+        let body = json!({"error": format!("unknown reload mode {mode:?} (expected \"full\")")});
+        return http::write_response(writer, 400, &[], &body.to_string());
+    }
     let seed = std::str::from_utf8(body)
         .ok()
         .and_then(|text| serde_json::from_str(text).ok())
-        .and_then(|v: Value| v.get("seed").and_then(Value::as_i64))
-        .and_then(|s| u64::try_from(s).ok());
+        .and_then(|v: Value| v.get("seed").and_then(Value::as_u64));
     let Some(seed) = seed else {
         let body = json!({"error": "reload body must be {\"seed\": <u64>}"});
         return http::write_response(writer, 400, &[], &body.to_string());
     };
     // One reload at a time. `try_lock` rather than `lock`: a second
     // request while one is training answers 409 immediately instead of
-    // queueing up a redundant retrain behind the in-flight one. A
+    // queueing up a redundant training run behind the in-flight one. A
     // poisoned lock just means a previous reload panicked after
     // answering; the slot itself is always consistent, so proceed.
     let guard = match shared.reload_lock.try_lock() {
@@ -471,36 +442,13 @@ fn handle_reload(
             return http::write_response(writer, 409, &[], &body.to_string());
         }
     };
-    let response = if incremental {
-        let started = Instant::now();
-        // Snapshot the served system; serving continues against it (and
-        // any concurrently swapped successor) while retrain works.
-        let current = shared.slot.load();
-        let (replacement, report) = (shared.incremental_trainer)(seed, &current.system);
-        let version = shared.slot.swap(replacement);
-        obs::counter_add("server.model_swaps", 1);
-        obs::counter_add(RETRAIN_RELOADS_COUNTER, 1);
-        obs::counter_add(RETRAIN_CARRIED_COUNTER, report.carried.len() as u64);
-        obs::counter_add(RETRAIN_REBUILT_COUNTER, report.rebuilt.len() as u64);
-        obs::counter_add(RETRAIN_REPLAYED_COUNTER, report.delta.replayed_notebooks as u64);
-        obs::observe("server.retrain.reload_seconds", started.elapsed().as_secs_f64());
-        json!({
-            "status": "reloaded",
-            "mode": "incremental",
-            "model_version": version,
-            "seed": seed,
-            "carried": report.carried,
-            "rebuilt": report.rebuilt,
-            "notebooks_replayed": report.delta.replayed_notebooks,
-            "reports_reused": report.delta.reused_reports,
-            "full_replay_fallback": report.full_replay_fallback,
-        })
-    } else {
-        let replacement = (shared.trainer)(seed);
-        let version = shared.slot.swap(replacement);
-        obs::counter_add("server.model_swaps", 1);
-        json!({"status": "reloaded", "mode": "full", "model_version": version, "seed": seed})
-    };
+    // The slot converts the trained system into its models, so the
+    // replayed corpus is dropped here rather than held for the model's
+    // lifetime.
+    let version = shared.slot.swap((shared.trainer)(seed));
+    obs::counter_add("server.model_swaps", 1);
+    let response =
+        json!({"status": "reloaded", "mode": "full", "model_version": version, "seed": seed});
     // Release before answering: a client that reads this 200 and fires
     // the next reload straight away must not race the guard drop into a
     // spurious 409.

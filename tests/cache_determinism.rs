@@ -4,7 +4,7 @@
 //!   and to each value's dtype;
 //! * cache counters (the deterministic-trace contract) are bit-identical
 //!   at 1 and 4 threads, including under LRU eviction pressure;
-//! * `AutoSuggest::suggest_batch` answers exactly like sequential
+//! * `TrainedModels::suggest_batch` answers exactly like sequential
 //!   `suggest` calls;
 //! * hit/miss counters surface in the deterministic obs section.
 
@@ -165,8 +165,8 @@ fn suggest_batch_matches_sequential_suggest() {
     });
     assert!(reqs.len() >= 4);
 
-    let sequential: Vec<SuggestResponse> = reqs.iter().map(|r| sys.suggest(r)).collect();
-    let batched = sys.suggest_batch(&reqs);
+    let sequential: Vec<SuggestResponse> = reqs.iter().map(|r| sys.models.suggest(r)).collect();
+    let batched = sys.models.suggest_batch(&reqs);
     assert_eq!(batched, sequential, "batched answers must equal sequential ones");
     // The requests above must actually produce suggestions, not fall through
     // to Unavailable.
@@ -183,7 +183,7 @@ fn suggest_batch_deduplicates_tables_and_reports_counters() {
         SuggestRequest::GroupBy { table: &join_case.inputs[1] },
     ];
     let (_, snap) = obs::with_local_registry(|| {
-        sys.suggest_batch(&reqs);
+        sys.models.suggest_batch(&reqs);
     });
     assert_eq!(snap.counters.get("suggest.batch_requests"), Some(&3));
     // Three requests, two distinct tables by content fingerprint.

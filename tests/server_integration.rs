@@ -3,7 +3,7 @@
 //!
 //! The load-bearing assertion is *bit-for-bit equivalence*: the JSON a
 //! served request answers with must render identically to encoding the
-//! response of a direct in-process `AutoSuggest::suggest` call on the
+//! response of a direct in-process `TrainedModels::suggest` call on the
 //! same model. Plus: health/stats endpoints, 400s for malformed bodies,
 //! 404s for unknown routes, versioned hot-reload, and graceful shutdown.
 
@@ -87,7 +87,7 @@ fn start_server() -> (Server, Vec<String>, Vec<String>) {
         .collect();
     let expected: Vec<String> = requests
         .iter()
-        .map(|r| wire::encode_response(&system.suggest(&r.as_request())).to_string())
+        .map(|r| wire::encode_response(&system.models.suggest(&r.as_request())).to_string())
         .collect();
     let slot = Arc::new(ModelSlot::new(system));
     let config = ServerConfig {
@@ -202,6 +202,14 @@ fn bad_requests_unknown_routes_and_reload_then_shutdown() {
     let (_, v) = call(&addr, "GET", "/healthz", "");
     assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(2));
 
+    // Seeds span the whole u64 range, as `autosuggestd --seed` does: one
+    // above i64::MAX is a valid reload, not a bad body.
+    let (status, v) =
+        call(&addr, "POST", "/admin/reload", &format!(r#"{{"seed": {}}}"#, u64::MAX));
+    assert_eq!(status, 200, "{v}");
+    assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(3));
+    assert_eq!(v.get("seed").and_then(Value::as_u64), Some(u64::MAX));
+
     // HTTP-level shutdown: acknowledged, then the daemon drains and exits.
     let (status, v) = call(&addr, "POST", "/admin/shutdown", "{}");
     assert_eq!(status, 200);
@@ -210,16 +218,16 @@ fn bad_requests_unknown_routes_and_reload_then_shutdown() {
 }
 
 /// Hammer `/suggest` from concurrent clients while the model slot is
-/// repeatedly swapped by incremental reloads. Every response must be
+/// repeatedly swapped by full reloads. Every response must be
 /// self-consistent: exactly one model version, versions monotone per
-/// sequential client, and — because the default incremental trainer is an
-/// empty-delta retrain that provably carries every model — renderings
+/// sequential client, and — because each reload retrains with the served
+/// model's own seed, and training is deterministic — renderings
 /// bit-identical to the original system no matter which version answered.
 #[test]
-fn suggest_traffic_stays_consistent_across_incremental_reload_swaps() {
+fn suggest_traffic_stays_consistent_across_full_reload_swaps() {
     let (server, bodies, expected) = start_server();
     let addr = server.addr().to_string();
-    const RELOADS: i64 = 3;
+    const RELOADS: i64 = 2;
 
     let stop = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = (0..4)
@@ -254,7 +262,7 @@ fn suggest_traffic_stays_consistent_across_incremental_reload_swaps() {
                         assert_eq!(
                             served_body, expected[i],
                             "worker {worker} request {i} on model v{version}: \
-                             rendering diverged after incremental swap"
+                             rendering diverged after reload swap"
                         );
                         served += 1;
                     }
@@ -264,22 +272,13 @@ fn suggest_traffic_stays_consistent_across_incremental_reload_swaps() {
         })
         .collect();
 
-    // Sequential incremental reloads while the workers hammer away. Each
-    // is an empty-delta retrain: nothing replayed, every family carried.
-    let mut carried_total = 0i64;
+    // Sequential full reloads with the served model's seed while the
+    // workers hammer away.
     for k in 0..RELOADS {
-        let (status, v) =
-            call(&addr, "POST", "/admin/reload?mode=incremental", r#"{"seed": 9}"#);
+        let (status, v) = call(&addr, "POST", "/admin/reload", r#"{"seed": 3}"#);
         assert_eq!(status, 200, "{v}");
-        assert_eq!(v.get("mode").and_then(Value::as_str), Some("incremental"));
+        assert_eq!(v.get("mode").and_then(Value::as_str), Some("full"));
         assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(2 + k));
-        assert_eq!(v.get("notebooks_replayed").and_then(Value::as_i64), Some(0));
-        assert_eq!(v.get("full_replay_fallback").and_then(Value::as_bool), Some(false));
-        let carried = v.get("carried").and_then(Value::as_array).expect("carried");
-        let rebuilt = v.get("rebuilt").and_then(Value::as_array).expect("rebuilt");
-        assert!(!carried.is_empty(), "empty-delta retrain must carry models: {v}");
-        assert!(rebuilt.is_empty(), "empty-delta retrain must rebuild nothing: {v}");
-        carried_total += carried.len() as i64;
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -290,14 +289,10 @@ fn suggest_traffic_stays_consistent_across_incremental_reload_swaps() {
     let (_, v) = call(&addr, "GET", "/healthz", "");
     assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(1 + RELOADS));
 
-    // The curated deterministic stats expose the retrain accounting.
+    // The curated deterministic stats count every swap.
     let (_, stats) = call(&addr, "GET", "/stats", "");
     let det = stats.get("deterministic").expect("deterministic section");
     let count = |name: &str| det.get(name).and_then(Value::as_i64).unwrap_or(0);
-    assert_eq!(count("server.retrain.reloads"), RELOADS);
-    assert_eq!(count("server.retrain.models_carried"), carried_total);
-    assert_eq!(count("server.retrain.models_rebuilt"), 0);
-    assert_eq!(count("server.retrain.notebooks_replayed"), 0);
     assert_eq!(count("server.model_swaps"), RELOADS);
 
     server.shutdown();
@@ -393,24 +388,25 @@ fn deeply_nested_json_body_answers_400_and_the_daemon_keeps_serving() {
     server.wait().expect("clean shutdown");
 }
 
-/// While one reload is training, any further reload (either mode) must be
-/// answered `409 Conflict` with a JSON error — not queued behind the lock.
+/// While one reload is training, any further reload must be answered
+/// `409 Conflict` with a JSON error — not queued behind the lock.
 #[test]
 fn second_reload_while_one_is_in_flight_answers_409() {
     let system = AutoSuggest::train(AutoSuggestConfig::fast(3));
     let slot = Arc::new(ModelSlot::new(system));
     // A trainer the test can hold open: signals entry, then blocks until
-    // released. Senders/receivers go behind mutexes because the trainer
-    // closure must be Sync.
+    // the release sender is dropped (which also lets every later call
+    // straight through). Senders/receivers go behind mutexes because the
+    // trainer closure must be Sync.
     let (entered_tx, entered_rx) = mpsc::channel::<()>();
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let entered_tx = Mutex::new(entered_tx);
     let release_rx = Mutex::new(release_rx);
     let config = ServerConfig {
-        incremental_trainer: Box::new(move |_seed, prev| {
-            entered_tx.lock().unwrap().send(()).expect("test alive");
-            release_rx.lock().unwrap().recv().expect("release signal");
-            AutoSuggest::retrain(prev, prev.config.clone())
+        trainer: Box::new(move |seed| {
+            let _ = entered_tx.lock().unwrap().send(());
+            let _ = release_rx.lock().unwrap().recv();
+            AutoSuggest::train(AutoSuggestConfig::fast(seed))
         }),
         ..Default::default()
     };
@@ -418,23 +414,24 @@ fn second_reload_while_one_is_in_flight_answers_409() {
         auto_suggest::obs::with_local_registry(|| serve(slot, config).expect("bind loopback"));
     let addr = server.addr().to_string();
 
-    // Unknown mode is rejected outright, before the lock is involved.
-    let (status, v) = call(&addr, "POST", "/admin/reload?mode=sideways", r#"{"seed": 1}"#);
-    assert_eq!(status, 400);
-    let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
-    assert!(msg.contains("sideways"), "unhelpful error: {msg}");
+    // Unknown modes are rejected outright, before the lock is involved.
+    for mode in ["sideways", "incremental"] {
+        let path = format!("/admin/reload?mode={mode}");
+        let (status, v) = call(&addr, "POST", &path, r#"{"seed": 1}"#);
+        assert_eq!(status, 400, "{path}: {v}");
+        let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(msg.contains(mode), "unhelpful error: {msg}");
+    }
 
     // First reload enters its trainer and parks there...
     let first = {
         let addr = addr.clone();
-        std::thread::spawn(move || {
-            call(&addr, "POST", "/admin/reload?mode=incremental", r#"{"seed": 1}"#)
-        })
+        std::thread::spawn(move || call(&addr, "POST", "/admin/reload", r#"{"seed": 1}"#))
     };
     entered_rx.recv().expect("first reload reaches its trainer");
 
     // ...so any further reload answers 409 with a JSON error body.
-    for path in ["/admin/reload?mode=incremental", "/admin/reload"] {
+    for path in ["/admin/reload?mode=full", "/admin/reload"] {
         let (status, v) = call(&addr, "POST", path, r#"{"seed": 2}"#);
         assert_eq!(status, 409, "{path}: {v}");
         let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
@@ -447,7 +444,7 @@ fn second_reload_while_one_is_in_flight_answers_409() {
     assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(1));
 
     // Release the trainer: the parked reload completes normally.
-    release_tx.send(()).expect("trainer waiting");
+    drop(release_tx);
     let (status, v) = first.join().expect("reload client");
     assert_eq!(status, 200, "{v}");
     assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(2));

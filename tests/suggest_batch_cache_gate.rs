@@ -53,8 +53,8 @@ fn warm_phase_skips_entirely_when_cache_disabled() {
     cache::set_all_enabled(true);
     cache::clear_memory();
     let (enabled_responses, enabled_snap) = obs::with_local_registry(|| {
-        let batch = system.suggest_batch(&reqs);
-        let sequential: Vec<_> = reqs.iter().map(|r| system.suggest(r)).collect();
+        let batch = system.models.suggest_batch(&reqs);
+        let sequential: Vec<_> = reqs.iter().map(|r| system.models.suggest(r)).collect();
         (batch, sequential)
     });
     let (enabled_batch, sequential) = enabled_responses;
@@ -73,8 +73,8 @@ fn warm_phase_skips_entirely_when_cache_disabled() {
     cache::set_all_enabled(false);
     cache::clear_memory();
     let (disabled_responses, disabled_snap) = obs::with_local_registry(|| {
-        let batch = system.suggest_batch(&reqs);
-        let sequential: Vec<_> = reqs.iter().map(|r| system.suggest(r)).collect();
+        let batch = system.models.suggest_batch(&reqs);
+        let sequential: Vec<_> = reqs.iter().map(|r| system.models.suggest(r)).collect();
         (batch, sequential)
     });
     cache::set_all_enabled(true);
@@ -101,8 +101,8 @@ fn warm_phase_skips_entirely_when_cache_disabled() {
     assert_eq!(disabled_snap.counters.get(cache::MISSES_COUNTER), None);
 
     // And the return value reports what was warmed.
-    assert_eq!(system.warm_tables(&reqs), distinct_columns as usize);
+    assert_eq!(system.models.warm_tables(&reqs), distinct_columns as usize);
     cache::set_all_enabled(false);
-    assert_eq!(system.warm_tables(&reqs), 0);
+    assert_eq!(system.models.warm_tables(&reqs), 0);
     cache::set_all_enabled(true);
 }

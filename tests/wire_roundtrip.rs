@@ -176,6 +176,9 @@ fn error_documents_decode_to_errors_never_panics() {
         r#"{"op":3}"#,
         r#"{"op":"join","left":3,"right":4,"top_k":1}"#,
         r#"{"op":"pivot","table":{"columns":[]},"dims":3}"#,
+        // A dim past the table's last column would index out of bounds
+        // in the pivot featuriser.
+        r#"{"op":"pivot","table":{"columns":[{"name":"a","values":[1]},{"name":"b","values":[2]}]},"dims":[0,99]}"#,
         r#"{"kind":"join","suggestions":3}"#,
         r#"{"kind":"join","suggestions":[{"left_cols":"x","right_cols":[],"score":1}]}"#,
         r#"{"kind":"pivot","suggestion":3}"#,
