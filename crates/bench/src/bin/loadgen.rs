@@ -3,14 +3,13 @@
 //! Drives a fixed, deterministic request multiset at the daemon from `K`
 //! client threads (each waits for its response before sending the next —
 //! closed loop, so in-flight requests never exceed `K` and a queue
-//! capacity ≥ `K` yields zero busy-rejections). Validates every response,
-//! reports client-side latency percentiles, and can merge a `"server"`
-//! section into `BENCH_repro.json`.
+//! capacity ≥ `K` yields zero busy-rejections). Validates every response
+//! and reports client-side latency percentiles on stderr.
 //!
 //! ```text
 //! loadgen --inproc [--seed N] [--clients K] [--requests M]
 //! loadgen --addr 127.0.0.1:7878 [--clients K] [--requests M] [--shutdown]
-//!         [--stats-out PATH] [--merge-bench]
+//!         [--stats-out PATH]
 //! ```
 //!
 //! `--inproc` trains a fast-profile model and serves it from this
@@ -25,12 +24,12 @@
 use autosuggest_core::wire::{self, OwnedSuggestRequest};
 use autosuggest_dataframe::{DataFrame, Value as Cell};
 use autosuggest_server::http;
-use serde_json::{json, Value};
+use serde_json::Value;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const MAX_RESPONSE_BYTES: usize = 16 * 1024 * 1024;
 
@@ -238,7 +237,6 @@ struct Args {
     expect_faults: bool,
     shutdown: bool,
     stats_out: Option<String>,
-    merge_bench: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -252,7 +250,6 @@ fn parse_args() -> Result<Args, String> {
         expect_faults: std::env::var("AUTOSUGGEST_FAULTS").is_ok(),
         shutdown: false,
         stats_out: None,
-        merge_bench: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -276,7 +273,6 @@ fn parse_args() -> Result<Args, String> {
             "--expect-faults" => args.expect_faults = true,
             "--shutdown" => args.shutdown = true,
             "--stats-out" => args.stats_out = Some(value("--stats-out")?),
-            "--merge-bench" => args.merge_bench = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -393,10 +389,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.merge_bench {
-        merge_bench_section(&stats, total as u64, ok, faulted, p50, p99, wall);
-    }
-
     if args.shutdown || args.inproc {
         match request(&addr, "POST", "/admin/shutdown", "{}") {
             Ok((200, _)) => {}
@@ -415,44 +407,5 @@ fn main() -> ExitCode {
     } else {
         eprintln!("[loadgen] FAILED: {} bad responses", failures.len());
         ExitCode::FAILURE
-    }
-}
-
-/// Merge a `"server"` section into `BENCH_repro.json` (creating the file
-/// if the repro harness has not run yet).
-fn merge_bench_section(
-    stats: &Value,
-    total: u64,
-    ok: u64,
-    faulted: u64,
-    p50_ms: f64,
-    p99_ms: f64,
-    wall: Duration,
-) {
-    let path = "BENCH_repro.json";
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok())
-        .unwrap_or_else(|| json!({}));
-    let section = json!({
-        "requests": total,
-        "ok": ok,
-        "faulted": faulted,
-        "latency_p50_ms": p50_ms,
-        "latency_p99_ms": p99_ms,
-        "wall_seconds": wall.as_secs_f64(),
-        "throughput_rps": if wall.as_secs_f64() > 0.0 {
-            total as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        },
-        "stats": stats.clone(),
-    });
-    if let Value::Object(map) = &mut root {
-        map.insert("server".to_string(), section);
-    }
-    match std::fs::write(path, root.to_string()) {
-        Ok(()) => eprintln!("[loadgen] merged server section into {path}"),
-        Err(e) => eprintln!("[loadgen] failed to write {path}: {e}"),
     }
 }

@@ -63,7 +63,7 @@ impl ReproContext {
     }
 
     /// [`ReproContext::build`], also returning the pipeline's per-stage
-    /// wall-clock timings (for `repro --timing`).
+    /// wall-clock timings (for `perfbench`'s `train-eval` workload).
     pub fn build_timed(config: AutoSuggestConfig) -> (ReproContext, Vec<StageTiming>) {
         let (system, timings) = AutoSuggest::train_timed(config);
         let mut sql_history = SqlHistory::new();

@@ -88,9 +88,8 @@ impl DiskStats {
     ///
     /// Convention: corrupt reads count against the rate, because the tier
     /// failed to serve those lookups even though a shard file existed.
-    /// Every place this rate is printed (`repro --cache-stats`, the
-    /// `"cache"` section of BENCH_repro.json) labels it "effective hit
-    /// rate" for this reason — it is *not* `hits / (hits + misses)`.
+    /// `repro --cache-stats` labels it "effective hit rate" for this
+    /// reason — it is *not* `hits / (hits + misses)`.
     pub fn hit_rate(&self) -> f64 {
         if self.lookups() == 0 {
             0.0

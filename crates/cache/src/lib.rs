@@ -32,7 +32,7 @@
 //! capacity is sized so the repro workload never evicts.
 //!
 //! The cache is on by default; [`set_all_enabled`] toggles every tier at
-//! runtime for A/B timing runs.
+//! runtime for A/B runs.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -125,14 +125,7 @@ pub fn default_disk() -> Option<Arc<DiskCache>> {
     GLOBAL.get_or_init(DiskCache::from_env).clone()
 }
 
-/// Attach (or detach, with `None`) a disk tier on both global caches —
-/// used by the repro harness's disk-warm sweep and by tests.
-pub fn attach_disk(disk: Option<Arc<DiskCache>>) {
-    ColumnCache::global().set_disk(disk.clone());
-    PairCache::global().set_disk(disk);
-}
-
-/// Toggle every global cache tier at once (A/B timing runs).
+/// Toggle every global cache tier at once (A/B runs).
 pub fn set_all_enabled(on: bool) {
     ColumnCache::global().set_enabled(on);
     PairCache::global().set_enabled(on);

@@ -131,7 +131,7 @@ impl AutoSuggest {
     }
 
     /// [`AutoSuggest::train`], also returning per-stage wall-clock timings
-    /// (consumed by `repro --timing`).
+    /// (consumed by `perfbench`'s `train-eval` workload).
     pub fn train_timed(config: AutoSuggestConfig) -> (AutoSuggest, Vec<StageTiming>) {
         let _train_span = obs::span("train");
         let mut timings: Vec<StageTiming> = Vec::new();

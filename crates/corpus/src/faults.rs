@@ -249,8 +249,8 @@ pub struct KindCounters {
     pub quarantined: usize,
 }
 
-/// Aggregate robustness accounting for one corpus replay — the counters
-/// `repro --timing` surfaces into `BENCH_repro.json`.
+/// Aggregate robustness accounting for one corpus replay; the same
+/// counters reach the `replay.*` entries of a `repro --trace` document.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RobustnessStats {
     /// Canonical fault spec, when injection was active.

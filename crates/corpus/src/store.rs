@@ -814,29 +814,22 @@ impl SampleStore {
     }
 
     fn load_manifest(&mut self, text: &str) -> bool {
-        // The shim's `Value` exposes `as_i64`/`as_f64` only; `file_fnv` can
-        // exceed `i64::MAX`, so go through `Number::as_u64`.
-        fn json_u64(v: Option<&serde_json::Value>) -> Option<u64> {
-            match v? {
-                serde_json::Value::Number(n) => n.as_u64(),
-                _ => None,
-            }
-        }
+        use serde_json::Value as Json;
         let Ok(v) = serde_json::from_str(text) else { return false };
-        let ok = json_u64(v.get("version")) == Some(MANIFEST_VERSION)
+        let ok = v.get("version").and_then(Json::as_u64) == Some(MANIFEST_VERSION)
             && v.get("corpus_id").and_then(|x| x.as_str()) == Some(self.corpus_id.as_str())
-            && json_u64(v.get("shard_size")) == Some(self.shard_size as u64)
-            && json_u64(v.get("total_shards")) == Some(self.total_shards as u64);
+            && v.get("shard_size").and_then(Json::as_u64) == Some(self.shard_size as u64)
+            && v.get("total_shards").and_then(Json::as_u64) == Some(self.total_shards as u64);
         if !ok {
             return false;
         }
         let Some(shards) = v.get("shards").and_then(|x| x.as_array()) else { return false };
         for entry in shards {
             let (Some(id), Some(fnv), Some(nbs), Some(invs)) = (
-                json_u64(entry.get("id")),
-                json_u64(entry.get("file_fnv")),
-                json_u64(entry.get("notebooks")),
-                json_u64(entry.get("invocations")),
+                entry.get("id").and_then(Json::as_u64),
+                entry.get("file_fnv").and_then(Json::as_u64),
+                entry.get("notebooks").and_then(Json::as_u64),
+                entry.get("invocations").and_then(Json::as_u64),
             ) else {
                 return false;
             };

@@ -12,8 +12,10 @@
 //!   per-node sort order bit for bit, so the chosen splits — and the
 //!   committed goldens — are identical to the re-sort kernel.
 //! - **Re-sort** ([`RegressionTree::fit_resort`]): the historical kernel
-//!   that re-sorts rows per node per feature. Kept only as the executable
-//!   reference the equivalence tests compare against.
+//!   that re-sorts rows per node per feature. Kept only as the test
+//!   reference: the `tree.rs` unit tests and
+//!   `tests/train_kernels_equivalence.rs` compare the presorted kernel
+//!   against it.
 //!
 //! Both are deterministic at any thread count: per-feature scans are
 //! independent, and candidates are reduced in ascending feature order with
@@ -158,7 +160,7 @@ impl RegressionTree {
 
     /// Historical split kernel: re-sorts rows per node per feature. Kept as
     /// the executable reference for the presorted kernel's equivalence
-    /// tests and benchmarks; produces bit-identical trees.
+    /// tests; produces bit-identical trees.
     pub fn fit_resort(
         data: &Dataset,
         targets: &[f64],

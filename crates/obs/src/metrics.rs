@@ -263,8 +263,8 @@ impl MetricsSnapshot {
     }
 
     /// The wall-clock complement: timing histograms (full shape, bucket
-    /// distribution included), timing/`_live` counters, and per-span-path
-    /// total nanoseconds.
+    /// distribution included), timing/`_live` counters and gauges, and
+    /// per-span-path total nanoseconds.
     pub fn timing_value(&self) -> Value {
         let mut doc = Map::new();
         let mut counters = Map::new();
@@ -274,6 +274,13 @@ impl MetricsSnapshot {
             }
         }
         doc.insert("counters".to_string(), Value::Object(counters));
+        let mut gauges = Map::new();
+        for (name, &v) in &self.gauges {
+            if is_timing_name(name) {
+                gauges.insert(name.clone(), Value::from(v));
+            }
+        }
+        doc.insert("gauges".to_string(), Value::Object(gauges));
         let mut hists = Map::new();
         for (name, h) in &self.histograms {
             if is_timing_name(name) {
@@ -387,6 +394,7 @@ mod tests {
         assert!(!det.contains("batch_size_live"));
         let timing = snap.timing_value().to_string();
         assert!(timing.contains("\"server.batches_live\":7"));
+        assert!(timing.contains("queue_depth_live"));
         assert!(timing.contains("batch_size_live"));
     }
 

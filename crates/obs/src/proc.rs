@@ -2,8 +2,9 @@
 //!
 //! Machine-dependent by nature, so values from here must never land in the
 //! deterministic metrics view — report them through `_live`-suffixed gauges
-//! (classified as timing by [`crate::is_timing_name`]) or directly into
-//! bench output, as `repro --corpus-scale` does.
+//! (classified as timing by [`crate::is_timing_name`]), which the timing
+//! view carries, as `repro --corpus-scale` does with
+//! `stream.peak_rss_bytes_live`.
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). `None` where procfs is unavailable (non-Linux).

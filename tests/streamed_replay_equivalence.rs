@@ -8,6 +8,7 @@ use auto_suggest::corpus::{
     replay_corpus_streamed, CorpusConfig, CorpusGenerator, FaultSpec, ReplayEngine, ReplayReport,
     RobustnessStats, StreamConfig,
 };
+use auto_suggest::obs::{self, MetricsSnapshot};
 use std::path::PathBuf;
 
 /// A corpus small enough to replay several times in one test binary.
@@ -44,6 +45,11 @@ fn in_memory_replay(
 /// (every field, including nested flow graphs and fault labels).
 fn render_reports(reports: &[ReplayReport]) -> Vec<String> {
     reports.iter().map(|r| format!("{r:?}")).collect()
+}
+
+/// A counter from a local-registry snapshot (0 when never recorded).
+fn counter(snap: &MetricsSnapshot, name: &str) -> usize {
+    snap.counters.get(name).copied().unwrap_or(0) as usize
 }
 
 fn streamed_reports(store: &auto_suggest::corpus::SampleStore) -> Vec<ReplayReport> {
@@ -89,24 +95,32 @@ fn killed_run_resumes_from_manifest_without_re_replaying() {
     let shard = StreamConfig { shard_size: 5, ..Default::default() };
 
     // First run dies after 2 shards (simulated kill).
-    let (_store, partial) = replay_corpus_streamed(
-        &cfg,
-        None,
-        &dir,
-        &StreamConfig { abort_after_shards: Some(2), ..shard.clone() },
-    )
-    .expect("aborted run");
+    let ((_store, partial), snap) = obs::with_local_registry(|| {
+        replay_corpus_streamed(
+            &cfg,
+            None,
+            &dir,
+            &StreamConfig { abort_after_shards: Some(2), ..shard.clone() },
+        )
+        .expect("aborted run")
+    });
     assert!(partial.aborted);
     assert_eq!(partial.shards_replayed, 2);
     assert!(partial.total_shards > 2, "corpus must span more than 2 shards");
+    // The trace counters `repro --corpus-scale --trace` exposes agree.
+    assert_eq!(counter(&snap, "stream.shards_replayed"), partial.shards_replayed);
+    assert_eq!(counter(&snap, "store.shards_resumed"), partial.shards_resumed);
 
     // Second run resumes: exactly the 2 completed shards are reused.
-    let (store, resumed) =
-        replay_corpus_streamed(&cfg, None, &dir, &shard).expect("resumed run");
+    let ((store, resumed), snap) = obs::with_local_registry(|| {
+        replay_corpus_streamed(&cfg, None, &dir, &shard).expect("resumed run")
+    });
     assert!(!resumed.aborted);
     assert_eq!(resumed.shards_resumed, 2, "manifest shards must be reused");
     assert_eq!(resumed.shards_replayed, resumed.total_shards - 2);
     assert!(store.all_complete());
+    assert_eq!(counter(&snap, "stream.shards_replayed"), resumed.shards_replayed);
+    assert_eq!(counter(&snap, "store.shards_resumed"), resumed.shards_resumed);
 
     // And the result is indistinguishable from never having been killed.
     let (baseline_reports, baseline_stats) = in_memory_replay(&cfg, None);
@@ -130,9 +144,13 @@ fn corrupted_shard_is_re_replayed_not_trusted() {
     bytes[mid] ^= 0xff;
     std::fs::write(&victim, &bytes).expect("corrupt shard");
 
-    let (store, second) = replay_corpus_streamed(&cfg, None, &dir, &shard).expect("second run");
+    let ((store, second), snap) = obs::with_local_registry(|| {
+        replay_corpus_streamed(&cfg, None, &dir, &shard).expect("second run")
+    });
     assert_eq!(second.shards_replayed, 1, "exactly the corrupted shard re-replays");
     assert_eq!(second.shards_resumed, second.total_shards - 1);
+    assert_eq!(counter(&snap, "stream.shards_replayed"), second.shards_replayed);
+    assert_eq!(counter(&snap, "store.shards_resumed"), second.shards_resumed);
 
     let (baseline_reports, baseline_stats) = in_memory_replay(&cfg, None);
     assert_eq!(render_reports(&streamed_reports(&store)), render_reports(&baseline_reports));
