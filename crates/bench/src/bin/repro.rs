@@ -45,7 +45,7 @@ use autosuggest_bench::tables::{self, ReproContext};
 use autosuggest_core::AutoSuggestConfig;
 use autosuggest_corpus::CorpusConfig;
 use autosuggest_obs as obs;
-use serde_json::json;
+use serde_json::{json, Value};
 use std::time::Instant;
 
 type TableFn = fn(&ReproContext) -> String;
@@ -133,7 +133,7 @@ fn run_corpus_scale(
     }
 }
 
-fn write_trace(path: &str, snapshot: &obs::MetricsSnapshot, meta: serde_json::Value) {
+fn write_trace(path: &str, snapshot: &obs::MetricsSnapshot, meta: Value) {
     match obs::TraceSink::write(std::path::Path::new(path), snapshot, meta) {
         Ok(()) => eprintln!("[repro] wrote trace to {path}"),
         Err(e) => eprintln!("[repro] failed to write trace {path}: {e}"),
