@@ -54,12 +54,13 @@ const LANE_B: (u64, u64) = (0xff51_afd7_ed55_8ccd, 0xc4ce_b9fe_1a85_ec53);
 /// `5 == 5.0`, but the cached artifacts carry the column's dtype, so
 /// `[1, 2]` as `Int` and `[1.0, 2.0]` as `Float` must be different keys.
 pub fn column_fingerprint(col: &Column) -> ColumnFingerprint {
-    values_fingerprint(
-        col.values()
-            .iter()
-            .map(|v| v.fingerprint() ^ mix(dtype_slot(v.dtype()) as u64, LANE_A.0, LANE_A.1)),
-        col.len(),
-    )
+    values_fingerprint(col.values().iter().map(cell_digest), col.len())
+}
+
+/// One cell's digest: its value hash salted with its dtype slot (see
+/// [`column_fingerprint`]).
+fn cell_digest(v: &autosuggest_dataframe::Value) -> u64 {
+    v.fingerprint() ^ mix(dtype_slot(v.dtype()) as u64, LANE_A.0, LANE_A.1)
 }
 
 /// Fold pre-hashed digests into a 128-bit multiset fingerprint under a
@@ -127,6 +128,36 @@ pub fn table_fingerprint(df: &DataFrame) -> ColumnFingerprint {
             .wrapping_add(mix(cf.0 as u64 ^ name_h, LANE_B.0, LANE_B.1));
     }
     ColumnFingerprint(((lane_a as u128) << 64) | lane_b as u128)
+}
+
+/// Domain tag separating row-aligned table fingerprints from column and
+/// key-tuple multisets.
+const ROW_TAG: u64 = 0x524f_5753_4554_0001;
+
+/// Fingerprint a whole table *row-aligned*: the multiset of its rows, each
+/// row's cell digests chained in schema order, under the ordered column
+/// names. Two tables fingerprint equal iff they hold the same rows under
+/// the same schema, in any row order.
+///
+/// [`table_fingerprint`] folds each column's multiset on its own, so two
+/// tables whose columns are multiset-equal but paired differently across
+/// rows share it. That is sound for per-column artifacts but not for a
+/// result that reads several cells of one row — e.g. the
+/// emptiness-reduction ratio of a column pair — which must key on this.
+pub fn table_row_fingerprint(df: &DataFrame) -> ColumnFingerprint {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for col in df.columns() {
+        col.name().hash(&mut h);
+    }
+    df.num_columns().hash(&mut h);
+    let schema = h.finish();
+    let rows = (0..df.num_rows()).map(|i| {
+        df.columns()
+            .iter()
+            .fold(schema, |acc, col| mix(acc ^ cell_digest(col.get(i)), LANE_B.0, LANE_B.1))
+    });
+    tagged_multiset_fingerprint(rows, df.num_rows(), ROW_TAG ^ schema)
 }
 
 #[cfg(test)]
@@ -216,5 +247,32 @@ mod tests {
         ])
         .unwrap();
         assert_ne!(table_fingerprint(&t1), table_fingerprint(&renamed));
+    }
+
+    #[test]
+    fn row_fingerprint_is_row_aligned() {
+        let table = |a: [i64; 4], b: [&str; 4]| {
+            DataFrame::from_columns(vec![
+                ("a", a.iter().map(|&v| Value::Int(v)).collect()),
+                ("b", b.iter().map(|&v| Value::Str(v.into())).collect()),
+            ])
+            .unwrap()
+        };
+        let paired = table([1, 1, 2, 2], ["x", "x", "y", "y"]);
+        // The same rows in another order: one key under both fingerprints.
+        let reordered = table([2, 1, 2, 1], ["y", "x", "y", "x"]);
+        assert_eq!(table_row_fingerprint(&paired), table_row_fingerprint(&reordered));
+        // The same column multisets paired differently across rows: the
+        // per-column table fingerprint collides, the row-aligned one does not.
+        let crossed = table([1, 1, 2, 2], ["x", "y", "x", "y"]);
+        assert_eq!(table_fingerprint(&paired), table_fingerprint(&crossed));
+        assert_ne!(table_row_fingerprint(&paired), table_row_fingerprint(&crossed));
+        // Schema edits still separate tables with no rows.
+        let empty = |names: &[&str]| {
+            DataFrame::from_columns(names.iter().map(|&n| (n, Vec::new())).collect()).unwrap()
+        };
+        let a = table_row_fingerprint(&empty(&["a"]));
+        assert_ne!(a, table_row_fingerprint(&empty(&["a", "b"])));
+        assert_ne!(a, table_row_fingerprint(&empty(&["b"])));
     }
 }

@@ -50,7 +50,9 @@ pub use disk::{
     DEFAULT_DISK_BUDGET, DISK_CORRUPT_COUNTER, DISK_EVICTIONS_COUNTER, DISK_HITS_COUNTER,
     DISK_MISSES_COUNTER, DISK_WRITES_COUNTER,
 };
-pub use fingerprint::{column_fingerprint, table_fingerprint, ColumnFingerprint};
+pub use fingerprint::{
+    column_fingerprint, table_fingerprint, table_row_fingerprint, ColumnFingerprint,
+};
 pub use pair::{
     KeyTupleSet, PairCache, PairOverlap, DEFAULT_PAIR_CAPACITY, DEFAULT_TUPLE_CAPACITY,
     PAIR_EVICTIONS_COUNTER, PAIR_HITS_COUNTER, PAIR_MISSES_COUNTER, TUPLE_EVICTIONS_COUNTER,

@@ -337,7 +337,7 @@ impl std::error::Error for Error {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
@@ -347,7 +347,7 @@ impl<'a> Parser<'a> {
     fn error(&self, message: impl Into<String>) -> Error {
         let mut line = 1;
         let mut column = 1;
-        for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
+        for &b in &self.text.as_bytes()[..self.pos.min(self.text.len())] {
             if b == b'\n' {
                 line += 1;
                 column = 1;
@@ -359,7 +359,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -369,7 +369,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -409,7 +409,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(value)
         } else {
@@ -440,15 +440,11 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{000C}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.error("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.error("bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.error("bad \\u escape"))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.error("invalid unicode escape"))?,
@@ -460,12 +456,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, so the run ends on a character
+                    // boundary of the (already valid UTF-8) input.
+                    let rest = &self.text.as_bytes()[self.pos..];
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = self.pos + run.unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -487,8 +485,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Number(Number::from(i)));
@@ -558,10 +555,10 @@ impl<'a> Parser<'a> {
 
 /// Parse a JSON document into a [`Value`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut parser = Parser { text, pos: 0, depth: 0 };
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != parser.text.len() {
         return Err(parser.error("trailing characters"));
     }
     Ok(value)
@@ -714,6 +711,31 @@ mod tests {
             .join()
             .unwrap();
         assert!(result);
+    }
+
+    #[test]
+    fn strings_keep_multibyte_text_and_escapes() {
+        let text = r#"["héllo wörld", "日本\u00e9\"q\"✓", "", "a\\b"]"#;
+        let value = from_str(text).unwrap();
+        let items: Vec<&str> =
+            value.as_array().unwrap().iter().map(|v| v.as_str().unwrap()).collect();
+        assert_eq!(items, ["héllo wörld", "日本é\"q\"✓", "", "a\\b"]);
+        assert!(from_str(r#""\u00"#).is_err());
+        assert!(from_str(r#""\uzzzz""#).is_err());
+        assert!(from_str(r#""open"#).is_err());
+    }
+
+    #[test]
+    fn long_documents_parse_in_linear_time() {
+        // 128k short strings, ~1.5 MiB. Decoding each character by
+        // re-validating the rest of the input made this quadratic: minutes
+        // instead of milliseconds.
+        let doc = format!("[{}]", vec!["\"k0001234\""; 1 << 17].join(","));
+        let started = std::time::Instant::now();
+        let value = from_str(&doc).unwrap();
+        assert_eq!(value.as_array().unwrap().len(), 1 << 17);
+        let secs = started.elapsed().as_secs_f64();
+        assert!(secs < 5.0, "parsing {} bytes took {secs:.1} s", doc.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::join_type::JoinTypePredictor;
 use crate::nextop::{single_op_scores, NextOpConfig, NextOpExample, NextOpMode, NextOpPredictor};
 use crate::pivot::{CompatibilityModel, PivotPredictor, PivotSuggestion};
 use crate::unpivot::{UnpivotPredictor, UnpivotSuggestion};
-use autosuggest_cache::{table_fingerprint, ColumnCache};
+use autosuggest_cache::{table_fingerprint, table_row_fingerprint, ColumnCache};
 use autosuggest_dataframe::DataFrame;
 use autosuggest_corpus::replay::OpInvocation;
 use autosuggest_corpus::{
@@ -208,38 +208,68 @@ impl AutoSuggest {
 
         // Next-operator examples from per-notebook invocation streams,
         // split on the same dataset groups. Scoring each step's input table
-        // with the single-operator models dominates this stage, and reports
-        // are independent — fan out per report, fold in report order.
+        // with the single-operator models dominates this stage, and input
+        // tables repeat (one op's output feeds the next; datasets recur
+        // across notebooks), so each distinct table is scored once. The
+        // examples are still assembled per report on the pool and folded
+        // in report order.
         let mut train_examples: Vec<NextOpExample> = Vec::new();
         let mut test_examples: Vec<NextOpExample> = Vec::new();
         let mut train_sequences: Vec<Vec<usize>> = Vec::new();
         if let (Some(gb), Some(pv)) = (&groupby, &pivot) {
-            let per_report = autosuggest_parallel::par_map(&reports, |report| {
-                let stream: Vec<&OpInvocation> = report
-                    .invocations
-                    .iter()
-                    .filter(|i| i.op.sequence_id().is_some())
-                    .collect();
-                if stream.len() < 2 {
-                    return None;
-                }
+            let started = std::time::Instant::now();
+            let streams: Vec<(&ReplayReport, Vec<&OpInvocation>)> = reports
+                .iter()
+                .map(|report| {
+                    let stream = report
+                        .invocations
+                        .iter()
+                        .filter(|i| i.op.sequence_id().is_some())
+                        .collect::<Vec<_>>();
+                    (report, stream)
+                })
+                .filter(|(_, stream)| stream.len() >= 2)
+                .collect();
+            let inputs: Vec<&DataFrame> = streams
+                .iter()
+                .flat_map(|(_, stream)| stream.iter().map(|inv| &inv.inputs[0]))
+                .collect();
+            // The scores read cells of several columns in one row (the
+            // pivot affinity's emptiness-reduction ratio), so the memo keys
+            // on the row-aligned fingerprint.
+            let keys = autosuggest_parallel::par_map(&inputs, |t| table_row_fingerprint(t));
+            let (distinct, slots) = first_seen(inputs.iter().copied().zip(keys));
+            obs::counter_add("nextop.tables_scored", inputs.len() as u64);
+            obs::counter_add("nextop.tables_distinct", distinct.len() as u64);
+            let scores = autosuggest_parallel::par_map(&distinct, |t| {
+                single_op_scores(t, gb, pv.compatibility())
+            });
+            let offsets: Vec<usize> = streams
+                .iter()
+                .scan(0, |next, (_, stream)| {
+                    let at = *next;
+                    *next += stream.len();
+                    Some(at)
+                })
+                .collect();
+            let per_report = autosuggest_parallel::par_map_indexed(streams.len(), |r| {
+                let (report, stream) = &streams[r];
                 let is_test =
                     is_test_group(&report.dataset_group, config.test_fraction, config.split_seed);
                 let mut prefix: Vec<usize> = Vec::new();
-                let mut examples = Vec::new();
-                for inv in &stream {
+                let mut examples = Vec::with_capacity(stream.len());
+                for (inv, &slot) in stream.iter().zip(&slots[offsets[r]..]) {
                     let Some(label) = inv.op.sequence_id() else { continue };
-                    let scores = single_op_scores(&inv.inputs[0], gb, pv.compatibility());
                     examples.push(NextOpExample {
                         prefix: prefix.clone(),
-                        table_scores: scores,
+                        table_scores: scores[slot].clone(),
                         label,
                     });
                     prefix.push(label);
                 }
-                Some((is_test, examples, prefix))
+                (is_test, examples, prefix)
             });
-            for (is_test, examples, prefix) in per_report.into_iter().flatten() {
+            for (is_test, examples, prefix) in per_report {
                 if is_test {
                     test_examples.extend(examples);
                 } else {
@@ -247,16 +277,21 @@ impl AutoSuggest {
                     train_examples.extend(examples);
                 }
             }
+            obs::observe_since("nextop.scoring_seconds", started);
         }
 
-        let nextop_full = NextOpPredictor::train(
-            NextOpConfig { mode: NextOpMode::Full, ..config.nextop.clone() },
-            &train_examples,
-        );
-        let nextop_rnn_only = NextOpPredictor::train(
-            NextOpConfig { mode: NextOpMode::RnnOnly, ..config.nextop.clone() },
-            &train_examples,
-        );
+        // The two RNN variants share no state and each seeds its own RNG
+        // from its config, so training them side by side is bit-identical
+        // to training them one after the other (at one thread the pool runs
+        // them inline).
+        let modes = [NextOpMode::Full, NextOpMode::RnnOnly];
+        let trained = autosuggest_parallel::par_map(&modes, |&mode| {
+            NextOpPredictor::train(NextOpConfig { mode, ..config.nextop.clone() }, &train_examples)
+        });
+        let [nextop_full, nextop_rnn_only]: [NextOpPredictor; 2] = match trained.try_into() {
+            Ok(pair) => pair,
+            Err(_) => unreachable!("par_map returns one model per mode"),
+        };
         let nextop_single_ops = NextOpPredictor::train(
             NextOpConfig { mode: NextOpMode::SingleOperators, ..config.nextop.clone() },
             &[],
@@ -413,15 +448,8 @@ impl TrainedModels {
     pub fn warm_tables(&self, reqs: &[SuggestRequest<'_>]) -> usize {
         // Deduplicate tables by content fingerprint, keeping first-seen
         // order so the warm-up workload is deterministic.
-        let mut seen = std::collections::HashSet::new();
-        let mut distinct: Vec<&DataFrame> = Vec::new();
-        for req in reqs {
-            for table in req.tables() {
-                if seen.insert(table_fingerprint(table)) {
-                    distinct.push(table);
-                }
-            }
-        }
+        let tables = reqs.iter().flat_map(|req| req.tables());
+        let (distinct, _) = first_seen(tables.map(|table| (table, table_fingerprint(table))));
         obs::counter_add("suggest.batch_distinct_tables", distinct.len() as u64);
 
         let cache = ColumnCache::global();
@@ -454,13 +482,43 @@ impl TrainedModels {
     }
 }
 
+/// First-seen deduplication of keyed tables: the distinct tables in the
+/// order their key first appears, and each input's slot in that list.
+fn first_seen<'a, K: Eq + std::hash::Hash>(
+    keyed: impl IntoIterator<Item = (&'a DataFrame, K)>,
+) -> (Vec<&'a DataFrame>, Vec<usize>) {
+    let mut slot_of = std::collections::HashMap::new();
+    let mut distinct = Vec::new();
+    let slots = keyed
+        .into_iter()
+        .map(|(table, key)| {
+            *slot_of.entry(key).or_insert_with(|| {
+                distinct.push(table);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (distinct, slots)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autosuggest_dataframe::Value;
+
+    /// One `fast(3)` training shared by the tests below, with the metrics
+    /// it recorded into a registry of its own.
+    fn fast3() -> &'static (AutoSuggest, obs::MetricsSnapshot) {
+        static SYSTEM: std::sync::OnceLock<(AutoSuggest, obs::MetricsSnapshot)> =
+            std::sync::OnceLock::new();
+        SYSTEM.get_or_init(|| {
+            obs::with_local_registry(|| AutoSuggest::train(AutoSuggestConfig::fast(3)))
+        })
+    }
 
     #[test]
     fn end_to_end_training_produces_all_models_and_disjoint_splits() {
-        let system = AutoSuggest::train(AutoSuggestConfig::fast(3));
+        let system = &fast3().0;
         assert!(system.models.join.is_some());
         assert!(system.models.join_type.is_some());
         assert!(system.models.groupby.is_some());
@@ -505,16 +563,97 @@ mod tests {
     }
 
     #[test]
-    fn zero_column_table_scores_are_all_zero() {
-        let system = AutoSuggest::train(AutoSuggestConfig::fast(3));
+    fn score_memo_changes_no_next_op_example() {
+        let (system, metrics) = fast3();
         let (Some(gb), Some(pv)) = (&system.models.groupby, &system.models.pivot) else {
             panic!("fast config trains groupby and pivot models");
         };
-        let scores = crate::nextop::single_op_scores(
-            &autosuggest_dataframe::DataFrame::empty(),
-            gb,
-            pv.compatibility(),
-        );
-        assert_eq!(scores, vec![0.0; crate::nextop::NUM_OPS]);
+        // Reference: one scoring call per invocation, in report order.
+        let (mut train, mut test) = (Vec::new(), Vec::new());
+        for report in &system.reports {
+            let stream: Vec<&OpInvocation> =
+                report.invocations.iter().filter(|i| i.op.sequence_id().is_some()).collect();
+            if stream.len() < 2 {
+                continue;
+            }
+            let config = &system.config;
+            let is_test =
+                is_test_group(&report.dataset_group, config.test_fraction, config.split_seed);
+            let mut prefix = Vec::new();
+            for inv in stream {
+                let label = inv.op.sequence_id().unwrap();
+                let scores = single_op_scores(&inv.inputs[0], gb, pv.compatibility());
+                let scores: Vec<u64> = scores.iter().map(|x| x.to_bits()).collect();
+                let side = if is_test { &mut test } else { &mut train };
+                side.push((prefix.clone(), scores, label));
+                prefix.push(label);
+            }
+        }
+        let bits = |examples: &[NextOpExample]| -> Vec<(Vec<usize>, Vec<u64>, usize)> {
+            examples
+                .iter()
+                .map(|e| {
+                    let scores = e.table_scores.iter().map(|x| x.to_bits()).collect();
+                    (e.prefix.clone(), scores, e.label)
+                })
+                .collect()
+        };
+        assert!(!train.is_empty() && !test.is_empty());
+        assert_eq!(bits(&system.train.nextop), train);
+        assert_eq!(bits(&system.test.nextop), test);
+
+        let scored = metrics.counters["nextop.tables_scored"];
+        let distinct = metrics.counters["nextop.tables_distinct"];
+        assert_eq!(scored as usize, system.train.nextop.len() + system.test.nextop.len());
+        assert!(distinct < scored, "{distinct} distinct of {scored} scored tables");
+    }
+
+    #[test]
+    fn adversarial_tables_score_finite_and_bounded() {
+        let (system, _) = fast3();
+        let (Some(gb), Some(pv)) = (&system.models.groupby, &system.models.pivot) else {
+            panic!("fast config trains groupby and pivot models");
+        };
+        let floats = |name, vals: &[f64]| (name, vals.iter().map(|&v| Value::Float(v)).collect());
+        let frame = |cols: Vec<(&str, Vec<Value>)>| DataFrame::from_columns(cols).unwrap();
+        let cases = [
+            ("zero columns", DataFrame::empty()),
+            ("zero rows, 1 column", frame(vec![("a", vec![])])),
+            ("zero rows, 3 columns", frame(vec![("a", vec![]), ("b", vec![]), ("c", vec![])])),
+            (
+                "3 all-null columns",
+                frame(vec![
+                    ("a", vec![Value::Null; 4]),
+                    ("b", vec![Value::Null; 4]),
+                    ("c", vec![Value::Null; 4]),
+                ]),
+            ),
+            (
+                "one row with a NaN",
+                frame(vec![
+                    ("k", vec![Value::Str("x".into())]),
+                    floats("v", &[f64::NAN]),
+                    ("n", vec![Value::Int(1)]),
+                ]),
+            ),
+            (
+                "infinities and extremes",
+                frame(vec![
+                    ("k", ["a", "b", "c", "d"].iter().map(|&s| Value::Str(s.into())).collect()),
+                    floats("inf", &[f64::INFINITY, f64::NEG_INFINITY, 1.0, f64::INFINITY]),
+                    floats("big", &[1e308, -1e308, 1e308, 0.0]),
+                    floats("mix", &[f64::NEG_INFINITY, -1e308, 1e308, f64::INFINITY]),
+                ]),
+            ),
+        ];
+        for (name, table) in &cases {
+            let scores = single_op_scores(table, gb, pv.compatibility());
+            assert_eq!(scores.len(), crate::nextop::NUM_OPS, "{name}");
+            for s in &scores {
+                assert!(s.is_finite() && (0.0..=1.0).contains(s), "{name}: {scores:?}");
+            }
+        }
+        let zero_columns = single_op_scores(&DataFrame::empty(), gb, pv.compatibility());
+        assert_eq!(zero_columns, vec![0.0; crate::nextop::NUM_OPS]);
     }
 }

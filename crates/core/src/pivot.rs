@@ -3,7 +3,7 @@
 
 use autosuggest_corpus::replay::{OpInvocation, OpParams};
 use autosuggest_dataframe::DataFrame;
-use autosuggest_features::{affinity_features, AFFINITY_FEATURE_NAMES};
+use autosuggest_features::{AffinityProfile, AFFINITY_FEATURE_NAMES};
 use autosuggest_gbdt::{Dataset, Gbdt, GbdtParams};
 use autosuggest_graph::{ampt_exact, ampt_min_cut, AffinityGraph, AmptSolution};
 use serde::{Deserialize, Serialize};
@@ -52,20 +52,20 @@ impl CompatibilityModel {
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut labels: Vec<f64> = Vec::new();
 
-        let add_pair = |df: &DataFrame, a: usize, b: usize, label: f64,
+        let add_pair = |profile: &AffinityProfile<'_>, a: usize, b: usize, label: f64,
                             rows: &mut Vec<Vec<f64>>, labels: &mut Vec<f64>| {
-            rows.push(affinity_features(df, a, b).values);
+            rows.push(profile.features(a, b).values);
             labels.push(label);
         };
 
         for inv in pivot_invs {
             let Some((index, header)) = pivot_ground_truth(inv) else { continue };
-            let df = &inv.inputs[0];
+            let profile = AffinityProfile::new(&inv.inputs[0]);
             let mut n = 0;
             for (i, &a) in index.iter().enumerate() {
                 for &b in &index[i + 1..] {
                     if n < MAX_PAIRS_PER_SIDE {
-                        add_pair(df, a, b, 1.0, &mut rows, &mut labels);
+                        add_pair(&profile, a, b, 1.0, &mut rows, &mut labels);
                         n += 1;
                     }
                 }
@@ -73,7 +73,7 @@ impl CompatibilityModel {
             for (i, &a) in header.iter().enumerate() {
                 for &b in &header[i + 1..] {
                     if n < 2 * MAX_PAIRS_PER_SIDE {
-                        add_pair(df, a, b, 1.0, &mut rows, &mut labels);
+                        add_pair(&profile, a, b, 1.0, &mut rows, &mut labels);
                         n += 1;
                     }
                 }
@@ -82,7 +82,7 @@ impl CompatibilityModel {
             for &a in &index {
                 for &b in &header {
                     if m < MAX_PAIRS_PER_SIDE {
-                        add_pair(df, a, b, -1.0, &mut rows, &mut labels);
+                        add_pair(&profile, a, b, -1.0, &mut rows, &mut labels);
                         m += 1;
                     }
                 }
@@ -90,7 +90,7 @@ impl CompatibilityModel {
         }
         for inv in melt_invs {
             let Some((ids, vals)) = melt_ground_truth(inv) else { continue };
-            let df = &inv.inputs[0];
+            let profile = AffinityProfile::new(&inv.inputs[0]);
             // Collapsed columns are mutually compatible; (collapsed, id)
             // pairs are not; and id pairs are *also* negative for the
             // compatibility notion — id columns were available to collapse
@@ -101,7 +101,7 @@ impl CompatibilityModel {
             for (i, &a) in vals.iter().enumerate() {
                 for &b in &vals[i + 1..] {
                     if n < MAX_PAIRS_PER_SIDE {
-                        add_pair(df, a, b, 1.0, &mut rows, &mut labels);
+                        add_pair(&profile, a, b, 1.0, &mut rows, &mut labels);
                         n += 1;
                     }
                 }
@@ -110,14 +110,14 @@ impl CompatibilityModel {
             for &a in &vals {
                 for &b in &ids {
                     if m < MAX_PAIRS_PER_SIDE {
-                        add_pair(df, a, b, -1.0, &mut rows, &mut labels);
+                        add_pair(&profile, a, b, -1.0, &mut rows, &mut labels);
                         m += 1;
                     }
                 }
             }
             for (i, &a) in ids.iter().enumerate() {
                 for &b in &ids[i + 1..] {
-                    add_pair(df, a, b, -1.0, &mut rows, &mut labels);
+                    add_pair(&profile, a, b, -1.0, &mut rows, &mut labels);
                 }
             }
         }
@@ -132,18 +132,22 @@ impl CompatibilityModel {
     /// Affinity score for a column pair, clamped to the training label
     /// range `[-1, 1]`.
     pub fn score(&self, df: &DataFrame, a: usize, b: usize) -> f64 {
-        self.model
-            .predict(&affinity_features(df, a, b).values)
-            .clamp(-1.0, 1.0)
+        self.score_profiled(&AffinityProfile::new(df), a, b)
+    }
+
+    fn score_profiled(&self, profile: &AffinityProfile<'_>, a: usize, b: usize) -> f64 {
+        self.model.predict(&profile.features(a, b).values).clamp(-1.0, 1.0)
     }
 
     /// Build the affinity graph over an arbitrary set of columns of `df`
-    /// (vertices are positions within `cols`).
+    /// (vertices are positions within `cols`). Each column is profiled
+    /// once for all of its pairs.
     pub fn graph(&self, df: &DataFrame, cols: &[usize]) -> AffinityGraph {
+        let profile = AffinityProfile::new(df);
         let mut g = AffinityGraph::new(cols.len());
         for i in 0..cols.len() {
             for j in (i + 1)..cols.len() {
-                g.set(i, j, self.score(df, cols[i], cols[j]));
+                g.set(i, j, self.score_profiled(&profile, cols[i], cols[j]));
             }
         }
         g

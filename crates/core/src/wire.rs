@@ -274,6 +274,12 @@ pub fn decode_request(v: &Value) -> Result<OwnedSuggestRequest, WireError> {
                     "pivot: dim {d} is out of range for a {columns}-column table"
                 )));
             }
+            // A repeated dim would pair a column with itself in the
+            // affinity featuriser.
+            let mut seen = std::collections::HashSet::new();
+            if let Some(d) = dims.iter().find(|&&d| !seen.insert(d)) {
+                return Err(WireError::new(format!("pivot: dim {d} is repeated")));
+            }
             Ok(OwnedSuggestRequest::Pivot { table, dims })
         }
         "unpivot" => Ok(OwnedSuggestRequest::Unpivot {

@@ -25,7 +25,9 @@ pub mod groupby;
 pub mod join;
 pub mod sketch;
 
-pub use affinity::{affinity_features, AffinityFeatures, AFFINITY_FEATURE_NAMES};
+pub use affinity::{
+    affinity_features, AffinityFeatures, AffinityProfile, AFFINITY_FEATURE_NAMES,
+};
 pub use candidates::{enumerate_join_candidates, CandidateParams, JoinCandidate};
 pub use groupby::{
     groupby_features, groupby_features_from_artifacts, ColumnNamePrior, GroupByFeatures,

@@ -57,7 +57,8 @@ fn replay_logs_are_bit_identical_across_thread_counts() {
 
 /// Train the full fast pipeline and fingerprint every learned artefact
 /// that could be perturbed by a non-deterministic reduction: GBDT scores
-/// on held-out cases and the test-split composition itself.
+/// on held-out cases, next-op table scores and rankings, and the
+/// test-split composition itself.
 fn pipeline_fingerprint(threads: usize) -> String {
     set_thread_override(Some(threads));
     let system = AutoSuggest::train(AutoSuggestConfig::fast(7));
@@ -97,6 +98,22 @@ fn pipeline_fingerprint(threads: usize) -> String {
                 }
             }
         }
+    }
+    // Next-op artefacts: the memoised table scores of every held-out
+    // example, and the rankings of the RNN pair trained side by side.
+    for e in &system.test.nextop {
+        log.push_str(&format!("nextop {:?} {}", e.prefix, e.label));
+        for s in &e.table_scores {
+            log.push_str(&format!(" {:016x}", s.to_bits()));
+        }
+        log.push('\n');
+    }
+    for e in system.test.nextop.iter().take(20) {
+        log.push_str(&format!(
+            "ranked full={:?} rnn_only={:?}\n",
+            system.models.nextop_full.predict_ranked(&e.prefix, &e.table_scores),
+            system.models.nextop_rnn_only.predict_ranked(&e.prefix, &e.table_scores),
+        ));
     }
     set_thread_override(None);
     log

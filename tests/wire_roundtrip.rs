@@ -179,6 +179,9 @@ fn error_documents_decode_to_errors_never_panics() {
         // A dim past the table's last column would index out of bounds
         // in the pivot featuriser.
         r#"{"op":"pivot","table":{"columns":[{"name":"a","values":[1]},{"name":"b","values":[2]}]},"dims":[0,99]}"#,
+        // A repeated dim would pair a column with itself in the affinity
+        // featuriser.
+        r#"{"op":"pivot","table":{"columns":[{"name":"a","values":[1]},{"name":"b","values":[2]}]},"dims":[0,0]}"#,
         r#"{"kind":"join","suggestions":3}"#,
         r#"{"kind":"join","suggestions":[{"left_cols":"x","right_cols":[],"score":1}]}"#,
         r#"{"kind":"pivot","suggestion":3}"#,
