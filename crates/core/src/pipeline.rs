@@ -106,6 +106,28 @@ pub struct AutoSuggest {
     pub config: AutoSuggestConfig,
 }
 
+/// One split side's invocations of the four single-operator families,
+/// each in corpus order.
+#[derive(Default)]
+struct ByFamily {
+    join: Vec<OpInvocation>,
+    groupby: Vec<OpInvocation>,
+    pivot: Vec<OpInvocation>,
+    melt: Vec<OpInvocation>,
+}
+
+impl ByFamily {
+    fn push(&mut self, inv: OpInvocation) {
+        match inv.op {
+            OpKind::Merge => self.join.push(inv),
+            OpKind::GroupBy => self.groupby.push(inv),
+            OpKind::Pivot => self.pivot.push(inv),
+            OpKind::Melt => self.melt.push(inv),
+            _ => {}
+        }
+    }
+}
+
 /// Wall-clock time of one pipeline stage, reported by
 /// [`AutoSuggest::train_timed`].
 #[derive(Debug, Clone)]
@@ -162,19 +184,16 @@ impl AutoSuggest {
             .collect();
         let (filtered, filter_stats) = filter_invocations(all_invocations, 5);
 
-        // Grouped 80/20 split (§6.1): group key = dataset_group.
-        let (test_invs, train_invs): (Vec<OpInvocation>, Vec<OpInvocation>) =
-            filtered.into_iter().partition(|inv| {
-                is_test_group(&inv.dataset_group, config.test_fraction, config.split_seed)
-            });
-
-        let of_kind = |invs: &[OpInvocation], k: OpKind| -> Vec<OpInvocation> {
-            invs.iter().filter(|i| i.op == k).cloned().collect()
-        };
-        let train_join = of_kind(&train_invs, OpKind::Merge);
-        let train_groupby = of_kind(&train_invs, OpKind::GroupBy);
-        let train_pivot = of_kind(&train_invs, OpKind::Pivot);
-        let train_melt = of_kind(&train_invs, OpKind::Melt);
+        // Grouped 80/20 split (§6.1): group key = dataset_group. One moving
+        // pass buckets each kept invocation by side and family, in order.
+        let (mut train, mut test) = (ByFamily::default(), ByFamily::default());
+        for inv in filtered {
+            if is_test_group(&inv.dataset_group, config.test_fraction, config.split_seed) {
+                test.push(inv);
+            } else {
+                train.push(inv);
+            }
+        }
         drop(split_span);
         lap(&mut timings, "filter_and_split", &mut stage_start);
 
@@ -182,16 +201,28 @@ impl AutoSuggest {
         fn refs(v: &[OpInvocation]) -> Vec<&OpInvocation> {
             v.iter().collect()
         }
-        let join =
-            JoinColumnPredictor::train(&refs(&train_join), &config.gbdt, config.candidates.clone());
-        let join_type = JoinTypePredictor::train(&refs(&train_join), &config.gbdt);
-        let groupby = GroupByAggPredictor::train(&refs(&train_groupby), &config.gbdt);
-        let compat =
-            CompatibilityModel::train(&refs(&train_pivot), &refs(&train_melt), &config.gbdt);
+        let (join_refs, groupby_refs) = (refs(&train.join), refs(&train.groupby));
+        let (pivot_refs, melt_refs) = (refs(&train.pivot), refs(&train.melt));
+        // The families share no state (the column cache is deterministic
+        // under concurrent use), so the two halves train side by side.
+        let ((join, join_type), (groupby, compat)) = autosuggest_parallel::join(
+            || {
+                (
+                    JoinColumnPredictor::train(&join_refs, &config.gbdt, config.candidates.clone()),
+                    JoinTypePredictor::train(&join_refs, &config.gbdt),
+                )
+            },
+            || {
+                (
+                    GroupByAggPredictor::train(&groupby_refs, &config.gbdt),
+                    CompatibilityModel::train(&pivot_refs, &melt_refs, &config.gbdt),
+                )
+            },
+        );
         let (pivot, unpivot) =
             (compat.clone().map(PivotPredictor::new), compat.map(UnpivotPredictor::new));
         // Gauges are last-write-wins, so they are only ever set here, on
-        // the sequential training path — never from pool tasks.
+        // the caller once both halves have trained — never from pool tasks.
         if let Some(j) = &join {
             for (group, v) in j.importance_by_group() {
                 obs::gauge_set(&format!("importance.join.{group}"), v);
@@ -314,18 +345,18 @@ impl AutoSuggest {
                 ngram,
             },
             train: TrainData {
-                join: train_join,
-                groupby: train_groupby,
-                pivot: train_pivot,
-                melt: train_melt,
+                join: train.join,
+                groupby: train.groupby,
+                pivot: train.pivot,
+                melt: train.melt,
                 nextop: train_examples,
                 sequences: train_sequences,
             },
             test: TestData {
-                join: of_kind(&test_invs, OpKind::Merge),
-                groupby: of_kind(&test_invs, OpKind::GroupBy),
-                pivot: of_kind(&test_invs, OpKind::Pivot),
-                melt: of_kind(&test_invs, OpKind::Melt),
+                join: test.join,
+                groupby: test.groupby,
+                pivot: test.pivot,
+                melt: test.melt,
                 nextop: test_examples,
             },
             reports,

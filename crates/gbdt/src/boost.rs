@@ -1,7 +1,7 @@
 //! Gradient boosting over regression trees (squared loss).
 
 use crate::data::Dataset;
-use crate::tree::{Presorted, RegressionTree, TreeParams};
+use crate::tree::{Grower, Presorted, RegressionTree, TreeParams};
 use autosuggest_obs as obs;
 use serde::{Deserialize, Serialize};
 
@@ -58,26 +58,24 @@ impl Gbdt {
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut residuals = vec![0.0; n];
         // Every round trains on all rows, so the presorted feature lists
-        // (target-independent) are built once and reused by every tree.
+        // (target-independent) and the tree's work arena are built once.
         let idx: Vec<usize> = (0..n).collect();
         let presorted = Presorted::build(data, &idx);
+        let mut grower = Grower::new(&presorted);
         for _ in 0..params.n_trees {
             let _tree_span = obs::span("gbdt_tree");
             for (i, (r, p)) in residuals.iter_mut().zip(&preds).enumerate() {
                 *r = data.label(i) - p;
             }
             let scan_started = std::time::Instant::now();
-            let tree =
-                RegressionTree::fit_with_presorted(data, &residuals, &idx, &params.tree, &presorted);
+            let tree = grower.fit(&residuals, &params.tree);
             obs::observe_since("gbdt.split_scan_seconds", scan_started);
-            // Row predictions are independent; the pool returns them in row
-            // order and each update touches only its own slot, so the new
-            // prediction vector matches the sequential loop bit for bit.
-            let deltas = autosuggest_parallel::Pool::global()
-                .with_min_items(PAR_PREDICT_MIN_ROWS)
-                .par_map_indexed(n, |i| tree.predict(data.row(i)));
-            for (p, d) in preds.iter_mut().zip(deltas) {
-                *p += params.learning_rate * d;
+            // A leaf holds exactly the rows `tree.predict` routes to it, so
+            // adding its value row by row is the per-row predict update.
+            for (rows, value) in grower.leaves() {
+                for &i in rows {
+                    preds[i] += params.learning_rate * value;
+                }
             }
             trees.push(tree);
         }

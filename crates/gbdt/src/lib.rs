@@ -26,4 +26,4 @@ mod tree;
 pub use boost::{Gbdt, GbdtParams};
 pub use data::Dataset;
 pub use importance::{aggregate_importance, normalize};
-pub use tree::{Presorted, RegressionTree, TreeParams};
+pub use tree::{RegressionTree, TreeParams};

@@ -1,25 +1,40 @@
 //! A CART-style regression tree with exact greedy splits.
 //!
-//! ## Split-search kernels
+//! ## The split kernel
 //!
-//! Two kernels find splits:
+//! [`RegressionTree::fit`] (and boosting, through [`Grower`]) runs one
+//! sequential, allocation-free exact kernel:
 //!
-//! - **Presorted** (the production kernel, used by [`RegressionTree::fit`]):
-//!   every feature is stable-sorted **once per ensemble**; the sorted
-//!   `(row, value)` lists are then partitioned down the tree, so a node's
-//!   scan is `O(n)` instead of `O(n log n)`. A counting-sort realignment
-//!   pass (see [`scan_feature_presorted`]) reproduces the historical
-//!   per-node sort order bit for bit, so the chosen splits — and the
-//!   committed goldens — are identical to the re-sort kernel.
-//! - **Re-sort** ([`RegressionTree::fit_resort`]): the historical kernel
-//!   that re-sorts rows per node per feature. Kept only as the test
-//!   reference: the `tree.rs` unit tests and
-//!   `tests/train_kernels_equivalence.rs` compare the presorted kernel
-//!   against it.
+//! - [`Presorted`] stable-sorts every feature **once per ensemble** and
+//!   numbers each row's bit-equality tie run per feature (`ranks`).
+//! - A [`Grower`] is the work arena: a copy of the sorted lists, the node
+//!   row order `idx`, a `go_left` mask and the counting-sort buffers, all
+//!   sized once and reset per tree. Each node owns one contiguous
+//!   `[lo, hi)` segment of every list and of `idx`, so a node's scan is
+//!   `O(n)` per feature and nothing is allocated per node.
+//! - A split fills `go_left` from the split feature's segment with the
+//!   same `<=` predicate [`RegressionTree::predict`] uses, swap-partitions
+//!   `idx`, and stably partitions every list segment, so the children's
+//!   lists stay sorted. Every leaf's `idx` segment therefore holds exactly
+//!   the rows `predict` routes to it, which lets boosting update its
+//!   predictions leaf by leaf ([`Grower::leaves`]).
 //!
-//! Both are deterministic at any thread count: per-feature scans are
-//! independent, and candidates are reduced in ascending feature order with
-//! a strictly-greater comparison (earliest feature wins ties).
+//! **The tie rule.** Floating-point sums are order-sensitive, so the order
+//! in which tied rows are scanned is part of the model. Feature *f*'s ties
+//! are scanned in the order feature *f−1*'s scan left them, starting from
+//! the node's `idx` order — the order a stable per-node re-sort produces
+//! when one sort buffer is reused across features. A counting sort over the
+//! tie runs rebuilds that order per feature in `O(n)`; it is skipped when
+//! the segment has no ties (the list is the scan order) or is constant
+//! (nothing to scan, and the order carries over unchanged). The rule does
+//! not depend on the thread count: the kernel never forks.
+//!
+//! [`RegressionTree::fit_resort`] is that per-node re-sort, kept only as
+//! the test reference: the unit tests here and
+//! `tests/train_kernels_equivalence.rs` compare the kernel against it bit
+//! for bit. Both kernels share one boundary scanner, and candidates are
+//! reduced in ascending feature order with a strictly-greater comparison
+//! (earliest feature wins ties).
 
 use crate::data::Dataset;
 use autosuggest_obs as obs;
@@ -67,66 +82,246 @@ pub struct RegressionTree {
     num_features: usize,
 }
 
-/// Per-feature row list sorted ascending by feature value (`total_cmp`).
-/// Partitioning a node's lists by its split predicate yields the children's
-/// lists without re-sorting.
-#[derive(Debug, Clone)]
-struct FeatureList {
+/// Every feature's training rows stable-sorted by value (`total_cmp`; ties
+/// keep `row_idx` order). Targets never enter, so boosting builds this
+/// once per ensemble. Feature `f` owns `[f·n, (f+1)·n)` of `rows`/`vals`.
+pub(crate) struct Presorted {
+    row_idx: Vec<usize>,
     rows: Vec<u32>,
     vals: Vec<f64>,
-}
-
-/// Per-feature presorted row lists for a fixed `(data, row_idx)` pair —
-/// independent of targets, so boosting builds this **once per ensemble**
-/// and reuses it for every tree.
-#[derive(Debug, Clone)]
-pub struct Presorted {
-    lists: Vec<FeatureList>,
-    num_rows: usize,
+    /// `ranks[f·N + row]`: the index of `row`'s bit-equality tie run in
+    /// feature `f`'s sorted list (`N` = rows in the dataset).
+    ranks: Vec<u32>,
+    num_features: usize,
+    num_total: usize,
 }
 
 impl Presorted {
-    /// Stable-sort every feature over `row_idx` (ties keep `row_idx`
-    /// order — exactly the order the historical per-node sort produced at
-    /// the root).
-    pub fn build(data: &Dataset, row_idx: &[usize]) -> Self {
-        let num_features = data.num_features();
-        let work = row_idx.len() * num_features;
-        let make = |f: usize| -> FeatureList {
-            let mut rows: Vec<u32> = row_idx.iter().map(|&i| i as u32).collect();
-            rows.sort_by(|&a, &b| {
-                data.row(a as usize)[f].total_cmp(&data.row(b as usize)[f])
-            });
-            let vals: Vec<f64> = rows.iter().map(|&r| data.row(r as usize)[f]).collect();
-            FeatureList { rows, vals }
-        };
-        let lists = if work >= PAR_SPLIT_WORK && autosuggest_parallel::current_threads() > 1 {
-            autosuggest_parallel::par_map_indexed(num_features, make)
-        } else {
-            (0..num_features).map(make).collect()
-        };
-        Presorted { lists, num_rows: row_idx.len() }
+    pub(crate) fn build(data: &Dataset, row_idx: &[usize]) -> Self {
+        let n = row_idx.len();
+        let (num_features, num_total) = (data.num_features(), data.len());
+        let mut rows = Vec::with_capacity(n * num_features);
+        let mut vals = Vec::with_capacity(n * num_features);
+        let mut ranks = vec![0u32; num_total * num_features];
+        let mut keyed: Vec<(f64, u32)> = Vec::with_capacity(n);
+        for f in 0..num_features {
+            let ranks = &mut ranks[f * num_total..(f + 1) * num_total];
+            keyed.clear();
+            keyed.extend(row_idx.iter().map(|&i| (data.row(i)[f], i as u32)));
+            keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+            // `total_cmp` equality is bit equality, so the stable sort's
+            // tie groups are exactly the bit-equality runs.
+            let mut run = 0u32;
+            for (k, &(v, row)) in keyed.iter().enumerate() {
+                if k > 0 && v.to_bits() != keyed[k - 1].0.to_bits() {
+                    run += 1;
+                }
+                ranks[row as usize] = run;
+                rows.push(row);
+                vals.push(v);
+            }
+        }
+        Presorted { row_idx: row_idx.to_vec(), rows, vals, ranks, num_features, num_total }
     }
 }
 
-/// Reusable per-scan workspace for the presorted kernel. `run_of_row` is
-/// indexed by global row id (entries for rows outside the current node are
-/// stale and never read).
-struct ScanScratch {
-    run_of_row: Vec<u32>,
-    run_start: Vec<u32>,
+/// One tree's work arena over a [`Presorted`], allocated once and reset by
+/// every [`Grower::fit`] (see the module docs).
+pub(crate) struct Grower<'p> {
+    pre: &'p Presorted,
+    /// Working copies of the sorted lists.
+    rows: Vec<u32>,
+    vals: Vec<f64>,
+    /// Node rows in the order their targets are summed.
+    idx: Vec<usize>,
+    /// The current split's predicate, by row id.
+    go_left: Vec<bool>,
+    /// Per tie run: the next free slot of its counting-sort bucket.
+    cursor: Vec<u32>,
+    /// Tie-fill order carried from feature to feature, and the scan order
+    /// being built from it, each with its rows' targets alongside.
     fill: Vec<u32>,
-    scan_order: Vec<u32>,
+    fill_t: Vec<f64>,
+    scan: Vec<u32>,
+    scan_t: Vec<f64>,
+    /// Right-hand entries parked by the stable list partition.
+    spill_rows: Vec<u32>,
+    spill_vals: Vec<f64>,
+    /// The last tree's leaves: `idx` segment and value.
+    leaves: Vec<(usize, usize, f64)>,
 }
 
-impl ScanScratch {
-    fn new(num_rows_total: usize) -> Self {
-        ScanScratch {
-            run_of_row: vec![0; num_rows_total],
-            run_start: Vec::new(),
-            fill: Vec::new(),
-            scan_order: Vec::new(),
+impl<'p> Grower<'p> {
+    pub(crate) fn new(pre: &'p Presorted) -> Self {
+        let n = pre.row_idx.len();
+        Grower {
+            pre,
+            rows: pre.rows.clone(),
+            vals: pre.vals.clone(),
+            idx: pre.row_idx.clone(),
+            go_left: vec![false; pre.num_total],
+            cursor: vec![0; n],
+            fill: vec![0; n],
+            fill_t: vec![0.0; n],
+            scan: vec![0; n],
+            scan_t: vec![0.0; n],
+            spill_rows: vec![0; n],
+            spill_vals: vec![0.0; n],
+            leaves: Vec::new(),
         }
+    }
+
+    /// Fit a tree to `targets` (indexed by row id) over the presorted rows.
+    pub(crate) fn fit(&mut self, targets: &[f64], params: &TreeParams) -> RegressionTree {
+        assert_eq!(targets.len(), self.pre.num_total, "one target per dataset row");
+        assert!(!self.idx.is_empty(), "cannot fit a tree on zero rows");
+        self.rows.copy_from_slice(&self.pre.rows);
+        self.vals.copy_from_slice(&self.pre.vals);
+        self.idx.copy_from_slice(&self.pre.row_idx);
+        self.leaves.clear();
+        let mut tree = RegressionTree { nodes: Vec::new(), num_features: self.pre.num_features };
+        self.grow(&mut tree, targets, 0, self.idx.len(), 0, params);
+        obs::counter_add("gbdt.nodes_split", tree.num_splits());
+        tree
+    }
+
+    /// The last fitted tree's leaves: the rows each holds, and its value.
+    pub(crate) fn leaves(&self) -> impl Iterator<Item = (&[usize], f64)> + '_ {
+        self.leaves.iter().map(|&(lo, hi, value)| (&self.idx[lo..hi], value))
+    }
+
+    fn grow(
+        &mut self,
+        tree: &mut RegressionTree,
+        targets: &[f64],
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        params: &TreeParams,
+    ) -> usize {
+        let mean = self.idx[lo..hi].iter().map(|&i| targets[i]).sum::<f64>() / (hi - lo) as f64;
+        let split = if depth >= params.max_depth || hi - lo < 2 * params.min_samples_leaf {
+            None
+        } else {
+            self.best_split(targets, lo, hi, params)
+        };
+        let Some(split) = split else {
+            self.leaves.push((lo, hi, mean));
+            return tree.push(Node::Leaf { value: mean });
+        };
+        // Children at max depth never scan, so their list segments are left
+        // unpartitioned.
+        let mid = lo + self.partition(lo, hi, &split, depth + 1 < params.max_depth);
+        debug_assert!(lo < mid && mid < hi);
+        let node = tree.push(Node::Leaf { value: mean }); // placeholder
+        let left = self.grow(tree, targets, lo, mid, depth + 1, params);
+        let right = self.grow(tree, targets, mid, hi, depth + 1, params);
+        tree.nodes[node] = Node::Split {
+            feature: split.feature,
+            threshold: split.threshold,
+            gain: split.gain,
+            left,
+            right,
+        };
+        node
+    }
+
+    /// Best split of node `[lo, hi)` under the module's tie rule.
+    fn best_split(
+        &mut self,
+        targets: &[f64],
+        lo: usize,
+        hi: usize,
+        params: &TreeParams,
+    ) -> Option<SplitChoice> {
+        let (n, m, num_total) = (self.pre.row_idx.len(), hi - lo, self.pre.num_total);
+        let (total_sum, total_sq, parent_sse) = parent_stats(targets, &self.idx[lo..hi]);
+        for (k, &i) in self.idx[lo..hi].iter().enumerate() {
+            self.fill[k] = i as u32;
+            self.fill_t[k] = targets[i];
+        }
+        let mut best = None;
+        for f in 0..self.pre.num_features {
+            let rows = &self.rows[f * n + lo..f * n + hi];
+            let vals = &self.vals[f * n + lo..f * n + hi];
+            let ranks = &self.pre.ranks[f * num_total..(f + 1) * num_total];
+            // Each tie run's counting-sort bucket starts at its first
+            // position.
+            let mut runs = 0;
+            for (k, &row) in rows.iter().enumerate() {
+                if k == 0 || vals[k].to_bits() != vals[k - 1].to_bits() {
+                    self.cursor[ranks[row as usize] as usize] = k as u32;
+                    runs += 1;
+                }
+            }
+            if runs == 1 {
+                // Constant: no boundary, and the fill order carries over.
+                continue;
+            }
+            if runs == m {
+                // No ties: the sorted list is the scan order.
+                self.fill[..m].copy_from_slice(rows);
+                for (t, &row) in self.fill_t[..m].iter_mut().zip(rows) {
+                    *t = targets[row as usize];
+                }
+            } else {
+                for (&row, &t) in self.fill[..m].iter().zip(&self.fill_t[..m]) {
+                    let at = &mut self.cursor[ranks[row as usize] as usize];
+                    self.scan[*at as usize] = row;
+                    self.scan_t[*at as usize] = t;
+                    *at += 1;
+                }
+                std::mem::swap(&mut self.fill, &mut self.scan);
+                std::mem::swap(&mut self.fill_t, &mut self.scan_t);
+            }
+            let fill_t = &self.fill_t;
+            let cand = scan_boundaries(
+                m,
+                f,
+                |pos| vals[pos],
+                |pos| fill_t[pos],
+                params,
+                total_sum,
+                total_sq,
+                parent_sse,
+            );
+            keep_best(&mut best, cand);
+        }
+        best
+    }
+
+    /// Split node `[lo, hi)`: fill `go_left` from the split feature's
+    /// segment, swap-partition `idx` and, when `lists` is set, stably
+    /// partition every feature's list segment. Returns the left size.
+    fn partition(&mut self, lo: usize, hi: usize, split: &SplitChoice, lists: bool) -> usize {
+        let n = self.pre.row_idx.len();
+        let seg = split.feature * n + lo..split.feature * n + hi;
+        for (&row, &v) in self.rows[seg.clone()].iter().zip(&self.vals[seg]) {
+            self.go_left[row as usize] = v <= split.threshold;
+        }
+        let go_left = &self.go_left;
+        let mid = partition(&mut self.idx[lo..hi], |i| go_left[i]);
+        if lists {
+            for f in 0..self.pre.num_features {
+                let (start, end) = (f * n + lo, f * n + hi);
+                let (mut kept, mut spilled) = (start, 0);
+                // Branch-free: write both sides, advance one (`kept <= k`,
+                // so the in-place write never clobbers an unread entry).
+                for k in start..end {
+                    let (row, v) = (self.rows[k], self.vals[k]);
+                    let left = go_left[row as usize] as usize;
+                    self.rows[kept] = row;
+                    self.vals[kept] = v;
+                    self.spill_rows[spilled] = row;
+                    self.spill_vals[spilled] = v;
+                    kept += left;
+                    spilled += 1 - left;
+                }
+                self.rows[kept..end].copy_from_slice(&self.spill_rows[..spilled]);
+                self.vals[kept..end].copy_from_slice(&self.spill_vals[..spilled]);
+            }
+        }
+        mid
     }
 }
 
@@ -134,33 +329,12 @@ impl RegressionTree {
     /// Fit a tree to `targets` (residuals, in boosting) over the rows of
     /// `data` restricted to `row_idx`, using the presorted split kernel.
     pub fn fit(data: &Dataset, targets: &[f64], row_idx: &[usize], params: &TreeParams) -> Self {
-        let pre = Presorted::build(data, row_idx);
-        Self::fit_with_presorted(data, targets, row_idx, params, &pre)
+        Grower::new(&Presorted::build(data, row_idx)).fit(targets, params)
     }
 
-    /// [`Self::fit`] with a caller-provided [`Presorted`] (which must have
-    /// been built over the same `data` and `row_idx`). Produces exactly the
-    /// tree [`Self::fit`] would.
-    pub fn fit_with_presorted(
-        data: &Dataset,
-        targets: &[f64],
-        row_idx: &[usize],
-        params: &TreeParams,
-        pre: &Presorted,
-    ) -> Self {
-        assert_eq!(data.len(), targets.len());
-        assert!(!row_idx.is_empty(), "cannot fit a tree on zero rows");
-        assert_eq!(pre.num_rows, row_idx.len(), "presorted index arity");
-        let mut tree = RegressionTree { nodes: Vec::new(), num_features: data.num_features() };
-        let mut idx = row_idx.to_vec();
-        let mut scratch = ScanScratch::new(data.len());
-        tree.build_presorted(data, targets, &mut idx, 0, params, &pre.lists, &mut scratch);
-        tree
-    }
-
-    /// Historical split kernel: re-sorts rows per node per feature. Kept as
-    /// the executable reference for the presorted kernel's equivalence
-    /// tests; produces bit-identical trees.
+    /// The per-node re-sort kernel: every node stable-sorts one row buffer
+    /// by each feature in turn. The executable reference for [`Self::fit`];
+    /// produces bit-identical trees.
     pub fn fit_resort(
         data: &Dataset,
         targets: &[f64],
@@ -170,65 +344,12 @@ impl RegressionTree {
         assert_eq!(data.len(), targets.len());
         assert!(!row_idx.is_empty(), "cannot fit a tree on zero rows");
         let mut tree = RegressionTree { nodes: Vec::new(), num_features: data.num_features() };
-        let mut idx = row_idx.to_vec();
-        tree.build_resort(data, targets, &mut idx, 0, params);
+        tree.grow_resort(data, targets, &mut row_idx.to_vec(), 0, params);
+        obs::counter_add("gbdt.nodes_split", tree.num_splits());
         tree
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_presorted(
-        &mut self,
-        data: &Dataset,
-        targets: &[f64],
-        idx: &mut [usize],
-        depth: usize,
-        params: &TreeParams,
-        lists: &[FeatureList],
-        scratch: &mut ScanScratch,
-    ) -> usize {
-        let mean = idx.iter().map(|&i| targets[i]).sum::<f64>() / idx.len() as f64;
-        if depth >= params.max_depth || idx.len() < 2 * params.min_samples_leaf {
-            return self.push(Node::Leaf { value: mean });
-        }
-        match best_split_presorted(data, targets, idx, params, lists, scratch) {
-            None => self.push(Node::Leaf { value: mean }),
-            Some(split) => {
-                // Partition rows in place around the threshold (same swap
-                // partition as always — child `idx` order, and therefore
-                // every downstream accumulation, matches the historical
-                // kernel exactly).
-                let mid = partition(idx, |i| data.row(i)[split.feature] <= split.threshold);
-                // Children at max depth never scan, so skip their lists.
-                let (left_lists, right_lists) = if depth + 1 < params.max_depth {
-                    partition_lists(data, lists, split.feature, split.threshold, mid)
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let (left_idx, right_idx) = idx.split_at_mut(mid);
-                debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
-                obs::counter_add("gbdt.nodes_split", 1);
-                let node = self.push(Node::Leaf { value: mean }); // placeholder
-                let left = {
-                    let mut l = left_idx.to_vec();
-                    self.build_presorted(data, targets, &mut l, depth + 1, params, &left_lists, scratch)
-                };
-                let right = {
-                    let mut r = right_idx.to_vec();
-                    self.build_presorted(data, targets, &mut r, depth + 1, params, &right_lists, scratch)
-                };
-                self.nodes[node] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    gain: split.gain,
-                    left,
-                    right,
-                };
-                node
-            }
-        }
-    }
-
-    fn build_resort(
+    fn grow_resort(
         &mut self,
         data: &Dataset,
         targets: &[f64],
@@ -240,37 +361,32 @@ impl RegressionTree {
         if depth >= params.max_depth || idx.len() < 2 * params.min_samples_leaf {
             return self.push(Node::Leaf { value: mean });
         }
-        match best_split_resort(data, targets, idx, params) {
-            None => self.push(Node::Leaf { value: mean }),
-            Some(split) => {
-                let mid = partition(idx, |i| data.row(i)[split.feature] <= split.threshold);
-                let (left_idx, right_idx) = idx.split_at_mut(mid);
-                debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
-                obs::counter_add("gbdt.nodes_split", 1);
-                let node = self.push(Node::Leaf { value: mean }); // placeholder
-                let left = {
-                    let mut l = left_idx.to_vec();
-                    self.build_resort(data, targets, &mut l, depth + 1, params)
-                };
-                let right = {
-                    let mut r = right_idx.to_vec();
-                    self.build_resort(data, targets, &mut r, depth + 1, params)
-                };
-                self.nodes[node] = Node::Split {
-                    feature: split.feature,
-                    threshold: split.threshold,
-                    gain: split.gain,
-                    left,
-                    right,
-                };
-                node
-            }
-        }
+        let Some(split) = best_split_resort(data, targets, idx, params) else {
+            return self.push(Node::Leaf { value: mean });
+        };
+        let mid = partition(idx, |i| data.row(i)[split.feature] <= split.threshold);
+        let (left_idx, right_idx) = idx.split_at_mut(mid);
+        debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
+        let node = self.push(Node::Leaf { value: mean }); // placeholder
+        let left = self.grow_resort(data, targets, left_idx, depth + 1, params);
+        let right = self.grow_resort(data, targets, right_idx, depth + 1, params);
+        self.nodes[node] = Node::Split {
+            feature: split.feature,
+            threshold: split.threshold,
+            gain: split.gain,
+            left,
+            right,
+        };
+        node
     }
 
     fn push(&mut self, node: Node) -> usize {
         self.nodes.push(node);
         self.nodes.len() - 1
+    }
+
+    fn num_splits(&self) -> u64 {
+        self.nodes.iter().filter(|n| matches!(n, Node::Split { .. })).count() as u64
     }
 
     /// Predict the target for one feature vector.
@@ -332,22 +448,14 @@ struct SplitChoice {
     gain: f64,
 }
 
-/// Row-count × feature-count product above which the per-feature scans of
-/// the split kernels fan out across the thread pool. Below it, the scan
-/// costs so little that spawn overhead loses.
-const PAR_SPLIT_WORK: usize = 16 * 1024;
-
-/// Fold per-feature candidates in ascending feature order with a
-/// strictly-greater comparison: the earliest feature wins ties, exactly as
-/// a sequential loop over features would, at any thread count.
-fn reduce_candidates(candidates: Vec<Option<SplitChoice>>) -> Option<SplitChoice> {
-    let mut best: Option<SplitChoice> = None;
-    for cand in candidates.into_iter().flatten() {
+/// Keep `cand` if it beats `best` strictly: folded in ascending feature
+/// order, the earliest feature wins ties.
+fn keep_best(best: &mut Option<SplitChoice>, cand: Option<SplitChoice>) {
+    if let Some(cand) = cand {
         if best.as_ref().is_none_or(|b| cand.gain > b.gain) {
-            best = Some(cand);
+            *best = Some(cand);
         }
     }
-    best
 }
 
 /// Sums over the node's rows **in `idx` order** — the same accumulation
@@ -421,164 +529,10 @@ fn scan_boundaries(
     best
 }
 
-/// Presorted split search: each feature's sorted list is realigned to the
-/// node's `idx` order within ties and scanned once — `O(n)` per feature.
-///
-/// ### Why the realignment pass
-///
-/// The historical kernel stable-sorted a row buffer by value, so rows with
-/// *equal* values were scanned in the buffer's pre-sort order. Floating-
-/// point sums are order-sensitive, so to keep every gain bit-identical we
-/// must add tied rows in that same order. The sorted list gives value
-/// order; a counting sort by tie-run id, filling each run in `fill_order`
-/// (the buffer's pre-sort order), rebuilds exactly the sequence
-/// `sort_by(total_cmp)` produced — without any comparison sort. Runs are
-/// delimited by *bit* inequality (matching `total_cmp`'s notion of
-/// equality, e.g. `-0.0` sorts before `0.0`), while the boundary skip
-/// below still uses `==` (which treats `-0.0 == 0.0`), both exactly as
-/// before.
-///
-/// `fill_order` mirrors the historical buffer's state: the sequential
-/// kernel reused one buffer across features (so feature `f` sees the
-/// order left behind by sorting feature `f-1`), while the parallel kernel
-/// copied `idx` fresh per feature. [`best_split_presorted`] reproduces
-/// both regimes.
-#[allow(clippy::too_many_arguments)]
-fn scan_feature_presorted(
-    targets: &[f64],
-    fill_order: &[u32],
-    list: &FeatureList,
-    params: &TreeParams,
-    f: usize,
-    total_sum: f64,
-    total_sq: f64,
-    parent_sse: f64,
-    scratch: &mut ScanScratch,
-) -> Option<SplitChoice> {
-    let m = list.rows.len();
-    debug_assert_eq!(m, fill_order.len());
-    // Pass 1: tie runs (maximal groups of bit-equal adjacent values).
-    scratch.run_start.clear();
-    scratch.run_start.push(0);
-    scratch.run_of_row[list.rows[0] as usize] = 0;
-    let mut prev_bits = list.vals[0].to_bits();
-    for k in 1..m {
-        let bits = list.vals[k].to_bits();
-        if bits != prev_bits {
-            scratch.run_start.push(k as u32);
-            prev_bits = bits;
-        }
-        scratch.run_of_row[list.rows[k] as usize] = (scratch.run_start.len() - 1) as u32;
-    }
-    // Pass 2: counting sort — within each run, rows in `fill_order`.
-    scratch.fill.clear();
-    scratch.fill.resize(scratch.run_start.len(), 0);
-    if scratch.scan_order.len() < m {
-        scratch.scan_order.resize(m, 0);
-    }
-    for &row in fill_order {
-        let rid = scratch.run_of_row[row as usize] as usize;
-        let slot = (scratch.run_start[rid] + scratch.fill[rid]) as usize;
-        scratch.scan_order[slot] = row;
-        scratch.fill[rid] += 1;
-    }
-    // Pass 3: the boundary scan. Values come straight from the contiguous
-    // sorted array (the within-run permutation can't change them).
-    let scan_order = &scratch.scan_order;
-    scan_boundaries(
-        m,
-        f,
-        |pos| list.vals[pos],
-        |pos| targets[scan_order[pos] as usize],
-        params,
-        total_sum,
-        total_sq,
-        parent_sse,
-    )
-}
-
-fn best_split_presorted(
-    data: &Dataset,
-    targets: &[f64],
-    idx: &[usize],
-    params: &TreeParams,
-    lists: &[FeatureList],
-    scratch: &mut ScanScratch,
-) -> Option<SplitChoice> {
-    let (total_sum, total_sq, parent_sse) = parent_stats(targets, idx);
-    let num_features = data.num_features();
-    let candidates: Vec<Option<SplitChoice>> =
-        if idx.len() * num_features >= PAR_SPLIT_WORK && autosuggest_parallel::current_threads() > 1
-        {
-            // Parallel regime: the historical kernel copied `idx` fresh per
-            // feature, so ties fill in `idx` order.
-            let fill: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-            autosuggest_parallel::par_map_indexed(num_features, |f| {
-                let mut local = ScanScratch::new(data.len());
-                scan_feature_presorted(
-                    targets, &fill, &lists[f], params, f, total_sum, total_sq, parent_sse,
-                    &mut local,
-                )
-            })
-        } else {
-            // Sequential regime: the historical kernel reused one sort
-            // buffer across features, so feature `f`'s ties fill in the
-            // order the buffer held after sorting feature `f-1`. Carrying
-            // each scan's output order forward reproduces that chain.
-            let mut carried: Vec<u32> = idx.iter().map(|&i| i as u32).collect();
-            (0..num_features)
-                .map(|f| {
-                    let cand = scan_feature_presorted(
-                        targets, &carried, &lists[f], params, f, total_sum, total_sq, parent_sse,
-                        scratch,
-                    );
-                    carried.copy_from_slice(&scratch.scan_order[..idx.len()]);
-                    cand
-                })
-                .collect()
-        };
-    reduce_candidates(candidates)
-}
-
-/// Partition every feature's sorted list into the two children of a split.
-/// Filtering preserves sorted order, so no re-sort is ever needed.
-fn partition_lists(
-    data: &Dataset,
-    lists: &[FeatureList],
-    feature: usize,
-    threshold: f64,
-    left_len: usize,
-) -> (Vec<FeatureList>, Vec<FeatureList>) {
-    let mut left = Vec::with_capacity(lists.len());
-    let mut right = Vec::with_capacity(lists.len());
-    for list in lists {
-        let right_len = list.rows.len() - left_len;
-        let mut l = FeatureList {
-            rows: Vec::with_capacity(left_len),
-            vals: Vec::with_capacity(left_len),
-        };
-        let mut r = FeatureList {
-            rows: Vec::with_capacity(right_len),
-            vals: Vec::with_capacity(right_len),
-        };
-        for (&row, &val) in list.rows.iter().zip(&list.vals) {
-            if data.row(row as usize)[feature] <= threshold {
-                l.rows.push(row);
-                l.vals.push(val);
-            } else {
-                r.rows.push(row);
-                r.vals.push(val);
-            }
-        }
-        debug_assert_eq!(l.rows.len(), left_len);
-        left.push(l);
-        right.push(r);
-    }
-    (left, right)
-}
-
-/// Historical exact split search: per feature, sort the node's rows by
-/// value and scan boundary positions, maximising variance-reduction gain.
+/// Re-sort split search: per feature, stable-sort the node's rows by value
+/// and scan boundary positions, maximising variance-reduction gain. One
+/// buffer serves every feature, so feature `f`'s ties keep the order
+/// feature `f-1`'s sort left — the tie rule the kernel reproduces.
 fn best_split_resort(
     data: &Dataset,
     targets: &[f64],
@@ -586,13 +540,12 @@ fn best_split_resort(
     params: &TreeParams,
 ) -> Option<SplitChoice> {
     let (total_sum, total_sq, parent_sse) = parent_stats(targets, idx);
-
-    let scan_feature = |order: &mut [usize], f: usize| -> Option<SplitChoice> {
+    let mut order = idx.to_vec();
+    let mut best = None;
+    for f in 0..data.num_features() {
         order.sort_by(|&a, &b| data.row(a)[f].total_cmp(&data.row(b)[f]));
-        // The column is gathered once so the scan reads contiguous memory
-        // instead of chasing `data.row(...)` twice per position.
         let vals: Vec<f64> = order.iter().map(|&i| data.row(i)[f]).collect();
-        scan_boundaries(
+        let cand = scan_boundaries(
             order.len(),
             f,
             |pos| vals[pos],
@@ -601,23 +554,10 @@ fn best_split_resort(
             total_sum,
             total_sq,
             parent_sse,
-        )
-    };
-
-    let num_features = data.num_features();
-    let candidates: Vec<Option<SplitChoice>> =
-        if idx.len() * num_features >= PAR_SPLIT_WORK && autosuggest_parallel::current_threads() > 1
-        {
-            autosuggest_parallel::par_map_indexed(num_features, |f| {
-                let mut order = idx.to_vec();
-                scan_feature(&mut order, f)
-            })
-        } else {
-            // Sequential path reuses one sort buffer across features.
-            let mut order = idx.to_vec();
-            (0..num_features).map(|f| scan_feature(&mut order, f)).collect()
-        };
-    reduce_candidates(candidates)
+        );
+        keep_best(&mut best, cand);
+    }
+    best
 }
 
 /// Stable-ish partition: move rows satisfying `pred` to the front, returning
@@ -781,13 +721,24 @@ mod tests {
     }
 
     #[test]
-    fn presorted_reuses_ensemble_presort() {
+    fn one_grower_refits_like_fresh_fits_and_leaves_route_like_predict() {
         let data = random_tied_dataset(120, 3, 7);
         let idx: Vec<usize> = (0..data.len()).collect();
         let pre = Presorted::build(&data, &idx);
+        let mut grower = Grower::new(&pre);
         let params = TreeParams::default();
-        let a = RegressionTree::fit_with_presorted(&data, data.labels(), &idx, &params, &pre);
-        let b = RegressionTree::fit(&data, data.labels(), &idx, &params);
-        assert_trees_identical(&a, &b, &data);
+        let flipped: Vec<f64> = data.labels().iter().map(|y| -y * 0.5).collect();
+        for targets in [data.labels(), &flipped, data.labels()] {
+            let tree = grower.fit(targets, &params);
+            assert_trees_identical(&tree, &RegressionTree::fit(&data, targets, &idx, &params), &data);
+            let mut covered = vec![0usize; data.len()];
+            for (rows, value) in grower.leaves() {
+                for &i in rows {
+                    covered[i] += 1;
+                    assert_eq!(tree.predict(data.row(i)).to_bits(), value.to_bits(), "row {i}");
+                }
+            }
+            assert!(covered.iter().all(|&c| c == 1), "every row sits in exactly one leaf");
+        }
     }
 }

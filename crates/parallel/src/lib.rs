@@ -2,10 +2,10 @@
 //! pipeline.
 //!
 //! The offline pipeline is embarrassingly parallel at three grains —
-//! notebooks (replay), features (GBDT split search), and candidates
-//! (join enumeration / scoring). This crate provides the one substrate all
-//! of them share, built on `std::thread::scope` with **no external
-//! dependencies** and one hard guarantee:
+//! notebooks (replay), candidates (join enumeration / scoring), and whole
+//! model families trained side by side ([`join`]). This crate provides the
+//! one substrate all of them share, built on `std::thread::scope` with **no
+//! external dependencies** and one hard guarantee:
 //!
 //! > **Determinism contract.** Every combinator returns results in input
 //! > order and bit-identical to the sequential execution, regardless of
@@ -309,6 +309,35 @@ impl Pool {
         out
     }
 
+    /// Run `a` and `b` side by side and return both results: `b` on one
+    /// scoped worker, `a` on the calling thread — or, at one thread,
+    /// inline, `a` then `b`. Both run under the caller's observability
+    /// context. A panic in either is caught; once both have finished, the
+    /// first (`a`'s before `b`'s) is re-raised.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        let (ra, rb) = if self.threads <= 1 {
+            (catch_unwind(AssertUnwindSafe(a)), catch_unwind(AssertUnwindSafe(b)))
+        } else {
+            let ambient = obs::ambient();
+            std::thread::scope(|scope| {
+                let worker = scope.spawn(move || {
+                    obs::with_ambient(&ambient, || catch_unwind(AssertUnwindSafe(b)))
+                });
+                let ra = catch_unwind(AssertUnwindSafe(a));
+                (ra, worker.join().unwrap_or_else(Err))
+            })
+        };
+        match (ra, rb) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
+        }
+    }
+
     /// Map over contiguous chunks of ~`chunk_size` items, in chunk order.
     pub fn par_chunks<T, U, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<U>
     where
@@ -375,6 +404,16 @@ where
     F: Fn(&[T]) -> U + Sync,
 {
     Pool::global().par_chunks(items, chunk_size, f)
+}
+
+/// [`Pool::join`] on the global pool.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    Pool::global().join(a, b)
 }
 
 /// [`Pool::par_try_map`] on the global pool.
@@ -592,6 +631,80 @@ mod tests {
         // order with nothing dropped.
         let panics = one.iter().filter(|r| matches!(r, Err(E::Panic(_)))).count();
         assert_eq!(panics, 10);
+    }
+
+    #[test]
+    fn join_runs_inline_a_then_b_at_one_thread() {
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let log = |side: &'static str| {
+            lock_recover(&order).push((side, std::thread::current().id()));
+            side.len()
+        };
+        assert_eq!(Pool::with_threads(1).join(|| log("a"), || log("bb")), (1, 2));
+        assert_eq!(*lock_recover(&order), vec![("a", caller), ("bb", caller)]);
+        lock_recover(&order).clear();
+        assert_eq!(Pool::with_threads(2).join(|| log("a"), || log("bb")), (1, 2));
+        let ran = lock_recover(&order).clone();
+        assert_eq!(ran.len(), 2);
+        for (side, thread) in ran {
+            assert_eq!(thread == caller, side == "a", "only b leaves the caller thread");
+        }
+    }
+
+    #[test]
+    fn join_reraises_the_first_panic_after_both_sides_finish() {
+        for threads in [1, 2] {
+            let pool = Pool::with_threads(threads);
+            let finished = AtomicU64::new(0);
+            let both = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.join(|| -> u8 { panic!("boom-a") }, || -> u8 { panic!("boom-b") })
+            }));
+            assert_eq!(panic_message(both.unwrap_err().as_ref()), "boom-a", "threads={threads}");
+            let only_b = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || finished.fetch_add(1, Ordering::SeqCst),
+                    || -> u8 { panic!("boom-b") },
+                )
+            }));
+            assert_eq!(panic_message(only_b.unwrap_err().as_ref()), "boom-b", "threads={threads}");
+            let only_a = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || -> u8 { panic!("boom-a") },
+                    || finished.fetch_add(1, Ordering::SeqCst),
+                )
+            }));
+            assert_eq!(panic_message(only_a.unwrap_err().as_ref()), "boom-a", "threads={threads}");
+            assert_eq!(finished.load(Ordering::SeqCst), 2, "the other side always completes");
+        }
+    }
+
+    #[test]
+    fn join_runs_both_sides_under_the_callers_ambient() {
+        for threads in [1, 2] {
+            let (_, snap) = obs::with_local_registry(|| {
+                let _outer = obs::span("outer");
+                Pool::with_threads(threads).join(
+                    || {
+                        let _s = obs::span("left");
+                        obs::counter_add("sides", 1);
+                    },
+                    || {
+                        let _s = obs::span("right");
+                        obs::counter_add("sides", 1);
+                    },
+                )
+            });
+            assert_eq!(snap.counters.get("sides"), Some(&2), "threads={threads}");
+            for path in ["outer/left", "outer/right"] {
+                assert_eq!(
+                    snap.spans.get(path).map(|s| s.calls),
+                    Some(1),
+                    "threads={threads}: {path} missing from {:?}",
+                    snap.spans.keys().collect::<Vec<_>>()
+                );
+            }
+        }
     }
 
     #[test]

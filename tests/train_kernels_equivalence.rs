@@ -1,16 +1,19 @@
 //! Equivalence and determinism suite for the training kernels.
 //!
-//! Two claims, each checked bit-for-bit through the public API:
+//! Three claims, each checked bit-for-bit through the public API:
 //!
 //! 1. the presort-once GBDT split search produces the *same tree* as the
-//!    historical per-node re-sort kernel, ties and all;
-//! 2. every trainer (GBDT boosting and per-example RNN training) is
+//!    per-node re-sort kernel, ties and all;
+//! 2. `Gbdt::fit` equals a plain boosting loop over the re-sort kernel that
+//!    updates every row through `predict` (pinning the kernel and the
+//!    leaf-by-leaf prediction update together);
+//! 3. every trainer (GBDT boosting and per-example RNN training) is
 //!    bit-identical at 1 thread vs 4 (the pool contract).
 //!
 //! Thread width is switched in-process via `set_thread_override`; tests
 //! that sweep it serialise on a lock because the override is process-global.
 
-use auto_suggest::gbdt::{Dataset, Gbdt, GbdtParams, RegressionTree, TreeParams};
+use auto_suggest::gbdt::{normalize, Dataset, Gbdt, GbdtParams, RegressionTree, TreeParams};
 use auto_suggest::nn::{RnnClassifier, RnnConfig, SequenceExample};
 use auto_suggest::parallel::set_thread_override;
 use rand::{Rng, SeedableRng};
@@ -19,8 +22,11 @@ use std::sync::Mutex;
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Random dataset with deliberately heavy value ties (values snapped to a
-/// coarse grid) so tie-ordering differences between split kernels surface.
-fn tied_dataset(n: usize, features: usize, seed: u64) -> Dataset {
+/// 1/8 grid) so tie-ordering differences between split kernels surface.
+/// Labels are 0/1 from a linear rule, or uniform in [-1, 1) when
+/// `float_labels` is set — float targets make every gain depend on the
+/// order tied rows are summed in.
+fn tied_dataset(n: usize, features: usize, seed: u64, float_labels: bool) -> Dataset {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let rows: Vec<Vec<f64>> = (0..n)
         .map(|_| {
@@ -31,7 +37,15 @@ fn tied_dataset(n: usize, features: usize, seed: u64) -> Dataset {
         .collect();
     let labels: Vec<f64> = rows
         .iter()
-        .map(|r| if r[0] + 0.5 * r[1] - 0.25 * r[2] > 0.0 { 1.0 } else { 0.0 })
+        .map(|r| {
+            if float_labels {
+                rng.random_range(-1.0f64..1.0)
+            } else if r[0] + 0.5 * r[1] - 0.25 * r[2] > 0.0 {
+                1.0
+            } else {
+                0.0
+            }
+        })
         .collect();
     let names = (0..features).map(|i| format!("f{i}")).collect();
     Dataset::new(names, rows, labels).expect("rectangular")
@@ -80,7 +94,7 @@ fn rnn_fingerprint(model: &RnnClassifier, examples: &[SequenceExample]) -> Strin
 #[test]
 fn presorted_tree_matches_historical_resort_kernel() {
     for seed in [3u64, 17, 91] {
-        let data = tied_dataset(400, 9, seed);
+        let data = tied_dataset(400, 9, seed, false);
         let targets: Vec<f64> = (0..data.len()).map(|i| data.label(i)).collect();
         let idx: Vec<usize> = (0..data.len()).collect();
         let params = TreeParams { max_depth: 5, ..Default::default() };
@@ -97,18 +111,76 @@ fn presorted_tree_matches_historical_resort_kernel() {
     }
 }
 
+/// Least-squares boosting written out plainly: every round fits the
+/// re-sort kernel to the residuals and updates each row through `predict`.
+/// Returns every training row's prediction (as `Gbdt::predict` sums it)
+/// and the normalised importances.
+fn reference_boost(data: &Dataset, params: &GbdtParams) -> (Vec<f64>, Vec<f64>) {
+    let n = data.len();
+    let base = data.labels().iter().sum::<f64>() / n as f64;
+    let idx: Vec<usize> = (0..n).collect();
+    let mut preds = vec![base; n];
+    let mut trees = Vec::new();
+    for _ in 0..params.n_trees {
+        let residuals: Vec<f64> = (0..n).map(|i| data.label(i) - preds[i]).collect();
+        let tree = RegressionTree::fit_resort(data, &residuals, &idx, &params.tree);
+        for (i, p) in preds.iter_mut().enumerate() {
+            *p += params.learning_rate * tree.predict(data.row(i));
+        }
+        trees.push(tree);
+    }
+    let scores = (0..n)
+        .map(|i| {
+            base + params.learning_rate
+                * trees.iter().map(|t| t.predict(data.row(i))).sum::<f64>()
+        })
+        .collect();
+    let mut importance = vec![0.0; data.num_features()];
+    for t in &trees {
+        t.accumulate_importance(&mut importance);
+    }
+    normalize(&mut importance);
+    (scores, importance)
+}
+
+#[test]
+fn gbdt_fit_matches_a_reference_booster_over_the_resort_kernel() {
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let params = GbdtParams { n_trees: 16, ..Default::default() };
+    for (seed, float_labels) in [(5u64, true), (8, false)] {
+        let data = tied_dataset(2048, 9, seed, float_labels);
+        let (want_scores, want_importance) = reference_boost(&data, &params);
+        for threads in [1, 4] {
+            set_thread_override(Some(threads));
+            let model = Gbdt::fit(&data, &params);
+            set_thread_override(None);
+            for (i, want) in want_scores.iter().enumerate() {
+                assert_eq!(
+                    model.predict(data.row(i)).to_bits(),
+                    want.to_bits(),
+                    "seed {seed}, {threads} threads, row {i}"
+                );
+            }
+            let got: Vec<u64> = model.feature_importance().iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want_importance.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "seed {seed}, {threads} threads: importances");
+        }
+    }
+}
+
 #[test]
 fn trainers_are_bit_identical_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let data = tied_dataset(500, 9, 29);
+    let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    // 2,048 × 9 = 18,432 row-features per root scan, past the 16K size at
+    // which a split kernel that fans features out across threads would
+    // kick in; float labels make every gain depend on tie order.
+    let data = tied_dataset(2048, 9, 5, true);
     let vocab = 9;
     let examples = sequences(120, vocab, 33);
 
     let fingerprint = |threads: usize| {
         set_thread_override(Some(threads));
         let mut log = String::new();
-        // The boosted ensemble: split scans cross the parallel gate at
-        // this size.
         let model = Gbdt::fit(&data, &GbdtParams { n_trees: 16, ..Default::default() });
         log.push_str(&gbdt_fingerprint(&model, &data, 9));
         let mut model = RnnClassifier::new(RnnConfig {
