@@ -18,20 +18,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Args {
-    addr: String,
     seed: u64,
-    queue_capacity: usize,
-    max_batch: usize,
-    batch_window_ms: u64,
+    /// Starts from `ServerConfig::default()`, so flags left unset keep the
+    /// library's defaults.
+    config: ServerConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        addr: "127.0.0.1:7878".to_string(),
         seed: 42,
-        queue_capacity: 256,
-        max_batch: 32,
-        batch_window_ms: 2,
+        config: ServerConfig { addr: "127.0.0.1:7878".to_string(), ..Default::default() },
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -39,26 +35,27 @@ fn parse_args() -> Result<Args, String> {
             it.next().ok_or_else(|| format!("{name} requires a value"))
         };
         match flag.as_str() {
-            "--addr" => args.addr = value("--addr")?,
+            "--addr" => args.config.addr = value("--addr")?,
             "--seed" => {
                 args.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--queue-capacity" => {
-                args.queue_capacity = value("--queue-capacity")?
+                args.config.queue_capacity = value("--queue-capacity")?
                     .parse()
                     .map_err(|e| format!("--queue-capacity: {e}"))?;
             }
             "--max-batch" => {
-                args.max_batch = value("--max-batch")?
+                args.config.max_batch = value("--max-batch")?
                     .parse()
                     .map_err(|e| format!("--max-batch: {e}"))?;
             }
             "--batch-window-ms" => {
-                args.batch_window_ms = value("--batch-window-ms")?
+                let ms = value("--batch-window-ms")?
                     .parse()
                     .map_err(|e| format!("--batch-window-ms: {e}"))?;
+                args.config.batch_window = Duration::from_millis(ms);
             }
             "--help" | "-h" => {
                 return Err("usage: autosuggestd [--addr HOST:PORT] [--seed N] \
@@ -89,14 +86,7 @@ fn main() -> ExitCode {
     );
 
     let slot = Arc::new(ModelSlot::new(system));
-    let config = ServerConfig {
-        addr: args.addr,
-        queue_capacity: args.queue_capacity,
-        max_batch: args.max_batch,
-        batch_window: Duration::from_millis(args.batch_window_ms),
-        ..Default::default()
-    };
-    let server = match autosuggest_server::serve(slot, config) {
+    let server = match autosuggest_server::serve(slot, args.config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("autosuggestd: failed to bind: {e}");

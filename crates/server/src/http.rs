@@ -5,7 +5,8 @@
 //! connections (the daemon serves requests in a loop until EOF or
 //! `Connection: close`). Not supported, by design: chunked transfer
 //! encoding, HTTP/2, TLS, multipart — clients that need those belong
-//! behind a real proxy.
+//! behind a real proxy. A request whose framing is ambiguous (any
+//! `Transfer-Encoding`, or two different `Content-Length`s) is malformed.
 //!
 //! Memory is bounded at every step: header lines, header count, and body
 //! size all have hard caps, so a malicious or confused peer cannot make
@@ -139,11 +140,20 @@ pub fn read_request(
             .ok_or_else(|| HttpError::Malformed(format!("header without colon: {line:?}")))?;
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(
-                value
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?,
-            );
+            let n = value
+                .parse()
+                .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+            // Two different lengths leave the body's end ambiguous, and
+            // guessing either desyncs the keep-alive stream (RFC 9112 §6.3).
+            if content_length.is_some_and(|seen| seen != n) {
+                return Err(HttpError::Malformed("conflicting content-length headers".into()));
+            }
+            content_length = Some(n);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // Only Content-Length framing is supported; reading a chunked
+            // body by a Content-Length would leave its chunk framing on the
+            // wire as the next request (RFC 9112 §6.1).
+            return Err(HttpError::Malformed(format!("unsupported transfer-encoding {value:?}")));
         } else if name.eq_ignore_ascii_case("connection")
             && value.eq_ignore_ascii_case("close")
         {
@@ -182,6 +192,7 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         411 => "Length Required",
         413 => "Payload Too Large",
@@ -313,6 +324,18 @@ mod tests {
         assert!(parse("NONSENSE\r\n\r\n").is_err());
         assert!(parse("GET /x HTTP/1.1\r\nbadheader\r\n\r\n").is_err());
         assert!(parse("GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
+        for framing in [
+            "Content-Length: 2\r\nContent-Length: 3",
+            "Transfer-Encoding: chunked",
+            "Transfer-Encoding: chunked\r\nContent-Length: 2",
+            "Content-Length: 2\r\ntransfer-encoding: identity",
+        ] {
+            let err = parse(&format!("POST /suggest HTTP/1.1\r\n{framing}\r\n\r\nok")).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{framing:?}: got {err:?}");
+        }
+        // A repeated but equal length is unambiguous.
+        let req = parse("POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok");
+        assert_eq!(req.unwrap().unwrap().body, b"ok");
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! - **Wire format**: JSON requests/responses via
 //!   [`autosuggest_core::wire`], parsed with the vendored `serde_json`
 //!   shim — no external dependencies anywhere in the stack.
-//! - **Admission control**: a bounded [`queue::BatchQueue`]; when it is
-//!   full the daemon answers `429` immediately rather than buffering
-//!   unbounded memory.
-//! - **Micro-batching**: a single batcher thread drains the queue every
-//!   few milliseconds (or every `max_batch` requests, whichever first)
-//!   and answers the batch through the same warm-then-parallel-map path
-//!   as `suggest_batch`, so concurrent clients share column-sketch work.
+//! - **Admission control**: a bounded [`queue::BatchQueue`]. Each
+//!   connection holds at most one queued job, so the daemon admits at
+//!   most `queue_capacity` open connections, answering more `503`
+//!   without a thread; memory and threads stay bounded. Every connection
+//!   has read and write deadlines (`ServerConfig::io_timeout`): idle ones
+//!   are closed, slow requests answer `408`.
+//! - **Micro-batching**: a single batcher thread drains the queue and
+//!   closes each batch as soon as no other request is partway through
+//!   arriving ([`queue::Arrival`]), at `max_batch` requests, or at the
+//!   `batch_window` upper bound, whichever comes first. It answers the
+//!   batch through the same warm-then-parallel-map path as
+//!   `suggest_batch`, so concurrent clients share column-sketch work.
 //! - **Hot reload**: `POST /admin/reload` trains a replacement model from
 //!   scratch and installs it with an atomic `Arc` swap
 //!   ([`autosuggest_core::model_slot::ModelSlot`]), which keeps only the
