@@ -13,6 +13,11 @@
 //! dedup keys — `corpus::filter` relies on this.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
+
+// Lets the derive's `::serde::` paths resolve inside this crate's tests.
+#[cfg(test)]
+extern crate self as serde;
 
 /// Serialise `self` as JSON onto `out`.
 pub trait Serialize {
@@ -168,6 +173,13 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 }
 impl<T: Deserialize> Deserialize for Box<T> {}
 
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize_json(&self, out: &mut String) {
+        (**self).serialize_json(out);
+    }
+}
+impl<T: Deserialize> Deserialize for Arc<T> {}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize_json(&self, out: &mut String) {
         match self {
@@ -306,6 +318,7 @@ impl<T: Deserialize> Deserialize for BTreeSet<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_derive::Serialize;
 
     #[test]
     fn primitives_render_as_json() {
@@ -338,6 +351,25 @@ mod tests {
         let b = to_json_string(&m.clone());
         assert_eq!(a, b);
         assert!(a.starts_with("{\"k00\":0,"), "sorted keys: {a}");
+    }
+
+    #[test]
+    fn arc_fields_serialize_like_the_values_they_share() {
+        #[derive(Serialize)]
+        struct Owned {
+            name: String,
+            rows: Vec<Option<f64>>,
+        }
+        #[derive(Serialize)]
+        struct Shared {
+            name: Arc<String>,
+            rows: Arc<Vec<Option<f64>>>,
+        }
+        let rows = vec![Some(1.0), None, Some(-0.5)];
+        let owned = Owned { name: "t\"1".into(), rows: rows.clone() };
+        let shared = Shared { name: Arc::new("t\"1".into()), rows: Arc::new(rows) };
+        assert_eq!(to_json_string(&owned), to_json_string(&shared));
+        assert_eq!(to_json_string(&Arc::<str>::from("x")), "\"x\"");
     }
 
     #[test]

@@ -184,7 +184,7 @@ mod tests {
                 cell_index: 0,
                 op: OpKind::Merge,
                 input_hashes: vec![left.content_hash(), right.content_hash()],
-                inputs: vec![left, right],
+                inputs: vec![left.into(), right.into()],
                 params: P::Merge {
                     left_on: vec!["l0".into()],
                     right_on: vec!["r0".into()],

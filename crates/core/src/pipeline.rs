@@ -263,7 +263,7 @@ impl AutoSuggest {
                 .collect();
             let inputs: Vec<&DataFrame> = streams
                 .iter()
-                .flat_map(|(_, stream)| stream.iter().map(|inv| &inv.inputs[0]))
+                .flat_map(|(_, stream)| stream.iter().map(|inv| &*inv.inputs[0]))
                 .collect();
             // The scores read cells of several columns in one row (the
             // pivot affinity's emptiness-reduction ratio), so the memo keys

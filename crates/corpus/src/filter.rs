@@ -79,7 +79,7 @@ mod tests {
             cell_index: 0,
             op: OpKind::DropNa,
             input_hashes: vec![t.content_hash()],
-            inputs: vec![t],
+            inputs: vec![std::sync::Arc::new(t)],
             params: OpParams::DropNa { how_all, subset: None },
             output_hash: 1,
             output_rows: rows,

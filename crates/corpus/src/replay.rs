@@ -21,6 +21,7 @@ use autosuggest_obs as obs;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Full parameterisation of one operator call — explicit arguments plus the
 /// implicit defaults Pandas would fill in, which the paper logs too ("8
@@ -74,15 +75,17 @@ pub enum OpParams {
 }
 
 /// One instrumented operator invocation: the paper's unit of training data.
-/// Carries full input tables, all parameters, and output identity.
+/// Carries full input tables, all parameters, and output identity. Input
+/// tables are shared, not copied: every invocation that read the same
+/// bound variable holds the same `Arc`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpInvocation {
     pub notebook_id: String,
     pub dataset_group: String,
     pub cell_index: usize,
     pub op: OpKind,
-    /// Full dumps of the input frames, in call order.
-    pub inputs: Vec<DataFrame>,
+    /// The input frames, in call order.
+    pub inputs: Vec<Arc<DataFrame>>,
     pub params: OpParams,
     pub input_hashes: Vec<u64>,
     pub output_hash: u64,
@@ -258,8 +261,8 @@ impl ReplayEngine {
     fn replay_round_inner(&self, nb: &Notebook, round: usize) -> ReplayReport {
         let mut env = Env {
             vars: HashMap::new(),
-            installed: self.preinstalled.clone(),
-            files: nb.repo_files.clone(),
+            installed: Arc::new(self.preinstalled.clone()),
+            files: Arc::new(nb.repo_files.clone()),
         };
         let mut report = ReplayReport {
             notebook_id: nb.id.clone(),
@@ -281,6 +284,7 @@ impl ReplayEngine {
                 attempts += 1;
                 // Each attempt runs against a snapshot so failed partial
                 // execution does not leak state or log spurious invocations.
+                // The snapshot shares every frame and file with `env`.
                 let mut trial_env = env.clone();
                 let mut trial_log: Vec<OpInvocation> = Vec::new();
                 let mut trial_flow: Vec<(OpKind, Vec<u64>, u64)> = Vec::new();
@@ -308,7 +312,7 @@ impl ReplayEngine {
                         payload.as_ref(),
                     )))
                 });
-                match result {
+                let mut err = match result {
                     Ok(()) => {
                         env = trial_env;
                         report.invocations.extend(trial_log);
@@ -318,55 +322,58 @@ impl ReplayEngine {
                         report.cells_executed += 1;
                         break;
                     }
-                    Err(err) if attempts <= self.config.max_retries => {
-                        // §3.2: classify the failure and attempt repair.
-                        match err.kind {
-                            ReplayErrorKind::MissingPackage => {
-                                let pkg = err
-                                    .package_name()
-                                    .unwrap_or("unknown-package")
-                                    .to_string();
-                                if self.package_registry.contains(&pkg) {
-                                    env.installed.insert(pkg.clone());
-                                    report.packages_installed.push(pkg);
-                                    report.cell_retries += 1;
-                                    continue;
-                                }
-                                report.outcome = ReplayOutcome::MissingPackage(pkg);
-                                return report;
-                            }
-                            ReplayErrorKind::IoPath => {
-                                let path = err
-                                    .missing_path()
-                                    .unwrap_or("unknown-path")
-                                    .to_string();
-                                match self.resolve_file(&path, nb, cell_idx, &env) {
-                                    Some((resolved_name, content)) => {
-                                        env.files.insert(resolved_name.clone(), content);
-                                        report.files_recovered.push(resolved_name);
-                                        report.cell_retries += 1;
-                                        continue;
-                                    }
-                                    None => {
-                                        report.outcome = ReplayOutcome::MissingFile(path);
-                                        return report;
-                                    }
-                                }
-                            }
-                            ReplayErrorKind::OperatorPanic => {
-                                // Panics are often environmental; retry the
-                                // cell within the attempt bound.
+                    Err(err) => err,
+                };
+                if attempts > self.config.max_retries {
+                    err.message = format!("retries exhausted: {}", err.message);
+                    report.outcome = ReplayOutcome::from_error(err);
+                    return report;
+                }
+                // Release the snapshot first, so a repair below writes to
+                // `env`'s packages or files without copying them.
+                drop(trial_env);
+                // §3.2: classify the failure and attempt repair.
+                match err.kind {
+                    ReplayErrorKind::MissingPackage => {
+                        let pkg = err
+                            .package_name()
+                            .unwrap_or("unknown-package")
+                            .to_string();
+                        if self.package_registry.contains(&pkg) {
+                            Arc::make_mut(&mut env.installed).insert(pkg.clone());
+                            report.packages_installed.push(pkg);
+                            report.cell_retries += 1;
+                            continue;
+                        }
+                        report.outcome = ReplayOutcome::MissingPackage(pkg);
+                        return report;
+                    }
+                    ReplayErrorKind::IoPath => {
+                        let path = err
+                            .missing_path()
+                            .unwrap_or("unknown-path")
+                            .to_string();
+                        match self.resolve_file(&path, nb, cell_idx, &env) {
+                            Some((resolved_name, content)) => {
+                                Arc::make_mut(&mut env.files)
+                                    .insert(resolved_name.clone(), content);
+                                report.files_recovered.push(resolved_name);
                                 report.cell_retries += 1;
                                 continue;
                             }
-                            ReplayErrorKind::Timeout | ReplayErrorKind::SchemaMismatch => {
-                                report.outcome = ReplayOutcome::from_error(err);
+                            None => {
+                                report.outcome = ReplayOutcome::MissingFile(path);
                                 return report;
                             }
                         }
                     }
-                    Err(mut err) => {
-                        err.message = format!("retries exhausted: {}", err.message);
+                    ReplayErrorKind::OperatorPanic => {
+                        // Panics are often environmental; retry the
+                        // cell within the attempt bound.
+                        report.cell_retries += 1;
+                        continue;
+                    }
+                    ReplayErrorKind::Timeout | ReplayErrorKind::SchemaMismatch => {
                         report.outcome = ReplayOutcome::from_error(err);
                         return report;
                     }
@@ -542,8 +549,8 @@ impl ReplayEngine {
                     }
                 }
                 Stmt::Assign { var, expr } => {
-                    let frame = self.eval(nb, cell_idx, expr, trial)?;
-                    trial.env.vars.insert(var.clone(), frame);
+                    let bound = self.eval(nb, cell_idx, expr, trial)?;
+                    trial.env.vars.insert(var.clone(), bound);
                 }
                 Stmt::Inspect { expr } => {
                     self.eval(nb, cell_idx, expr, trial)?;
@@ -559,12 +566,13 @@ impl ReplayEngine {
         cell_idx: usize,
         expr: &Expr,
         trial: &mut CellTrial<'_>,
-    ) -> Result<DataFrame, ReplayError> {
+    ) -> Result<Bound, ReplayError> {
         // Gather input frames first (shared error for unknown variables).
-        let mut inputs: Vec<DataFrame> = Vec::new();
-        for v in expr_inputs(expr) {
+        let names = expr_inputs(expr);
+        let mut bound_inputs: Vec<Bound> = Vec::new();
+        for &v in &names {
             match trial.env.vars.get(v) {
-                Some(f) => inputs.push(f.clone()),
+                Some(b) => bound_inputs.push(b.clone()),
                 None => {
                     return Err(ReplayError::schema(format!(
                         "NameError: name '{v}' is not defined"
@@ -572,7 +580,8 @@ impl ReplayEngine {
                 }
             }
         }
-        let in_rows: usize = inputs.iter().map(DataFrame::num_rows).sum();
+        let inputs: Vec<&DataFrame> = bound_inputs.iter().map(|b| &*b.frame).collect();
+        let in_rows: usize = inputs.iter().map(|f| f.num_rows()).sum();
         if in_rows > *trial.budget {
             return Err(ReplayError::timeout());
         }
@@ -610,7 +619,7 @@ impl ReplayEngine {
             Expr::Merge { left_on, right_on, how, .. } => {
                 let lo: Vec<&str> = left_on.iter().map(String::as_str).collect();
                 let ro: Vec<&str> = right_on.iter().map(String::as_str).collect();
-                let df = ops::merge(&inputs[0], &inputs[1], &lo, &ro, *how)
+                let df = ops::merge(inputs[0], inputs[1], &lo, &ro, *how)
                     .map_err(schema_err)?;
                 (
                     Some(OpKind::Merge),
@@ -629,7 +638,7 @@ impl ReplayEngine {
                 let k: Vec<&str> = keys.iter().map(String::as_str).collect();
                 let a: Vec<(&str, Agg)> =
                     aggs.iter().map(|(c, g)| (c.as_str(), *g)).collect();
-                let df = ops::groupby(&inputs[0], &k, &a).map_err(schema_err)?;
+                let df = ops::groupby(inputs[0], &k, &a).map_err(schema_err)?;
                 (
                     Some(OpKind::GroupBy),
                     Some(OpParams::GroupBy {
@@ -644,7 +653,7 @@ impl ReplayEngine {
             Expr::Pivot { index, header, values, agg, .. } => {
                 let i: Vec<&str> = index.iter().map(String::as_str).collect();
                 let h: Vec<&str> = header.iter().map(String::as_str).collect();
-                let df = ops::pivot_table(&inputs[0], &i, &h, values, *agg)
+                let df = ops::pivot_table(inputs[0], &i, &h, values, *agg)
                     .map_err(schema_err)?;
                 (
                     Some(OpKind::Pivot),
@@ -662,7 +671,7 @@ impl ReplayEngine {
             Expr::Melt { id_vars, value_vars, var_name, value_name, .. } => {
                 let iv: Vec<&str> = id_vars.iter().map(String::as_str).collect();
                 let vv: Vec<&str> = value_vars.iter().map(String::as_str).collect();
-                let df = ops::melt(&inputs[0], &iv, &vv, var_name, value_name)
+                let df = ops::melt(inputs[0], &iv, &vv, var_name, value_name)
                     .map_err(schema_err)?;
                 (
                     Some(OpKind::Melt),
@@ -676,8 +685,7 @@ impl ReplayEngine {
                 )
             }
             Expr::Concat { frames } => {
-                let refs: Vec<&DataFrame> = inputs.iter().collect();
-                let df = ops::concat(&refs).map_err(schema_err)?;
+                let df = ops::concat(&inputs).map_err(schema_err)?;
                 (
                     Some(OpKind::Concat),
                     Some(OpParams::Concat {
@@ -692,7 +700,7 @@ impl ReplayEngine {
                 let how = if *how_all { DropHow::All } else { DropHow::Any };
                 let sub: Option<Vec<&str>> =
                     subset.as_ref().map(|s| s.iter().map(String::as_str).collect());
-                let df = ops::dropna(&inputs[0], how, sub.as_deref())
+                let df = ops::dropna(inputs[0], how, sub.as_deref())
                     .map_err(schema_err)?;
                 (
                     Some(OpKind::DropNa),
@@ -707,45 +715,71 @@ impl ReplayEngine {
                     FillValue::Str(s) => Value::Str(s.clone()),
                 };
                 let df =
-                    ops::fillna_all(&inputs[0], &v).map_err(schema_err)?;
+                    ops::fillna_all(inputs[0], &v).map_err(schema_err)?;
                 (
                     Some(OpKind::FillNa),
                     Some(OpParams::FillNa { value: v.to_string() }),
                     df,
                 )
             }
-            Expr::Var(_) => (None, None, inputs[0].clone()),
+            // Rebinding shares the frame and its hash; nothing is logged.
+            Expr::Var(_) => return Ok(bound_inputs.swap_remove(0)),
         };
+        let output = Arc::new(output);
 
-        if let (Some(op), Some(params)) = (op, params) {
-            let input_hashes: Vec<u64> =
-                inputs.iter().map(DataFrame::content_hash).collect();
-            let output_hash = output.content_hash();
-            trial.flow.push((op, input_hashes.clone(), output_hash));
-            trial.log.push(OpInvocation {
-                notebook_id: nb.id.clone(),
-                dataset_group: nb.dataset_group.clone(),
-                cell_index: cell_idx,
-                op,
-                inputs,
-                params,
-                input_hashes,
-                output_hash,
-                output_rows: output.num_rows(),
-                output_cols: output.num_columns(),
-            });
+        let (Some(op), Some(params)) = (op, params) else {
+            return Ok(Bound { frame: output, hash: None });
+        };
+        // Each frame is hashed once: an input produced by an earlier op
+        // carries that op's output hash, and a read frame keeps the hash
+        // its first reader computes.
+        let input_hashes: Vec<u64> = bound_inputs.iter().map(Bound::content_hash).collect();
+        for (name, &hash) in names.iter().zip(&input_hashes) {
+            if let Some(slot) = trial.env.vars.get_mut(*name) {
+                slot.hash = Some(hash);
+            }
         }
-        Ok(output)
+        let output_hash = output.content_hash();
+        trial.flow.push((op, input_hashes.clone(), output_hash));
+        trial.log.push(OpInvocation {
+            notebook_id: nb.id.clone(),
+            dataset_group: nb.dataset_group.clone(),
+            cell_index: cell_idx,
+            op,
+            inputs: bound_inputs.into_iter().map(|b| b.frame).collect(),
+            params,
+            input_hashes,
+            output_hash,
+            output_rows: output.num_rows(),
+            output_cols: output.num_columns(),
+        });
+        Ok(Bound { frame: output, hash: Some(output_hash) })
     }
 }
 
-/// Environment state threaded through cell execution.
+/// A frame bound to a variable, with its content hash once computed.
+#[derive(Clone)]
+struct Bound {
+    frame: Arc<DataFrame>,
+    hash: Option<u64>,
+}
+
+impl Bound {
+    fn content_hash(&self) -> u64 {
+        self.hash.unwrap_or_else(|| self.frame.content_hash())
+    }
+}
+
+/// Environment state threaded through cell execution. Cloning it (once per
+/// cell attempt) copies only the variable names; frames, packages and
+/// files are shared, and the two repair paths write through
+/// `Arc::make_mut`.
 #[derive(Clone)]
 struct Env {
-    vars: HashMap<String, DataFrame>,
-    installed: HashSet<String>,
+    vars: HashMap<String, Bound>,
+    installed: Arc<HashSet<String>>,
     /// Resolvable file paths → contents (repo clone + recovered downloads).
-    files: HashMap<String, String>,
+    files: Arc<HashMap<String, String>>,
 }
 
 /// One attempt at executing a cell: the snapshotted state it mutates plus
@@ -965,6 +999,36 @@ mod tests {
             other => panic!("wrong params {other:?}"),
         }
         assert_eq!(report.flow.op_sequence(), vec![OpKind::Merge]);
+    }
+
+    #[test]
+    fn readers_of_one_variable_share_its_frame_and_hash_across_retries() {
+        // Every cell's first attempt panics, so every logged invocation
+        // comes from a retried cell.
+        let engine = ReplayEngine::new(DatasetRepository::new())
+            .with_faults(Some(spec("panic=1.0,seed=7,transient=1.0")));
+        let mut nb = read_nb("data.csv", Some("data.csv"));
+        let dropna =
+            |frame: &str| Expr::DropNa { frame: frame.into(), how_all: false, subset: None };
+        let assign =
+            |var: &str, expr: Expr| Cell::code(vec![Stmt::Assign { var: var.into(), expr }]);
+        nb.push_cell(assign("a", dropna("df")));
+        nb.push_cell(assign("alias", Expr::Var("df".into())));
+        nb.push_cell(assign("b", dropna("alias")));
+        nb.push_cell(assign("c", Expr::Concat { frames: vec!["a".into(), "df".into()] }));
+        let report = engine.replay(&nb);
+        assert_eq!(report.outcome, ReplayOutcome::Success);
+        assert_eq!(report.cell_retries, nb.cells.len());
+        let [a, b, c] = &report.invocations[..] else { panic!("{:?}", report.invocations) };
+        assert!(Arc::ptr_eq(&a.inputs[0], &b.inputs[0]), "a rebinding copied the frame");
+        assert!(Arc::ptr_eq(&a.inputs[0], &c.inputs[1]));
+        for inv in [a, b, c] {
+            for (f, &h) in inv.inputs.iter().zip(&inv.input_hashes) {
+                assert_eq!(h, f.content_hash());
+            }
+        }
+        // `c` reads `a`'s output: the logged hash is the producer's.
+        assert_eq!(c.input_hashes[0], a.output_hash);
     }
 
     #[test]

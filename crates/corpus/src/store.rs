@@ -11,8 +11,15 @@
 //! Shard files are `ASGS` record files in the disk cache's on-disk layer,
 //! `autosuggest_cache::durable` (magic, version, fnv64-checksummed records,
 //! floats as IEEE-754 bit patterns); they and the JSON manifest are written
-//! with its atomic, fsynced `publish`. A shard that fails verification is
-//! deleted and re-replayed, never trusted.
+//! with its atomic, fsynced `publish`. A shard that fails verification, or
+//! that another format version wrote, is deleted and re-replayed, never
+//! trusted.
+//!
+//! Replay shares input frames between invocations (one `Arc` per bound
+//! variable), and a shard keeps that sharing on disk: version 2 writes a
+//! frame table of the shard's distinct input frames once, and each
+//! invocation names its inputs by table index. Decoding rebuilds one `Arc`
+//! per table entry, so read-back holds one copy of each frame too.
 //!
 //! The vendored serde shim has no generic deserializer (its `Deserialize`
 //! is a marker trait), so records use the durable layer's little-endian
@@ -27,14 +34,16 @@ use autosuggest_cache::durable::{
 use autosuggest_dataframe::ops::{Agg, JoinType};
 use autosuggest_dataframe::{Column, DataFrame, Value};
 use autosuggest_obs as obs;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Shard file magic: "Auto-Suggest Generated Samples".
 const MAGIC: [u8; 4] = *b"ASGS";
-const VERSION: u16 = 1;
+/// 2: a per-shard frame table; invocations reference frames by index.
+const VERSION: u16 = 2;
 const MANIFEST_VERSION: u64 = 1;
 
 /// Record tags within a shard file.
@@ -43,6 +52,7 @@ const TAG_REPORT: u8 = 2;
 const TAG_INVOCATION: u8 = 3;
 const TAG_STATS: u8 = 4;
 const TAG_END: u8 = 5;
+const TAG_FRAME: u8 = 6;
 
 // ---------------------------------------------------------------------------
 // Record payloads
@@ -145,6 +155,62 @@ fn get_frame(r: &mut ByteReader) -> io::Result<DataFrame> {
         cols.push(Column::new(name, vals));
     }
     DataFrame::new(cols).map_err(|e| bad_data(format!("stored frame invalid: {e}")))
+}
+
+/// Exact identity: what the encoding preserves. `Value`'s own equality is
+/// looser (`Int(5) == Float(5.0)`, `-0.0 == 0.0`), and so is
+/// `content_hash`, so neither may decide that two frames share an entry.
+fn same_frame(a: &DataFrame, b: &DataFrame) -> bool {
+    fn same_value(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(x), Value::Bool(y)) => x == y,
+            (Value::Int(x), Value::Int(y)) | (Value::Date(x), Value::Date(y)) => x == y,
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            (Value::Str(x), Value::Str(y)) => x == y,
+            _ => false,
+        }
+    }
+    a.num_columns() == b.num_columns()
+        && a.columns().iter().zip(b.columns()).all(|(ca, cb)| {
+            ca.name() == cb.name()
+                && ca.values().len() == cb.values().len()
+                && ca.values().iter().zip(cb.values()).all(|(x, y)| same_value(x, y))
+        })
+}
+
+/// One shard's frame table under construction: each distinct input frame
+/// once, in first-seen order, so the image is the same at any thread count.
+#[derive(Default)]
+struct FrameTable<'a> {
+    frames: Vec<&'a DataFrame>,
+    /// `input_hashes` value → table indices of the frames stored under it.
+    /// Equality confirms every hit, so a 64-bit collision adds an entry
+    /// rather than aliasing two tables.
+    by_hash: HashMap<u64, Vec<usize>>,
+    /// Input references resolved through the table.
+    refs: usize,
+}
+
+impl<'a> FrameTable<'a> {
+    /// Table indices of `inv`'s inputs, adding the frames not yet stored.
+    fn indices(&mut self, inv: &'a OpInvocation) -> Vec<usize> {
+        let mut out = Vec::with_capacity(inv.inputs.len());
+        for (i, frame) in inv.inputs.iter().enumerate() {
+            let hash = inv.input_hashes.get(i).copied().unwrap_or_else(|| frame.content_hash());
+            let slots = self.by_hash.entry(hash).or_default();
+            let hit = slots.iter().copied().find(|&s| {
+                std::ptr::eq(self.frames[s], &**frame) || same_frame(self.frames[s], frame)
+            });
+            out.push(hit.unwrap_or_else(|| {
+                self.frames.push(frame);
+                slots.push(self.frames.len() - 1);
+                self.frames.len() - 1
+            }));
+        }
+        self.refs += out.len();
+        out
+    }
 }
 
 fn op_kind_tag(op: OpKind) -> u8 {
@@ -452,18 +518,18 @@ fn get_flow(r: &mut ByteReader) -> io::Result<FlowGraph> {
     Ok(flow)
 }
 
-/// The per-operator sample record: one instrumented invocation, inputs and
-/// parameters included — the store's equivalent of the exemplar pipeline's
-/// `data.csv` + `param.json` pair, in one checksummed binary record.
-fn encode_invocation(inv: &OpInvocation) -> Vec<u8> {
+/// The per-operator sample record: one instrumented invocation, its inputs
+/// as frame-table indices, and its parameters — the store's equivalent of
+/// the exemplar pipeline's `data.csv` + `param.json` pair.
+fn encode_invocation(inv: &OpInvocation, inputs: &[usize]) -> Vec<u8> {
     let mut w = ByteWriter::default();
     w.put_str(&inv.notebook_id);
     w.put_str(&inv.dataset_group);
     w.put_usize(inv.cell_index);
     w.put_u8(op_kind_tag(inv.op));
-    w.put_usize(inv.inputs.len());
-    for frame in &inv.inputs {
-        put_frame(&mut w, frame);
+    w.put_usize(inputs.len());
+    for &i in inputs {
+        w.put_usize(i);
     }
     put_params(&mut w, &inv.params);
     w.put_usize(inv.input_hashes.len());
@@ -476,16 +542,21 @@ fn encode_invocation(inv: &OpInvocation) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_invocation(payload: &[u8]) -> io::Result<OpInvocation> {
+/// Decode an invocation whose inputs index into the shard's `frames`.
+fn decode_invocation(payload: &[u8], frames: &[Arc<DataFrame>]) -> io::Result<OpInvocation> {
     let mut r = ByteReader::new(payload);
     let notebook_id = r.get_str()?;
     let dataset_group = r.get_str()?;
     let cell_index = r.get_usize()?;
     let op = op_kind_from_tag(r.get_u8()?)?;
-    let n_inputs = r.get_usize()?;
-    let mut inputs = Vec::with_capacity(n_inputs.min(16));
+    let n_inputs = r.get_count(8)?;
+    let mut inputs = Vec::with_capacity(n_inputs);
     for _ in 0..n_inputs {
-        inputs.push(get_frame(&mut r)?);
+        let i = r.get_usize()?;
+        let frame = frames.get(i).ok_or_else(|| {
+            bad_data(format!("frame index {i} out of range ({} frames)", frames.len()))
+        })?;
+        inputs.push(Arc::clone(frame));
     }
     let params = get_params(&mut r)?;
     let n_hashes = r.get_usize()?;
@@ -629,23 +700,48 @@ fn decode_stats(payload: &[u8]) -> io::Result<RobustnessStats> {
 // Shard files
 // ---------------------------------------------------------------------------
 
-/// Serialise one shard's reports + stats into a complete shard file image.
-fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessStats) -> Vec<u8> {
+/// A shard file image plus its frame-table accounting.
+struct ShardImage {
+    bytes: Vec<u8>,
+    /// Distinct frames written to the table.
+    frames: usize,
+    /// Input references the invocations make into it.
+    frame_refs: usize,
+}
+
+/// Serialise one shard's reports + stats into a complete shard file image:
+/// header, frame table, then each report skeleton followed by its
+/// invocations, then stats and an end marker.
+fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessStats) -> ShardImage {
+    let mut table = FrameTable::default();
+    let inputs: Vec<Vec<usize>> = reports
+        .iter()
+        .flat_map(|rep| &rep.invocations)
+        .map(|inv| table.indices(inv))
+        .collect();
+
     let mut file = RecordFile::new(MAGIC, VERSION);
     let mut header = ByteWriter::default();
     header.put_usize(shard_id);
     header.put_usize(reports.len());
+    header.put_usize(table.frames.len());
     file.record(TAG_SHARD_HEADER, &header.into_bytes());
+    for frame in &table.frames {
+        let mut w = ByteWriter::default();
+        put_frame(&mut w, frame);
+        file.record(TAG_FRAME, &w.into_bytes());
+    }
 
+    let mut inputs = inputs.iter();
     for rep in reports {
         file.record(TAG_REPORT, &encode_report_skeleton(rep));
-        for inv in &rep.invocations {
-            file.record(TAG_INVOCATION, &encode_invocation(inv));
+        for (inv, ids) in rep.invocations.iter().zip(&mut inputs) {
+            file.record(TAG_INVOCATION, &encode_invocation(inv, ids));
         }
     }
     file.record(TAG_STATS, &encode_stats(stats));
     file.record(TAG_END, &[]);
-    file.into_bytes()
+    ShardImage { bytes: file.into_bytes(), frames: table.frames.len(), frame_refs: table.refs }
 }
 
 /// Parse a complete shard file image back into reports + stats.
@@ -658,11 +754,24 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
     let mut hr = ByteReader::new(payload);
     let stored_id = hr.get_usize()?;
     let notebook_count = hr.get_usize()?;
+    let frame_count = hr.get_usize()?;
     hr.finish()?;
     if stored_id != shard_id {
         return Err(bad_data(format!(
             "shard id mismatch: file says {stored_id}, manifest says {shard_id}"
         )));
+    }
+
+    let mut frames: Vec<Arc<DataFrame>> = Vec::with_capacity(frame_count.min(1 << 16));
+    for _ in 0..frame_count {
+        let (tag, payload) = records.next_record()?;
+        if tag != TAG_FRAME {
+            return Err(bad_data(format!("expected {frame_count} frame records, found tag {tag}")));
+        }
+        let mut r = ByteReader::new(payload);
+        let frame = get_frame(&mut r)?;
+        r.finish()?;
+        frames.push(Arc::new(frame));
     }
 
     let mut reports: Vec<ReplayReport> = Vec::with_capacity(notebook_count);
@@ -686,7 +795,7 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
                 if pending == 0 {
                     return Err(bad_data("more invocation records than the report declared"));
                 }
-                rep.invocations.push(decode_invocation(payload)?);
+                rep.invocations.push(decode_invocation(payload, &frames)?);
                 pending -= 1;
             }
             TAG_STATS => {
@@ -907,7 +1016,7 @@ impl SampleStore {
             )));
         }
         let _span = obs::span("store_write");
-        let bytes = encode_shard(id, reports, stats);
+        let ShardImage { bytes, frames, frame_refs } = encode_shard(id, reports, stats);
         let file_fnv = fnv64(&bytes);
         durable::publish(&self.shard_path(id), &bytes)?;
         let invocations = reports.iter().map(|r| r.invocations.len()).sum::<usize>();
@@ -920,9 +1029,13 @@ impl SampleStore {
         obs::counter_add("store.reports_written", reports.len() as u64);
         obs::counter_add("store.invocations_written", invocations as u64);
         obs::counter_add("store.bytes_written", bytes.len() as u64);
+        obs::counter_add("store.frames_written", frames as u64);
+        obs::counter_add("store.frame_refs", frame_refs as u64);
         Ok(())
     }
 
+    /// A listed shard's bytes, checked against the manifest's whole-file
+    /// checksum and this build's magic and version.
     fn read_shard_verified(&self, id: usize) -> io::Result<Vec<u8>> {
         let meta = self
             .shards
@@ -932,6 +1045,7 @@ impl SampleStore {
         if fnv64(&bytes) != meta.file_fnv {
             return Err(bad_data(format!("shard {id} failed file checksum")));
         }
+        Records::open(&bytes, MAGIC, VERSION)?;
         Ok(bytes)
     }
 
@@ -1005,7 +1119,7 @@ mod tests {
             dataset_group: "grp-join-00001".into(),
             cell_index: 3,
             op,
-            inputs: vec![frame(), frame()],
+            inputs: vec![Arc::new(frame()), Arc::new(frame())],
             params,
             input_hashes: vec![11, 22],
             output_hash: 33,
@@ -1112,23 +1226,108 @@ mod tests {
         dir
     }
 
+    /// One report whose invocations are `invs`, in a one-report shard
+    /// image, decoded again.
+    fn shard_roundtrip(invs: Vec<OpInvocation>) -> (ShardImage, Vec<OpInvocation>) {
+        let mut rep = report();
+        rep.invocations = invs;
+        let image = encode_shard(0, &[rep], &stats());
+        let (mut decoded, _) = decode_shard(0, &image.bytes).unwrap();
+        (image, decoded.remove(0).invocations)
+    }
+
     #[test]
     fn invocation_roundtrip_all_params_bitexact() {
         for (op, params) in all_params() {
             let inv = invocation(op, params);
-            let decoded = decode_invocation(&encode_invocation(&inv)).unwrap();
-            assert_eq!(format!("{inv:?}"), format!("{decoded:?}"));
+            let (_, decoded) = shard_roundtrip(vec![inv.clone()]);
+            assert_eq!(format!("{inv:?}"), format!("{:?}", decoded[0]));
             // Float bit patterns survive exactly (Debug can mask NaN payloads).
-            for (a, b) in inv.inputs.iter().zip(decoded.inputs.iter()) {
-                for (ca, cb) in a.columns().iter().zip(b.columns().iter()) {
-                    for (va, vb) in ca.values().iter().zip(cb.values().iter()) {
-                        if let (Value::Float(x), Value::Float(y)) = (va, vb) {
-                            assert_eq!(x.to_bits(), y.to_bits());
-                        }
-                    }
-                }
+            for (a, b) in inv.inputs.iter().zip(decoded[0].inputs.iter()) {
+                assert!(same_frame(a, b));
             }
         }
+    }
+
+    #[test]
+    fn shared_input_is_written_once_and_decodes_to_one_arc() {
+        let shared = Arc::new(frame());
+        let hash = shared.content_hash();
+        let mut invs: Vec<OpInvocation> =
+            all_params().into_iter().map(|(op, p)| invocation(op, p)).collect();
+        for (k, inv) in invs.iter_mut().enumerate() {
+            // Half the references share one Arc; the rest are equal copies.
+            let f = if k % 2 == 0 { Arc::clone(&shared) } else { Arc::new(frame()) };
+            inv.inputs = vec![Arc::clone(&f), f];
+            inv.input_hashes = vec![hash, hash];
+        }
+        let (image, decoded) = shard_roundtrip(invs);
+        assert_eq!((image.frames, image.frame_refs), (1, 16));
+        let first = &decoded[0].inputs[0];
+        assert!(same_frame(first, &shared));
+        for inv in &decoded {
+            for f in &inv.inputs {
+                assert!(Arc::ptr_eq(f, first), "read-back holds a second copy");
+            }
+        }
+    }
+
+    #[test]
+    fn hash_collision_keeps_both_frames_exact() {
+        // `loose` equals `frame()` under `Value`'s equality and has the same
+        // content hash, but its cells differ in type and sign bits; `other`
+        // is a different table forced under the same hash value.
+        let loose = DataFrame::new(vec![
+            Column::new(
+                "k",
+                vec![Value::Float(1.0), Value::Null, Value::Str("x".into()), Value::Date(86400)],
+            ),
+            Column::new(
+                "v",
+                vec![
+                    Value::Float(1.5),
+                    Value::Float(0.0),
+                    Value::Float(f64::from_bits(0x7ff8_0000_0000_1234)),
+                    Value::Bool(true),
+                ],
+            ),
+        ])
+        .unwrap();
+        assert_eq!(loose.content_hash(), frame().content_hash());
+        let other = DataFrame::from_columns(vec![("z", vec![Value::Int(7)])]).unwrap();
+        let originals = [frame(), loose, other];
+        let mut inv = invocation(OpKind::Concat, all_params()[4].1.clone());
+        inv.inputs = originals.iter().cloned().map(Arc::new).collect();
+        inv.input_hashes = vec![42; 3];
+        let (image, decoded) = shard_roundtrip(vec![inv]);
+        assert_eq!((image.frames, image.frame_refs), (3, 3));
+        for (orig, back) in originals.iter().zip(&decoded[0].inputs) {
+            assert!(same_frame(orig, back), "{orig:?} decoded as {back:?}");
+        }
+        assert!(!same_frame(&originals[0], &originals[1]));
+    }
+
+    #[test]
+    fn out_of_range_frame_index_is_an_error() {
+        let inv = invocation(OpKind::DropNa, all_params()[5].1.clone());
+        let mut rep = report();
+        rep.invocations = vec![inv.clone()];
+        let mut file = RecordFile::new(MAGIC, VERSION);
+        let mut header = ByteWriter::default();
+        for v in [0, 1, 1] {
+            header.put_usize(v);
+        }
+        file.record(TAG_SHARD_HEADER, &header.into_bytes());
+        let mut w = ByteWriter::default();
+        put_frame(&mut w, &frame());
+        file.record(TAG_FRAME, &w.into_bytes());
+        file.record(TAG_REPORT, &encode_report_skeleton(&rep));
+        file.record(TAG_INVOCATION, &encode_invocation(&inv, &[0, 1]));
+        file.record(TAG_STATS, &encode_stats(&stats()));
+        file.record(TAG_END, &[]);
+        let err = decode_shard(0, &file.into_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("frame index 1 out of range"), "{err}");
     }
 
     #[test]
@@ -1141,7 +1340,7 @@ mod tests {
             r
         }];
         let s = stats();
-        let bytes = encode_shard(4, &reports, &s);
+        let bytes = encode_shard(4, &reports, &s).bytes;
         let (decoded, ds) = decode_shard(4, &bytes).unwrap();
         assert_eq!(format!("{reports:?}"), format!("{decoded:?}"));
         assert_eq!(s, ds);
@@ -1150,7 +1349,7 @@ mod tests {
     #[test]
     fn corrupt_byte_is_detected() {
         let reports = vec![report()];
-        let mut bytes = encode_shard(0, &reports, &stats());
+        let mut bytes = encode_shard(0, &reports, &stats()).bytes;
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         assert!(decode_shard(0, &bytes).is_err());
@@ -1201,7 +1400,7 @@ mod tests {
         // prefix of the image; whatever its length, open sweeps it and the
         // shard it would have become stays absent.
         let root = tmpdir("tmpsweep");
-        let image = encode_shard(0, &[report()], &stats());
+        let image = encode_shard(0, &[report()], &stats()).bytes;
         for k in 0..=image.len() {
             fs::create_dir_all(root.join("shards")).unwrap();
             let orphan = root.join("shards").join(format!("shard-00000.tmp12345-{k}"));

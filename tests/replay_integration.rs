@@ -1,9 +1,11 @@
 //! Cross-crate replay integration: corpus → replay → filter → split.
 
+use auto_suggest::cache::durable::fnv64;
 use auto_suggest::corpus::{
-    filter_invocations, grouped_split, CorpusConfig, CorpusGenerator, OpKind, ReplayEngine,
-    ReplayOutcome,
+    filter_invocations, grouped_split, CorpusConfig, CorpusGenerator, FaultSpec, OpKind,
+    ReplayEngine, ReplayOutcome,
 };
+use std::sync::Arc;
 
 #[test]
 fn corpus_replay_filter_split_pipeline() {
@@ -57,6 +59,40 @@ fn corpus_replay_filter_split_pipeline() {
     for &i in &split.train {
         assert!(!test_groups.contains(filtered[i].dataset_group.as_str()));
     }
+}
+
+/// Replay hashes each frame once and shares it between its readers, with
+/// faults on so retried cells are covered: every logged input hash is its
+/// frame's content hash, and every hash is the one the deep-copying replay
+/// logged.
+#[test]
+fn logged_hashes_match_their_shared_frames_under_faults() {
+    let corpus = CorpusGenerator::new(CorpusConfig::small(404)).generate();
+    let faults = FaultSpec::parse("seed=7,panic=0.15,io=0.15").unwrap();
+    let engine = ReplayEngine::new(corpus.repository.clone()).with_faults(Some(faults));
+    let (reports, stats) = engine.replay_corpus(&corpus.notebooks);
+    assert!(stats.cell_retries > 0 && stats.total_injected() > 0);
+
+    let mut digest = Vec::new();
+    let (mut invocations, mut shared) = (0, 0);
+    for report in &reports {
+        for (k, inv) in report.invocations.iter().enumerate() {
+            invocations += 1;
+            assert_eq!(inv.input_hashes.len(), inv.inputs.len());
+            let at = format!("{} cell {}", inv.notebook_id, inv.cell_index);
+            for (&hash, frame) in inv.input_hashes.iter().zip(&inv.inputs) {
+                assert_eq!(hash, frame.content_hash(), "{at}");
+                digest.extend(hash.to_le_bytes());
+                let mut earlier = report.invocations[..k].iter().flat_map(|i| &i.inputs);
+                shared += earlier.any(|f| Arc::ptr_eq(f, frame)) as usize;
+            }
+            digest.extend(inv.output_hash.to_le_bytes());
+        }
+    }
+    assert_eq!(invocations, 112);
+    assert!(shared > 0, "no invocation shares a frame with an earlier reader");
+    // Recorded from the replay that deep-copied every input.
+    assert_eq!(fnv64(&digest), 0x0953_1de6_74d9_b071);
 }
 
 #[test]

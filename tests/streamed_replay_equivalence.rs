@@ -4,9 +4,11 @@
 //! robustness accounting — at any shard size, across kill/resume cycles,
 //! after shard corruption, and with fault injection active.
 
+use auto_suggest::cache::durable::fnv64;
+use auto_suggest::corpus::stream::render_scenario_stats;
 use auto_suggest::corpus::{
-    replay_corpus_streamed, CorpusConfig, CorpusGenerator, FaultSpec, ReplayEngine, ReplayReport,
-    RobustnessStats, StreamConfig,
+    replay_corpus_streamed, scan_scenario_stats, CorpusConfig, CorpusGenerator, FaultSpec,
+    ReplayEngine, ReplayReport, RobustnessStats, StreamConfig,
 };
 use auto_suggest::obs::{self, MetricsSnapshot};
 use std::path::PathBuf;
@@ -155,6 +157,38 @@ fn corrupted_shard_is_re_replayed_not_trusted() {
     let (baseline_reports, baseline_stats) = in_memory_replay(&cfg, None);
     assert_eq!(render_reports(&streamed_reports(&store)), render_reports(&baseline_reports));
     assert_eq!(second.stats, baseline_stats);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shard_of_another_format_version_is_re_replayed() {
+    let cfg = tiny_corpus(37);
+    let dir = store_dir("version");
+    let shard = StreamConfig { shard_size: 5, ..Default::default() };
+    let (store, first) = replay_corpus_streamed(&cfg, None, &dir, &shard).expect("first run");
+    assert!(first.shards_replayed >= 2);
+    let table = render_scenario_stats(&scan_scenario_stats(&store).expect("scan"));
+
+    // Rewrite shard 1 as a valid file of another format version (the u16
+    // after the 4-byte magic) and list it in the manifest under its new
+    // checksum, as a store written by another build would be.
+    let victim = dir.join("shards").join("shard-00001.asg");
+    let mut bytes = std::fs::read(&victim).expect("read shard");
+    let listed = format!("\"file_fnv\":{}", fnv64(&bytes));
+    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    bytes[4..6].copy_from_slice(&version.wrapping_add(1).to_le_bytes());
+    std::fs::write(&victim, &bytes).expect("rewrite shard");
+    let manifest_path = dir.join("manifest.json");
+    let manifest = std::fs::read_to_string(&manifest_path).expect("read manifest");
+    assert_eq!(manifest.matches(&listed).count(), 1, "{manifest}");
+    let relisted = manifest.replace(&listed, &format!("\"file_fnv\":{}", fnv64(&bytes)));
+    std::fs::write(&manifest_path, relisted).expect("rewrite manifest");
+
+    let (store, second) = replay_corpus_streamed(&cfg, None, &dir, &shard).expect("second run");
+    assert_eq!(second.shards_replayed, 1, "exactly the other-version shard re-replays");
+    assert_eq!(second.shards_resumed, second.total_shards - 1);
+    assert_eq!(render_scenario_stats(&scan_scenario_stats(&store).expect("rescan")), table);
+    assert_eq!(second.stats, first.stats);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
