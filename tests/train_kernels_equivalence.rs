@@ -203,3 +203,57 @@ fn trainers_are_bit_identical_across_thread_counts() {
     assert!(one.contains("loss"));
     assert_eq!(one, four, "a trainer diverged between 1 and 4 threads");
 }
+
+/// FNV-1a over 64-bit words.
+fn fnv64(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for byte in w.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Trained RNN output bits are pinned across builds, not only across
+/// thread counts: an fnv64 of every predicted probability's bit pattern
+/// plus the final epoch loss, for a config with auxiliary features (the
+/// Fig. 13 `Full` shape) and a sequence-only one, must equal the values
+/// recorded before the parameter arena and the AVX-512 Adam lane existed.
+/// 60 epochs × 120 examples is past the ~6,700 zero-gradient steps a
+/// first moment needs to decay into the subnormals, so the `Decay` lane
+/// fires tens of thousands of times in the `Full`-style run.
+#[test]
+fn rnn_training_bits_are_pinned_across_builds() {
+    let vocab = 9;
+    let with_extra = sequences(120, vocab, 33);
+    let seq_only: Vec<SequenceExample> = with_extra
+        .iter()
+        .map(|e| SequenceExample { prefix: e.prefix.clone(), extra: vec![], label: e.label })
+        .collect();
+    let digest = |examples: &[SequenceExample], extra_dim: usize| {
+        let mut model = RnnClassifier::new(RnnConfig {
+            vocab,
+            classes: vocab,
+            extra_dim,
+            epochs: 60,
+            seed: 41,
+            ..Default::default()
+        });
+        let loss = model.train(examples);
+        let queries: Vec<(&[usize], &[f64])> = examples
+            .iter()
+            .map(|e| (e.prefix.as_slice(), e.extra.as_slice()))
+            .collect();
+        let probs = model.predict_proba_batch(&queries);
+        fnv64(probs.iter().flatten().map(|p| p.to_bits()).chain([loss.to_bits()]))
+    };
+    let full = digest(&with_extra, 1);
+    let rnn_only = digest(&seq_only, 0);
+    assert_eq!(
+        (format!("{full:016x}"), format!("{rnn_only:016x}")),
+        ("2df30e1ff8c9b1bd".to_string(), "fe7e9f39088a1e77".to_string()),
+        "trained RNN bits moved"
+    );
+}
