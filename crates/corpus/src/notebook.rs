@@ -4,6 +4,7 @@
 use crate::lang::{render_stmt, CellAst};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One notebook cell: executable statements plus optional adjacent
 /// markdown (which may contain data-set URLs the replay engine scavenges,
@@ -40,8 +41,10 @@ pub struct Notebook {
     pub dataset_group: String,
     pub cells: Vec<Cell>,
     /// Files present in the notebook's repository, keyed by repo-relative
-    /// path (e.g. `data/titanic.csv`) with CSV/JSON text content.
-    pub repo_files: HashMap<String, String>,
+    /// path (e.g. `data/titanic.csv`) with CSV/JSON text content. Shared
+    /// with each replay round's environment, which copies it only when a
+    /// file recovery writes to it.
+    pub repo_files: Arc<HashMap<String, String>>,
 }
 
 impl Notebook {
@@ -50,7 +53,7 @@ impl Notebook {
             id: id.into(),
             dataset_group: dataset_group.into(),
             cells: Vec::new(),
-            repo_files: HashMap::new(),
+            repo_files: Arc::default(),
         }
     }
 
@@ -59,7 +62,7 @@ impl Notebook {
     }
 
     pub fn add_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
-        self.repo_files.insert(path.into(), content.into());
+        Arc::make_mut(&mut self.repo_files).insert(path.into(), content.into());
     }
 
     /// Total statement count (diagnostics).

@@ -188,8 +188,9 @@ pub struct ReplayEngine {
     config: ReplayConfig,
     /// Packages `pip install` can resolve.
     pub package_registry: HashSet<String>,
-    /// Packages pre-installed in the base environment.
-    pub preinstalled: HashSet<String>,
+    /// Packages pre-installed in the base environment, shared with every
+    /// replay round's environment.
+    pub preinstalled: Arc<HashSet<String>>,
     pub repository: DatasetRepository,
     /// Active fault-injection plan, if any.
     faults: Option<FaultSpec>,
@@ -197,8 +198,8 @@ pub struct ReplayEngine {
 
 impl ReplayEngine {
     pub fn new(repository: DatasetRepository) -> Self {
-        let preinstalled: HashSet<String> =
-            ["pandas", "numpy", "json"].iter().map(|s| s.to_string()).collect();
+        let preinstalled: Arc<HashSet<String>> =
+            Arc::new(["pandas", "numpy", "json"].iter().map(|s| s.to_string()).collect());
         let package_registry: HashSet<String> = [
             "pandas", "numpy", "json", "matplotlib", "seaborn", "sklearn",
             "scipy", "statsmodels", "xgboost",
@@ -258,12 +259,18 @@ impl ReplayEngine {
         report
     }
 
-    fn replay_round_inner(&self, nb: &Notebook, round: usize) -> ReplayReport {
-        let mut env = Env {
+    /// A round's starting environment: no variables, and the engine's
+    /// packages and the notebook's files shared, not copied.
+    fn round_env(&self, nb: &Notebook) -> Env {
+        Env {
             vars: HashMap::new(),
-            installed: Arc::new(self.preinstalled.clone()),
-            files: Arc::new(nb.repo_files.clone()),
-        };
+            installed: Arc::clone(&self.preinstalled),
+            files: Arc::clone(&nb.repo_files),
+        }
+    }
+
+    fn replay_round_inner(&self, nb: &Notebook, round: usize) -> ReplayReport {
+        let mut env = self.round_env(nb);
         let mut report = ReplayReport {
             notebook_id: nb.id.clone(),
             dataset_group: nb.dataset_group.clone(),
@@ -883,6 +890,21 @@ mod tests {
             expr: Expr::ReadCsv { path: path.into() },
         }]));
         nb
+    }
+
+    #[test]
+    fn round_env_shares_repo_files_until_a_recovery_writes() {
+        let engine = ReplayEngine::new(DatasetRepository::new());
+        let nb = read_nb("D:\\my_project\\data.csv", Some("input/data.csv"));
+        let mut env = engine.round_env(&nb);
+        assert!(Arc::ptr_eq(&env.files, &nb.repo_files));
+        assert!(Arc::ptr_eq(&env.installed, &engine.preinstalled));
+        // What the file-recovery repair does once the attempt failed.
+        let path = "D:\\my_project\\data.csv";
+        let (name, content) = engine.resolve_file(path, &nb, 0, &env).unwrap();
+        Arc::make_mut(&mut env.files).insert(name, content);
+        assert!(!Arc::ptr_eq(&env.files, &nb.repo_files));
+        assert_eq!((env.files.len(), nb.repo_files.len()), (2, 1));
     }
 
     #[test]

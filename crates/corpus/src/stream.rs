@@ -82,7 +82,8 @@ pub fn corpus_id(cfg: &CorpusConfig, faults: Option<&FaultSpec>) -> String {
 
 /// Generate and replay `cfg`'s corpus shard by shard, spilling each shard's
 /// reports into a [`SampleStore`] under `root`. Shards already present in a
-/// compatible manifest are skipped (their stats are read back from disk);
+/// compatible manifest are skipped (their stats come from the read that
+/// verified them on open);
 /// everything else is generated, replayed, written, and dropped — memory
 /// holds at most one shard of notebooks and reports at a time.
 pub fn replay_corpus_streamed(
@@ -109,9 +110,8 @@ pub fn replay_corpus_streamed(
     };
 
     for (shard_id, chunk) in jobs.chunks(shard_size).enumerate() {
-        if store.is_complete(shard_id) {
-            let stats = store.read_shard_stats(shard_id)?;
-            summary.stats.merge_from(&stats);
+        if let Some(stats) = store.resumed_stats(shard_id) {
+            summary.stats.merge_from(stats);
             if let Some(meta) = store.shard_meta(shard_id) {
                 summary.notebooks += meta.notebooks;
                 summary.invocations += meta.invocations;
@@ -228,6 +228,36 @@ mod tests {
         let spec = FaultSpec::parse("seed=1;io=0.5").ok();
         assert_ne!(corpus_id(&a, None), corpus_id(&a, spec.as_ref()));
         assert_eq!(corpus_id(&a, None), corpus_id(&a, None));
+    }
+
+    /// A run killed after 2 shards and resumed reads each resumed shard
+    /// file once (the verifying read on open) before the scan reads every
+    /// shard once more.
+    #[test]
+    fn resumed_shards_are_read_once_before_the_scan() {
+        let cfg = CorpusConfig {
+            join_notebooks: 6,
+            groupby_notebooks: 4,
+            pivot_notebooks: 3,
+            unpivot_notebooks: 2,
+            json_notebooks: 2,
+            flow_notebooks: 5,
+            ..CorpusConfig::small(5)
+        };
+        let dir = std::env::temp_dir().join(format!("autosuggest-stream-reads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StreamConfig { shard_size: 4, abort_after_shards: Some(2) };
+        replay_corpus_streamed(&cfg, None, &dir, &opts).expect("killed run");
+        let opts = StreamConfig { abort_after_shards: None, ..opts };
+        let ((store, summary), snap) = obs::with_local_registry(|| {
+            replay_corpus_streamed(&cfg, None, &dir, &opts).expect("resumed run")
+        });
+        let reads = |snap: &obs::MetricsSnapshot| snap.counters.get("store.shard_reads").copied();
+        assert_eq!((summary.shards_resumed, reads(&snap)), (2, Some(2)));
+        assert!(summary.shards_replayed > 0);
+        let (_, snap) = obs::with_local_registry(|| scan_scenario_stats(&store).expect("scan"));
+        assert_eq!(reads(&snap), Some(summary.total_shards as u64));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

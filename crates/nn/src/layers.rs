@@ -2,146 +2,123 @@
 //!
 //! The next-operator model has a 7-symbol vocabulary and a few thousand
 //! parameters, so the kernels in [`crate::matmul`] favour allocation-free
-//! batch buffers over BLAS. Each layer offers the historical per-example
-//! API (allocating, used by tests and small callers) plus `*_batch`
-//! variants that write into caller-owned scratch — both lower to the same
-//! kernels, so a batch of one is bit-identical to the per-example path.
+//! batch buffers over BLAS. A layer owns no storage: [`Dense`] and
+//! [`Embedding`] are offset views into one flat parameter arena (and into
+//! gradient buffers of the same layout), so a model's zeroing, clipping
+//! and optimiser step each run as one pass over contiguous memory. A
+//! batch of one is bit-identical to any row of a larger batch.
 
 use crate::matmul::{gemm_backward, gemm_bias};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// A dense affine layer `y = x·W + b` with accumulated gradients.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A dense affine layer `y = x·W + b`: `in_dim × out_dim` row-major
+/// weights followed by `out_dim` biases, starting at `off` in the
+/// parameter arena. Its gradients sit at the same offset of a gradient
+/// buffer with the arena's layout.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Dense {
     pub in_dim: usize,
     pub out_dim: usize,
-    /// Row-major `in_dim × out_dim`.
-    pub w: Vec<f64>,
-    pub b: Vec<f64>,
-    pub dw: Vec<f64>,
-    pub db: Vec<f64>,
+    pub off: usize,
 }
 
 impl Dense {
-    /// Xavier-uniform initialisation.
-    pub fn new<R: Rng>(in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
+    /// Append a Xavier-uniform layer (weights, then zero biases) to `arena`.
+    pub fn new<R: Rng>(arena: &mut Vec<f64>, in_dim: usize, out_dim: usize, rng: &mut R) -> Self {
         let scale = (6.0 / (in_dim + out_dim) as f64).sqrt();
-        Dense {
-            in_dim,
-            out_dim,
-            w: (0..in_dim * out_dim)
-                .map(|_| rng.random_range(-scale..scale))
-                .collect(),
-            b: vec![0.0; out_dim],
-            dw: vec![0.0; in_dim * out_dim],
-            db: vec![0.0; out_dim],
-        }
+        let off = arena.len();
+        arena.extend((0..in_dim * out_dim).map(|_| rng.random_range(-scale..scale)));
+        arena.resize(arena.len() + out_dim, 0.0);
+        Dense { in_dim, out_dim, off }
     }
 
-    /// Forward pass for a single example.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.out_dim];
-        self.forward_batch(x, 1, &mut y);
-        y
+    /// This layer's `(W, b)` slices of `buf` (the arena or a gradient
+    /// buffer of the same layout).
+    fn slots<'a>(&self, buf: &'a [f64]) -> (&'a [f64], &'a [f64]) {
+        let nw = self.in_dim * self.out_dim;
+        buf[self.off..self.off + nw + self.out_dim].split_at(nw)
+    }
+
+    fn slots_mut<'a>(&self, buf: &'a mut [f64]) -> (&'a mut [f64], &'a mut [f64]) {
+        let nw = self.in_dim * self.out_dim;
+        buf[self.off..self.off + nw + self.out_dim].split_at_mut(nw)
     }
 
     /// Forward pass for a row-major batch: `out[r] = x[r]·W + b`.
     /// `out` must hold at least `batch × out_dim` elements.
-    pub fn forward_batch(&self, x: &[f64], batch: usize, out: &mut [f64]) {
+    pub fn forward_batch(&self, params: &[f64], x: &[f64], batch: usize, out: &mut [f64]) {
         debug_assert_eq!(x.len(), batch * self.in_dim);
-        gemm_bias(x, batch, self.in_dim, &self.w, &self.b, self.out_dim, out);
+        let (w, b) = self.slots(params);
+        gemm_bias(x, batch, self.in_dim, w, b, self.out_dim, out);
     }
 
-    /// Backward pass: accumulate `dW`, `db` and return `dx`.
-    pub fn backward(&mut self, x: &[f64], dy: &[f64]) -> Vec<f64> {
-        let mut dx = vec![0.0; self.in_dim];
-        self.backward_batch(x, dy, 1, &mut dx);
-        dx
-    }
-
-    /// Batched backward: accumulate `dW += xᵀ·dy`, `db += Σ dy[r]` and
-    /// write `dx[r] = dy[r]·Wᵀ` into the scratch slice. Accumulation is in
-    /// ascending batch-row order, bit-identical to per-example calls.
-    pub fn backward_batch(&mut self, x: &[f64], dy: &[f64], batch: usize, dx: &mut [f64]) {
+    /// Batched backward: accumulate `dW += xᵀ·dy`, `db += Σ dy[r]` into
+    /// `grads` and write `dx[r] = dy[r]·Wᵀ` into the scratch slice.
+    /// Accumulation is in ascending batch-row order, bit-identical to
+    /// one call per row.
+    pub fn backward_batch(
+        &self,
+        params: &[f64],
+        grads: &mut [f64],
+        x: &[f64],
+        dy: &[f64],
+        batch: usize,
+        dx: &mut [f64],
+    ) {
         debug_assert_eq!(x.len(), batch * self.in_dim);
-        gemm_backward(
-            x,
-            dy,
-            batch,
-            self.in_dim,
-            self.out_dim,
-            &self.w,
-            &mut self.dw,
-            &mut self.db,
-            dx,
-        );
-    }
-
-    /// Zero accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.dw.iter_mut().for_each(|g| *g = 0.0);
-        self.db.iter_mut().for_each(|g| *g = 0.0);
+        let (w, _) = self.slots(params);
+        let (dw, db) = self.slots_mut(grads);
+        gemm_backward(x, dy, batch, self.in_dim, self.out_dim, w, dw, db, dx);
     }
 }
 
-/// An embedding table mapping symbol ids to dense vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// An embedding table mapping symbol ids to dense vectors: `vocab × dim`
+/// row-major, starting at `off` in the parameter arena.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Embedding {
     pub vocab: usize,
     pub dim: usize,
-    /// Row-major `vocab × dim`.
-    pub table: Vec<f64>,
-    pub grad: Vec<f64>,
+    pub off: usize,
 }
 
 impl Embedding {
-    pub fn new<R: Rng>(vocab: usize, dim: usize, rng: &mut R) -> Self {
+    /// Append a uniformly initialised table to `arena`.
+    pub fn new<R: Rng>(arena: &mut Vec<f64>, vocab: usize, dim: usize, rng: &mut R) -> Self {
         let scale = (1.0 / dim as f64).sqrt();
-        Embedding {
-            vocab,
-            dim,
-            table: (0..vocab * dim)
-                .map(|_| rng.random_range(-scale..scale))
-                .collect(),
-            grad: vec![0.0; vocab * dim],
-        }
+        let off = arena.len();
+        arena.extend((0..vocab * dim).map(|_| rng.random_range(-scale..scale)));
+        Embedding { vocab, dim, off }
+    }
+
+    fn row(&self, id: usize) -> std::ops::Range<usize> {
+        assert!(id < self.vocab, "symbol id {id} out of vocabulary");
+        self.off + id * self.dim..self.off + (id + 1) * self.dim
     }
 
     /// The embedding vector for symbol `id`.
-    pub fn lookup(&self, id: usize) -> &[f64] {
-        assert!(id < self.vocab, "symbol id {id} out of vocabulary");
-        &self.table[id * self.dim..(id + 1) * self.dim]
+    pub fn lookup<'a>(&self, params: &'a [f64], id: usize) -> &'a [f64] {
+        &params[self.row(id)]
     }
 
     /// Gather the embedding rows for `ids` into a row-major batch buffer.
-    pub fn lookup_batch(&self, ids: &[usize], out: &mut [f64]) {
+    pub fn lookup_batch(&self, params: &[f64], ids: &[usize], out: &mut [f64]) {
         debug_assert!(out.len() >= ids.len() * self.dim);
         for (r, &id) in ids.iter().enumerate() {
-            out[r * self.dim..(r + 1) * self.dim].copy_from_slice(self.lookup(id));
+            out[r * self.dim..(r + 1) * self.dim].copy_from_slice(self.lookup(params, id));
         }
     }
 
-    /// Accumulate gradient for symbol `id`.
-    pub fn backward(&mut self, id: usize, d: &[f64]) {
-        let row = &mut self.grad[id * self.dim..(id + 1) * self.dim];
-        for (g, dj) in row.iter_mut().zip(d) {
-            *g += dj;
-        }
-    }
-
-    /// Scatter-add a batch of gradient rows (`d` is `ids.len() × dim`,
-    /// accumulated in ascending row order — deterministic even when ids
-    /// repeat within the batch).
-    pub fn backward_batch(&mut self, ids: &[usize], d: &[f64]) {
+    /// Scatter-add a batch of gradient rows into `grads` (`d` is
+    /// `ids.len() × dim`, accumulated in ascending row order —
+    /// deterministic even when ids repeat within the batch).
+    pub fn backward_batch(&self, grads: &mut [f64], ids: &[usize], d: &[f64]) {
         debug_assert!(d.len() >= ids.len() * self.dim);
         for (r, &id) in ids.iter().enumerate() {
-            self.backward(id, &d[r * self.dim..(r + 1) * self.dim]);
+            for (g, dj) in grads[self.row(id)].iter_mut().zip(&d[r * self.dim..(r + 1) * self.dim]) {
+                *g += dj;
+            }
         }
-    }
-
-    pub fn zero_grad(&mut self) {
-        self.grad.iter_mut().for_each(|g| *g = 0.0);
     }
 }
 
@@ -207,96 +184,109 @@ mod tests {
     }
 
     #[test]
+    fn layers_append_in_order_and_view_their_slots() {
+        let mut arena = Vec::new();
+        let e = Embedding::new(&mut arena, 3, 2, &mut rng());
+        let d = Dense::new(&mut arena, 2, 4, &mut rng());
+        assert_eq!((e.off, d.off, arena.len()), (0, 6, 6 + 2 * 4 + 4));
+        let (w, b) = d.slots(&arena);
+        assert_eq!((w.len(), b), (8, &[0.0; 4][..]));
+        assert_eq!(e.lookup(&arena, 1), &arena[2..4]);
+    }
+
+    #[test]
     fn dense_forward_identity_weights() {
-        let mut d = Dense::new(2, 2, &mut rng());
-        d.w = vec![1.0, 0.0, 0.0, 1.0];
-        d.b = vec![0.5, -0.5];
-        assert_eq!(d.forward(&[2.0, 3.0]), vec![2.5, 2.5]);
+        let mut arena = Vec::new();
+        let d = Dense::new(&mut arena, 2, 2, &mut rng());
+        arena.copy_from_slice(&[1.0, 0.0, 0.0, 1.0, 0.5, -0.5]);
+        let mut y = [0.0; 2];
+        d.forward_batch(&arena, &[2.0, 3.0], 1, &mut y);
+        assert_eq!(y, [2.5, 2.5]);
     }
 
     #[test]
     fn dense_backward_gradients_match_finite_difference() {
-        let mut d = Dense::new(3, 2, &mut rng());
+        let mut arena = Vec::new();
+        let d = Dense::new(&mut arena, 3, 2, &mut rng());
+        let mut grads = vec![0.0; arena.len()];
         let x = [0.3, -0.7, 1.1];
         let dy = [1.0, -2.0];
-        let dx = d.backward(&x, &dy);
+        let mut dx = [0.0; 3];
+        d.backward_batch(&arena, &mut grads, &x, &dy, 1, &mut dx);
         // Finite-difference check on one weight and the input gradient.
         let eps = 1e-6;
-        let loss = |d: &Dense, x: &[f64]| -> f64 {
-            let y = d.forward(x);
+        let loss = |params: &[f64], x: &[f64]| -> f64 {
+            let mut y = [0.0; 2];
+            d.forward_batch(params, x, 1, &mut y);
             y[0] * dy[0] + y[1] * dy[1]
         };
-        let mut d2 = d.clone();
-        d2.w[2] += eps; // weight (0, cols=2 → row 0, col 0? index 2 = row1,col0)
-        let num = (loss(&d2, &x) - loss(&d, &x)) / eps;
-        assert!((num - d.dw[2]).abs() < 1e-4, "num {num} vs analytic {}", d.dw[2]);
+        let mut shifted = arena.clone();
+        shifted[2] += eps; // W row 1, column 0
+        let num = (loss(&shifted, &x) - loss(&arena, &x)) / eps;
+        assert!((num - grads[2]).abs() < 1e-4, "num {num} vs analytic {}", grads[2]);
         let mut xp = x;
         xp[1] += eps;
-        let numx = (loss(&d, &xp) - loss(&d, &x)) / eps;
+        let numx = (loss(&arena, &xp) - loss(&arena, &x)) / eps;
         assert!((numx - dx[1]).abs() < 1e-4);
     }
 
     #[test]
-    fn dense_batch_forward_equals_per_example() {
-        let d = Dense::new(5, 3, &mut rng());
+    fn dense_batch_forward_equals_per_row() {
+        let mut arena = Vec::new();
+        let d = Dense::new(&mut arena, 5, 3, &mut rng());
         let xs: Vec<f64> = (0..4 * 5).map(|i| (i as f64 * 0.73).sin()).collect();
         let mut batched = vec![0.0; 4 * 3];
-        d.forward_batch(&xs, 4, &mut batched);
+        d.forward_batch(&arena, &xs, 4, &mut batched);
         for r in 0..4 {
-            assert_eq!(&batched[r * 3..(r + 1) * 3], &d.forward(&xs[r * 5..(r + 1) * 5])[..]);
+            let mut y = [0.0; 3];
+            d.forward_batch(&arena, &xs[r * 5..(r + 1) * 5], 1, &mut y);
+            assert_eq!(&batched[r * 3..(r + 1) * 3], &y[..]);
         }
     }
 
     #[test]
     fn dense_batch_backward_equals_sequential_accumulation() {
-        let mut a = Dense::new(4, 3, &mut rng());
-        let mut b = a.clone();
+        let mut arena = Vec::new();
+        let d = Dense::new(&mut arena, 4, 3, &mut rng());
+        let (mut ga, mut gb) = (vec![0.0; arena.len()], vec![0.0; arena.len()]);
         let xs: Vec<f64> = (0..3 * 4).map(|i| (i as f64 * 0.37).cos()).collect();
         let dys: Vec<f64> = (0..3 * 3).map(|i| (i as f64 * 0.53).sin()).collect();
         let mut dx_a = vec![0.0; 3 * 4];
-        a.backward_batch(&xs, &dys, 3, &mut dx_a);
-        let mut dx_b = Vec::new();
+        d.backward_batch(&arena, &mut ga, &xs, &dys, 3, &mut dx_a);
+        let mut dx_b = vec![0.0; 3 * 4];
         for r in 0..3 {
-            dx_b.extend(b.backward(&xs[r * 4..(r + 1) * 4], &dys[r * 3..(r + 1) * 3]));
+            let (x, dy) = (&xs[r * 4..(r + 1) * 4], &dys[r * 3..(r + 1) * 3]);
+            d.backward_batch(&arena, &mut gb, x, dy, 1, &mut dx_b[r * 4..(r + 1) * 4]);
         }
-        assert_eq!(a.dw, b.dw);
-        assert_eq!(a.db, b.db);
+        assert_eq!(ga, gb);
         assert_eq!(dx_a, dx_b);
     }
 
     #[test]
-    fn embedding_lookup_and_grad() {
-        let mut e = Embedding::new(4, 3, &mut rng());
-        let v = e.lookup(2).to_vec();
-        assert_eq!(v.len(), 3);
-        e.backward(2, &[1.0, 1.0, 1.0]);
-        e.backward(2, &[1.0, 0.0, 0.0]);
-        assert_eq!(e.grad[2 * 3], 2.0);
-        assert_eq!(e.grad[0], 0.0);
-    }
-
-    #[test]
     fn embedding_batch_ops_match_per_symbol() {
-        let mut e = Embedding::new(5, 2, &mut rng());
+        let mut arena = Vec::new();
+        let e = Embedding::new(&mut arena, 5, 2, &mut rng());
         let ids = [3usize, 1, 3];
         let mut gathered = vec![0.0; 3 * 2];
-        e.lookup_batch(&ids, &mut gathered);
+        e.lookup_batch(&arena, &ids, &mut gathered);
         for (r, &id) in ids.iter().enumerate() {
-            assert_eq!(&gathered[r * 2..(r + 1) * 2], e.lookup(id));
+            assert_eq!(&gathered[r * 2..(r + 1) * 2], e.lookup(&arena, id));
         }
-        let mut e2 = e.clone();
+        let (mut ga, mut gb) = (vec![0.0; arena.len()], vec![0.0; arena.len()]);
         let d: Vec<f64> = (0..3 * 2).map(|i| i as f64).collect();
-        e.backward_batch(&ids, &d);
+        e.backward_batch(&mut ga, &ids, &d);
         for (r, &id) in ids.iter().enumerate() {
-            e2.backward(id, &d[r * 2..(r + 1) * 2]);
+            e.backward_batch(&mut gb, &[id], &d[r * 2..(r + 1) * 2]);
         }
-        assert_eq!(e.grad, e2.grad);
+        assert_eq!(ga, gb);
+        assert_eq!((ga[3 * 2], ga[0]), (4.0, 0.0), "id 3 accumulates rows 0 and 2");
     }
 
     #[test]
     #[should_panic(expected = "out of vocabulary")]
     fn embedding_oov_panics() {
-        Embedding::new(2, 2, &mut rng()).lookup(5);
+        let mut arena = Vec::new();
+        Embedding::new(&mut arena, 2, 2, &mut rng()).lookup(&arena, 5);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! Every kernel accumulates each output element in a fixed order
 //! (ascending over the contraction dimension, ascending over batch rows
-//! for gradient accumulation), identical to the per-example loops in
-//! [`crate::layers`]. Batching therefore changes *when* flops happen, not
+//! for gradient accumulation), identical to the historical per-example
+//! loops. Batching therefore changes *when* flops happen, not
 //! *what* is summed in which order: a batch of one is bit-identical to
 //! the per-example path, and larger batches are bit-identical to
 //! accumulating the same examples sequentially.
@@ -26,9 +26,9 @@ const ROW_BLOCK: usize = 4;
 /// `out[r] = bias (+ a[r]·w)` for each of `batch` rows.
 ///
 /// `a` is `batch × k` row-major, `w` is `k × n` row-major, `out` is
-/// `batch × n`. Zero entries of `a` are skipped — exactly like
-/// [`crate::layers::Dense::forward`] — which both preserves the historical
-/// bit pattern and exploits ReLU sparsity in hidden states.
+/// `batch × n`. Zero entries of `a` are skipped, exactly like the
+/// historical per-example loop, which both preserves its bit pattern and
+/// exploits ReLU sparsity in hidden states.
 pub fn gemm_bias(a: &[f64], batch: usize, k: usize, w: &[f64], bias: &[f64], n: usize, out: &mut [f64]) {
     debug_assert_eq!(a.len(), batch * k);
     debug_assert_eq!(w.len(), k * n);

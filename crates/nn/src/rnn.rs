@@ -6,10 +6,18 @@
 //! Training runs through the allocation-free batch kernels of
 //! [`crate::matmul`] with one reusable [`Scratch`] workspace per call, one
 //! example per Adam step: each epoch shuffles the examples with a seeded
-//! RNG and steps through them in that order. Batch prediction
-//! ([`RnnClassifier::predict_proba_batch`]) runs the same forward kernel
-//! on rectangular batches of equal-length prefixes; each row is
-//! bit-identical to scoring that example alone.
+//! RNG and steps through them in that order.
+//!
+//! Every parameter lives in one flat arena, in slot order `emb`, `x2h.w`,
+//! `x2h.b`, `h2h.w`, `h2h.b`, `l1.w`, `l1.b`, `l2.w`, `l2.b`; the layers
+//! are offset views into it. Training keeps the gradients and both Adam
+//! moments in buffers of the same layout, so a step zeroes the gradients
+//! with one fill, clips them in one pass (the norm sums the elements in
+//! slot order) and applies one Adam update over the whole arena.
+//!
+//! Batch prediction ([`RnnClassifier::predict_proba_batch`]) runs the
+//! same forward kernel on rectangular batches of equal-length prefixes;
+//! each row is bit-identical to scoring that example alone.
 //!
 //! Training is single-threaded by design (an Adam step is a sequential
 //! dependence); determinism needs no thread-count argument.
@@ -128,6 +136,8 @@ impl Scratch {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RnnClassifier {
     cfg: RnnConfig,
+    /// The parameter arena the layers below view, in slot order.
+    params: Vec<f64>,
     emb: Embedding,
     x2h: Dense,
     h2h: Dense,
@@ -139,12 +149,14 @@ impl RnnClassifier {
     pub fn new(cfg: RnnConfig) -> Self {
         assert!(cfg.vocab > 0 && cfg.classes > 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+        let mut params = Vec::new();
         RnnClassifier {
-            emb: Embedding::new(cfg.vocab, cfg.embed_dim, &mut rng),
-            x2h: Dense::new(cfg.embed_dim, cfg.hidden_dim, &mut rng),
-            h2h: Dense::new(cfg.hidden_dim, cfg.hidden_dim, &mut rng),
-            l1: Dense::new(cfg.hidden_dim + cfg.extra_dim, cfg.mlp_hidden, &mut rng),
-            l2: Dense::new(cfg.mlp_hidden, cfg.classes, &mut rng),
+            emb: Embedding::new(&mut params, cfg.vocab, cfg.embed_dim, &mut rng),
+            x2h: Dense::new(&mut params, cfg.embed_dim, cfg.hidden_dim, &mut rng),
+            h2h: Dense::new(&mut params, cfg.hidden_dim, cfg.hidden_dim, &mut rng),
+            l1: Dense::new(&mut params, cfg.hidden_dim + cfg.extra_dim, cfg.mlp_hidden, &mut rng),
+            l2: Dense::new(&mut params, cfg.mlp_hidden, cfg.classes, &mut rng),
+            params,
             cfg,
         }
     }
@@ -164,19 +176,20 @@ impl RnnClassifier {
         let b = group.len();
         let hd = self.cfg.hidden_dim;
         let jd = hd + self.cfg.extra_dim;
+        let params = &self.params;
         scratch.ensure(&self.cfg, b, len);
-        scratch.hs[..b * hd].iter_mut().for_each(|v| *v = 0.0);
+        scratch.hs[..b * hd].fill(0.0);
         for t in 0..len {
             for (r, &gi) in group.iter().enumerate() {
                 scratch.ids[r] = examples[gi].prefix[t];
             }
-            self.emb.lookup_batch(&scratch.ids[..b], &mut scratch.xb);
-            self.x2h.forward_batch(&scratch.xb[..b * self.cfg.embed_dim], b, &mut scratch.pre);
+            self.emb.lookup_batch(params, &scratch.ids[..b], &mut scratch.xb);
+            self.x2h.forward_batch(params, &scratch.xb[..b * self.cfg.embed_dim], b, &mut scratch.pre);
             let (h_prev, h_next) = {
                 let (lo, hi) = scratch.hs.split_at_mut((t + 1) * b * hd);
                 (&lo[t * b * hd..], &mut hi[..b * hd])
             };
-            self.h2h.forward_batch(&h_prev[..b * hd], b, &mut scratch.rec);
+            self.h2h.forward_batch(params, &h_prev[..b * hd], b, &mut scratch.rec);
             for ((p, &r), out) in scratch.pre[..b * hd].iter().zip(&scratch.rec[..b * hd]).zip(h_next.iter_mut()) {
                 *out = p + r;
             }
@@ -187,29 +200,39 @@ impl RnnClassifier {
             scratch.joint[r * jd..r * jd + hd].copy_from_slice(h_final);
             scratch.joint[r * jd + hd..(r + 1) * jd].copy_from_slice(&examples[gi].extra);
         }
-        self.l1.forward_batch(&scratch.joint[..b * jd], b, &mut scratch.a1);
+        self.l1.forward_batch(params, &scratch.joint[..b * jd], b, &mut scratch.a1);
         relu_in_place(&mut scratch.a1[..b * self.cfg.mlp_hidden]);
-        self.l2.forward_batch(&scratch.a1[..b * self.cfg.mlp_hidden], b, &mut scratch.logits);
+        self.l2.forward_batch(params, &scratch.a1[..b * self.cfg.mlp_hidden], b, &mut scratch.logits);
         softmax_rows(&mut scratch.logits[..b * self.cfg.classes], self.cfg.classes);
     }
 
     /// Backward pass for the group most recently run through
     /// [`Self::forward_group`]. Expects `scratch.logits` to already hold
     /// `dlogits` (probabilities with the label subtracted) and accumulates
-    /// into the layer gradient buffers in ascending batch-row order.
-    fn backward_group(&mut self, examples: &[SequenceExample], group: &[usize], len: usize, scratch: &mut Scratch) {
+    /// into `grads` (the arena's layout) in ascending batch-row order.
+    fn backward_group(
+        &self,
+        examples: &[SequenceExample],
+        group: &[usize],
+        len: usize,
+        grads: &mut [f64],
+        scratch: &mut Scratch,
+    ) {
         let b = group.len();
         let hd = self.cfg.hidden_dim;
         let jd = hd + self.cfg.extra_dim;
         let md = self.cfg.mlp_hidden;
-        self.l2.backward_batch(&scratch.a1[..b * md], &scratch.logits[..b * self.cfg.classes], b, &mut scratch.da1);
+        let params = &self.params;
+        let logits = &scratch.logits[..b * self.cfg.classes];
+        self.l2.backward_batch(params, grads, &scratch.a1[..b * md], logits, b, &mut scratch.da1);
         // ReLU gradient in place: dz1 overwrites da1.
         for (d, &a) in scratch.da1[..b * md].iter_mut().zip(&scratch.a1[..b * md]) {
             if a <= 0.0 {
                 *d = 0.0;
             }
         }
-        self.l1.backward_batch(&scratch.joint[..b * jd], &scratch.da1[..b * md], b, &mut scratch.djoint);
+        let da1 = &scratch.da1[..b * md];
+        self.l1.backward_batch(params, grads, &scratch.joint[..b * jd], da1, b, &mut scratch.djoint);
         // dh = djoint[:, :hidden] (gradients w.r.t. `extra` are discarded —
         // those features come from the frozen single-operator models).
         for r in 0..b {
@@ -221,13 +244,13 @@ impl RnnClassifier {
             for (r, &gi) in group.iter().enumerate() {
                 scratch.ids[r] = examples[gi].prefix[t];
             }
-            self.emb.lookup_batch(&scratch.ids[..b], &mut scratch.xb);
-            self.x2h.backward_batch(&scratch.xb[..b * self.cfg.embed_dim], &scratch.dpre[..b * hd], b, &mut scratch.dx);
+            self.emb.lookup_batch(params, &scratch.ids[..b], &mut scratch.xb);
+            let (xb, dpre) = (&scratch.xb[..b * self.cfg.embed_dim], &scratch.dpre[..b * hd]);
+            self.x2h.backward_batch(params, grads, xb, dpre, b, &mut scratch.dx);
             let h_prev = &scratch.hs[t * b * hd..(t + 1) * b * hd];
             // dh is consumed by dpre above; safe to overwrite with dh_prev.
-            let (h_prev_copy, dh) = (h_prev, &mut scratch.dh);
-            self.h2h.backward_batch(h_prev_copy, &scratch.dpre[..b * hd], b, dh);
-            self.emb.backward_batch(&scratch.ids[..b], &scratch.dx[..b * self.cfg.embed_dim]);
+            self.h2h.backward_batch(params, grads, h_prev, dpre, b, &mut scratch.dh);
+            self.emb.backward_batch(grads, &scratch.ids[..b], &scratch.dx[..b * self.cfg.embed_dim]);
         }
     }
 
@@ -293,18 +316,8 @@ impl RnnClassifier {
             assert_eq!(ex.extra.len(), self.cfg.extra_dim);
             assert!(ex.prefix.iter().all(|&s| s < self.cfg.vocab));
         }
-        let sizes = [
-            self.emb.table.len(),
-            self.x2h.w.len(),
-            self.x2h.b.len(),
-            self.h2h.w.len(),
-            self.h2h.b.len(),
-            self.l1.w.len(),
-            self.l1.b.len(),
-            self.l2.w.len(),
-            self.l2.b.len(),
-        ];
-        let mut opt = Adam::new(self.cfg.lr, &sizes);
+        let mut grads = vec![0.0; self.params.len()];
+        let mut opt = Adam::new(self.cfg.lr, self.params.len());
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed ^ 0x5eed);
         let mut order: Vec<usize> = (0..examples.len()).collect();
         let mut scratch = Scratch::default();
@@ -314,7 +327,7 @@ impl RnnClassifier {
             order.shuffle(&mut rng);
             let mut loss_sum = 0.0;
             for &i in &order {
-                loss_sum += self.step(examples, i, &mut opt, &mut scratch);
+                loss_sum += self.step(examples, i, &mut grads, &mut opt, &mut scratch);
             }
             last_epoch_loss = loss_sum / examples.len() as f64;
         }
@@ -324,13 +337,16 @@ impl RnnClassifier {
 
     /// One optimizer step on example `i`: zero gradients, run the forward
     /// and backward kernels on a batch of one, clip the gradient, apply one
-    /// Adam update. Returns the example's cross-entropy.
-    fn step(&mut self, examples: &[SequenceExample], i: usize, opt: &mut Adam, scratch: &mut Scratch) -> f64 {
-        self.emb.zero_grad();
-        self.x2h.zero_grad();
-        self.h2h.zero_grad();
-        self.l1.zero_grad();
-        self.l2.zero_grad();
+    /// Adam update over the whole arena. Returns the example's cross-entropy.
+    fn step(
+        &mut self,
+        examples: &[SequenceExample],
+        i: usize,
+        grads: &mut [f64],
+        opt: &mut Adam,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        grads.fill(0.0);
 
         let group = [i];
         let len = examples[i].prefix.len();
@@ -340,33 +356,9 @@ impl RnnClassifier {
         let row = &mut scratch.logits[..self.cfg.classes];
         let loss = -row[label].max(1e-12).ln();
         row[label] -= 1.0;
-        self.backward_group(examples, &group, len, scratch);
-
-        clip_grads(
-            &mut [
-                &mut self.emb.grad,
-                &mut self.x2h.dw,
-                &mut self.x2h.db,
-                &mut self.h2h.dw,
-                &mut self.h2h.db,
-                &mut self.l1.dw,
-                &mut self.l1.db,
-                &mut self.l2.dw,
-                &mut self.l2.db,
-            ],
-            5.0,
-        );
-
-        opt.begin_step();
-        opt.update(0, &mut self.emb.table, &self.emb.grad);
-        opt.update(1, &mut self.x2h.w, &self.x2h.dw);
-        opt.update(2, &mut self.x2h.b, &self.x2h.db);
-        opt.update(3, &mut self.h2h.w, &self.h2h.dw);
-        opt.update(4, &mut self.h2h.b, &self.h2h.db);
-        opt.update(5, &mut self.l1.w, &self.l1.dw);
-        opt.update(6, &mut self.l1.b, &self.l1.db);
-        opt.update(7, &mut self.l2.w, &self.l2.dw);
-        opt.update(8, &mut self.l2.b, &self.l2.db);
+        self.backward_group(examples, &group, len, grads, scratch);
+        clip_grads(grads, 5.0);
+        opt.step(&mut self.params, grads);
         loss
     }
 }
@@ -378,20 +370,13 @@ fn rank_desc(p: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Scale all gradients so their joint L2 norm is at most `max_norm`.
-fn clip_grads(grads: &mut [&mut Vec<f64>], max_norm: f64) {
-    let norm: f64 = grads
-        .iter()
-        .flat_map(|g| g.iter())
-        .map(|&v| v * v)
-        .sum::<f64>()
-        .sqrt();
+/// Scale the gradients so their joint L2 norm is at most `max_norm`.
+fn clip_grads(grads: &mut [f64], max_norm: f64) {
+    let norm: f64 = grads.iter().map(|&v| v * v).sum::<f64>().sqrt();
     if norm > max_norm {
         let scale = max_norm / norm;
-        for g in grads.iter_mut() {
-            for v in g.iter_mut() {
-                *v *= scale;
-            }
+        for v in grads.iter_mut() {
+            *v *= scale;
         }
     }
 }
@@ -511,11 +496,11 @@ mod tests {
 
     #[test]
     fn clip_scales_down_large_gradients() {
-        let mut g1 = vec![3.0, 4.0];
-        let mut g2 = vec![0.0];
-        clip_grads(&mut [&mut g1, &mut g2], 1.0);
-        let norm = (g1[0] * g1[0] + g1[1] * g1[1]).sqrt();
+        let mut g = vec![3.0, 4.0, 0.0];
+        clip_grads(&mut g, 1.0);
+        let norm = (g[0] * g[0] + g[1] * g[1]).sqrt();
         assert!((norm - 1.0).abs() < 1e-9);
+        assert_eq!(g[2], 0.0);
     }
 
     #[test]
