@@ -33,9 +33,8 @@
 //! `stream.peak_rss_bytes_live`) varies run to run.
 //!
 //! `--cache-stats` prints the content-addressed cache's cumulative
-//! per-tier counters after the run — column artifacts, key-tuple sets,
-//! pair overlaps, and the optional disk shard store
-//! (`AUTOSUGGEST_CACHE_DIR` attaches the disk tier).
+//! per-tier counters after the run — column artifacts, key-tuple sets and
+//! pair overlaps.
 //!
 //! Tables are evaluated concurrently on the shared work-stealing pool —
 //! each evaluator is a pure function of the trained context, so results
@@ -284,19 +283,6 @@ fn main() {
         eprintln!(
             "[repro] cache pair:   {}, {pair_len} memoized overlaps",
             fmt(run_tiers.pair)
-        );
-        let d = run_tiers.disk;
-        // "effective hit rate" counts corrupt reads as failed lookups
-        // (hits / (hits + misses + corrupt)) — see DiskStats::hit_rate.
-        eprintln!(
-            "[repro] cache disk:   attached={} {} hits / {} misses / {} corrupt / {} writes / {} evictions (effective hit rate {:.1}%)",
-            cache.disk().is_some(),
-            d.hits,
-            d.misses,
-            d.corrupt,
-            d.writes,
-            d.evictions,
-            d.hit_rate() * 100.0,
         );
     }
 

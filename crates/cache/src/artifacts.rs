@@ -56,38 +56,6 @@ impl ColumnArtifacts {
         }
     }
 
-    /// Rebuild an artifact bundle from its stored parts (the disk codec's
-    /// decode path). Field semantics are validated where cheap; anything the
-    /// codec cannot prove consistent is rejected upstream by the checksum.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        len: usize,
-        null_count: usize,
-        distinct_count: usize,
-        min_max: Option<(f64, f64)>,
-        dtype: DType,
-        dtype_counts: [u64; 6],
-        peak_frequency: usize,
-        sketch: MinHashSketch,
-    ) -> Option<ColumnArtifacts> {
-        if null_count > len || distinct_count > len || peak_frequency > len {
-            return None;
-        }
-        if dtype_counts.iter().sum::<u64>() != len as u64 {
-            return None;
-        }
-        Some(ColumnArtifacts {
-            len,
-            null_count,
-            distinct_count,
-            min_max,
-            dtype,
-            dtype_counts,
-            peak_frequency,
-            sketch,
-        })
-    }
-
     pub fn len(&self) -> usize {
         self.len
     }
@@ -156,19 +124,6 @@ impl ColumnArtifacts {
     pub fn sketch_at(&self, k: usize) -> MinHashSketch {
         self.sketch.truncated(k)
     }
-}
-
-/// Inverse of [`dtype_slot`] (the disk codec's decode path).
-pub(crate) fn dtype_from_slot(slot: usize) -> Option<DType> {
-    Some(match slot {
-        0 => DType::Null,
-        1 => DType::Bool,
-        2 => DType::Int,
-        3 => DType::Float,
-        4 => DType::Str,
-        5 => DType::Date,
-        _ => return None,
-    })
 }
 
 /// Stable histogram slot for a dtype (the enum is `#[non_exhaustive]`-free

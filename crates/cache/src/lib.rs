@@ -15,9 +15,11 @@
 //!   so a hit is bit-identical to recomputation.
 //! * [`ColumnCache`] — a sharded LRU keyed by fingerprint, returning
 //!   `Arc`-interned artifacts.
-//! * [`durable`] — the checksummed record format, atomic publish and tmp
-//!   sweep behind the on-disk shard tier ([`DiskCache`]) and the corpus
-//!   sample store.
+//! * [`PairCache`] — the join featuriser's key-tuple sets and pair-level
+//!   intersections, on the same sharded LRU.
+//!
+//! Every tier lives in process memory only; nothing is kept on disk
+//! between processes.
 //!
 //! # Determinism contract
 //!
@@ -37,19 +39,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod artifacts;
-mod disk;
-pub mod durable;
 mod fingerprint;
 mod lru;
 mod pair;
 mod sketch;
 
 pub use artifacts::{dtype_slot, ColumnArtifacts, BASE_SKETCH_K};
-pub use disk::{
-    decode_column, decode_tuples, encode_column, encode_tuples, DiskCache, DiskStats,
-    DEFAULT_DISK_BUDGET, DISK_CORRUPT_COUNTER, DISK_EVICTIONS_COUNTER, DISK_HITS_COUNTER,
-    DISK_MISSES_COUNTER, DISK_WRITES_COUNTER,
-};
 pub use fingerprint::{
     column_fingerprint, table_fingerprint, table_row_fingerprint, ColumnFingerprint,
 };
@@ -61,9 +56,9 @@ pub use pair::{
 pub use sketch::MinHashSketch;
 
 use autosuggest_dataframe::Column;
-use lru::{lock_recover, ShardedLru};
+use lru::ShardedLru;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Default total capacity (entries across all shards). Generous relative to
 /// the repro corpus (a few thousand distinct columns) so the standard
@@ -113,18 +108,6 @@ impl CacheStats {
 pub struct ColumnCache {
     lru: ShardedLru<ColumnFingerprint, Arc<ColumnArtifacts>>,
     enabled: AtomicBool,
-    /// Optional persistent tier consulted on in-memory misses (see
-    /// [`DiskCache`]); attached from `AUTOSUGGEST_CACHE_DIR` on the global
-    /// instance, `None` on plain `new()` instances.
-    disk: Mutex<Option<Arc<DiskCache>>>,
-}
-
-/// The process-wide disk tier from `AUTOSUGGEST_CACHE_DIR`, opened once and
-/// shared by the column and pair caches (a single size ledger and counter
-/// set per directory). `None` when the env var is unset or unusable.
-pub fn default_disk() -> Option<Arc<DiskCache>> {
-    static GLOBAL: OnceLock<Option<Arc<DiskCache>>> = OnceLock::new();
-    GLOBAL.get_or_init(DiskCache::from_env).clone()
 }
 
 /// Toggle every global cache tier at once (A/B runs).
@@ -133,8 +116,7 @@ pub fn set_all_enabled(on: bool) {
     PairCache::global().set_enabled(on);
 }
 
-/// Drop every in-memory entry in the global tiers (disk shards are kept —
-/// clearing memory is exactly what produces a "disk-warm" cold start).
+/// Drop every entry in the global tiers and reset their counters.
 pub fn clear_memory() {
     ColumnCache::global().clear();
     PairCache::global().clear();
@@ -146,7 +128,6 @@ pub struct TierStats {
     pub column: CacheStats,
     pub tuple: CacheStats,
     pub pair: CacheStats,
-    pub disk: DiskStats,
 }
 
 impl TierStats {
@@ -156,21 +137,17 @@ impl TierStats {
             column: self.column.since(&earlier.column),
             tuple: self.tuple.since(&earlier.tuple),
             pair: self.pair.since(&earlier.pair),
-            disk: self.disk.since(&earlier.disk),
         }
     }
 }
 
-/// Snapshot all four tiers of the global caches (disk counters are zero
-/// when no disk tier is attached).
+/// Snapshot the three tiers of the global caches.
 pub fn tier_stats() -> TierStats {
-    let column_cache = ColumnCache::global();
     let pair_cache = PairCache::global();
     TierStats {
-        column: column_cache.stats(),
+        column: ColumnCache::global().stats(),
         tuple: pair_cache.tuple_stats(),
         pair: pair_cache.pair_stats(),
-        disk: column_cache.disk().map(|d| d.stats()).unwrap_or_default(),
     }
 }
 
@@ -181,30 +158,14 @@ impl ColumnCache {
         ColumnCache {
             lru: ShardedLru::new(capacity, [HITS_COUNTER, MISSES_COUNTER, EVICTIONS_COUNTER]),
             enabled: AtomicBool::new(true),
-            disk: Mutex::new(None),
         }
     }
 
     /// The process-wide cache used by the featurisers, initialised on first
-    /// use with [`DEFAULT_CAPACITY`] and the `AUTOSUGGEST_CACHE_DIR` disk
-    /// tier when configured.
+    /// use with [`DEFAULT_CAPACITY`].
     pub fn global() -> &'static ColumnCache {
         static GLOBAL: OnceLock<ColumnCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = ColumnCache::new(DEFAULT_CAPACITY);
-            cache.set_disk(default_disk());
-            cache
-        })
-    }
-
-    /// Attach (or detach) a persistent disk tier for column-artifact shards.
-    pub fn set_disk(&self, disk: Option<Arc<DiskCache>>) {
-        *lock_recover(&self.disk) = disk;
-    }
-
-    /// The currently attached disk tier, if any.
-    pub fn disk(&self) -> Option<Arc<DiskCache>> {
-        lock_recover(&self.disk).clone()
+        GLOBAL.get_or_init(|| ColumnCache::new(DEFAULT_CAPACITY))
     }
 
     /// Whether lookups consult the cache (otherwise they recompute).
@@ -219,27 +180,13 @@ impl ColumnCache {
     }
 
     /// Fetch (or compute and intern) the artifacts for a column.
-    ///
-    /// An in-memory miss probes the disk tier before computing, and stores
-    /// what it computed. Both run inside the LRU's shard lock, so the
-    /// single-flight argument extends to disk: each distinct fingerprint is
-    /// probed (and stored) at most once per process, keeping the
-    /// `cache.disk.*` counters thread-invariant.
     pub fn artifacts(&self, col: &Column) -> Arc<ColumnArtifacts> {
         if !self.enabled() {
             return Arc::new(ColumnArtifacts::compute(col));
         }
         let fp = column_fingerprint(col);
         self.lru.get_or_insert_with(fp, (fp.0 >> 64) as u64, || {
-            let disk = self.disk();
-            if let Some(a) = disk.as_ref().and_then(|d| d.load_column(fp)) {
-                return Arc::new(a);
-            }
-            let a = Arc::new(ColumnArtifacts::compute(col));
-            if let Some(d) = &disk {
-                d.store_column(fp, &a);
-            }
-            a
+            Arc::new(ColumnArtifacts::compute(col))
         })
     }
 

@@ -28,7 +28,7 @@ const SHARDS: usize = 16;
 /// guards state that is valid after any interrupted mutation, so a panic
 /// in another thread must not cascade (same policy as
 /// `autosuggest-parallel`).
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

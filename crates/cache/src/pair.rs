@@ -18,7 +18,7 @@
 //!   the same multiset of key tuples. (Keying by per-column fingerprints
 //!   would be unsound for multi-column tuples — two tables whose columns
 //!   are multiset-equal but row-aligned differently have different tuple
-//!   sets.) Entries persist to the disk tier when one is attached.
+//!   sets.)
 //! * **Pair tier** — `ordered (fingerprint, fingerprint) → intersection
 //!   size`: the expensive exact overlap between two tuple sets, computed
 //!   once per distinct content pair via a linear merge over the sorted
@@ -31,14 +31,13 @@
 //!
 //! [`tagged multiset fingerprint`]: crate::fingerprint
 
-use crate::disk::DiskCache;
 use crate::fingerprint::tagged_multiset_fingerprint;
-use crate::lru::{lock_recover, ShardedLru};
+use crate::lru::ShardedLru;
 use crate::{CacheStats, ColumnFingerprint, DEFAULT_CAPACITY};
 use autosuggest_dataframe::DataFrame;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Obs counter names for the tuple-set tier (deterministic section).
 pub const TUPLE_HITS_COUNTER: &str = "cache.tuple.hits";
@@ -51,15 +50,13 @@ pub const PAIR_MISSES_COUNTER: &str = "cache.pair.misses";
 pub const PAIR_EVICTIONS_COUNTER: &str = "cache.pair.evictions";
 
 /// Domain tag separating tuple-set fingerprints (of a given width) from
-/// column-value fingerprints in every keyed namespace (memory and disk).
+/// column-value fingerprints.
 fn width_tag(width: usize) -> u64 {
     0x7455_504c_4553_4554u64 ^ (width as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Hash one key tuple exactly as `features::candidates` historically did:
-/// a `DefaultHasher` fed each cell in column order. `DefaultHasher::new()`
-/// uses fixed keys, so the stream is stable across processes of the same
-/// build — which is what lets tuple sets persist to disk.
+/// a `DefaultHasher` fed each cell in column order.
 fn tuple_hash(vals: &[&autosuggest_dataframe::Value]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for v in vals {
@@ -120,19 +117,6 @@ impl KeyTupleSet {
         raw.sort_unstable();
         raw.dedup();
         KeyTupleSet { fingerprint, width, hashes: raw }
-    }
-
-    /// Rebuild from stored parts (the disk codec's decode path). Rejects
-    /// parts that violate the sorted-distinct invariant.
-    pub(crate) fn from_parts(
-        fingerprint: ColumnFingerprint,
-        width: usize,
-        hashes: Vec<u64>,
-    ) -> Option<KeyTupleSet> {
-        if width == 0 || !hashes.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        Some(KeyTupleSet { fingerprint, width, hashes })
     }
 
     pub fn fingerprint(&self) -> ColumnFingerprint {
@@ -197,7 +181,6 @@ pub struct PairCache {
     sets: ShardedLru<ColumnFingerprint, Arc<KeyTupleSet>>,
     pairs: ShardedLru<(ColumnFingerprint, ColumnFingerprint), PairOverlap>,
     enabled: AtomicBool,
-    disk: Mutex<Option<Arc<DiskCache>>>,
 }
 
 impl PairCache {
@@ -212,19 +195,13 @@ impl PairCache {
                 [PAIR_HITS_COUNTER, PAIR_MISSES_COUNTER, PAIR_EVICTIONS_COUNTER],
             ),
             enabled: AtomicBool::new(true),
-            disk: Mutex::new(None),
         }
     }
 
-    /// The process-wide pair tier used by the join featuriser. Shares the
-    /// `AUTOSUGGEST_CACHE_DIR` disk tier with the column cache.
+    /// The process-wide pair tier used by the join featuriser.
     pub fn global() -> &'static PairCache {
         static GLOBAL: OnceLock<PairCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = PairCache::new(DEFAULT_TUPLE_CAPACITY, DEFAULT_PAIR_CAPACITY);
-            cache.set_disk(crate::default_disk());
-            cache
-        })
+        GLOBAL.get_or_init(|| PairCache::new(DEFAULT_TUPLE_CAPACITY, DEFAULT_PAIR_CAPACITY))
     }
 
     pub fn enabled(&self) -> bool {
@@ -235,24 +212,14 @@ impl PairCache {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Attach (or detach) a persistent disk tier for tuple-set shards.
-    pub fn set_disk(&self, disk: Option<Arc<DiskCache>>) {
-        *lock_recover(&self.disk) = disk;
-    }
-
-    fn disk(&self) -> Option<Arc<DiskCache>> {
-        lock_recover(&self.disk).clone()
-    }
-
     /// Fetch (or compute and intern) the distinct key-tuple set for
     /// `(df, cols)`.
     ///
     /// The per-call cost is one hashing pass over the rows (which derives
-    /// the content key); the dedup/sort and any disk round-trip happen at
-    /// most once per distinct content. Callers batching many candidates
-    /// should additionally memoize by column tuple via
-    /// `features::join_features_batch`, which skips even the hashing pass
-    /// for repeated tuples within a request.
+    /// the content key); the dedup/sort happens at most once per distinct
+    /// content. Callers batching many candidates should additionally
+    /// memoize by column tuple via `features::join_features_batch`, which
+    /// skips even the hashing pass for repeated tuples within a request.
     pub fn key_tuples(&self, df: &DataFrame, cols: &[usize]) -> Arc<KeyTupleSet> {
         if !self.enabled() {
             return Arc::new(KeyTupleSet::compute(df, cols));
@@ -260,17 +227,7 @@ impl PairCache {
         let raw = KeyTupleSet::raw_tuple_hashes(df, cols);
         let fp = KeyTupleSet::fingerprint_hashes(&raw, cols.len());
         self.sets.get_or_insert_with(fp, (fp.0 >> 64) as u64, || {
-            let disk = self.disk();
-            if let Some(d) = &disk {
-                if let Some(set) = d.load_tuples(fp) {
-                    return Arc::new(set);
-                }
-            }
-            let set = Arc::new(KeyTupleSet::from_raw(raw, cols.len(), fp));
-            if let Some(d) = &disk {
-                d.store_tuples(&set);
-            }
-            set
+            Arc::new(KeyTupleSet::from_raw(raw, cols.len(), fp))
         })
     }
 

@@ -43,32 +43,6 @@ impl MinHashSketch {
         self.cardinality
     }
 
-    /// The stored bottom-k hashes, ascending (disk codec access).
-    pub(crate) fn mins(&self) -> &[u64] {
-        &self.mins
-    }
-
-    /// Rebuild a sketch from its stored parts (the disk codec's decode
-    /// path). Returns `None` unless the parts satisfy every invariant
-    /// [`MinHashSketch::from_hashes`] guarantees — `mins` strictly
-    /// ascending (sorted and deduplicated), at most `k` of them, and a
-    /// cardinality that can cover them — so a corrupted shard can never
-    /// materialise a sketch that `from_hashes` could not have produced.
-    pub(crate) fn from_parts(k: usize, mins: Vec<u64>, cardinality: usize) -> Option<Self> {
-        if k == 0 || mins.len() > k || cardinality < mins.len() {
-            return None;
-        }
-        // Cardinality beyond the stored mins is only possible when the
-        // sketch is full (the original set overflowed k).
-        if cardinality > mins.len() && mins.len() < k {
-            return None;
-        }
-        if !mins.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        Some(MinHashSketch { k, mins, cardinality })
-    }
-
     /// The sketch size this was built with.
     pub fn k(&self) -> usize {
         self.k

@@ -26,6 +26,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod datasets;
+pub mod durable;
 pub mod error;
 pub mod faults;
 pub mod filter;

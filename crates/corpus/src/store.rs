@@ -8,8 +8,8 @@
 //! file per shard of notebooks, plus a JSON manifest of completed shards so
 //! a killed run resumes where it left off.
 //!
-//! Shard files are `ASGS` record files in the disk cache's on-disk layer,
-//! `autosuggest_cache::durable` (magic, version, fnv64-checksummed records,
+//! Shard files are `ASGS` record files in the durable record format,
+//! [`crate::durable`] (magic, version, fnv64-checksummed records,
 //! floats as IEEE-754 bit patterns); they and the JSON manifest are written
 //! with its atomic, fsynced `publish`. A shard that fails verification, or
 //! that another format version wrote, is deleted and re-replayed, never
@@ -25,12 +25,10 @@
 //! is a marker trait), so records use the durable layer's little-endian
 //! codec. Every encoder/decoder pair below is pinned by round-trip tests.
 
+use crate::durable::{self, bad_data, fnv64, ByteReader, ByteWriter, RecordFile, Records};
 use crate::faults::{KindCounters, RobustnessStats};
 use crate::flowgraph::{FlowGraph, OpKind};
 use crate::replay::{OpInvocation, OpParams, ReplayOutcome, ReplayReport};
-use autosuggest_cache::durable::{
-    self, bad_data, fnv64, ByteReader, ByteWriter, RecordFile, Records,
-};
 use autosuggest_dataframe::ops::{Agg, JoinType};
 use autosuggest_dataframe::{Column, DataFrame, Value};
 use autosuggest_obs as obs;
@@ -848,6 +846,14 @@ pub(crate) struct ShardMeta {
     pub invocations: usize,
 }
 
+/// Whether `name` is a shard file name [`SampleStore`] writes:
+/// `shard-<id, at least 5 digits>.asg`.
+fn is_shard_name(name: &str) -> bool {
+    name.strip_prefix("shard-")
+        .and_then(|rest| rest.strip_suffix(".asg"))
+        .is_some_and(|id| id.len() >= 5 && id.bytes().all(|b| b.is_ascii_digit()))
+}
+
 /// A directory of checksummed shard files plus a manifest of completed
 /// shards, keyed by a corpus id so stale stores are never resumed into.
 ///
@@ -857,10 +863,10 @@ pub(crate) struct ShardMeta {
 /// shards/shard-00042.asg one write-once file per completed shard
 /// ```
 ///
-/// Writes go through `durable::publish` (same as the disk cache), the
-/// manifest is rewritten after *each* shard, and `open` drops any manifest
-/// entry whose file is missing or fails checksum — so a crash at any point
-/// loses at most the shard in flight.
+/// Writes go through `durable::publish`, the manifest is rewritten after
+/// *each* shard, and `open` drops any manifest entry whose file is missing
+/// or fails checksum — so a crash at any point loses at most the shard in
+/// flight.
 pub struct SampleStore {
     root: PathBuf,
     corpus_id: String,
@@ -909,9 +915,12 @@ impl SampleStore {
         if !resumed {
             store.shards.clear();
             // Fresh (or incompatible) store: drop any leftover shard files
-            // so a later manifest rewrite can't resurrect foreign data.
+            // so a later manifest rewrite can't resurrect foreign data. Only
+            // names `shard_path` writes are ours; anything else is kept.
             let mut stale: Vec<PathBuf> = fs::read_dir(store.root.join("shards"))?
-                .filter_map(|e| e.ok().map(|e| e.path()))
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_str().is_some_and(is_shard_name))
+                .map(|e| e.path())
                 .collect();
             stale.sort();
             for path in stale {
@@ -1107,6 +1116,7 @@ impl SampleStore {
 mod tests {
     use super::*;
     use crate::error::ReplayErrorKind;
+    use std::path::Path;
 
     fn frame() -> DataFrame {
         DataFrame::new(vec![
@@ -1429,6 +1439,78 @@ mod tests {
             assert!(store.read_shard(0).is_err());
         }
         let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Every file under a store root (and its `shards/`), by relative name.
+    fn store_files(root: &Path) -> BTreeMap<String, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        for (prefix, dir) in [("", root.to_path_buf()), ("shards/", root.join("shards"))] {
+            for entry in fs::read_dir(dir).unwrap() {
+                let entry = entry.unwrap();
+                if entry.file_type().unwrap().is_file() {
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    files.insert(format!("{prefix}{name}"), fs::read(entry.path()).unwrap());
+                }
+            }
+        }
+        files
+    }
+
+    #[test]
+    fn every_kill_point_of_write_shard_resumes_to_the_uninterrupted_files() {
+        // `write_shard(2, ..)` publishes the shard (tmp write, rename), then
+        // publishes the manifest the same way. Build the disk state a kill
+        // leaves at each step by hand, reopen, and finish the run.
+        let shard_reports = |id: usize| {
+            let mut rep = report();
+            rep.notebook_id = format!("nb-{id}");
+            vec![rep]
+        };
+        let write = |store: &mut SampleStore, id: usize| {
+            store.write_shard(id, &shard_reports(id), &stats()).unwrap();
+        };
+        let reference_root = tmpdir("killref");
+        let mut reference = SampleStore::open(&reference_root, "corpus-a", 1, 3).unwrap();
+        for id in 0..3 {
+            write(&mut reference, id);
+        }
+        let want = store_files(&reference_root);
+        let shard2 = want["shards/shard-00002.asg"].clone();
+        let manifest = want["manifest.json"].clone();
+
+        let (shard2_tmp, shard2_path) = ("shards/shard-00002.tmp4242-7", "shards/shard-00002.asg");
+        let kill_states = [
+            ("truncated shard tmp", vec![(shard2_tmp, &shard2[..shard2.len() / 2])]),
+            ("complete, unrenamed shard tmp", vec![(shard2_tmp, &shard2[..])]),
+            ("shard renamed, manifest not rewritten", vec![(shard2_path, &shard2[..])]),
+            (
+                "truncated manifest tmp",
+                vec![
+                    (shard2_path, &shard2[..]),
+                    ("manifest.tmp4242-8", &manifest[..manifest.len() / 2]),
+                ],
+            ),
+        ];
+        for (state, files) in kill_states {
+            let root = tmpdir("kill");
+            let mut store = SampleStore::open(&root, "corpus-a", 1, 3).unwrap();
+            write(&mut store, 0);
+            write(&mut store, 1);
+            drop(store);
+            for (name, bytes) in files {
+                fs::write(root.join(name), bytes).unwrap();
+            }
+
+            let mut store = SampleStore::open(&root, "corpus-a", 1, 3).unwrap();
+            assert_eq!(store.completed_shards(), vec![0, 1], "{state}");
+            let tmps: Vec<String> =
+                store_files(&root).into_keys().filter(|n| n.contains(".tmp")).collect();
+            assert!(tmps.is_empty(), "{state}: open left {tmps:?}");
+            write(&mut store, 2);
+            assert!(store_files(&root) == want, "{state}: files differ from an uninterrupted run");
+            let _ = fs::remove_dir_all(&root);
+        }
+        let _ = fs::remove_dir_all(&reference_root);
     }
 
     #[test]

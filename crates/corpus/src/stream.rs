@@ -77,7 +77,7 @@ pub fn corpus_id(cfg: &CorpusConfig, faults: Option<&FaultSpec>) -> String {
         faults.map(|f| f.render()).unwrap_or_default(),
         ReplayConfig::default(),
     );
-    format!("{:016x}", autosuggest_cache::durable::fnv64(descriptor.as_bytes()))
+    format!("{:016x}", crate::durable::fnv64(descriptor.as_bytes()))
 }
 
 /// Generate and replay `cfg`'s corpus shard by shard, spilling each shard's

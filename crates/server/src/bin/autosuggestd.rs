@@ -6,7 +6,6 @@
 //! ```
 //!
 //! Environment: `AUTOSUGGEST_THREADS` sizes the suggest pool,
-//! `AUTOSUGGEST_CACHE_DIR` attaches the cache's disk tier,
 //! `AUTOSUGGEST_FAULTS` enables per-request fault injection
 //! (testing only). Stop with `POST /admin/shutdown`.
 

@@ -497,7 +497,7 @@ fn handle_suggest(
     };
 
     let (tx, rx) = mpsc::channel();
-    let job = Job { body_hash: autosuggest_cache::durable::fnv64(body), request, reply: tx };
+    let job = Job { body_hash: autosuggest_corpus::durable::fnv64(body), request, reply: tx };
     let pushed = shared.queue.try_push(job);
     // Never held while waiting for the reply: the batcher would wait out
     // its window for a request that cannot come.

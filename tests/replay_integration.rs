@@ -1,6 +1,6 @@
 //! Cross-crate replay integration: corpus → replay → filter → split.
 
-use auto_suggest::cache::durable::fnv64;
+use auto_suggest::corpus::durable::fnv64;
 use auto_suggest::corpus::{
     filter_invocations, grouped_split, CorpusConfig, CorpusGenerator, FaultSpec, OpKind,
     ReplayEngine, ReplayOutcome,

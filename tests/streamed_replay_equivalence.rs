@@ -4,7 +4,7 @@
 //! robustness accounting — at any shard size, across kill/resume cycles,
 //! after shard corruption, and with fault injection active.
 
-use auto_suggest::cache::durable::fnv64;
+use auto_suggest::corpus::durable::fnv64;
 use auto_suggest::corpus::stream::render_scenario_stats;
 use auto_suggest::corpus::{
     replay_corpus_streamed, scan_scenario_stats, CorpusConfig, CorpusGenerator, FaultSpec,
