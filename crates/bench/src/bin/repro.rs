@@ -269,15 +269,13 @@ fn main() {
             )
         };
         eprintln!(
-            "[repro] cache column: enabled={} {}, {} interned columns",
-            cache.enabled(),
+            "[repro] cache column: {}, {} interned columns",
             fmt(run_tiers.column),
             cache.len(),
         );
         let (tuple_len, pair_len) = pair_cache.len();
         eprintln!(
-            "[repro] cache tuple:  enabled={} {}, {tuple_len} interned tuple sets",
-            pair_cache.enabled(),
+            "[repro] cache tuple:  {}, {tuple_len} interned tuple sets",
             fmt(run_tiers.tuple),
         );
         eprintln!(

@@ -2,7 +2,7 @@
 
 use super::{render_table, ReproContext, TableRow};
 use autosuggest_baselines::groupby::{
-    coarse_type_scores, fine_type_scores, min_cardinality_scores, rank_desc,
+    coarse_type_scores, fine_type_scores, min_cardinality_scores,
 };
 use autosuggest_baselines::vendors::{vendor_b_groupby_scores, vendor_c_groupby_scores};
 use autosuggest_core::groupby::labelled_columns;
@@ -125,22 +125,4 @@ pub fn run_importance(ctx: &ReproContext) -> String {
         &ours,
         &paper,
     )
-}
-
-/// Helper shared with tests: does a scorer rank all groupby columns above
-/// all aggregation columns for one labelled case?
-pub fn fully_correct(scores: &[f64], labels: &[(usize, bool)]) -> bool {
-    let order = rank_desc(scores);
-    let mut seen_agg = false;
-    for idx in order {
-        if let Some(&(_, is_gb)) = labels.iter().find(|&&(c, _)| c == idx) {
-            if is_gb && seen_agg {
-                return false;
-            }
-            if !is_gb {
-                seen_agg = true;
-            }
-        }
-    }
-    true
 }

@@ -101,35 +101,6 @@ fn values_fingerprint<I: IntoIterator<Item = u64>>(hashes: I, len: usize) -> Col
     ColumnFingerprint(((lane_a as u128) << 64) | lane_b as u128)
 }
 
-/// Fingerprint a whole table: column fingerprints combined *in schema order*
-/// together with column names. Used by `suggest_batch` to deduplicate
-/// identical tables across requests, where a renamed or reordered schema is
-/// a different table even if the cell multisets agree.
-pub fn table_fingerprint(df: &DataFrame) -> ColumnFingerprint {
-    let mut lane_a: u64 = mix(df.num_columns() as u64, LANE_A.0, LANE_A.1);
-    let mut lane_b: u64 = mix(df.num_rows() as u64, LANE_B.0, LANE_B.1);
-    for (idx, col) in df.columns().iter().enumerate() {
-        let cf = column_fingerprint(col);
-        let name_h = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            col.name().hash(&mut h);
-            h.finish()
-        };
-        // Sequential (order-sensitive) combine across columns: rotate the
-        // accumulator by the position so swapping two columns changes the
-        // digest.
-        let pos = (idx as u32).wrapping_mul(7) % 63 + 1;
-        lane_a = lane_a
-            .rotate_left(pos)
-            .wrapping_add(mix((cf.0 >> 64) as u64 ^ name_h, LANE_A.0, LANE_A.1));
-        lane_b = lane_b
-            .rotate_left(pos)
-            .wrapping_add(mix(cf.0 as u64 ^ name_h, LANE_B.0, LANE_B.1));
-    }
-    ColumnFingerprint(((lane_a as u128) << 64) | lane_b as u128)
-}
-
 /// Domain tag separating row-aligned table fingerprints from column and
 /// key-tuple multisets.
 const ROW_TAG: u64 = 0x524f_5753_4554_0001;
@@ -139,9 +110,9 @@ const ROW_TAG: u64 = 0x524f_5753_4554_0001;
 /// names. Two tables fingerprint equal iff they hold the same rows under
 /// the same schema, in any row order.
 ///
-/// [`table_fingerprint`] folds each column's multiset on its own, so two
+/// Column fingerprints fold each column's multiset on its own, so two
 /// tables whose columns are multiset-equal but paired differently across
-/// rows share it. That is sound for per-column artifacts but not for a
+/// rows share them. That is sound for per-column artifacts but not for a
 /// result that reads several cells of one row — e.g. the
 /// emptiness-reduction ratio of a column pair — which must key on this.
 pub fn table_row_fingerprint(df: &DataFrame) -> ColumnFingerprint {
@@ -220,36 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn table_fingerprint_is_schema_sensitive() {
-        let t1 = DataFrame::from_columns(vec![
-            ("a", vec![Value::Int(1), Value::Int(2)]),
-            ("b", vec![Value::Str("x".into()), Value::Str("y".into())]),
-        ])
-        .unwrap();
-        // Same content, same names → same fingerprint.
-        let t2 = DataFrame::from_columns(vec![
-            ("a", vec![Value::Int(1), Value::Int(2)]),
-            ("b", vec![Value::Str("x".into()), Value::Str("y".into())]),
-        ])
-        .unwrap();
-        assert_eq!(table_fingerprint(&t1), table_fingerprint(&t2));
-        // Swapped column order → different table.
-        let swapped = DataFrame::from_columns(vec![
-            ("b", vec![Value::Str("x".into()), Value::Str("y".into())]),
-            ("a", vec![Value::Int(1), Value::Int(2)]),
-        ])
-        .unwrap();
-        assert_ne!(table_fingerprint(&t1), table_fingerprint(&swapped));
-        // Renamed column → different table.
-        let renamed = DataFrame::from_columns(vec![
-            ("a2", vec![Value::Int(1), Value::Int(2)]),
-            ("b", vec![Value::Str("x".into()), Value::Str("y".into())]),
-        ])
-        .unwrap();
-        assert_ne!(table_fingerprint(&t1), table_fingerprint(&renamed));
-    }
-
-    #[test]
     fn row_fingerprint_is_row_aligned() {
         let table = |a: [i64; 4], b: [&str; 4]| {
             DataFrame::from_columns(vec![
@@ -259,14 +200,29 @@ mod tests {
             .unwrap()
         };
         let paired = table([1, 1, 2, 2], ["x", "x", "y", "y"]);
-        // The same rows in another order: one key under both fingerprints.
+        // The same rows in another order: one key.
         let reordered = table([2, 1, 2, 1], ["y", "x", "y", "x"]);
         assert_eq!(table_row_fingerprint(&paired), table_row_fingerprint(&reordered));
-        // The same column multisets paired differently across rows: the
-        // per-column table fingerprint collides, the row-aligned one does not.
+        // The same column multisets paired differently across rows: every
+        // column fingerprint collides, the row-aligned one does not.
         let crossed = table([1, 1, 2, 2], ["x", "y", "x", "y"]);
-        assert_eq!(table_fingerprint(&paired), table_fingerprint(&crossed));
+        for (p, c) in paired.columns().iter().zip(crossed.columns()) {
+            assert_eq!(column_fingerprint(p), column_fingerprint(c));
+        }
         assert_ne!(table_row_fingerprint(&paired), table_row_fingerprint(&crossed));
+        // Swapped column order and a renamed column are different tables.
+        let swapped = DataFrame::from_columns(vec![
+            ("b", paired.columns()[1].values().to_vec()),
+            ("a", paired.columns()[0].values().to_vec()),
+        ])
+        .unwrap();
+        assert_ne!(table_row_fingerprint(&paired), table_row_fingerprint(&swapped));
+        let renamed = DataFrame::from_columns(vec![
+            ("a2", paired.columns()[0].values().to_vec()),
+            ("b", paired.columns()[1].values().to_vec()),
+        ])
+        .unwrap();
+        assert_ne!(table_row_fingerprint(&paired), table_row_fingerprint(&renamed));
         // Schema edits still separate tables with no rows.
         let empty = |names: &[&str]| {
             DataFrame::from_columns(names.iter().map(|&n| (n, Vec::new())).collect()).unwrap()

@@ -33,8 +33,9 @@
 //! ever rebuilt, and `misses = distinct fingerprints`. The default
 //! capacity is sized so the repro workload never evicts.
 //!
-//! The cache is on by default; [`set_all_enabled`] toggles every tier at
-//! runtime for A/B runs.
+//! Every tier is always on. The cache never changes an answer: a hit is
+//! the value a recomputation would produce, so a cold run (after
+//! [`clear_memory`]) and a warm run answer alike.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -46,7 +47,7 @@ mod sketch;
 
 pub use artifacts::{dtype_slot, ColumnArtifacts, BASE_SKETCH_K};
 pub use fingerprint::{
-    column_fingerprint, table_fingerprint, table_row_fingerprint, ColumnFingerprint,
+    column_fingerprint, table_row_fingerprint, ColumnFingerprint,
 };
 pub use pair::{
     KeyTupleSet, PairCache, PairOverlap, DEFAULT_PAIR_CAPACITY, DEFAULT_TUPLE_CAPACITY,
@@ -57,7 +58,6 @@ pub use sketch::MinHashSketch;
 
 use autosuggest_dataframe::Column;
 use lru::ShardedLru;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default total capacity (entries across all shards). Generous relative to
@@ -107,13 +107,6 @@ impl CacheStats {
 /// A sharded, content-addressed LRU of [`ColumnArtifacts`].
 pub struct ColumnCache {
     lru: ShardedLru<ColumnFingerprint, Arc<ColumnArtifacts>>,
-    enabled: AtomicBool,
-}
-
-/// Toggle every global cache tier at once (A/B runs).
-pub fn set_all_enabled(on: bool) {
-    ColumnCache::global().set_enabled(on);
-    PairCache::global().set_enabled(on);
 }
 
 /// Drop every entry in the global tiers and reset their counters.
@@ -157,7 +150,6 @@ impl ColumnCache {
     pub fn new(capacity: usize) -> Self {
         ColumnCache {
             lru: ShardedLru::new(capacity, [HITS_COUNTER, MISSES_COUNTER, EVICTIONS_COUNTER]),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -168,22 +160,8 @@ impl ColumnCache {
         GLOBAL.get_or_init(|| ColumnCache::new(DEFAULT_CAPACITY))
     }
 
-    /// Whether lookups consult the cache (otherwise they recompute).
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggle the cache at runtime (used by the repro harness for the
-    /// cache-on/off timing comparison).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Fetch (or compute and intern) the artifacts for a column.
     pub fn artifacts(&self, col: &Column) -> Arc<ColumnArtifacts> {
-        if !self.enabled() {
-            return Arc::new(ColumnArtifacts::compute(col));
-        }
         let fp = column_fingerprint(col);
         self.lru.get_or_insert_with(fp, (fp.0 >> 64) as u64, || {
             Arc::new(ColumnArtifacts::compute(col))
@@ -256,20 +234,5 @@ mod tests {
         assert_eq!(cached.dtype_counts(), direct.dtype_counts());
         assert_eq!(cached.peak_frequency(), direct.peak_frequency());
         assert_eq!(cached.sketch().jaccard(direct.sketch()), 1.0);
-    }
-
-    #[test]
-    fn disabled_cache_recomputes_and_counts_nothing() {
-        let cache = ColumnCache::new(64);
-        cache.set_enabled(false);
-        let col = int_col("a", 0, 50);
-        let x = cache.artifacts(&col);
-        let y = cache.artifacts(&col);
-        assert!(!Arc::ptr_eq(&x, &y));
-        assert_eq!(cache.stats(), CacheStats::default());
-        assert_eq!(cache.len(), 0);
-        cache.set_enabled(true);
-        cache.artifacts(&col);
-        assert_eq!(cache.stats().misses, 1);
     }
 }

@@ -36,7 +36,6 @@ use crate::lru::ShardedLru;
 use crate::{CacheStats, ColumnFingerprint, DEFAULT_CAPACITY};
 use autosuggest_dataframe::DataFrame;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Obs counter names for the tuple-set tier (deterministic section).
@@ -180,7 +179,6 @@ pub const DEFAULT_PAIR_CAPACITY: usize = DEFAULT_CAPACITY;
 pub struct PairCache {
     sets: ShardedLru<ColumnFingerprint, Arc<KeyTupleSet>>,
     pairs: ShardedLru<(ColumnFingerprint, ColumnFingerprint), PairOverlap>,
-    enabled: AtomicBool,
 }
 
 impl PairCache {
@@ -194,7 +192,6 @@ impl PairCache {
                 pair_capacity,
                 [PAIR_HITS_COUNTER, PAIR_MISSES_COUNTER, PAIR_EVICTIONS_COUNTER],
             ),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -202,14 +199,6 @@ impl PairCache {
     pub fn global() -> &'static PairCache {
         static GLOBAL: OnceLock<PairCache> = OnceLock::new();
         GLOBAL.get_or_init(|| PairCache::new(DEFAULT_TUPLE_CAPACITY, DEFAULT_PAIR_CAPACITY))
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Fetch (or compute and intern) the distinct key-tuple set for
@@ -221,9 +210,6 @@ impl PairCache {
     /// memoize by column tuple via `features::join_features_batch`, which
     /// skips even the hashing pass for repeated tuples within a request.
     pub fn key_tuples(&self, df: &DataFrame, cols: &[usize]) -> Arc<KeyTupleSet> {
-        if !self.enabled() {
-            return Arc::new(KeyTupleSet::compute(df, cols));
-        }
         let raw = KeyTupleSet::raw_tuple_hashes(df, cols);
         let fp = KeyTupleSet::fingerprint_hashes(&raw, cols.len());
         self.sets.get_or_insert_with(fp, (fp.0 >> 64) as u64, || {
@@ -234,9 +220,6 @@ impl PairCache {
     /// Exact `|left ∩ right|`, memoized under the normalised (unordered)
     /// fingerprint pair.
     pub fn intersection(&self, left: &KeyTupleSet, right: &KeyTupleSet) -> usize {
-        if !self.enabled() {
-            return left.intersection_size(right);
-        }
         let (a, b) = (left.fingerprint(), right.fingerprint());
         let key = if a <= b { (a, b) } else { (b, a) };
         let shard_sel = (key.0 .0 >> 64) as u64 ^ (key.1 .0 as u64);
@@ -367,20 +350,6 @@ mod tests {
         // Both directions share the normalised key: 1 miss + 1 hit.
         assert_eq!(cache.pair_stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
         assert_eq!(cache.len().1, 1);
-    }
-
-    #[test]
-    fn disabled_cache_computes_without_counting() {
-        let cache = PairCache::new(64, 64);
-        cache.set_enabled(false);
-        let t = df(vec![("a", ints(&[1, 2, 3]))]);
-        let s1 = cache.key_tuples(&t, &[0]);
-        let s2 = cache.key_tuples(&t, &[0]);
-        assert!(!Arc::ptr_eq(&s1, &s2));
-        assert_eq!(cache.intersection(&s1, &s2), 3);
-        assert_eq!(cache.tuple_stats(), CacheStats::default());
-        assert_eq!(cache.pair_stats(), CacheStats::default());
-        assert!(cache.is_empty());
     }
 
     #[test]

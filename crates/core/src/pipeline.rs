@@ -6,7 +6,7 @@ use crate::join_type::JoinTypePredictor;
 use crate::nextop::{single_op_scores, NextOpConfig, NextOpExample, NextOpMode, NextOpPredictor};
 use crate::pivot::{CompatibilityModel, PivotPredictor, PivotSuggestion};
 use crate::unpivot::{UnpivotPredictor, UnpivotSuggestion};
-use autosuggest_cache::{table_fingerprint, table_row_fingerprint, ColumnCache};
+use autosuggest_cache::{table_row_fingerprint, ColumnCache};
 use autosuggest_dataframe::DataFrame;
 use autosuggest_corpus::replay::OpInvocation;
 use autosuggest_corpus::{
@@ -414,8 +414,8 @@ pub enum SuggestResponse {
     Unavailable(&'static str),
 }
 
-/// Obs counter names for the interactive suggest path (deterministic
-/// section; see the warm-phase gating note on [`TrainedModels::warm_tables`]).
+/// Obs counter for the columns [`TrainedModels::warm_tables`] pushed
+/// through the cache (deterministic section).
 pub const WARM_COLUMNS_COUNTER: &str = "suggest.warm_columns";
 
 /// The served half of a trained system: keep the models, drop the replayed
@@ -449,67 +449,20 @@ impl TrainedModels {
         }
     }
 
-    /// Answer a batch of requests, deduplicating tables across requests
-    /// before featurising.
-    ///
-    /// Interactive sessions ask several questions about the same frames
-    /// (e.g. join + groupby on one table, or one table joined against many
-    /// partners). Distinct tables — identified by content fingerprint, so
-    /// clones of one frame collapse — have their column artifacts warmed
-    /// exactly once across the pool; the per-request featurisers then hit
-    /// the cache instead of re-sketching shared columns per request.
-    /// Responses come back in request order and are identical to calling
-    /// [`TrainedModels::suggest`] sequentially.
-    pub fn suggest_batch(&self, reqs: &[SuggestRequest<'_>]) -> Vec<SuggestResponse> {
-        let _span = obs::span("suggest_batch");
-        obs::counter_add("suggest.batch_requests", reqs.len() as u64);
-        self.warm_tables(reqs);
-        autosuggest_parallel::par_map(reqs, |req| self.suggest(req))
-    }
-
-    /// Pre-warm the column cache for every distinct table across `reqs`,
-    /// so the per-request featurisers hit the cache instead of re-sketching
-    /// shared columns per request. Returns the number of columns warmed.
-    ///
-    /// The warm phase only runs when the global column cache is enabled:
-    /// with the cache switched off the warmed artifacts would be computed,
-    /// discarded, and recomputed per request — pure wasted work. The
-    /// `suggest.warm_columns` counter counts every column pushed through
-    /// the warm phase, so a disabled cache must leave it untouched.
+    /// Pre-warm the column cache for every column of every table across
+    /// `reqs`, so the per-request featurisers hit the cache instead of
+    /// re-sketching shared columns per request. Returns the number of
+    /// columns warmed. The cache deduplicates the columns by content, so a
+    /// table shared by several requests is sketched once.
     pub fn warm_tables(&self, reqs: &[SuggestRequest<'_>]) -> usize {
-        // Deduplicate tables by content fingerprint, keeping first-seen
-        // order so the warm-up workload is deterministic.
-        let tables = reqs.iter().flat_map(|req| req.tables());
-        let (distinct, _) = first_seen(tables.map(|table| (table, table_fingerprint(table))));
-        obs::counter_add("suggest.batch_distinct_tables", distinct.len() as u64);
-
         let cache = ColumnCache::global();
-        if !cache.enabled() {
-            return 0;
-        }
-        // Warm every distinct column once (columns of deduplicated tables
-        // are themselves deduplicated by the cache's content addressing).
         let cols: Vec<&autosuggest_dataframe::Column> =
-            distinct.iter().flat_map(|t| t.columns()).collect();
+            reqs.iter().flat_map(|req| req.tables()).flat_map(|t| t.columns()).collect();
         obs::counter_add(WARM_COLUMNS_COUNTER, cols.len() as u64);
         autosuggest_parallel::par_map(&cols, |c| {
             cache.artifacts(c);
         });
         cols.len()
-    }
-
-    /// [`TrainedModels::suggest`] with panic isolation: a panic anywhere in
-    /// this request's featurisation or model scoring is caught and returned
-    /// as `Err` with the panic message, leaving the process (and any other
-    /// request sharing a batch with this one) untouched. The serving layer
-    /// builds its micro-batch executor on this so one poisoned request can
-    /// never take down the daemon.
-    pub fn suggest_guarded(&self, req: &SuggestRequest<'_>) -> Result<SuggestResponse, String> {
-        let ambient = obs::ambient();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            obs::with_ambient(&ambient, || self.suggest(req))
-        }))
-        .map_err(|payload| autosuggest_parallel::panic_message(payload.as_ref()))
     }
 }
 

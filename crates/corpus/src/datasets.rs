@@ -83,14 +83,6 @@ impl DatasetRepository {
         }
         self.urls.extend(other.urls);
     }
-
-    pub fn num_datasets(&self) -> usize {
-        self.datasets.len()
-    }
-
-    pub fn num_urls(&self) -> usize {
-        self.urls.len()
-    }
 }
 
 /// Extract `http(s)://…` URLs from markdown text (replay repair source 2).

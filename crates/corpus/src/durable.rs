@@ -61,9 +61,6 @@ impl ByteWriter {
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
@@ -120,9 +117,6 @@ impl<'a> ByteReader<'a> {
     }
     pub fn get_u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.array()?))
-    }
-    pub fn get_u128(&mut self) -> io::Result<u128> {
-        Ok(u128::from_le_bytes(self.array()?))
     }
     pub fn get_usize(&mut self) -> io::Result<usize> {
         let v = self.get_u64()?;

@@ -22,10 +22,6 @@ impl Default for GbdtParams {
     }
 }
 
-/// Row count below which batch prediction stays on the caller thread
-/// (a handful of tree walks is cheaper than a thread spawn).
-const PAR_PREDICT_MIN_ROWS: usize = 512;
-
 /// A fitted gradient-boosted ensemble.
 ///
 /// Under squared loss the negative gradient is the residual, so each round
@@ -95,14 +91,6 @@ impl Gbdt {
                 * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
     }
 
-    /// Predict scores for a batch of candidates (fans out across the
-    /// thread pool; results stay in input order).
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        autosuggest_parallel::Pool::global()
-            .with_min_items(PAR_PREDICT_MIN_ROWS)
-            .par_map(xs, |x| self.predict(x))
-    }
-
     /// Gain-based feature importance, normalised to sum to 1 (all-zero when
     /// no split was ever made). Index order matches `feature_names`.
     pub fn feature_importance(&self) -> Vec<f64> {
@@ -116,10 +104,6 @@ impl Gbdt {
 
     pub fn feature_names(&self) -> &[String] {
         &self.feature_names
-    }
-
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
     }
 }
 

@@ -3,14 +3,13 @@
 //! The element update is division/sqrt-bound, and the RNN takes one
 //! full-parameter Adam step per example over its whole parameter arena —
 //! profiling showed the scalar loop dominating next-op training.
-//! [`Adam::step`] therefore runs one explicitly vectorised x86-64 kernel
-//! per step, picked once per process by CPU feature detection: 8-wide
-//! AVX-512 (with IFMA), else 4-wide AVX, else the baseline 2-wide SSE2;
-//! other targets run the portable classified loop. IEEE-754 requires
-//! `div` and `sqrt` to be exactly rounded, and the vector kernels evaluate
-//! every expression with the same association order as the scalar loop,
-//! so the result is **bit-identical** lane-for-lane — goldens and
-//! determinism tests see no difference, the wall clock does.
+//! [`Adam::step`] runs one of two kernels, picked once per process by CPU
+//! feature detection: the 8-wide AVX-512 (with IFMA) kernel where the CPU
+//! has it, else the portable classified loop. IEEE-754 requires `div` and
+//! `sqrt` to be exactly rounded, and the vector kernel evaluates every
+//! expression with the same association order as the scalar loop, so the
+//! result is **bit-identical** lane-for-lane — goldens and determinism
+//! tests see no difference, the wall clock does.
 //!
 //! SIMD alone is not enough, though: the dominant cost of per-example
 //! training turned out to be *subnormal* arithmetic, not throughput. Most
@@ -25,8 +24,8 @@
 //! exactly in integer arithmetic, issuing no denormal FP ops at all. The
 //! AVX-512 kernel sorts each block's lanes into `Skip`, `Decay` and `Slow`
 //! with mask compares and decays its `Decay` lanes in vector integer
-//! arithmetic (IFMA), so no lane falls back to per-element code; the AVX
-//! and SSE2 kernels drop a block with any fast lane to [`apply_one`].
+//! arithmetic (IFMA), so no lane falls back to per-element code; the
+//! portable loop sends every element through [`apply_one`].
 
 /// Adam state over one flat parameter arena: the first and second moments
 /// share the arena's layout, and each [`Adam::step`] updates every
@@ -79,7 +78,7 @@ struct Kernel {
     b2t: f64,
 }
 
-/// The reference element loop. Every vector kernel below reproduces this
+/// The reference element loop. The vector kernel below reproduces this
 /// expression tree exactly: `(1-b2)*g*g` associates left-to-right, `lr *
 /// mhat / (sqrt + eps)` multiplies before dividing.
 fn update_scalar(k: &Kernel, param: &mut [f64], grad: &[f64], m: &mut [f64], v: &mut [f64]) {
@@ -104,7 +103,7 @@ fn exp_field(bits: u64) -> u64 {
 /// How one element is processed. `Slow` is the reference arithmetic
 /// (scalar or SIMD); `Skip` and `Decay` are provably bit-identical
 /// shortcuts that avoid denormal microcode assists.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Lane {
     /// Full reference update.
     Slow,
@@ -237,22 +236,18 @@ fn apply_one(k: &Kernel, fg: &FastGate, p: &mut f64, g: f64, m: &mut f64, v: &mu
 
 /// The element kernels, best first. [`update_elements`] runs the first one
 /// the CPU supports; the lane tests hold every supported one to
-/// [`update_scalar`]. No setting picks a kernel: every one produces the
-/// same bits, so only speed depends on the choice.
+/// [`update_scalar`]. No setting picks a kernel: both produce the same
+/// bits, so only speed depends on the choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Isa {
     /// 8-wide AVX-512F + IFMA: lanes classified by mask compares, the
     /// decay lane in vector integer arithmetic, masked tails.
     Avx512,
-    /// 4-wide AVX, the vector path of hosts without AVX-512.
-    Avx,
-    /// 2-wide SSE2, the x86-64 baseline.
-    Sse2,
-    /// The classified element loop without SIMD, for every other target.
+    /// The classified element loop without SIMD, for every other CPU.
     Portable,
 }
 
-const ISAS: [Isa; 4] = [Isa::Avx512, Isa::Avx, Isa::Sse2, Isa::Portable];
+const ISAS: [Isa; 2] = [Isa::Avx512, Isa::Portable];
 
 impl Isa {
     fn supported(self) -> bool {
@@ -262,8 +257,7 @@ impl Isa {
                 Isa::Avx512 => {
                     is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
                 }
-                Isa::Avx => is_x86_feature_detected!("avx"),
-                Isa::Sse2 | Isa::Portable => true,
+                Isa::Portable => true,
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -286,10 +280,6 @@ impl Isa {
         match self {
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => update_avx512(k, fg.as_ref(), param, grad, m, v),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx => update_avx(k, fg.as_ref(), param, grad, m, v),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => update_sse2(k, fg.as_ref(), param, grad, m, v),
             Isa::Portable => update_portable(k, fg.as_ref(), param, grad, m, v),
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("{self:?} is x86-64 only"),
@@ -303,8 +293,7 @@ fn update_elements(k: &Kernel, param: &mut [f64], grad: &[f64], m: &mut [f64], v
 }
 
 /// The classified element loop: every element through [`apply_one`] when
-/// the fast lanes are admissible, the reference loop otherwise. Also the
-/// remainder of the AVX and SSE2 kernels after their last full block.
+/// the fast lanes are admissible, the reference loop otherwise.
 fn update_portable(
     k: &Kernel,
     fg: Option<&FastGate>,
@@ -469,131 +458,6 @@ fn decay8(m: std::arch::x86_64::__m512i, fg: &FastGate) -> std::arch::x86_64::__
     _mm512_maskz_or_epi64(nonzero, kq, _mm512_and_si512(m, _mm512_set1_epi64(SIGN_BIT as i64)))
 }
 
-/// 4-wide AVX element update. `vdivpd`/`vsqrtpd` are exactly rounded per
-/// IEEE-754, and the operation order per lane matches [`update_scalar`],
-/// so output bits are identical to the scalar loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn update_avx(
-    k: &Kernel,
-    fg: Option<&FastGate>,
-    param: &mut [f64],
-    grad: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    let n = param.len();
-    let head = n - n % 4;
-    let b1 = _mm256_set1_pd(k.beta1);
-    let c1 = _mm256_set1_pd(1.0 - k.beta1);
-    let b2 = _mm256_set1_pd(k.beta2);
-    let c2 = _mm256_set1_pd(1.0 - k.beta2);
-    let b1t = _mm256_set1_pd(k.b1t);
-    let b2t = _mm256_set1_pd(k.b2t);
-    let lr = _mm256_set1_pd(k.lr);
-    let eps = _mm256_set1_pd(k.eps);
-    let mut i = 0;
-    while i < head {
-        // Any lane eligible for a fast shortcut demotes the block to the
-        // per-element path; a SIMD pass over a denormal lane would stall
-        // on assists, which is exactly what the shortcut exists to avoid.
-        if let Some(fg) = fg {
-            let fast = (0..4).any(|l| {
-                classify(
-                    grad[i + l].to_bits(),
-                    m[i + l].to_bits(),
-                    v[i + l].to_bits(),
-                    param[i + l].to_bits(),
-                ) != Lane::Slow
-            });
-            if fast {
-                for l in 0..4 {
-                    apply_one(k, fg, &mut param[i + l], grad[i + l], &mut m[i + l], &mut v[i + l]);
-                }
-                i += 4;
-                continue;
-            }
-        }
-        let g = _mm256_loadu_pd(grad.as_ptr().add(i));
-        let mi = _mm256_loadu_pd(m.as_ptr().add(i));
-        let vi = _mm256_loadu_pd(v.as_ptr().add(i));
-        // m = b1*m + (1-b1)*g
-        let mn = _mm256_add_pd(_mm256_mul_pd(b1, mi), _mm256_mul_pd(c1, g));
-        // v = b2*v + ((1-b2)*g)*g  — left-to-right, as the scalar loop.
-        let vn = _mm256_add_pd(_mm256_mul_pd(b2, vi), _mm256_mul_pd(_mm256_mul_pd(c2, g), g));
-        _mm256_storeu_pd(m.as_mut_ptr().add(i), mn);
-        _mm256_storeu_pd(v.as_mut_ptr().add(i), vn);
-        let mhat = _mm256_div_pd(mn, b1t);
-        let vhat = _mm256_div_pd(vn, b2t);
-        let denom = _mm256_add_pd(_mm256_sqrt_pd(vhat), eps);
-        let step = _mm256_div_pd(_mm256_mul_pd(lr, mhat), denom);
-        let p = _mm256_loadu_pd(param.as_ptr().add(i));
-        _mm256_storeu_pd(param.as_mut_ptr().add(i), _mm256_sub_pd(p, step));
-        i += 4;
-    }
-    update_portable(k, fg, &mut param[head..], &grad[head..], &mut m[head..], &mut v[head..]);
-}
-
-/// 2-wide SSE2 element update (always available on x86-64); same exact
-/// rounding and operation order as [`update_scalar`].
-#[cfg(target_arch = "x86_64")]
-unsafe fn update_sse2(
-    k: &Kernel,
-    fg: Option<&FastGate>,
-    param: &mut [f64],
-    grad: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    let n = param.len();
-    let head = n - n % 2;
-    let b1 = _mm_set1_pd(k.beta1);
-    let c1 = _mm_set1_pd(1.0 - k.beta1);
-    let b2 = _mm_set1_pd(k.beta2);
-    let c2 = _mm_set1_pd(1.0 - k.beta2);
-    let b1t = _mm_set1_pd(k.b1t);
-    let b2t = _mm_set1_pd(k.b2t);
-    let lr = _mm_set1_pd(k.lr);
-    let eps = _mm_set1_pd(k.eps);
-    let mut i = 0;
-    while i < head {
-        if let Some(fg) = fg {
-            let fast = (0..2).any(|l| {
-                classify(
-                    grad[i + l].to_bits(),
-                    m[i + l].to_bits(),
-                    v[i + l].to_bits(),
-                    param[i + l].to_bits(),
-                ) != Lane::Slow
-            });
-            if fast {
-                for l in 0..2 {
-                    apply_one(k, fg, &mut param[i + l], grad[i + l], &mut m[i + l], &mut v[i + l]);
-                }
-                i += 2;
-                continue;
-            }
-        }
-        let g = _mm_loadu_pd(grad.as_ptr().add(i));
-        let mi = _mm_loadu_pd(m.as_ptr().add(i));
-        let vi = _mm_loadu_pd(v.as_ptr().add(i));
-        let mn = _mm_add_pd(_mm_mul_pd(b1, mi), _mm_mul_pd(c1, g));
-        let vn = _mm_add_pd(_mm_mul_pd(b2, vi), _mm_mul_pd(_mm_mul_pd(c2, g), g));
-        _mm_storeu_pd(m.as_mut_ptr().add(i), mn);
-        _mm_storeu_pd(v.as_mut_ptr().add(i), vn);
-        let mhat = _mm_div_pd(mn, b1t);
-        let vhat = _mm_div_pd(vn, b2t);
-        let denom = _mm_add_pd(_mm_sqrt_pd(vhat), eps);
-        let step = _mm_div_pd(_mm_mul_pd(lr, mhat), denom);
-        let p = _mm_loadu_pd(param.as_ptr().add(i));
-        _mm_storeu_pd(param.as_mut_ptr().add(i), _mm_sub_pd(p, step));
-        i += 2;
-    }
-    update_portable(k, fg, &mut param[head..], &grad[head..], &mut m[head..], &mut v[head..]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,11 +493,10 @@ mod tests {
         opt.step(&mut [0.0], &[1.0]);
     }
 
-    /// Every kernel this CPU supports, best first; the portable loop and
-    /// (on x86-64) SSE2 always run. The kernels a host lacks are reported
-    /// (`cargo test -- --nocapture` shows it), so a pass says which
-    /// kernels it covered: the AVX-512 kernel runs only on AVX-512F+IFMA
-    /// hosts.
+    /// Every kernel this CPU supports, best first; the portable loop
+    /// always runs. A kernel the host lacks is reported (`cargo test --
+    /// --nocapture` shows it), so a pass says which kernels it covered:
+    /// the AVX-512 kernel runs only on AVX-512F+IFMA hosts.
     fn kernels() -> Vec<Isa> {
         let (isas, missing): (Vec<Isa>, Vec<Isa>) = ISAS.into_iter().partition(|isa| isa.supported());
         assert_eq!(isas[0], Isa::best());

@@ -13,10 +13,10 @@
 //! > *what* is computed, only *when*.
 //!
 //! The contract holds because work items only write to their own output
-//! slot (keyed by input index) and reductions always fold in input order
-//! after the parallel map completes. Anything order-sensitive (floating
-//! point accumulation, tie-breaking) therefore behaves exactly as in the
-//! sequential loop.
+//! slot (keyed by input index), and callers fold the returned vector in
+//! input order after the parallel map completes. Anything order-sensitive
+//! (floating point accumulation, tie-breaking) therefore behaves exactly
+//! as in the sequential loop.
 //!
 //! ## Scheduling
 //!
@@ -337,44 +337,6 @@ impl Pool {
             (Err(payload), _) | (_, Err(payload)) => std::panic::resume_unwind(payload),
         }
     }
-
-    /// Map over contiguous chunks of ~`chunk_size` items, in chunk order.
-    pub fn par_chunks<T, U, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&[T]) -> U + Sync,
-    {
-        let chunk_size = chunk_size.max(1);
-        let bounds: Vec<(usize, usize)> = (0..items.len())
-            .step_by(chunk_size)
-            .map(|s| (s, (s + chunk_size).min(items.len())))
-            .collect();
-        self.par_map_indexed(bounds.len(), |ci| {
-            let (s, e) = bounds[ci];
-            f(&items[s..e])
-        })
-    }
-
-    /// Order-preserving deterministic reduce: map in parallel, then fold
-    /// the mapped values **sequentially in input order**. `fold` therefore
-    /// sees exactly the same sequence as the equivalent sequential loop —
-    /// floating-point sums, argmax tie-breaks, and first-wins dedup all
-    /// stay bit-identical at any thread count.
-    pub fn par_reduce<T, U, A, M, R>(&self, items: &[T], map: M, init: A, mut fold: R) -> A
-    where
-        T: Sync,
-        U: Send,
-        M: Fn(&T) -> U + Sync,
-        R: FnMut(A, U) -> A,
-    {
-        let mapped = self.par_map(items, map);
-        let mut acc = init;
-        for v in mapped {
-            acc = fold(acc, v);
-        }
-        acc
-    }
 }
 
 /// [`Pool::par_map`] on the global pool.
@@ -396,16 +358,6 @@ where
     Pool::global().par_map_indexed(n, f)
 }
 
-/// [`Pool::par_chunks`] on the global pool.
-pub fn par_chunks<T, U, F>(items: &[T], chunk_size: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&[T]) -> U + Sync,
-{
-    Pool::global().par_chunks(items, chunk_size, f)
-}
-
 /// [`Pool::join`] on the global pool.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -425,17 +377,6 @@ where
     F: Fn(&T) -> Result<U, E> + Sync,
 {
     Pool::global().par_try_map(items, f)
-}
-
-/// [`Pool::par_reduce`] on the global pool.
-pub fn par_reduce<T, U, A, M, R>(items: &[T], map: M, init: A, fold: R) -> A
-where
-    T: Sync,
-    U: Send,
-    M: Fn(&T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-{
-    Pool::global().par_reduce(items, map, init, fold)
 }
 
 #[cfg(test)]
@@ -481,36 +422,6 @@ mod tests {
         for n in [0usize, 1, 2, 3, 7] {
             let got = Pool::with_threads(4).par_map_indexed(n, |i| i * 2);
             assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn par_chunks_covers_all_items_in_order() {
-        let items: Vec<usize> = (0..103).collect();
-        let sums = Pool::with_threads(4).par_chunks(&items, 10, |c| c.iter().sum::<usize>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.iter().sum::<usize>(), items.iter().sum::<usize>());
-        // First chunk is exactly items 0..10.
-        assert_eq!(sums[0], (0..10).sum::<usize>());
-    }
-
-    #[test]
-    fn par_reduce_folds_in_input_order() {
-        // String concatenation is order-sensitive: any reordering would
-        // change the result.
-        let items: Vec<usize> = (0..200).collect();
-        for threads in [1, 3, 8] {
-            let s = Pool::with_threads(threads).par_reduce(
-                &items,
-                |&i| format!("{i},"),
-                String::new(),
-                |mut acc, part| {
-                    acc.push_str(&part);
-                    acc
-                },
-            );
-            let expect: String = items.iter().map(|i| format!("{i},")).collect();
-            assert_eq!(s, expect, "threads={threads}");
         }
     }
 

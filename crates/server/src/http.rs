@@ -140,9 +140,7 @@ pub fn read_request(
             .ok_or_else(|| HttpError::Malformed(format!("header without colon: {line:?}")))?;
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let n = value
-                .parse()
-                .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+            let n = parse_content_length(value)?;
             // Two different lengths leave the body's end ambiguous, and
             // guessing either desyncs the keep-alive stream (RFC 9112 §6.3).
             if content_length.is_some_and(|seen| seen != n) {
@@ -161,6 +159,16 @@ pub fn read_request(
         }
     }
     Err(HttpError::Malformed("too many headers".into()))
+}
+
+/// A `Content-Length` value: `1*DIGIT` (RFC 9112 §6.3). `str::parse`
+/// alone would also take a leading `+`, and a peer that frames a body
+/// differently from this parser desyncs the keep-alive stream.
+fn parse_content_length(value: &str) -> Result<usize, HttpError> {
+    match value.parse() {
+        Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+        _ => Err(HttpError::Malformed(format!("bad content-length {value:?}"))),
+    }
 }
 
 /// Methods whose semantics carry a request body and therefore must declare
@@ -269,9 +277,7 @@ pub fn read_response(
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    HttpError::Malformed(format!("bad content-length {value:?}"))
-                })?;
+                content_length = parse_content_length(value.trim())?;
             }
         }
     }
@@ -348,8 +354,84 @@ mod tests {
 
     #[test]
     fn non_numeric_content_length_is_malformed() {
-        let err = parse("POST /suggest HTTP/1.1\r\nContent-Length: 12abc\r\n\r\n").unwrap_err();
-        assert!(matches!(err, HttpError::Malformed(_)), "got {err:?}");
+        for value in ["12abc", "+12", "", "1 2"] {
+            let raw = format!("POST /suggest HTTP/1.1\r\nContent-Length: {value}\r\n\r\n");
+            let err = parse(&raw).unwrap_err();
+            assert!(matches!(err, HttpError::Malformed(_)), "{value:?}: got {err:?}");
+        }
+        let response = "HTTP/1.1 200 OK\r\nContent-Length: +12\r\n\r\n{\"ok\":true}";
+        let err = read_response(&mut BufReader::new(response.as_bytes()), 1024).unwrap_err();
+        assert!(matches!(err, HttpError::Malformed(_)), "response: got {err:?}");
+    }
+
+    /// A request's comparable fields.
+    fn fields(req: &Request) -> (&str, &str, &[u8], bool) {
+        (&req.method, &req.path, &req.body, req.close)
+    }
+
+    /// Every request `reader` yields until a clean end (`Ok(None)`) or the
+    /// first error.
+    fn drain(mut reader: impl BufRead) -> (Vec<Request>, Result<(), HttpError>) {
+        let mut got = Vec::new();
+        loop {
+            match read_request(&mut reader, 1024) {
+                Ok(Some(req)) => got.push(req),
+                Ok(None) => return (got, Ok(())),
+                Err(e) => return (got, Err(e)),
+            }
+        }
+    }
+
+    /// Yields one byte per `read`, like a peer that trickles its bytes.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl io::Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_and_split_pipelines_parse_to_whole_requests_or_errors() {
+        let body = "{\"k\": 1}";
+        let post = format!(
+            "POST /suggest HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let get = "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+        let wire = format!("{post}{get}");
+        let (whole, end) = drain(BufReader::new(wire.as_bytes()));
+        assert!(end.is_ok());
+        assert_eq!(whole.len(), 2);
+        assert_eq!(fields(&whole[0]), ("POST", "/suggest", body.as_bytes(), false));
+        assert_eq!(fields(&whole[1]), ("GET", "/healthz", &b""[..], true));
+
+        // Each prefix of the pipeline ends cleanly only at a request
+        // boundary, having yielded exactly the requests before it;
+        // anywhere else it yields those and then an error.
+        let boundaries = [0, post.len(), wire.len()];
+        for cut in 0..=wire.len() {
+            let (got, end) = drain(BufReader::new(&wire.as_bytes()[..cut]));
+            let complete = boundaries.iter().filter(|&&b| b > 0 && b <= cut).count();
+            assert_eq!(got.len(), complete, "cut at {cut}");
+            for (g, w) in got.iter().zip(&whole) {
+                assert_eq!(fields(g), fields(w), "cut at {cut}");
+            }
+            assert_eq!(end.is_ok(), boundaries.contains(&cut), "cut at {cut}: {end:?}");
+        }
+
+        // A peer that delivers one byte per read frames the same requests.
+        let (split, end) = drain(BufReader::new(OneByte(wire.as_bytes())));
+        assert!(end.is_ok());
+        let split: Vec<_> = split.iter().map(fields).collect();
+        assert_eq!(split, whole.iter().map(fields).collect::<Vec<_>>());
     }
 
     #[test]

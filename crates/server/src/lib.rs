@@ -20,9 +20,10 @@
 //! - **Micro-batching**: a single batcher thread drains the queue and
 //!   closes each batch as soon as no other request is partway through
 //!   arriving ([`queue::Arrival`]), at `max_batch` requests, or at the
-//!   `batch_window` upper bound, whichever comes first. It answers the
-//!   batch through the same warm-then-parallel-map path as
-//!   `suggest_batch`, so concurrent clients share column-sketch work.
+//!   `batch_window` upper bound, whichever comes first. It warms the
+//!   column cache for the whole batch (`TrainedModels::warm_tables`) and
+//!   then answers each request on the pool, so concurrent clients share
+//!   column-sketch work.
 //! - **Hot reload**: `POST /admin/reload` trains a replacement model from
 //!   scratch and installs it with an atomic `Arc` swap
 //!   ([`autosuggest_core::model_slot::ModelSlot`]), which keeps only the

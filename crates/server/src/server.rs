@@ -30,9 +30,10 @@
 //! another route). The batcher closes a batch as soon as no arrival is
 //! live, so a request waits only for others already on their way;
 //! `batch_window` is the upper bound, paid only for an arrival that
-//! stalls. The batch runs through the same warm-then-map machinery as
-//! [`TrainedModels::suggest_batch`](autosuggest_core::pipeline::TrainedModels::suggest_batch),
-//! so concurrent clients share column-sketch work.
+//! stalls. The batcher warms the column cache for the whole batch
+//! ([`TrainedModels::warm_tables`](autosuggest_core::pipeline::TrainedModels::warm_tables))
+//! and then answers each request on the pool, so concurrent clients
+//! share column-sketch work.
 //!
 //! Every connection has deadlines of [`ServerConfig::io_timeout`]: to
 //! send a request's first byte (an idle keep-alive connection past it is

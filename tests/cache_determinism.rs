@@ -4,8 +4,8 @@
 //!   and to each value's dtype;
 //! * cache counters (the deterministic-trace contract) are bit-identical
 //!   at 1 and 4 threads, including under LRU eviction pressure;
-//! * `TrainedModels::suggest_batch` answers exactly like sequential
-//!   `suggest` calls;
+//! * the server's path, `TrainedModels::warm_tables` then `suggest` on
+//!   the pool, answers exactly like sequential `suggest` calls;
 //! * hit/miss counters surface in the deterministic obs section.
 
 use auto_suggest::cache::{column_fingerprint, CacheStats, ColumnArtifacts, ColumnCache};
@@ -135,7 +135,7 @@ fn warm_lookups_hit_deterministically_at_any_thread_count() {
 }
 
 #[test]
-fn suggest_batch_matches_sequential_suggest() {
+fn warm_then_parallel_suggest_matches_sequential_suggest() {
     let sys = system();
     let join_case = sys.test.join.first().expect("fast corpus has join test cases");
     let dims = [0usize, 1];
@@ -155,8 +155,8 @@ fn suggest_batch_matches_sequential_suggest() {
             reqs.push(SuggestRequest::Pivot { table: &p.inputs[0], dims: &dims });
         }
     }
-    // Repeat tables across requests to exercise the dedup path: the same
-    // frame appears in a Join and a GroupBy request, plus an exact repeat.
+    // Repeat tables across requests: the same frame appears in a Join and
+    // a GroupBy request, plus an exact repeat.
     reqs.push(SuggestRequest::GroupBy { table: &join_case.inputs[0] });
     reqs.push(SuggestRequest::Join {
         left: &join_case.inputs[0],
@@ -166,7 +166,8 @@ fn suggest_batch_matches_sequential_suggest() {
     assert!(reqs.len() >= 4);
 
     let sequential: Vec<SuggestResponse> = reqs.iter().map(|r| sys.models.suggest(r)).collect();
-    let batched = sys.models.suggest_batch(&reqs);
+    sys.models.warm_tables(&reqs);
+    let batched = auto_suggest::parallel::par_map(&reqs, |r| sys.models.suggest(r));
     assert_eq!(batched, sequential, "batched answers must equal sequential ones");
     // The requests above must actually produce suggestions, not fall through
     // to Unavailable.
@@ -174,20 +175,27 @@ fn suggest_batch_matches_sequential_suggest() {
 }
 
 #[test]
-fn suggest_batch_deduplicates_tables_and_reports_counters() {
+fn warm_tables_warms_every_column_and_reports_counters() {
+    use auto_suggest::cache::{HITS_COUNTER, MISSES_COUNTER};
+    use auto_suggest::core::pipeline::WARM_COLUMNS_COUNTER;
     let sys = system();
     let join_case = sys.test.join.first().expect("fast corpus has join test cases");
+    let (left, right) = (&join_case.inputs[0], &join_case.inputs[1]);
     let reqs = vec![
-        SuggestRequest::GroupBy { table: &join_case.inputs[0] },
-        SuggestRequest::GroupBy { table: &join_case.inputs[0] },
-        SuggestRequest::GroupBy { table: &join_case.inputs[1] },
+        SuggestRequest::GroupBy { table: left },
+        SuggestRequest::GroupBy { table: left },
+        SuggestRequest::GroupBy { table: right },
     ];
-    let (_, snap) = obs::with_local_registry(|| {
-        sys.models.suggest_batch(&reqs);
-    });
-    assert_eq!(snap.counters.get("suggest.batch_requests"), Some(&3));
-    // Three requests, two distinct tables by content fingerprint.
-    assert_eq!(snap.counters.get("suggest.batch_distinct_tables"), Some(&2));
+    let (warmed, snap) = obs::with_local_registry(|| sys.models.warm_tables(&reqs));
+    // Every column of every request table goes through the warm phase...
+    let columns = 2 * left.num_columns() + right.num_columns();
+    assert_eq!(warmed, columns);
+    assert_eq!(snap.counters.get(WARM_COLUMNS_COUNTER), Some(&(columns as u64)));
+    // ...and the cache computes each distinct column at most once: the
+    // repeated table is all hits.
+    let count = |name| snap.counters.get(name).copied().unwrap_or(0);
+    assert_eq!(count(HITS_COUNTER) + count(MISSES_COUNTER), columns as u64);
+    assert!(count(MISSES_COUNTER) <= (left.num_columns() + right.num_columns()) as u64);
 }
 
 #[test]
