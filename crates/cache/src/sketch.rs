@@ -12,10 +12,8 @@
 //! `k' ≤ k` — which is what lets the column cache store one sketch per
 //! column at a base size and serve every smaller request from it.
 
-use serde::{Deserialize, Serialize};
-
 /// A bottom-k sketch of a set of hashed values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MinHashSketch {
     k: usize,
     /// The `k` smallest hashes, sorted ascending.

@@ -1,10 +1,11 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
 //! [`Value`] (with `Number` and object `Map`), [`from_str`] into `Value`,
-//! [`to_string`] over the serde shim's `Serialize`, and the [`json!`]
-//! macro.
+//! `Value`'s `Display` as the one JSON writer, and the [`json!`] macro.
+//! Nothing in the workspace serialises typed values, so there is no
+//! `Serialize`/`Deserialize` and no dependency.
 //!
 //! Objects use a `BTreeMap`, so key order is sorted and rendering is
-//! deterministic — `corpus::filter` uses serialised params as dedup keys.
+//! deterministic — trace files and the sample store's manifest rely on it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -211,7 +212,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Number(n) => out.push_str(&n.to_string()),
-            Value::String(s) => serde::write_json_string(s, out),
+            Value::String(s) => write_json_string(s, out),
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -228,7 +229,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    serde::write_json_string(k, out);
+                    write_json_string(k, out);
                     out.push(':');
                     v.write_compact(out);
                 }
@@ -238,6 +239,25 @@ impl Value {
     }
 }
 
+/// Escape and quote a string as a JSON string literal.
+fn write_json_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
@@ -245,14 +265,6 @@ impl fmt::Display for Value {
         f.write_str(&out)
     }
 }
-
-impl serde::Serialize for Value {
-    fn serialize_json(&self, out: &mut String) {
-        self.write_compact(out);
-    }
-}
-
-impl serde::Deserialize for Value {}
 
 impl From<bool> for Value {
     fn from(v: bool) -> Value {
@@ -428,32 +440,27 @@ impl<'a> Parser<'a> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
+                    let escaped = match self.text.as_bytes().get(self.pos + 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{0008}',
+                        Some(b'f') => '\u{000C}',
                         Some(b'u') => {
-                            let hex = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid unicode escape"))?,
-                            );
-                            self.pos += 4;
+                            self.pos += 2;
+                            out.push(self.parse_unicode_escape()?);
+                            continue;
                         }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
+                        _ => {
+                            self.pos += 1;
+                            return Err(self.error("invalid escape"));
+                        }
+                    };
+                    out.push(escaped);
+                    self.pos += 2;
                 }
                 Some(_) => {
                     // Copy the run up to the next quote or backslash in one
@@ -469,21 +476,82 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The character of a `\u` escape whose four hex digits start at
+    /// `pos`. A UTF-16 surrogate pair is two escapes that make one
+    /// character; a surrogate on its own is an error.
+    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
+        let code = match self.parse_hex4()? {
+            high @ 0xD800..=0xDBFF => {
+                if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                    return Err(self.error("unpaired surrogate in \\u escape"));
+                }
+                self.pos += 2;
+                match self.parse_hex4()? {
+                    low @ 0xDC00..=0xDFFF => 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00),
+                    _ => return Err(self.error("unpaired surrogate in \\u escape")),
+                }
+            }
+            0xDC00..=0xDFFF => return Err(self.error("unpaired surrogate in \\u escape")),
+            code => code,
+        };
+        // Every value left is a scalar value: below 0x110000, no surrogate.
+        Ok(char::from_u32(code).expect("non-surrogate code point"))
+    }
+
+    /// Exactly four hex digits; unlike `from_str_radix`, no sign.
+    fn parse_hex4(&mut self) -> Result<u32, Error> {
+        let text = self.text;
+        let digits = text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        let mut code = 0;
+        for &b in digits {
+            let digit = char::from(b).to_digit(16).ok_or_else(|| self.error("bad \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Skip a run of ASCII digits, returning how many there were.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number by RFC 8259's grammar:
+    /// `[-] (0 | [1-9] *DIGIT) [. 1*DIGIT] [(e|E) [+|-] 1*DIGIT]`.
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let first = self.peek();
+        let int_digits = self.skip_digits();
+        if int_digits == 0 || (first == Some(b'0') && int_digits > 1) {
+            return Err(self.error("invalid number"));
+        }
         let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.skip_digits() == 0 {
+                return Err(self.error("expected digits after `.`"));
             }
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.skip_digits() == 0 {
+                return Err(self.error("expected exponent digits"));
+            }
+            is_float = true;
         }
         let text = &self.text[start..self.pos];
         if !is_float {
@@ -494,9 +562,10 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Number(Number::from(u)));
             }
         }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::from(f)))
-            .map_err(|_| self.error(format!("invalid number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Number(Number::from(f))),
+            _ => Err(self.error(format!("number out of range `{text}`"))),
+        }
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -562,12 +631,6 @@ pub fn from_str(text: &str) -> Result<Value, Error> {
         return Err(parser.error("trailing characters"));
     }
     Ok(value)
-}
-
-/// Serialise any `serde::Serialize` value to a compact JSON string.
-#[allow(clippy::unnecessary_wraps)] // signature mirrors serde_json
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(serde::to_json_string(value))
 }
 
 /// By-reference conversion used by the [`json!`] macro, so interpolated
@@ -678,6 +741,15 @@ mod tests {
         assert!(from_str("{not json").is_err());
         assert!(from_str("[1,]").is_err());
         assert!(from_str("42 junk").is_err());
+        // RFC 8259 numbers: no leading zeros, digits on both sides of `.`,
+        // and a finite value.
+        for bad in ["01", "-01", "00", "1.", "1.e5", "[1.]", "-", "1e", "1e+", "1e999", "-1e999"] {
+            assert!(from_str(bad).is_err(), "{bad} parsed");
+        }
+        let good = [("0", 0.0), ("-0.5", -0.5), ("1e5", 1e5), ("2E-2", 0.02), ("10.25", 10.25)];
+        for (good, value) in good {
+            assert_eq!(from_str(good).unwrap().as_f64(), Some(value), "{good}");
+        }
     }
 
     fn nested_arrays(depth: usize) -> String {
@@ -723,6 +795,22 @@ mod tests {
         assert!(from_str(r#""\u00"#).is_err());
         assert!(from_str(r#""\uzzzz""#).is_err());
         assert!(from_str(r#""open"#).is_err());
+        // Exactly four hex digits: `from_str_radix` alone would take a sign.
+        assert!(from_str(r#""\u+041""#).is_err());
+        assert!(from_str(r#""\u-041""#).is_err());
+        // A surrogate pair (what Python's `json.dumps` writes for any
+        // non-BMP character) is one character; a lone surrogate is an error.
+        assert_eq!(from_str(r#""\ud83d\ude00!""#).unwrap().as_str(), Some("\u{1F600}!"));
+        assert_eq!(from_str(r#""\uD83D\uDE00""#).unwrap().as_str(), Some("\u{1F600}"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            assert!(from_str(lone).is_err(), "{lone} parsed");
+        }
     }
 
     #[test]
@@ -769,8 +857,10 @@ mod tests {
     }
 
     #[test]
-    fn to_string_uses_serde_shim() {
-        let records = vec![json!({"a": 1}), json!({"a": 2})];
-        assert_eq!(to_string(&records).unwrap(), r#"[{"a":1},{"a":2}]"#);
+    fn display_writes_compact_escaped_json() {
+        let records = Value::Array(vec![json!({"a": 1}), json!({"b": "x\"\n\u{1}"})]);
+        assert_eq!(records.to_string(), r#"[{"a":1},{"b":"x\"\n\u0001"}]"#);
+        assert_eq!(json!(1.0).to_string(), "1.0");
+        assert_eq!(json!(f64::NAN).to_string(), "null");
     }
 }

@@ -5,10 +5,9 @@ use autosuggest_dataframe::DataFrame;
 use autosuggest_features::groupby::GROUPBY_FEATURE_GROUPS;
 use autosuggest_features::{groupby_features, ColumnNamePrior, GROUPBY_FEATURE_NAMES};
 use autosuggest_gbdt::{aggregate_importance, Dataset, Gbdt, GbdtParams};
-use serde::{Deserialize, Serialize};
 
 /// A ranked GroupBy column suggestion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupBySuggestion {
     pub column: String,
     /// Higher = more dimension-like (GroupBy); lower = measure-like.
@@ -16,7 +15,7 @@ pub struct GroupBySuggestion {
 }
 
 /// The learned per-column GroupBy/Aggregation classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupByAggPredictor {
     model: Gbdt,
     prior: ColumnNamePrior,

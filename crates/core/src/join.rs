@@ -8,10 +8,9 @@ use autosuggest_features::{
 };
 use autosuggest_dataframe::DataFrame;
 use autosuggest_gbdt::{aggregate_importance, Dataset, Gbdt, GbdtParams};
-use serde::{Deserialize, Serialize};
 
 /// One ranked join suggestion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSuggestion {
     pub left_cols: Vec<String>,
     pub right_cols: Vec<String>,
@@ -52,7 +51,7 @@ pub fn candidates_with_truth(
 }
 
 /// The learned join-column ranker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinColumnPredictor {
     model: Gbdt,
     cand_params: CandidateParams,

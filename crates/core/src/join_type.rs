@@ -7,7 +7,6 @@ use autosuggest_dataframe::ops::JoinType;
 use autosuggest_dataframe::DataFrame;
 use autosuggest_features::{join_features, JoinCandidate};
 use autosuggest_gbdt::{Dataset, Gbdt, GbdtParams};
-use serde::{Deserialize, Serialize};
 
 /// Feature names for the join-type model.
 const TYPE_FEATURE_NAMES: [&str; 9] = [
@@ -63,7 +62,7 @@ pub fn join_type_features(
 }
 
 /// One-vs-rest GBDTs over the four join types.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinTypePredictor {
     models: Vec<Gbdt>,
 }

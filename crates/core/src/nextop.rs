@@ -9,7 +9,6 @@ use autosuggest_dataframe::{DataFrame, DType};
 use autosuggest_graph::cmut_greedy;
 use autosuggest_nn::rnn::SequenceExample;
 use autosuggest_nn::{RnnClassifier, RnnConfig};
-use serde::{Deserialize, Serialize};
 
 /// Number of operators in the prediction vocabulary
 /// ([`OpKind::SEQUENCE_OPS`]).
@@ -18,7 +17,7 @@ pub const NUM_OPS: usize = 7;
 /// One next-operator example: the operator prefix, the single-operator
 /// scores of the table available at this step, and the operator that
 /// actually came next.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NextOpExample {
     pub prefix: Vec<usize>,
     pub table_scores: Vec<f64>,
@@ -96,7 +95,7 @@ pub fn single_op_scores(
 }
 
 /// Model variants of Table 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextOpMode {
     /// Fig. 13: RNN + single-operator scores (Auto-Suggest).
     Full,
@@ -107,7 +106,7 @@ pub enum NextOpMode {
 }
 
 /// Configuration for the next-operator model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NextOpConfig {
     pub mode: NextOpMode,
     pub embed_dim: usize,
@@ -133,7 +132,7 @@ impl Default for NextOpConfig {
 }
 
 /// The next-operator predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NextOpPredictor {
     cfg: NextOpConfig,
     rnn: Option<RnnClassifier>,

@@ -6,14 +6,13 @@ use autosuggest_dataframe::DataFrame;
 use autosuggest_features::{AffinityProfile, AFFINITY_FEATURE_NAMES};
 use autosuggest_gbdt::{Dataset, Gbdt, GbdtParams};
 use autosuggest_graph::{ampt_exact, ampt_min_cut, AffinityGraph, AmptSolution};
-use serde::{Deserialize, Serialize};
 
 /// The learned pairwise affinity/compatibility regressor shared by Pivot
 /// and Unpivot (§4.4 reuses "the same regression model and features").
 ///
 /// Trained on pairs of columns from real pivot/melt invocations: same-side
 /// pairs are positive examples (+1), cross-side pairs negative (−1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompatibilityModel {
     model: Gbdt,
 }
@@ -155,7 +154,7 @@ impl CompatibilityModel {
 }
 
 /// A predicted pivot configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PivotSuggestion {
     pub index: Vec<String>,
     pub header: Vec<String>,
@@ -163,7 +162,7 @@ pub struct PivotSuggestion {
 }
 
 /// The AMPT-based index/header splitter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PivotPredictor {
     compat: CompatibilityModel,
 }

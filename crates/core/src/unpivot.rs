@@ -4,17 +4,16 @@
 use crate::pivot::CompatibilityModel;
 use autosuggest_dataframe::DataFrame;
 use autosuggest_graph::{cmut_greedy, CmutSolution};
-use serde::{Deserialize, Serialize};
 
 /// A predicted Unpivot: the columns to collapse.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnpivotSuggestion {
     pub collapse: Vec<String>,
     pub objective: f64,
 }
 
 /// CMUT-based Unpivot predictor, reusing the Pivot compatibility model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnpivotPredictor {
     compat: CompatibilityModel,
 }

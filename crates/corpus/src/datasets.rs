@@ -6,11 +6,10 @@
 //! offline stand-in for both: a registry of downloadable URLs and a
 //! Kaggle-style dataset repository keyed by dataset slug.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An offline repository of datasets and URL-addressable files.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DatasetRepository {
     /// Kaggle-style datasets: slug → (file name → CSV text).
     datasets: HashMap<String, HashMap<String, String>>,

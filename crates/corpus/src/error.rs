@@ -7,12 +7,11 @@
 //! errors made that classification a parsing exercise; [`ReplayError`]
 //! makes it a `match`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The failure classes the replay pipeline distinguishes. Each kind maps to
 /// a distinct recovery policy (see `ReplayEngine` and DESIGN.md §7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplayErrorKind {
     /// A data file could not be read at the given path (hard-coded
     /// absolute paths, missing downloads). Repair: basename search, URL
@@ -73,7 +72,7 @@ impl fmt::Display for ReplayErrorKind {
 /// the Python-style error text a real crawler would have parsed, and
 /// `subject` carries the structured payload (path or package name) so no
 /// downstream code ever re-parses the message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayError {
     pub kind: ReplayErrorKind,
     pub message: String,

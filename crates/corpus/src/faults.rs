@@ -29,10 +29,9 @@
 
 use crate::error::ReplayErrorKind;
 use autosuggest_obs as obs;
-use serde::{Deserialize, Serialize};
 
 /// What kind of failure to inject into a cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// `panic!` mid-cell — exercises `catch_unwind` isolation.
     Panic,
@@ -82,7 +81,7 @@ impl FaultKind {
 }
 
 /// A parsed, deterministic fault-injection plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     pub seed: u64,
     /// `(kind, rate)` in canonical [`FaultKind::ALL`] order; absent kinds
@@ -235,7 +234,7 @@ fn unit_roll(seed: u64, name: &str, a: u64, b: u64) -> f64 {
 }
 
 /// Per-error-kind robustness counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KindCounters {
     /// Fault events injected (all rounds and attempts).
     pub injected: usize,
@@ -251,7 +250,7 @@ pub struct KindCounters {
 
 /// Aggregate robustness accounting for one corpus replay; the same
 /// counters reach the `replay.*` entries of a `repro --trace` document.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RobustnessStats {
     /// Canonical fault spec, when injection was active.
     pub fault_spec: Option<String>,

@@ -1,12 +1,14 @@
 //! Post-replay filtering (§6.1): drop duplicate and uninformative
 //! invocations before training.
 
+use crate::durable::ByteWriter;
+use crate::flowgraph::OpKind;
 use crate::replay::OpInvocation;
-use serde::{Deserialize, Serialize};
+use crate::store::put_params;
 use std::collections::HashSet;
 
 /// Filtering outcome counts (the deltas behind Table 2's last row).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterStats {
     pub total: usize,
     /// Identical invocation (same operator, same inputs, same parameters) —
@@ -19,7 +21,8 @@ pub struct FilterStats {
 
 /// Deduplicate and de-trivialise invocations.
 ///
-/// The duplicate key is (operator, input hashes, full parameters) — the
+/// The duplicate key is (operator, input hashes, full parameters, output
+/// hash), the parameters in the sample store's exact encoding — the
 /// paper's "identical invocation on the same tables across notebooks, or
 /// repetitive invocations inside a loop". `min_rows` = 5 matches "input
 /// tables are trivially small with less than 5 rows".
@@ -28,7 +31,8 @@ pub fn filter_invocations(
     min_rows: usize,
 ) -> (Vec<OpInvocation>, FilterStats) {
     let mut stats = FilterStats { total: invocations.len(), ..Default::default() };
-    let mut seen: HashSet<String> = HashSet::with_capacity(invocations.len());
+    let mut seen: HashSet<(OpKind, Vec<u64>, Vec<u8>, u64)> =
+        HashSet::with_capacity(invocations.len());
     let mut kept = Vec::with_capacity(invocations.len());
     for inv in invocations {
         if inv.inputs.iter().any(|t| t.num_rows() < min_rows) {
@@ -38,14 +42,9 @@ pub fn filter_invocations(
         // The output hash disambiguates operators without frame inputs
         // (json_normalize reads a file): identical op+inputs+params implies
         // an identical output, so true duplicates still collapse.
-        let key = format!(
-            "{:?}|{:?}|{}|{}",
-            inv.op,
-            inv.input_hashes,
-            serde_json::to_string(&inv.params)
-                .unwrap_or_else(|_| format!("{:?}", inv.params)),
-            inv.output_hash,
-        );
+        let mut params = ByteWriter::default();
+        put_params(&mut params, &inv.params);
+        let key = (inv.op, inv.input_hashes.clone(), params.into_bytes(), inv.output_hash);
         if !seen.insert(key) {
             stats.dropped_duplicate += 1;
             continue;
@@ -59,8 +58,8 @@ pub fn filter_invocations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flowgraph::OpKind;
     use crate::replay::OpParams;
+    use autosuggest_dataframe::ops::Agg;
     use autosuggest_dataframe::{DataFrame, Value};
 
     fn table(rows: usize) -> DataFrame {
@@ -95,10 +94,29 @@ mod tests {
         assert_eq!(stats.dropped_duplicate, 1);
     }
 
+    fn pivot(fill_value: Option<f64>) -> OpInvocation {
+        OpInvocation {
+            op: OpKind::Pivot,
+            params: OpParams::Pivot {
+                index: vec!["a".into()],
+                header: vec!["a".into()],
+                values: "a".into(),
+                agg: Agg::Sum,
+                fill_value,
+                margins: false,
+            },
+            ..inv("a", 10, false)
+        }
+    }
+
     #[test]
     fn different_params_are_not_duplicates() {
         let (kept, _) =
             filter_invocations(vec![inv("a", 10, false), inv("a", 10, true)], 5);
+        assert_eq!(kept.len(), 2);
+        // The key holds the exact parameter bytes: no fill value and a NaN
+        // fill value are different calls (both were `null` as JSON).
+        let (kept, _) = filter_invocations(vec![pivot(None), pivot(Some(f64::NAN))], 5);
         assert_eq!(kept.len(), 2);
     }
 

@@ -6,7 +6,6 @@
 //! execution order yields the operator sequence used for next-operator
 //! prediction (§5) and the Table 10 distribution.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 /// sequence vocabulary of §3.3 ("concat, dropna, fillna, groupby, melt,
 /// merge, and pivot"); `JsonNormalize` is logged for its own predictor but
 /// excluded from sequences, matching the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     Concat,
     DropNa,
@@ -66,7 +65,7 @@ impl fmt::Display for OpKind {
 
 /// One edge of the flow graph: an operator reading `inputs` and producing
 /// `output` (frames identified by content hash).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowEdge {
     pub op: OpKind,
     pub inputs: Vec<u64>,
@@ -76,7 +75,7 @@ pub struct FlowEdge {
 }
 
 /// The data-flow graph of one replayed notebook.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowGraph {
     edges: Vec<FlowEdge>,
 }

@@ -8,11 +8,10 @@
 //! renders to Pandas-style source text so notebooks remain human-readable.
 
 use autosuggest_dataframe::ops::{Agg, JoinType};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// An expression producing a DataFrame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// `pd.read_csv(path)` — the path may be "hard-coded" to an absolute
     /// location that only existed on the author's machine (§3.2).
@@ -61,7 +60,7 @@ pub enum Expr {
 
 /// The scalar passed to `fillna` (kept separate from `Value` so the AST
 /// stays independent of the engine's value representation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FillValue {
     Int(i64),
     Float(f64),
@@ -69,7 +68,7 @@ pub enum FillValue {
 }
 
 /// A statement in a cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `import pkg` — fails when `pkg` is not installed in the replay
     /// environment, exercising the §3.2 missing-package path.

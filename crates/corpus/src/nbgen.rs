@@ -18,13 +18,12 @@ use autosuggest_dataframe::ops::Agg;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Corpus-scale configuration.
 ///
 /// Defaults reproduce the paper's post-filtering dataset at roughly 1:40
 /// scale (Table 2), which is ample to train and evaluate every predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorpusConfig {
     pub seed: u64,
     pub join_notebooks: usize,
@@ -104,7 +103,7 @@ impl CorpusConfig {
 }
 
 /// The generated corpus: notebooks plus the simulated external world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratedCorpus {
     pub notebooks: Vec<Notebook>,
     pub repository: DatasetRepository,
@@ -675,8 +674,7 @@ impl CorpusGenerator {
                 })
             })
             .collect();
-        let content =
-            serde_json::to_string(&records).unwrap_or_else(|_| "[]".to_string());
+        let content = serde_json::Value::Array(records).to_string();
         let path = format!("api_dump_{idx}.json");
         let doom_file =
             self.cfg.plant_failures && !doomed && self.rng.random_bool(0.4);

@@ -2,14 +2,13 @@
 //! provenance metadata the splitter needs.
 
 use crate::lang::{render_stmt, CellAst};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One notebook cell: executable statements plus optional adjacent
 /// markdown (which may contain data-set URLs the replay engine scavenges,
 /// §3.2 method 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     pub ast: CellAst,
     /// Markdown text adjacent to this code cell.
@@ -32,7 +31,7 @@ impl Cell {
 }
 
 /// A notebook together with the repository it was "cloned" with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Notebook {
     /// Unique id (the crawl's file identity).
     pub id: String,

@@ -18,7 +18,6 @@ use crate::notebook::Notebook;
 use autosuggest_dataframe::ops::{self, Agg, DropHow, JoinType};
 use autosuggest_dataframe::{io, DataFrame, Value};
 use autosuggest_obs as obs;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -26,7 +25,7 @@ use std::sync::Arc;
 /// Full parameterisation of one operator call — explicit arguments plus the
 /// implicit defaults Pandas would fill in, which the paper logs too ("8
 /// implicit parameters that use default values").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpParams {
     Merge {
         left_on: Vec<String>,
@@ -78,7 +77,7 @@ pub enum OpParams {
 /// Carries full input tables, all parameters, and output identity. Input
 /// tables are shared, not copied: every invocation that read the same
 /// bound variable holds the same `Arc`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpInvocation {
     pub notebook_id: String,
     pub dataset_group: String,
@@ -94,7 +93,7 @@ pub struct OpInvocation {
 }
 
 /// Why a cell (and hence its notebook) failed to replay.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayOutcome {
     Success,
     /// A data file could not be resolved by any repair strategy.
@@ -140,7 +139,7 @@ impl ReplayOutcome {
 }
 
 /// The replay result for one notebook.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayReport {
     pub notebook_id: String,
     pub dataset_group: String,
@@ -163,7 +162,7 @@ pub struct ReplayReport {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Total rows an operator may process per cell before the simulated
     /// timeout fires.

@@ -2,11 +2,10 @@
 
 use crate::flowgraph::OpKind;
 use crate::replay::{OpInvocation, ReplayOutcome, ReplayReport};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Per-operator corpus counts (one row of Table 2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OperatorCounts {
     /// Notebooks generated whose *primary* operator is this one (the
     /// analogue of "#nb sampled" — crawl sampling happens upstream).
@@ -20,7 +19,7 @@ pub struct OperatorCounts {
 }
 
 /// Aggregated corpus statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusStats {
     pub notebooks_total: usize,
     pub notebooks_replayed: usize,

@@ -21,9 +21,9 @@
 //! invocation names its inputs by table index. Decoding rebuilds one `Arc`
 //! per table entry, so read-back holds one copy of each frame too.
 //!
-//! The vendored serde shim has no generic deserializer (its `Deserialize`
-//! is a marker trait), so records use the durable layer's little-endian
-//! codec. Every encoder/decoder pair below is pinned by round-trip tests.
+//! Records use the durable layer's little-endian codec, which is exact
+//! (`corpus::filter` keys duplicates on the same parameter encoding).
+//! Every encoder/decoder pair below is pinned by round-trip tests.
 
 use crate::durable::{self, bad_data, fnv64, ByteReader, ByteWriter, RecordFile, Records};
 use crate::faults::{KindCounters, RobustnessStats};
@@ -280,7 +280,7 @@ fn agg_from_tag(t: u8) -> io::Result<Agg> {
     })
 }
 
-fn put_params(w: &mut ByteWriter, p: &OpParams) {
+pub(crate) fn put_params(w: &mut ByteWriter, p: &OpParams) {
     match p {
         OpParams::Merge { left_on, right_on, how, suffixes, sort, indicator } => {
             w.put_u8(0);
@@ -1011,9 +1011,7 @@ impl SampleStore {
             "total_shards": self.total_shards as u64,
             "shards": shards,
         });
-        let text = serde_json::to_string(&doc)
-            .map_err(|e| io::Error::other(format!("manifest encode: {e}")))?;
-        durable::publish(&self.root.join("manifest.json"), text.as_bytes())
+        durable::publish(&self.root.join("manifest.json"), doc.to_string().as_bytes())
     }
 
     /// Ids of completed shards, ascending.

@@ -21,7 +21,6 @@ use autosuggest_dataframe::{Column, DataFrame, Value};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Vocabulary pools the generator draws names and values from.
 const SECTORS: [&str; 12] = [
@@ -63,7 +62,7 @@ const MEASURE_NAMES: [&str; 10] = [
 ];
 
 /// An entity shared between joinable tables, with FD-linked attributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     pub id: String,
     pub name: String,
@@ -72,7 +71,7 @@ pub struct Entity {
 
 /// What role the generator assigned to each column — the ground truth the
 /// notebook author "knows" when writing operator calls.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TableMeta {
     /// Near-unique identifying column(s).
     pub key_cols: Vec<String>,
@@ -86,14 +85,14 @@ pub struct TableMeta {
 }
 
 /// A generated table plus its role metadata.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GenTable {
     pub df: DataFrame,
     pub meta: TableMeta,
 }
 
 /// A generated join scenario: two tables plus the author's ground truth.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JoinCase {
     pub left: GenTable,
     pub right: GenTable,
@@ -103,7 +102,7 @@ pub struct JoinCase {
 }
 
 /// Knobs for table generation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableGenConfig {
     /// Range of entity counts for fact/dimension tables.
     pub min_entities: usize,
@@ -120,7 +119,7 @@ impl Default for TableGenConfig {
 }
 
 /// Table kinds the generator can produce directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableKind {
     Fact,
     Dimension,

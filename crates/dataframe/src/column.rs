@@ -1,7 +1,6 @@
 //! A named column of values, with the statistics the feature extractors need.
 
 use crate::value::{DType, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A named column of [`Value`]s.
@@ -9,7 +8,7 @@ use std::collections::HashMap;
 /// Columns expose the cheap statistics (distinct counts, emptiness, ranges,
 /// sortedness, peak frequency) that the paper's feature extractors consume;
 /// computing them here keeps `autosuggest-features` free of storage details.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     name: String,
     values: Vec<Value>,

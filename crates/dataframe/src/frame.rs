@@ -4,7 +4,6 @@ use crate::column::Column;
 use crate::error::{DataFrameError, Result};
 use crate::schema::{Field, Schema};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -13,7 +12,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Invariants: all columns have the same length and unique names. Both are
 /// enforced at construction and by every mutating method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataFrame {
     columns: Vec<Column>,
 }

@@ -4,13 +4,12 @@ use crate::column::Column;
 use crate::error::{DataFrameError, Result};
 use crate::frame::DataFrame;
 use crate::value::{DType, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Aggregation functions supported by [`groupby`] and
 /// [`crate::ops::pivot_table`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Agg {
     Sum,
     Mean,

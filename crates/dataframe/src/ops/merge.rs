@@ -4,12 +4,11 @@ use crate::column::Column;
 use crate::error::{DataFrameError, Result};
 use crate::frame::DataFrame;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// The join type (`how=` in Pandas).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinType {
     Inner,
     Left,

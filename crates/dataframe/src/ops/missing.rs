@@ -4,10 +4,9 @@ use crate::column::Column;
 use crate::error::Result;
 use crate::frame::DataFrame;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Row-dropping policy for [`dropna`], mirroring Pandas' `how=`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropHow {
     /// Drop a row if *any* considered cell is null.
     Any,

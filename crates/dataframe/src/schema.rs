@@ -1,11 +1,10 @@
 //! Schema description: named, typed fields.
 
 use crate::value::DType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named, typed column descriptor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     pub name: String,
     pub dtype: DType,
@@ -18,7 +17,7 @@ impl Field {
 }
 
 /// The ordered list of fields of a [`crate::DataFrame`].
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     fields: Vec<Field>,
 }

@@ -1,6 +1,5 @@
 //! Scalar cell values and data types.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -10,7 +9,7 @@ use std::hash::{Hash, Hasher};
 /// Mirrors the coarse dtypes the paper's features distinguish
 /// (string vs. int vs. float vs. bool vs. date), which drive e.g. the
 /// *col-value-types* join feature and the *column-data-type* GroupBy feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// All values null; type unknown.
     Null,
@@ -62,7 +61,7 @@ impl fmt::Display for DType {
 /// `Value` provides a *total* order (`Null` sorts first, floats via IEEE
 /// `total_cmp`) and a hash consistent with equality, so values can serve as
 /// group-by keys, join keys, and members of distinct-value sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Bool(bool),

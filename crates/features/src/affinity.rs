@@ -11,7 +11,6 @@
 //! similar cardinalities.
 
 use autosuggest_dataframe::{DType, DataFrame, Value};
-use serde::{Deserialize, Serialize};
 use std::cell::OnceCell;
 use std::collections::HashSet;
 
@@ -31,7 +30,7 @@ pub const AFFINITY_FEATURE_NAMES: [&str; 11] = [
 ];
 
 /// Extracted affinity features for one ordered pair of columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AffinityFeatures {
     pub values: Vec<f64>,
 }

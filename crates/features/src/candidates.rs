@@ -3,12 +3,11 @@
 use autosuggest_cache::{ColumnArtifacts, ColumnCache, MinHashSketch, BASE_SKETCH_K};
 use autosuggest_dataframe::{DataFrame, DType};
 use autosuggest_obs as obs;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A candidate join: column index sets `S ⊆ T` and `S' ⊆ T'` with
 /// `|S| = |S'|`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinCandidate {
     pub left_cols: Vec<usize>,
     pub right_cols: Vec<usize>,
@@ -20,7 +19,7 @@ pub const JOIN_SKETCH_K: usize = 64;
 const _: () = assert!(JOIN_SKETCH_K <= BASE_SKETCH_K);
 
 /// Knobs for candidate enumeration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CandidateParams {
     /// Single-column pairs whose best-direction containment estimate falls
     /// below this are pruned (kept lax: pruning must not drop ground truth).

@@ -2,7 +2,6 @@
 
 use autosuggest_cache::{ColumnArtifacts, ColumnCache};
 use autosuggest_dataframe::{Column, DType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Names of the GroupBy feature vector entries, in extraction order.
@@ -50,7 +49,7 @@ pub const GROUPBY_FEATURE_GROUPS: [(usize, &str); 15] = [
 /// C, we look it up in the training data (without this C)" — the lookup
 /// excludes the test column by construction because the prior is fit on the
 /// training split only.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ColumnNamePrior {
     counts: HashMap<String, (u64, u64)>,
 }
@@ -85,7 +84,7 @@ impl ColumnNamePrior {
 }
 
 /// The extracted per-column feature vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupByFeatures {
     pub values: Vec<f64>,
 }

@@ -3,7 +3,6 @@
 use crate::candidates::JoinCandidate;
 use autosuggest_cache::{ColumnArtifacts, ColumnCache, KeyTupleSet, PairCache};
 use autosuggest_dataframe::{DataFrame, DType};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ pub const JOIN_FEATURE_GROUPS: [(usize, &str); 18] = [
 
 /// The extracted feature vector for one join candidate, with named access
 /// for tests and explanations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinFeatures {
     pub values: Vec<f64>,
 }

@@ -3,10 +3,9 @@
 use crate::data::Dataset;
 use crate::tree::{Grower, Presorted, RegressionTree, TreeParams};
 use autosuggest_obs as obs;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for the boosted ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbdtParams {
     /// Number of boosting rounds (trees).
     pub n_trees: usize,
@@ -28,7 +27,7 @@ impl Default for GbdtParams {
 /// fits a [`RegressionTree`] to the current residuals and adds it with
 /// shrinkage — the classic least-squares boosting the paper's point-wise
 /// rankers use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gbdt {
     base: f64,
     learning_rate: f64,

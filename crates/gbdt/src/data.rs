@@ -1,14 +1,12 @@
 //! Training data container.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major training set: one `Vec<f64>` of feature values per
 /// example, plus a regression label per example.
 ///
 /// Ranking candidates (join-column pairs, GroupBy columns, …) are featurised
 /// upstream into this representation; labels are 1.0 for the choice the
 /// notebook author made and 0.0 otherwise.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     feature_names: Vec<String>,
     rows: Vec<Vec<f64>>,

@@ -38,10 +38,9 @@
 
 use crate::data::Dataset;
 use autosuggest_obs as obs;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for a single regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TreeParams {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -58,7 +57,7 @@ impl Default for TreeParams {
 }
 
 /// Tree nodes stored in a flat arena (indices instead of boxes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Node {
     Leaf {
         value: f64,
@@ -76,7 +75,7 @@ enum Node {
 
 /// A fitted regression tree. Prediction routes `x[feature] <= threshold`
 /// left, otherwise right.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     num_features: usize,

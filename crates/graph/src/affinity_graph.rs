@@ -1,11 +1,9 @@
 //! A small dense weighted graph over the columns of one table.
 
-use serde::{Deserialize, Serialize};
-
 /// A complete undirected weighted graph on `n` vertices (columns), stored as
 /// a dense symmetric matrix. Weights are affinity/compatibility scores in
 /// roughly `[-1, 1]`, produced by the affinity regression model (§4.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AffinityGraph {
     n: usize,
     weights: Vec<f64>,

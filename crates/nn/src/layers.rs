@@ -10,13 +10,12 @@
 
 use crate::matmul::{gemm_backward, gemm_bias};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense affine layer `y = x·W + b`: `in_dim × out_dim` row-major
 /// weights followed by `out_dim` biases, starting at `off` in the
 /// parameter arena. Its gradients sit at the same offset of a gradient
 /// buffer with the arena's layout.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Dense {
     pub in_dim: usize,
     pub out_dim: usize,
@@ -75,7 +74,7 @@ impl Dense {
 
 /// An embedding table mapping symbol ids to dense vectors: `vocab × dim`
 /// row-major, starting at `off` in the parameter arena.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Embedding {
     pub vocab: usize,
     pub dim: usize,

@@ -5,11 +5,10 @@
 //! training time back off to shorter n-grams, ending at the unigram
 //! distribution (uniform if even that is empty).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An order-`n` MLE language model over symbol ids `0..vocab`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NgramModel {
     order: usize,
     vocab: usize,

@@ -27,11 +27,10 @@ use crate::layers::{relu_backward_into, relu_in_place, softmax_rows, Dense, Embe
 use autosuggest_obs as obs;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Hyper-parameters of the [`RnnClassifier`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RnnConfig {
     /// Input vocabulary size (operator symbols, including the BOS marker).
     pub vocab: usize,
@@ -73,7 +72,7 @@ impl Default for RnnConfig {
 
 /// One training example: an operator-id prefix, auxiliary features for the
 /// current table, and the id of the operator that actually came next.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SequenceExample {
     pub prefix: Vec<usize>,
     pub extra: Vec<f64>,
@@ -133,7 +132,7 @@ impl Scratch {
 
 /// An Elman RNN classifier with ReLU activations, trained by full BPTT with
 /// Adam and gradient clipping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RnnClassifier {
     cfg: RnnConfig,
     /// The parameter arena the layers below view, in slot order.

@@ -47,7 +47,7 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Serialize rows in the golden format. Non-finite values render as JSON
+/// Write rows in the golden format. Non-finite values render as JSON
 /// null (the serde_json shim's convention), which `value_close` accepts
 /// back as equal to any non-finite float.
 fn rows_value(name: &str, rows: &[TableRow]) -> Value {

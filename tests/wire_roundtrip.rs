@@ -161,17 +161,58 @@ fn responses_roundtrip_bit_for_bit_over_seeded_fuzz() {
     }
 }
 
+/// The daemon's path for one request body: UTF-8, then `from_str`, then
+/// `decode_request`. Any `Result` is fine; a panic fails the test. Bytes
+/// that are not UTF-8 reach the parser with U+FFFD in their place.
+fn parse_and_decode(body: &[u8]) {
+    if let Ok(v) = serde_json::from_str(&String::from_utf8_lossy(body)) {
+        let _ = decode_request(&v);
+    }
+}
+
+#[test]
+fn surrogate_pair_escapes_decode_to_one_cell() {
+    // Python's `json.dumps` escapes every non-BMP character this way.
+    let text = r#"{"op":"groupby","table":{"columns":[{"name":"a","values":["\ud83d\ude00"]}]}}"#;
+    let back = decode_request(&serde_json::from_str(text).unwrap()).unwrap();
+    let OwnedSuggestRequest::GroupBy { table } = &back else { panic!("decoded {back:?}") };
+    assert_eq!(table.columns()[0].values(), [Cell::Str("\u{1F600}".into())]);
+    let rendered = encode_request(&back.as_request()).to_string();
+    assert_eq!(rendered, text.replace(r"\ud83d\ude00", "\u{1F600}"));
+}
+
 #[test]
 fn error_documents_decode_to_errors_never_panics() {
-    // Truncations and type confusions of a valid document must all
-    // surface as WireError, not panic.
-    let valid = r#"{"op":"join","left":{"columns":[{"name":"a","values":[1]}]},"right":{"columns":[{"name":"b","values":[2]}]},"top_k":3}"#;
-    for cut in 1..valid.len() {
-        let prefix = &valid[..cut];
-        if let Ok(v) = serde_json::from_str(prefix) {
-            let _ = decode_request(&v); // any Result is fine; no panic
+    // Every byte prefix of seeded request bodies, and each body with each
+    // byte in turn replaced by a seeded pick of a JSON-significant one,
+    // must surface as an error or a decoded request, never a panic.
+    const SUBSTITUTES: &[u8] = b"\"\\[]{},:-e0";
+    let mut rng = 0x5eed_0003u64;
+    for _ in 0..20 {
+        let body = encode_request(&random_request(&mut rng).as_request()).to_string();
+        let bytes = body.as_bytes();
+        for cut in 0..bytes.len() {
+            parse_and_decode(&bytes[..cut]);
+        }
+        let mut mutated = bytes.to_vec();
+        for at in 0..bytes.len() {
+            mutated[at] = SUBSTITUTES[(splitmix(&mut rng) % SUBSTITUTES.len() as u64) as usize];
+            parse_and_decode(&mutated);
+            mutated[at] = bytes[at];
         }
     }
+    // Nesting: 128 levels parse (and fail to decode: a cell is no array);
+    // 129 are past the parser's recursion limit.
+    let nested = |depth: usize| {
+        let arrays = depth - 4; // object, table, columns, column
+        format!(
+            r#"{{"op":"groupby","table":{{"columns":[{{"name":"a","values":{}{}}}]}}}}"#,
+            "[".repeat(arrays),
+            "]".repeat(arrays)
+        )
+    };
+    assert!(decode_request(&serde_json::from_str(&nested(128)).unwrap()).is_err());
+    assert!(serde_json::from_str(&nested(129)).is_err());
     let confusions = [
         r#"{"op":3}"#,
         r#"{"op":"join","left":3,"right":4,"top_k":1}"#,
