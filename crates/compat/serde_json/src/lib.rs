@@ -462,12 +462,17 @@ impl<'a> Parser<'a> {
                     out.push(escaped);
                     self.pos += 2;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.error("unescaped control character in string"));
+                }
                 Some(_) => {
-                    // Copy the run up to the next quote or backslash in one
-                    // step. Both are ASCII, so the run ends on a character
-                    // boundary of the (already valid UTF-8) input.
+                    // Copy the run up to the next quote, backslash or
+                    // control character (RFC 8259 allows U+0000–U+001F only
+                    // escaped) in one step. All are ASCII, so the run ends
+                    // on a character boundary of the (already valid UTF-8)
+                    // input.
                     let rest = &self.text.as_bytes()[self.pos..];
-                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\');
+                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
                     let end = self.pos + run.unwrap_or(rest.len());
                     out.push_str(&self.text[self.pos..end]);
                     self.pos = end;
@@ -745,6 +750,16 @@ mod tests {
         // and a finite value.
         for bad in ["01", "-01", "00", "1.", "1.e5", "[1.]", "-", "1e", "1e+", "1e999", "-1e999"] {
             assert!(from_str(bad).is_err(), "{bad} parsed");
+        }
+        // RFC 8259 strings: U+0000–U+001F only escaped.
+        for bad in ["\"a\u{1}b\"", "\"a\tb\"", "[\"a\nb\"]", "\"\u{0}\"", "\"\u{1f}\""] {
+            assert!(from_str(bad).is_err(), "{bad:?} parsed");
+        }
+        let err = from_str("{\"a\":\n\"x\ty\"}").unwrap_err();
+        assert_eq!((err.line(), err.column()), (2, 3), "{err}");
+        let escaped = [(r#""a\tb""#, "a\tb"), (r#""\u0001""#, "\u{1}"), (r#""\u001f\n""#, "\u{1f}\n")];
+        for (text, value) in escaped {
+            assert_eq!(from_str(text).unwrap().as_str(), Some(value), "{text}");
         }
         let good = [("0", 0.0), ("-0.5", -0.5), ("1e5", 1e5), ("2E-2", 0.02), ("10.25", 10.25)];
         for (good, value) in good {

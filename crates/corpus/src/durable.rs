@@ -7,18 +7,32 @@
 //! `tag(u8) · len(u32) · payload · fnv64(payload)`. All integers are
 //! little-endian and floats are stored as exact IEEE-754 bit patterns, so a
 //! decode is bit-identical to what was encoded (NaN payloads and `-0.0`
-//! included). A reader checks the magic, the version, every length against
-//! the bytes that are actually there, and every record checksum. The
-//! checksum covers the payload only, so callers accept only the tags they
-//! expect at each position and then validate the record semantics. Any
-//! failure is an `InvalidData` error: the file is never half-trusted.
+//! included). [`Records::open`] checks the magic, the version and every
+//! length against the bytes that are actually there; [`Record::verify`]
+//! checks one payload against its stored checksum, on whichever thread
+//! decodes it. The checksum covers the payload only, so callers accept
+//! only the tags they expect at each position and then validate the record
+//! semantics. Any failure is an `InvalidData` error: the file is never
+//! half-trusted.
+//!
+//! # Trailer fold
+//!
+//! Writer and reader both keep a running FNV-1a-64 over each record's
+//! 13-byte trailer, `tag · len · fnv64(payload)` ([`RecordFile::fold`],
+//! [`Records::fold`]). It costs O(records), not O(bytes), and a caller
+//! that stores it beside the file (the store's manifest does) can detect
+//! any changed byte without hashing the file a second time: a changed
+//! payload fails its record checksum, and a changed tag, length or stored
+//! checksum changes the fold. The magic and version are not folded, since
+//! `open` checks them itself.
 //!
 //! # Publish and sweep
 //!
-//! [`publish`] writes a unique `<stem>.tmp<pid>-<n>` sibling, fsyncs it,
-//! renames it over the target, then fsyncs the parent directory, so after a
-//! crash at any step the target is either the old file, the complete new
-//! file, or absent — never torn. A crash before the rename leaves only the
+//! [`publish`] writes its parts (a [`RecordFile`]'s, say) in order to a
+//! unique `<stem>.tmp<pid>-<n>` sibling, fsyncs it, renames it over the
+//! target, then fsyncs the parent directory, so after a crash at any step
+//! the target is either the old file, the complete new file, or absent —
+//! never torn. A crash before the rename leaves only the
 //! tmp file, which [`sweep_tmp`] deletes on the next open. The sweep matches
 //! exactly the names `publish` creates, so anything else a user keeps in the
 //! directory is left alone.
@@ -28,15 +42,29 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// FNV-1a, 64-bit: record checksums, whole-file checksums, and cheap
-/// content hashes for ids.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, 64-bit: record checksums and cheap content hashes for ids.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a-64 hash whose state is `h` over `bytes`.
+fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// `fold` extended over one record's trailer, `tag · len · sum`.
+fn fold_trailer(fold: u64, tag: u8, len: u32, sum: u64) -> u64 {
+    let mut trailer = [0u8; 13];
+    trailer[0] = tag;
+    trailer[1..5].copy_from_slice(&len.to_le_bytes());
+    trailer[5..].copy_from_slice(&sum.to_le_bytes());
+    fnv64_extend(fold, &trailer)
 }
 
 /// An `InvalidData` error: the bytes on disk are not a valid record.
@@ -166,43 +194,99 @@ impl<'a> ByteReader<'a> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// A record file image under construction: header, then records.
+/// A record file image under construction: header, then records. The
+/// image is kept as a list of parts, so a payload moved in by
+/// [`Self::record_owned`] is written out from where it was encoded rather
+/// than copied into one buffer beside it.
 pub struct RecordFile {
-    buf: Vec<u8>,
+    /// Finished parts of the image, in order; `tail` follows them.
+    parts: Vec<Vec<u8>>,
+    tail: Vec<u8>,
+    fold: u64,
 }
 
 impl RecordFile {
     pub fn new(magic: [u8; 4], version: u16) -> Self {
-        let mut buf = Vec::with_capacity(256);
-        buf.extend_from_slice(&magic);
-        buf.extend_from_slice(&version.to_le_bytes());
-        RecordFile { buf }
+        let mut tail = Vec::with_capacity(256);
+        tail.extend_from_slice(&magic);
+        tail.extend_from_slice(&version.to_le_bytes());
+        RecordFile { parts: Vec::new(), tail, fold: FNV_OFFSET }
+    }
+
+    /// Fold a record's trailer and append its `tag · len` header.
+    fn begin(&mut self, tag: u8, payload: &[u8], sum: u64) {
+        debug_assert!(payload.len() <= u32::MAX as usize, "record payload over 4 GiB");
+        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+        self.fold = fold_trailer(self.fold, tag, len, sum);
+        self.tail.push(tag);
+        self.tail.extend_from_slice(&len.to_le_bytes());
     }
 
     /// Append one `tag · len · payload · fnv64(payload)` record.
     pub fn record(&mut self, tag: u8, payload: &[u8]) {
-        debug_assert!(payload.len() <= u32::MAX as usize, "record payload over 4 GiB");
-        let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
-        self.buf.push(tag);
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.buf.extend_from_slice(&fnv64(payload).to_le_bytes());
+        let sum = fnv64(payload);
+        self.begin(tag, payload, sum);
+        self.tail.extend_from_slice(payload);
+        self.tail.extend_from_slice(&sum.to_le_bytes());
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    /// [`Self::record`] for a payload the caller has already encoded and
+    /// checksummed as `sum` (on a pool worker, say): it is moved into the
+    /// image, neither hashed nor copied again.
+    pub fn record_owned(&mut self, tag: u8, payload: Vec<u8>, sum: u64) {
+        debug_assert_eq!(sum, fnv64(&payload), "record_owned given a wrong checksum");
+        self.begin(tag, &payload, sum);
+        self.parts.push(std::mem::take(&mut self.tail));
+        self.parts.push(payload);
+        self.tail.extend_from_slice(&sum.to_le_bytes());
+    }
+
+    /// The trailer fold over the records appended so far.
+    pub fn fold(&self) -> u64 {
+        self.fold
+    }
+
+    /// The image, in order, as the parts [`publish`] writes.
+    pub fn parts(&self) -> impl Iterator<Item = &[u8]> {
+        self.parts.iter().chain([&self.tail]).map(Vec::as_slice)
+    }
+
+    /// The image as one buffer.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.parts().collect::<Vec<_>>().concat()
     }
 }
 
-/// Reader over a record file image: header checked on open, one verified
-/// record per [`Records::next_record`].
+/// One framed record of a file image. Its payload is unverified until
+/// [`Record::verify`] says otherwise.
+pub struct Record<'a> {
+    pub tag: u8,
+    payload: &'a [u8],
+    sum: u64,
+}
+
+impl<'a> Record<'a> {
+    /// The payload, once it matches its stored checksum.
+    pub fn verify(&self) -> io::Result<&'a [u8]> {
+        if fnv64(self.payload) == self.sum {
+            Ok(self.payload)
+        } else {
+            Err(bad_data(format!("record checksum mismatch (tag {})", self.tag)))
+        }
+    }
+}
+
+/// A record file image's framing, walked to its last byte: every record
+/// in file order, plus the trailer fold over all of them. No payload has
+/// been hashed yet.
 pub struct Records<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    records: Vec<Record<'a>>,
+    fold: u64,
 }
 
 impl<'a> Records<'a> {
-    /// Check the magic and version and position at the first record.
+    /// Check the magic, the version and every record length, and fold the
+    /// trailers. A file that ends inside a record is an error.
     pub fn open(buf: &'a [u8], magic: [u8; 4], version: u16) -> io::Result<Self> {
         if buf.len() < 6 || buf[..4] != magic {
             return Err(bad_data("bad file magic"));
@@ -211,38 +295,38 @@ impl<'a> Records<'a> {
         if found != version {
             return Err(bad_data(format!("unsupported file version {found}")));
         }
-        Ok(Records { buf, pos: 6 })
+        let mut rest = &buf[6..];
+        let mut records = Vec::new();
+        let mut fold = FNV_OFFSET;
+        while !rest.is_empty() {
+            if rest.len() < 5 {
+                return Err(bad_data("file truncated at record header"));
+            }
+            let tag = rest[0];
+            let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]);
+            let body = &rest[5..];
+            let n = len as usize;
+            if body.len() < n.saturating_add(8) {
+                return Err(bad_data("file truncated inside record"));
+            }
+            let mut sum = [0u8; 8];
+            sum.copy_from_slice(&body[n..n + 8]);
+            let sum = u64::from_le_bytes(sum);
+            fold = fold_trailer(fold, tag, len, sum);
+            records.push(Record { tag, payload: &body[..n], sum });
+            rest = &body[n + 8..];
+        }
+        Ok(Records { records, fold })
     }
 
-    /// The next `(tag, payload)`, its checksum already verified.
-    pub fn next_record(&mut self) -> io::Result<(u8, &'a [u8])> {
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 5 {
-            return Err(bad_data("file truncated at record header"));
-        }
-        let tag = rest[0];
-        let len = u32::from_le_bytes([rest[1], rest[2], rest[3], rest[4]]) as usize;
-        let body = &rest[5..];
-        if body.len() < len.saturating_add(8) {
-            return Err(bad_data("file truncated inside record"));
-        }
-        let (payload, sum) = body.split_at(len);
-        let mut stored = [0u8; 8];
-        stored.copy_from_slice(&sum[..8]);
-        if fnv64(payload) != u64::from_le_bytes(stored) {
-            return Err(bad_data(format!("record checksum mismatch (tag {tag})")));
-        }
-        self.pos += 5 + len + 8;
-        Ok((tag, payload))
+    /// The trailer fold over every record in the file.
+    pub fn fold(&self) -> u64 {
+        self.fold
     }
 
-    /// Require the file to end exactly here (no trailing bytes).
-    pub fn finish(&self) -> io::Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad_data("trailing bytes after the last record"))
-        }
+    /// Every record, in file order.
+    pub fn into_records(self) -> Vec<Record<'a>> {
+        self.records
     }
 }
 
@@ -267,15 +351,18 @@ fn is_tmp_name(name: &str) -> bool {
         .is_some_and(|(pid, n)| digits(pid) && digits(n))
 }
 
-/// Atomically replace `path` with `bytes`: tmp write, file fsync, rename,
-/// parent-directory fsync. On error the tmp file is removed; `path` holds
-/// either its previous content or `bytes`, never a mix.
-pub fn publish(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Atomically replace `path` with the concatenation of `parts`: tmp
+/// write, file fsync, rename, parent-directory fsync. On error the tmp
+/// file is removed; `path` holds either its previous content or the new
+/// one, never a mix.
+pub fn publish<'a>(path: &Path, parts: impl IntoIterator<Item = &'a [u8]>) -> io::Result<()> {
     let tmp = tmp_path(path);
     let written = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+        let mut w = io::BufWriter::with_capacity(1 << 16, fs::File::create(&tmp)?);
+        for part in parts {
+            w.write_all(part)?;
+        }
+        w.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
         fs::rename(&tmp, path)
     })();
     if let Err(e) = written {
@@ -319,11 +406,64 @@ mod tests {
     }
 
     #[test]
+    fn reader_frames_what_the_writer_wrote_and_folds_the_same_trailers() {
+        let mut file = RecordFile::new(*b"TEST", 3);
+        file.record(1, b"alpha");
+        file.record_owned(2, vec![], fnv64(b""));
+        file.record(7, &[0xff; 300]);
+        file.record_owned(8, vec![1, 2, 3], fnv64(&[1, 2, 3]));
+        let fold = file.fold();
+        let bytes = file.to_bytes();
+        let records = Records::open(&bytes, *b"TEST", 3).unwrap();
+        assert_eq!(records.fold(), fold);
+        let records = records.into_records();
+        let read: Vec<(u8, Vec<u8>)> =
+            records.iter().map(|r| (r.tag, r.verify().unwrap().to_vec())).collect();
+        let want = [(1, b"alpha".to_vec()), (2, vec![]), (7, vec![0xff; 300]), (8, vec![1, 2, 3])];
+        assert_eq!(read, want);
+        // The fold is FNV-1a over the concatenated 13-byte trailers.
+        let trailers: Vec<u8> = records
+            .iter()
+            .flat_map(|r| {
+                let mut t = vec![r.tag];
+                t.extend_from_slice(&(r.payload.len() as u32).to_le_bytes());
+                t.extend_from_slice(&fnv64(r.payload).to_le_bytes());
+                t
+            })
+            .collect();
+        assert_eq!(fold, fnv64(&trailers));
+        assert_eq!(RecordFile::new(*b"TEST", 3).fold(), fnv64(b""));
+    }
+
+    #[test]
+    fn framing_errors_and_payload_errors_are_invalid_data() {
+        let mut file = RecordFile::new(*b"TEST", 3);
+        file.record(1, b"payload");
+        let bytes = file.to_bytes();
+        for cut in 0..bytes.len() {
+            if cut == 6 {
+                continue; // a header and no records is a valid empty file
+            }
+            let err = Records::open(&bytes[..cut], *b"TEST", 3).err().expect("truncation");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+        assert!(Records::open(&bytes, *b"TEST", 4).is_err(), "other version");
+        assert!(Records::open(&bytes, *b"TSET", 3).is_err(), "other magic");
+        let mut flipped = bytes.clone();
+        flipped[8 + 5] ^= 1; // inside the payload: framing fine, checksum not
+        let records = Records::open(&flipped, *b"TEST", 3).unwrap().into_records();
+        assert_eq!(records[0].verify().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        let mut trailing = bytes;
+        trailing.push(0);
+        assert!(Records::open(&trailing, *b"TEST", 3).is_err());
+    }
+
+    #[test]
     fn publish_replaces_atomically_and_leaves_no_tmp() {
         let dir = tmpdir("publish");
         let target = dir.join("data.bin");
-        publish(&target, b"one").unwrap();
-        publish(&target, b"two").unwrap();
+        publish(&target, [b"one".as_slice()]).unwrap();
+        publish(&target, [b"t".as_slice(), b"", b"wo"]).unwrap();
         assert_eq!(fs::read(&target).unwrap(), b"two");
         let names: Vec<String> = fs::read_dir(&dir)
             .unwrap()

@@ -11,9 +11,15 @@
 //! Shard files are `ASGS` record files in the durable record format,
 //! [`crate::durable`] (magic, version, fnv64-checksummed records,
 //! floats as IEEE-754 bit patterns); they and the JSON manifest are written
-//! with its atomic, fsynced `publish`. A shard that fails verification, or
-//! that another format version wrote, is deleted and re-replayed, never
-//! trusted.
+//! with its atomic, fsynced `publish`. The manifest lists each shard under
+//! its trailer fold ([`durable::RecordFile::fold`]), which with the record
+//! checksums covers every byte after the header, so no read hashes a whole
+//! file a second time. A shard that fails verification, or that another
+//! format version wrote, is deleted and re-replayed, never trusted.
+//!
+//! The frame records, most of a shard's bytes, are encoded, checksummed,
+//! verified and decoded on the pool (`par_map`, results in table order), so
+//! the files are the same at any thread count.
 //!
 //! Replay shares input frames between invocations (one `Arc` per bound
 //! variable), and a shard keeps that sharing on disk: version 2 writes a
@@ -25,13 +31,14 @@
 //! (`corpus::filter` keys duplicates on the same parameter encoding).
 //! Every encoder/decoder pair below is pinned by round-trip tests.
 
-use crate::durable::{self, bad_data, fnv64, ByteReader, ByteWriter, RecordFile, Records};
+use crate::durable::{self, bad_data, fnv64, ByteReader, ByteWriter, Record, RecordFile, Records};
 use crate::faults::{KindCounters, RobustnessStats};
 use crate::flowgraph::{FlowGraph, OpKind};
 use crate::replay::{OpInvocation, OpParams, ReplayOutcome, ReplayReport};
 use autosuggest_dataframe::ops::{Agg, JoinType};
 use autosuggest_dataframe::{Column, DataFrame, Value};
 use autosuggest_obs as obs;
+use autosuggest_parallel::par_map;
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
@@ -42,7 +49,9 @@ use std::sync::Arc;
 const MAGIC: [u8; 4] = *b"ASGS";
 /// 2: a per-shard frame table; invocations reference frames by index.
 const VERSION: u16 = 2;
-const MANIFEST_VERSION: u64 = 1;
+/// 2: `file_fnv` is the shard's trailer fold ([`durable::RecordFile::fold`]),
+/// no longer a hash of the whole file, so a v1 manifest must not be read.
+const MANIFEST_VERSION: u64 = 2;
 
 /// Record tags within a shard file.
 const TAG_SHARD_HEADER: u8 = 1;
@@ -698,9 +707,10 @@ fn decode_stats(payload: &[u8]) -> io::Result<RobustnessStats> {
 // Shard files
 // ---------------------------------------------------------------------------
 
-/// A shard file image plus its frame-table accounting.
+/// A shard file image plus its frame-table accounting. Its trailer fold
+/// is what the manifest lists as `file_fnv`.
 struct ShardImage {
-    bytes: Vec<u8>,
+    file: RecordFile,
     /// Distinct frames written to the table.
     frames: usize,
     /// Input references the invocations make into it.
@@ -709,7 +719,9 @@ struct ShardImage {
 
 /// Serialise one shard's reports + stats into a complete shard file image:
 /// header, frame table, then each report skeleton followed by its
-/// invocations, then stats and an end marker.
+/// invocations, then stats and an end marker. The frame records, most of
+/// the image, are encoded and checksummed on the pool and moved into the
+/// image in table order, so it is the same at any thread count.
 fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessStats) -> ShardImage {
     let mut table = FrameTable::default();
     let inputs: Vec<Vec<usize>> = reports
@@ -724,10 +736,15 @@ fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessSta
     header.put_usize(reports.len());
     header.put_usize(table.frames.len());
     file.record(TAG_SHARD_HEADER, &header.into_bytes());
-    for frame in &table.frames {
+    let frames = par_map(&table.frames, |frame| {
         let mut w = ByteWriter::default();
         put_frame(&mut w, frame);
-        file.record(TAG_FRAME, &w.into_bytes());
+        let payload = w.into_bytes();
+        let sum = fnv64(&payload);
+        (payload, sum)
+    });
+    for (payload, sum) in frames {
+        file.record_owned(TAG_FRAME, payload, sum);
     }
 
     let mut inputs = inputs.iter();
@@ -739,31 +756,58 @@ fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessSta
     }
     file.record(TAG_STATS, &encode_stats(stats));
     file.record(TAG_END, &[]);
-    ShardImage { bytes: file.into_bytes(), frames: table.frames.len(), frame_refs: table.refs }
+    ShardImage { file, frames: table.frames.len(), frame_refs: table.refs }
 }
 
-/// Only a shard image's robustness stats (skips decoding the report and
-/// invocation payloads).
-fn decode_shard_stats(buf: &[u8]) -> io::Result<RobustnessStats> {
-    let mut records = Records::open(buf, MAGIC, VERSION)?;
-    loop {
-        let (tag, payload) = records.next_record()?;
-        match tag {
+/// A shard image's records, once its framing is whole and its trailer
+/// fold matches `fold`, the manifest's checksum. Payloads are still
+/// unverified: callers verify each one before decoding it.
+fn framed_records(buf: &[u8], fold: u64) -> io::Result<Vec<Record<'_>>> {
+    let records = Records::open(buf, MAGIC, VERSION)?;
+    if records.fold() != fold {
+        return Err(bad_data("shard does not match its manifest checksum"));
+    }
+    Ok(records.into_records())
+}
+
+/// Verify every record's payload on the pool; the first failure in file
+/// order is the error.
+fn verify_all<'a>(records: &[Record<'a>]) -> io::Result<Vec<&'a [u8]>> {
+    par_map(records, Record::verify).into_iter().collect()
+}
+
+/// Only a shard image's robustness stats, after checking it against the
+/// manifest's `fold` and verifying every record checksum (skips decoding
+/// the report and invocation payloads).
+fn decode_shard_stats(buf: &[u8], fold: u64) -> io::Result<RobustnessStats> {
+    let records = framed_records(buf, fold)?;
+    let payloads = verify_all(&records)?;
+    for (record, payload) in records.iter().zip(payloads) {
+        match record.tag {
             TAG_STATS => return decode_stats(payload),
-            TAG_END => return Err(bad_data("shard missing stats record")),
+            TAG_END => break,
             _ => {}
         }
     }
+    Err(bad_data("shard missing stats record"))
 }
 
-/// Parse a complete shard file image back into reports + stats.
-fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
-    let mut records = Records::open(buf, MAGIC, VERSION)?;
-    let (tag, payload) = records.next_record()?;
-    if tag != TAG_SHARD_HEADER {
-        return Err(bad_data("shard does not start with a header record"));
-    }
-    let mut hr = ByteReader::new(payload);
+/// Parse a complete shard file image back into reports + stats. Nothing
+/// is returned unless the image matches the manifest's `fold` and every
+/// record checksum holds. Frame records are verified and decoded on the
+/// pool; the other records are verified on the pool and then decoded in
+/// order, since each invocation belongs to the report before it.
+fn decode_shard(
+    shard_id: usize,
+    buf: &[u8],
+    fold: u64,
+) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
+    let records = framed_records(buf, fold)?;
+    let (header, rest) = records
+        .split_first()
+        .filter(|(header, _)| header.tag == TAG_SHARD_HEADER)
+        .ok_or_else(|| bad_data("shard does not start with a header record"))?;
+    let mut hr = ByteReader::new(header.verify()?);
     let stored_id = hr.get_usize()?;
     let notebook_count = hr.get_usize()?;
     let frame_count = hr.get_usize()?;
@@ -774,23 +818,26 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
         )));
     }
 
-    let mut frames: Vec<Arc<DataFrame>> = Vec::with_capacity(frame_count.min(1 << 16));
-    for _ in 0..frame_count {
-        let (tag, payload) = records.next_record()?;
-        if tag != TAG_FRAME {
-            return Err(bad_data(format!("expected {frame_count} frame records, found tag {tag}")));
-        }
-        let mut r = ByteReader::new(payload);
+    if rest.len() < frame_count || rest[..frame_count].iter().any(|r| r.tag != TAG_FRAME) {
+        return Err(bad_data(format!("shard does not hold the {frame_count} frames it declares")));
+    }
+    let (frame_records, rest) = rest.split_at(frame_count);
+    let frames: Vec<Arc<DataFrame>> = par_map(frame_records, |record| {
+        let mut r = ByteReader::new(record.verify()?);
         let frame = get_frame(&mut r)?;
         r.finish()?;
-        frames.push(Arc::new(frame));
-    }
+        Ok(Arc::new(frame))
+    })
+    .into_iter()
+    .collect::<io::Result<_>>()?;
 
-    let mut reports: Vec<ReplayReport> = Vec::with_capacity(notebook_count);
+    let mut payloads = rest.iter().map(|r| r.tag).zip(verify_all(rest)?);
+    let mut reports: Vec<ReplayReport> = Vec::with_capacity(notebook_count.min(rest.len()));
     let mut pending = 0usize;
     let mut stats: Option<RobustnessStats> = None;
     loop {
-        let (tag, payload) = records.next_record()?;
+        let (tag, payload) =
+            payloads.next().ok_or_else(|| bad_data("shard missing end record"))?;
         match tag {
             TAG_REPORT => {
                 if pending != 0 {
@@ -820,7 +867,9 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
             t => return Err(bad_data(format!("unknown record tag {t}"))),
         }
     }
-    records.finish()?;
+    if payloads.next().is_some() {
+        return Err(bad_data("records after the end record"));
+    }
     if reports.len() != notebook_count {
         return Err(bad_data(format!(
             "shard header declared {notebook_count} reports, found {}",
@@ -838,7 +887,10 @@ fn decode_shard(shard_id: usize, buf: &[u8]) -> io::Result<(Vec<ReplayReport>, R
 /// Per-shard bookkeeping recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardMeta {
-    /// FNV-1a-64 of the full shard file, verified on open and on read.
+    /// The shard file's trailer fold ([`durable::RecordFile::fold`]),
+    /// checked on open and on every read. With the per-record checksums it
+    /// covers every byte after the header. Manifest v1 used this key for a
+    /// hash of the whole file.
     pub file_fnv: u64,
     /// Reports in the shard.
     pub notebooks: usize,
@@ -883,8 +935,9 @@ impl SampleStore {
     ///
     /// An existing manifest is honoured only if `(corpus_id, shard_size,
     /// total_shards)` all match; otherwise the store is reset.
-    /// Listed shards are read once, verified against their whole-file
-    /// checksum and their stats kept ([`Self::resumed_stats`]); corrupt or
+    /// Listed shards are read once, verified against their manifest
+    /// checksum and their record checksums, and their stats kept
+    /// ([`Self::resumed_stats`]); corrupt or
     /// missing shards are dropped from the manifest (and will be
     /// re-replayed). Stale tmp files from crashed writers are swept.
     pub fn open(
@@ -933,7 +986,10 @@ impl SampleStore {
             let listed: Vec<usize> = store.shards.keys().copied().collect();
             let mut dropped = false;
             for id in listed {
-                match store.read_shard_verified(id).and_then(|bytes| decode_shard_stats(&bytes)) {
+                let stats = store
+                    .read_shard_file(id)
+                    .and_then(|(bytes, fold)| decode_shard_stats(&bytes, fold));
+                match stats {
                     Ok(stats) => {
                         store.resumed.insert(id, stats);
                     }
@@ -1011,7 +1067,7 @@ impl SampleStore {
             "total_shards": self.total_shards as u64,
             "shards": shards,
         });
-        durable::publish(&self.root.join("manifest.json"), doc.to_string().as_bytes())
+        durable::publish(&self.root.join("manifest.json"), [doc.to_string().as_bytes()])
     }
 
     /// Ids of completed shards, ascending.
@@ -1050,9 +1106,9 @@ impl SampleStore {
             )));
         }
         let _span = obs::span("store_write");
-        let ShardImage { bytes, frames, frame_refs } = encode_shard(id, reports, stats);
-        let file_fnv = fnv64(&bytes);
-        durable::publish(&self.shard_path(id), &bytes)?;
+        let ShardImage { file, frames, frame_refs } = encode_shard(id, reports, stats);
+        durable::publish(&self.shard_path(id), file.parts())?;
+        let file_fnv = file.fold();
         let invocations = reports.iter().map(|r| r.invocations.len()).sum::<usize>();
         self.shards.insert(
             id,
@@ -1062,34 +1118,31 @@ impl SampleStore {
         obs::counter_add("store.shards_written", 1);
         obs::counter_add("store.reports_written", reports.len() as u64);
         obs::counter_add("store.invocations_written", invocations as u64);
-        obs::counter_add("store.bytes_written", bytes.len() as u64);
+        let bytes = file.parts().map(<[u8]>::len).sum::<usize>();
+        obs::counter_add("store.bytes_written", bytes as u64);
         obs::counter_add("store.frames_written", frames as u64);
         obs::counter_add("store.frame_refs", frame_refs as u64);
         Ok(())
     }
 
-    /// A listed shard's bytes, checked against the manifest's whole-file
-    /// checksum and this build's magic and version. Counts each file read
-    /// in `store.shard_reads`.
-    fn read_shard_verified(&self, id: usize) -> io::Result<Vec<u8>> {
+    /// A listed shard's bytes, unverified, and the checksum the manifest
+    /// lists for them: the decoders check one against the other before
+    /// they return anything. Counts each file read in `store.shard_reads`.
+    fn read_shard_file(&self, id: usize) -> io::Result<(Vec<u8>, u64)> {
         let meta = self
             .shards
             .get(&id)
             .ok_or_else(|| bad_data(format!("shard {id} not in manifest")))?;
         let bytes = fs::read(self.shard_path(id))?;
         obs::counter_add("store.shard_reads", 1);
-        if fnv64(&bytes) != meta.file_fnv {
-            return Err(bad_data(format!("shard {id} failed file checksum")));
-        }
-        Records::open(&bytes, MAGIC, VERSION)?;
-        Ok(bytes)
+        Ok((bytes, meta.file_fnv))
     }
 
     /// Load one completed shard's reports and stats.
     pub fn read_shard(&self, id: usize) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
         let _span = obs::span("store_read");
-        let bytes = self.read_shard_verified(id)?;
-        let (reports, stats) = decode_shard(id, &bytes)?;
+        let (bytes, fold) = self.read_shard_file(id)?;
+        let (reports, stats) = decode_shard(id, &bytes, fold)?;
         obs::counter_add("store.shards_read", 1);
         obs::counter_add("store.reports_read", reports.len() as u64);
         Ok((reports, stats))
@@ -1254,7 +1307,7 @@ mod tests {
         let mut rep = report();
         rep.invocations = invs;
         let image = encode_shard(0, &[rep], &stats());
-        let (mut decoded, _) = decode_shard(0, &image.bytes).unwrap();
+        let (mut decoded, _) = decode_shard(0, &image.file.to_bytes(), image.file.fold()).unwrap();
         (image, decoded.remove(0).invocations)
     }
 
@@ -1347,7 +1400,7 @@ mod tests {
         file.record(TAG_INVOCATION, &encode_invocation(&inv, &[0, 1]));
         file.record(TAG_STATS, &encode_stats(&stats()));
         file.record(TAG_END, &[]);
-        let err = decode_shard(0, &file.into_bytes()).unwrap_err();
+        let err = decode_shard(0, &file.to_bytes(), file.fold()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("frame index 1 out of range"), "{err}");
     }
@@ -1362,19 +1415,66 @@ mod tests {
             r
         }];
         let s = stats();
-        let bytes = encode_shard(4, &reports, &s).bytes;
-        let (decoded, ds) = decode_shard(4, &bytes).unwrap();
+        let file = encode_shard(4, &reports, &s).file;
+        let (bytes, fold) = (file.to_bytes(), file.fold());
+        let (decoded, ds) = decode_shard(4, &bytes, fold).unwrap();
         assert_eq!(format!("{reports:?}"), format!("{decoded:?}"));
         assert_eq!(s, ds);
+        assert_eq!(decode_shard_stats(&bytes, fold).unwrap(), s);
+        assert!(decode_shard(4, &bytes, fold ^ 1).is_err(), "another fold");
+        assert!(decode_shard_stats(&bytes, fold ^ 1).is_err());
     }
 
     #[test]
     fn corrupt_byte_is_detected() {
         let reports = vec![report()];
-        let mut bytes = encode_shard(0, &reports, &stats()).bytes;
+        let file = encode_shard(0, &reports, &stats()).file;
+        let (mut bytes, fold) = (file.to_bytes(), file.fold());
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        assert!(decode_shard(0, &bytes).is_err());
+        assert!(decode_shard(0, &bytes, fold).is_err());
+        assert!(decode_shard_stats(&bytes, fold).is_err());
+    }
+
+    /// A shard of `n` one-invocation reports, each on its own distinct
+    /// input frame.
+    fn distinct_frame_reports(n: usize) -> Vec<ReplayReport> {
+        (0..n)
+            .map(|k| {
+                let mut rep = report();
+                rep.notebook_id = format!("nb-join-{k:05}");
+                let mut inv = invocation(OpKind::DropNa, all_params()[5].1.clone());
+                let rows = (0..k % 7 + 1).map(|r| Value::Int((k * 10 + r) as i64)).collect();
+                let frame = DataFrame::new(vec![Column::new(format!("c{k}"), rows)]).unwrap();
+                inv.input_hashes = vec![frame.content_hash()];
+                inv.inputs = vec![Arc::new(frame)];
+                rep.invocations = vec![inv];
+                rep
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_pooled_codec_is_the_same_at_any_thread_count() {
+        let reports = distinct_frame_reports(80);
+        let run = |threads: usize| {
+            autosuggest_parallel::set_thread_override(Some(threads));
+            let image = encode_shard(3, &reports, &stats());
+            let decoded = decode_shard(3, &image.file.to_bytes(), image.file.fold()).unwrap();
+            autosuggest_parallel::set_thread_override(None);
+            (image, decoded)
+        };
+        let (one, (one_reports, one_stats)) = run(1);
+        let (four, (four_reports, four_stats)) = run(4);
+        assert!(one.frames >= 64, "{} distinct frames", one.frames);
+        assert!(one.file.to_bytes() == four.file.to_bytes(), "shard bytes depend on the thread count");
+        assert_eq!(
+            (one.file.fold(), one.frames, one.frame_refs),
+            (four.file.fold(), four.frames, four.frame_refs)
+        );
+        assert_eq!(format!("{one_reports:?}"), format!("{four_reports:?}"));
+        assert_eq!(format!("{reports:?}"), format!("{one_reports:?}"));
+        assert_eq!((one_stats, four_stats), (stats(), stats()));
     }
 
     #[test]
@@ -1422,7 +1522,7 @@ mod tests {
         // prefix of the image; whatever its length, open sweeps it and the
         // shard it would have become stays absent.
         let root = tmpdir("tmpsweep");
-        let image = encode_shard(0, &[report()], &stats()).bytes;
+        let image = encode_shard(0, &[report()], &stats()).file.to_bytes();
         for k in 0..=image.len() {
             fs::create_dir_all(root.join("shards")).unwrap();
             let orphan = root.join("shards").join(format!("shard-00000.tmp12345-{k}"));
@@ -1529,6 +1629,49 @@ mod tests {
             assert_eq!(reopened.completed_shards(), vec![1], "truncated to {k} bytes");
             assert!(!shard0.exists(), "shard truncated to {k} bytes was not deleted");
         }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_flipped_bit_of_a_published_shard_drops_exactly_that_shard() {
+        // The manifest checksum is the trailer fold, not a hash of the whole
+        // file; with the record checksums it must still catch any change.
+        let root = tmpdir("bitflip");
+        let mut store = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
+        let mut rep = report();
+        rep.invocations.truncate(1); // every record kind, fewer bytes to try
+        store.write_shard(0, &[rep], &stats()).unwrap();
+        store.write_shard(1, &[], &RobustnessStats::default()).unwrap();
+        let fold = store.shard_meta(0).unwrap().file_fnv;
+        let shard0 = root.join("shards").join("shard-00000.asg");
+        let image = fs::read(&shard0).unwrap();
+        let manifest = fs::read(root.join("manifest.json")).unwrap();
+        for at in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[at] ^= 1 << (at % 8);
+            assert!(decode_shard(0, &flipped, fold).is_err(), "bit flipped at byte {at} decoded");
+            fs::write(&shard0, &flipped).unwrap();
+            fs::write(root.join("manifest.json"), &manifest).unwrap();
+            let reopened = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
+            assert_eq!(reopened.completed_shards(), vec![1], "bit flipped at byte {at}");
+            assert!(!shard0.exists(), "shard with a bit flipped at byte {at} was not deleted");
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_manifest_of_another_version_resets_the_store() {
+        let root = tmpdir("manifestv1");
+        let mut store = SampleStore::open(&root, "corpus-a", 1, 2).unwrap();
+        store.write_shard(0, &[report()], &stats()).unwrap();
+        let path = root.join("manifest.json");
+        let manifest = fs::read_to_string(&path).unwrap();
+        let current = format!("\"version\":{MANIFEST_VERSION}");
+        assert_eq!(manifest.matches(&current).count(), 1, "{manifest}");
+        fs::write(&path, manifest.replace(&current, "\"version\":1")).unwrap();
+        let reopened = SampleStore::open(&root, "corpus-a", 1, 2).unwrap();
+        assert!(reopened.completed_shards().is_empty());
+        assert!(!root.join("shards").join("shard-00000.asg").exists());
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -4,7 +4,7 @@
 //! robustness accounting — at any shard size, across kill/resume cycles,
 //! after shard corruption, and with fault injection active.
 
-use auto_suggest::corpus::durable::fnv64;
+use auto_suggest::corpus::durable::Records;
 use auto_suggest::corpus::stream::render_scenario_stats;
 use auto_suggest::corpus::{
     replay_corpus_streamed, scan_scenario_stats, CorpusConfig, CorpusGenerator, FaultSpec,
@@ -170,19 +170,22 @@ fn shard_of_another_format_version_is_re_replayed() {
     let table = render_scenario_stats(&scan_scenario_stats(&store).expect("scan"));
 
     // Rewrite shard 1 as a valid file of another format version (the u16
-    // after the 4-byte magic) and list it in the manifest under its new
-    // checksum, as a store written by another build would be.
+    // after the 4-byte magic), as a store written by another build would
+    // be. The manifest checksum is the fold over the record trailers, which
+    // the version does not enter: the manifest still lists the rewritten
+    // file under its own checksum, so only the version check can drop it.
     let victim = dir.join("shards").join("shard-00001.asg");
     let mut bytes = std::fs::read(&victim).expect("read shard");
-    let listed = format!("\"file_fnv\":{}", fnv64(&bytes));
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
+    let fold = |bytes: &[u8], version: u16| {
+        Records::open(bytes, *b"ASGS", version).expect("valid framing").fold()
+    };
+    let listed = format!("\"file_fnv\":{}", fold(&bytes, version));
     bytes[4..6].copy_from_slice(&version.wrapping_add(1).to_le_bytes());
     std::fs::write(&victim, &bytes).expect("rewrite shard");
-    let manifest_path = dir.join("manifest.json");
-    let manifest = std::fs::read_to_string(&manifest_path).expect("read manifest");
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).expect("read manifest");
     assert_eq!(manifest.matches(&listed).count(), 1, "{manifest}");
-    let relisted = manifest.replace(&listed, &format!("\"file_fnv\":{}", fnv64(&bytes)));
-    std::fs::write(&manifest_path, relisted).expect("rewrite manifest");
+    assert_eq!(listed, format!("\"file_fnv\":{}", fold(&bytes, version.wrapping_add(1))));
 
     let (store, second) = replay_corpus_streamed(&cfg, None, &dir, &shard).expect("second run");
     assert_eq!(second.shards_replayed, 1, "exactly the other-version shard re-replays");

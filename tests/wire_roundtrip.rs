@@ -229,6 +229,14 @@ fn error_documents_decode_to_errors_never_panics() {
         r#"{"kind":"unavailable","model":3}"#,
         r#"{"kind":"unavailable","model":"mystery"}"#,
     ];
+    // RFC 8259 allows U+0000–U+001F in a string only escaped: a raw one
+    // makes the body an error, the escaped form a one-cell table.
+    let raw = "{\"op\":\"groupby\",\"table\":{\"columns\":[{\"name\":\"a\",\"values\":[\"x\u{1}y\"]}]}}";
+    assert!(serde_json::from_str(raw).is_err(), "raw control character parsed");
+    let escaped = raw.replace('\u{1}', "\\u0001");
+    let back = decode_request(&serde_json::from_str(&escaped).unwrap()).unwrap();
+    let OwnedSuggestRequest::GroupBy { table } = &back else { panic!("decoded {back:?}") };
+    assert_eq!(table.columns()[0].values(), [Cell::Str("x\u{1}y".into())]);
     for text in confusions {
         let v = serde_json::from_str(text).unwrap();
         assert!(
