@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table of the Auto-Suggest evaluation.
 //!
 //! ```text
-//! repro [--fast] [--seed N] [--trace PATH] [--cache-stats]
+//! repro [--fast] [--seed N] [--trace PATH] [--check-determinism N]
 //!       [--corpus-scale N] [--store-dir PATH] [--shard-size K]
 //!       all | table2 | table3 | table4 | table5 | table6 | table7 |
 //!       table8 | table9 | table10 | table11 | ablation-ampt |
@@ -32,39 +32,24 @@
 //! `"timing"` section (histograms, span nanos, and gauges such as
 //! `stream.peak_rss_bytes_live`) varies run to run.
 //!
-//! `--cache-stats` prints the content-addressed cache's cumulative
-//! per-tier counters after the run — column artifacts, key-tuple sets and
-//! pair overlaps.
+//! `--check-determinism N` runs the selected mode twice in this process,
+//! at 1 thread and at N (`autosuggest_bench::determinism`), and exits 1
+//! with the first difference: in the printed tables, the replay log, the
+//! robustness stats, the golden rows, the trained-model scores or the
+//! deterministic trace section, and in corpus-scale mode also every shard
+//! file and the manifest of two fresh temporary stores. It prints no tables and writes
+//! no trace.
 //!
 //! Tables are evaluated concurrently on the shared work-stealing pool —
 //! each evaluator is a pure function of the trained context, so results
 //! are printed in canonical table order regardless of completion order.
 
-use autosuggest_bench::tables::{self, ReproContext};
-use autosuggest_core::AutoSuggestConfig;
-use autosuggest_corpus::CorpusConfig;
+use autosuggest_bench::determinism::{self, Workload};
+use autosuggest_bench::tables::{self, ReproContext, TABLES};
+use autosuggest_corpus::{CorpusConfig, FaultSpec};
 use autosuggest_obs as obs;
 use serde_json::{json, Value};
 use std::time::Instant;
-
-type TableFn = fn(&ReproContext) -> String;
-
-/// Canonical (name, evaluator) registry, in print order.
-const TABLES: &[(&str, TableFn)] = &[
-    ("table2", tables::table2::run),
-    ("table3", tables::table3::run),
-    ("table4", tables::table4::run),
-    ("table5", tables::table5::run),
-    ("table6", tables::table6::run),
-    ("table7", tables::table6::run_importance),
-    ("table8", tables::table8::run),
-    ("table9", tables::table9::run),
-    ("table10", tables::table10::run),
-    ("table11", tables::table11::run),
-    ("ablation-ampt", tables::ablations::ampt),
-    ("ablation-cmut", tables::ablations::cmut),
-    ("ablation-join", tables::ablations::join_knockout),
-];
 
 /// The `--corpus-scale N` mode: streamed generate + replay of an
 /// N-notebook corpus at bounded RSS, resumable via the store's shard
@@ -81,7 +66,7 @@ fn run_corpus_scale(
 ) {
     let threads = autosuggest_parallel::current_threads();
     let cfg = CorpusConfig::scaled_to(seed, scale);
-    let faults = autosuggest_corpus::FaultSpec::from_env();
+    let faults = FaultSpec::from_env();
     let root = store_dir.map(std::path::PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("autosuggest-scale-{seed}-{scale}"))
     });
@@ -142,7 +127,7 @@ fn write_trace(path: &str, snapshot: &obs::MetricsSnapshot, meta: Value) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut fast = false;
-    let mut cache_stats = false;
+    let mut check_threads: Option<usize> = None;
     let mut seed = 42u64;
     let mut trace_path: Option<String> = None;
     let mut corpus_scale: Option<usize> = None;
@@ -153,7 +138,14 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--fast" => fast = true,
-            "--cache-stats" => cache_stats = true,
+            "--check-determinism" => {
+                check_threads = Some(
+                    it.next()
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&n| n > 0)
+                        .expect("--check-determinism takes a thread count"),
+                );
+            }
             "--seed" => {
                 seed = it
                     .next()
@@ -182,6 +174,12 @@ fn main() {
             other => targets.push(other.to_string()),
         }
     }
+    if let (Some(threads), Some(scale)) = (check_threads, corpus_scale) {
+        let corpus = CorpusConfig::scaled_to(seed, scale);
+        let faults = FaultSpec::from_env();
+        check(&Workload::CorpusScale { corpus, faults, shard_size }, threads);
+        return;
+    }
     if let Some(scale) = corpus_scale {
         run_corpus_scale(scale, seed, shard_size, store_dir, trace_path.as_deref());
         return;
@@ -189,7 +187,6 @@ fn main() {
     if targets.is_empty() {
         targets.push("all".to_string());
     }
-    let all = targets.iter().any(|t| t == "all");
     for t in &targets {
         if t != "all" && !TABLES.iter().any(|(name, _)| name == t) {
             eprintln!("[repro] unknown target {t:?}");
@@ -197,12 +194,11 @@ fn main() {
         }
     }
 
-    let mut config = if fast {
-        AutoSuggestConfig::fast(seed)
-    } else {
-        AutoSuggestConfig::default()
-    };
-    config.corpus = if fast { CorpusConfig::small(seed) } else { CorpusConfig { seed, ..CorpusConfig::default() } };
+    let config = tables::repro_config(fast, seed);
+    if let Some(threads) = check_threads {
+        check(&Workload::Tables { config, targets }, threads);
+        return;
+    }
 
     let threads = autosuggest_parallel::current_threads();
     eprintln!(
@@ -233,58 +229,23 @@ fn main() {
         ctx.system.test.nextop.len(),
     );
 
-    // Evaluate the selected tables across the pool; each task records its
-    // own wall-clock so concurrency doesn't blur per-table attribution.
-    let selected: Vec<&(&str, TableFn)> = TABLES
-        .iter()
-        .filter(|(name, _)| all || targets.iter().any(|t| t == name))
-        .collect();
-    let eval_span = obs::span("evaluate");
-    let results: Vec<String> = autosuggest_parallel::par_map(&selected, |(name, f)| {
-        let _table_span = obs::span(&format!("table:{name}"));
-        let start = Instant::now();
-        let out = f(&ctx);
-        obs::observe("evaluate.table_seconds", start.elapsed().as_secs_f64());
-        out
-    });
-    drop(eval_span);
-    for out in &results {
-        println!("{out}");
-    }
+    print!("{}", tables::evaluate(&ctx, &targets));
     drop(repro_span);
-    let snapshot = obs::snapshot();
-
-    if cache_stats {
-        // Cache counters accumulated by the run (training + table evaluation).
-        let cache = autosuggest_cache::ColumnCache::global();
-        let pair_cache = autosuggest_cache::PairCache::global();
-        let run_tiers = autosuggest_cache::tier_stats();
-        let fmt = |s: autosuggest_cache::CacheStats| {
-            format!(
-                "{} hits / {} misses / {} evictions (hit rate {:.1}%)",
-                s.hits,
-                s.misses,
-                s.evictions,
-                s.hit_rate() * 100.0
-            )
-        };
-        eprintln!(
-            "[repro] cache column: {}, {} interned columns",
-            fmt(run_tiers.column),
-            cache.len(),
-        );
-        let (tuple_len, pair_len) = pair_cache.len();
-        eprintln!(
-            "[repro] cache tuple:  {}, {tuple_len} interned tuple sets",
-            fmt(run_tiers.tuple),
-        );
-        eprintln!(
-            "[repro] cache pair:   {}, {pair_len} memoized overlaps",
-            fmt(run_tiers.pair)
-        );
-    }
 
     if let Some(path) = &trace_path {
-        write_trace(path, &snapshot, json!({"threads": threads, "fast": fast, "seed": seed}));
+        write_trace(path, &obs::snapshot(), json!({"threads": threads, "fast": fast, "seed": seed}));
+    }
+}
+
+/// `--check-determinism`: run `workload` at 1 thread and at `threads`;
+/// exit 1 with the first difference.
+fn check(workload: &Workload, threads: usize) {
+    eprintln!("[repro] checking determinism at 1 vs {threads} threads...");
+    match determinism::check(workload, threads) {
+        Ok(_) => eprintln!("[repro] identical at 1 and {threads} threads"),
+        Err(diff) => {
+            eprintln!("[repro] 1 vs {threads} threads differ at {diff}");
+            std::process::exit(1);
+        }
     }
 }

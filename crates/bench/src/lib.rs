@@ -4,10 +4,11 @@
 //! The `repro` binary drives end-to-end reproduction: it generates the
 //! synthetic corpus, replays it, trains all predictors, evaluates them and
 //! every baseline, and prints each table of the paper side by side with the
-//! paper's reported numbers. Criterion micro-benchmarks in `benches/` cover
-//! the latency-sensitive pieces (candidate enumeration, AMPT/CMUT solvers,
-//! GBDT scoring, DataFrame operators).
+//! paper's reported numbers. [`determinism`] runs any of that at 1 and N
+//! threads and reports the first difference (`repro --check-determinism`).
+//! Speed is measured by `perfbench`, the repository benchmark.
 
+pub mod determinism;
 pub mod tables;
 
 pub use tables::{ReproContext, TableRow};

@@ -15,6 +15,9 @@ use autosuggest_baselines::groupby::SqlHistory;
 use autosuggest_core::groupby::labelled_columns;
 use autosuggest_core::pipeline::StageTiming;
 use autosuggest_core::{AutoSuggest, AutoSuggestConfig};
+use autosuggest_corpus::CorpusConfig;
+use autosuggest_obs as obs;
+use std::time::Instant;
 
 /// One row of a rendered table: a method name and its metric values.
 #[derive(Debug, Clone)]
@@ -48,6 +51,57 @@ pub const GOLDEN_TABLES: &[(&str, RowsFn)] = &[
     ("table10", table10::rows),
     ("table11", table11::rows),
 ];
+
+/// A table's printed evaluator: our rows next to the paper's.
+pub type TableFn = fn(&ReproContext) -> String;
+
+/// Every `repro` target as (name, evaluator), in print order.
+pub const TABLES: &[(&str, TableFn)] = &[
+    ("table2", table2::run),
+    ("table3", table3::run),
+    ("table4", table4::run),
+    ("table5", table5::run),
+    ("table6", table6::run),
+    ("table7", table6::run_importance),
+    ("table8", table8::run),
+    ("table9", table9::run),
+    ("table10", table10::run),
+    ("table11", table11::run),
+    ("ablation-ampt", ablations::ampt),
+    ("ablation-cmut", ablations::cmut),
+    ("ablation-join", ablations::join_knockout),
+];
+
+/// The configuration `repro [--fast] --seed <seed>` trains.
+pub fn repro_config(fast: bool, seed: u64) -> AutoSuggestConfig {
+    let mut config = if fast { AutoSuggestConfig::fast(seed) } else { AutoSuggestConfig::default() };
+    config.corpus =
+        if fast { CorpusConfig::small(seed) } else { CorpusConfig { seed, ..CorpusConfig::default() } };
+    config
+}
+
+/// Whether `targets` select the table called `table` (`"all"` selects every one).
+pub fn selects(targets: &[String], table: &str) -> bool {
+    targets.iter().any(|t| t == "all" || t == table)
+}
+
+/// Evaluate the selected tables across the pool and return what `repro`
+/// prints: each table followed by a newline, in canonical order whatever
+/// the completion order. Each task records its own wall-clock so
+/// concurrency does not blur per-table attribution.
+pub fn evaluate(ctx: &ReproContext, targets: &[String]) -> String {
+    let selected: Vec<&(&str, TableFn)> =
+        TABLES.iter().filter(|(name, _)| selects(targets, name)).collect();
+    let _eval_span = obs::span("evaluate");
+    let results: Vec<String> = autosuggest_parallel::par_map(&selected, |(name, f)| {
+        let _table_span = obs::span(&format!("table:{name}"));
+        let start = Instant::now();
+        let out = f(ctx);
+        obs::observe("evaluate.table_seconds", start.elapsed().as_secs_f64());
+        out
+    });
+    results.iter().map(|out| format!("{out}\n")).collect()
+}
 
 /// Everything the per-table evaluators need: the trained system plus
 /// history-based baselines fit on the training split.

@@ -240,15 +240,6 @@ impl PairCache {
         self.pairs.stats()
     }
 
-    /// Interned entries (tuple sets, pair overlaps).
-    pub fn len(&self) -> (usize, usize) {
-        (self.sets.len(), self.pairs.len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sets.len() == 0 && self.pairs.len() == 0
-    }
-
     /// Drop every entry and reset the counters in both tiers.
     pub fn clear(&self) {
         self.sets.clear();
@@ -349,7 +340,6 @@ mod tests {
         assert_eq!(cache.intersection(&rs, &ls), 2);
         // Both directions share the normalised key: 1 miss + 1 hit.
         assert_eq!(cache.pair_stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
-        assert_eq!(cache.len().1, 1);
     }
 
     #[test]
@@ -384,13 +374,18 @@ mod tests {
     fn clear_resets_both_tiers() {
         let cache = PairCache::new(64, 64);
         let t = df(vec![("a", ints(&[1, 2]))]);
-        let s = cache.key_tuples(&t, &[0]);
-        cache.intersection(&s, &s);
-        assert!(!cache.is_empty());
+        let lookup = || {
+            let s = cache.key_tuples(&t, &[0]);
+            cache.intersection(&s, &s);
+        };
+        lookup();
         cache.clear();
-        assert!(cache.is_empty());
         assert_eq!(cache.tuple_stats(), CacheStats::default());
         assert_eq!(cache.pair_stats(), CacheStats::default());
+        // The entries went too: the same lookups miss again.
+        lookup();
+        let one_miss = CacheStats { hits: 0, misses: 1, evictions: 0 };
+        assert_eq!((cache.tuple_stats(), cache.pair_stats()), (one_miss, one_miss));
     }
 
     #[test]

@@ -599,6 +599,7 @@ mod tests {
             panic!("fast config trains groupby and pivot models");
         };
         let floats = |name, vals: &[f64]| (name, vals.iter().map(|&v| Value::Float(v)).collect());
+        let strs = |name, vals: &[&str]| (name, vals.iter().map(|&v| Value::Str(v.into())).collect());
         let frame = |cols: Vec<(&str, Vec<Value>)>| DataFrame::from_columns(cols).unwrap();
         let cases = [
             ("zero columns", DataFrame::empty()),
@@ -629,12 +630,45 @@ mod tests {
                     floats("mix", &[f64::NEG_INFINITY, -1e308, 1e308, f64::INFINITY]),
                 ]),
             ),
+            (
+                "unicode and locale-formatted numbers",
+                frame(vec![
+                    strs("amount", &["1.234,5", "2.000,75", "\u{2212}3,5", "1\u{202f}234,5"]),
+                    strs("na\u{ef}ve", &["\u{6771}\u{4eac}", "Z\u{fc}rich", "\u{1f642}", "e\u{301}"]),
+                    strs("pct", &["12,5 %", "1e3", "\u{663}\u{66b}\u{665}", "NaN"]),
+                    ("id", (0..4).map(Value::Int).collect()),
+                ]),
+            ),
         ];
         for (name, table) in &cases {
             let scores = single_op_scores(table, gb, pv.compatibility());
             assert_eq!(scores.len(), crate::nextop::NUM_OPS, "{name}");
             for s in &scores {
                 assert!(s.is_finite() && (0.0..=1.0).contains(s), "{name}: {scores:?}");
+            }
+        }
+        // The join, join-type and unpivot featurisers over every pair.
+        let models = &system.models;
+        let (Some(join), Some(join_type), Some(unpivot)) =
+            (&models.join, &models.join_type, &models.unpivot)
+        else {
+            panic!("fast config trains join, join-type and unpivot models");
+        };
+        for (left_name, left) in &cases {
+            for (right_name, right) in &cases {
+                let pair = format!("{left_name} / {right_name}");
+                for s in join.suggest(left, right, 3) {
+                    assert!(s.score.is_finite(), "{pair}: {s:?}");
+                }
+                let candidates =
+                    autosuggest_features::enumerate_join_candidates(left, right, join.candidate_params());
+                for cand in &candidates {
+                    let scores = join_type.scores(left, right, cand);
+                    assert!(scores.iter().all(|s| s.is_finite()), "{pair}: {scores:?}");
+                }
+            }
+            if let Some(s) = unpivot.suggest(left) {
+                assert!(s.objective.is_finite(), "{left_name}: {s:?}");
             }
         }
         let zero_columns = single_op_scores(&DataFrame::empty(), gb, pv.compatibility());

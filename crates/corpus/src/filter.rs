@@ -136,4 +136,23 @@ mod tests {
             filter_invocations(vec![inv("a", 10, false), inv("a", 11, false)], 5);
         assert_eq!(kept.len(), 2);
     }
+
+    #[test]
+    fn inputs_that_differ_only_in_dtype_are_not_duplicates() {
+        // `Int(i)` and `Float(i as f64)` cells are equal as `Value`s, but a
+        // real call on a float column is a different invocation.
+        let floats = DataFrame::from_columns(vec![(
+            "a",
+            (0..10).map(|i| Value::Float(i as f64)).collect(),
+        )])
+        .unwrap();
+        let on_floats = OpInvocation {
+            input_hashes: vec![floats.content_hash()],
+            inputs: vec![std::sync::Arc::new(floats)],
+            ..inv("b", 10, false)
+        };
+        let (kept, stats) = filter_invocations(vec![inv("a", 10, false), on_floats], 5);
+        assert_eq!(kept.len(), 2);
+        assert_eq!(stats.dropped_duplicate, 0);
+    }
 }

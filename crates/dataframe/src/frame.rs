@@ -191,13 +191,38 @@ impl DataFrame {
     }
 
     /// A stable content hash of schema + data. The replay data-flow graph
-    /// (§3.3) identifies each (versioned) frame by this id.
+    /// (§3.3) identifies each (versioned) frame by this id, and the filter
+    /// drops duplicate invocations by it. It is dtype- and bit-exact,
+    /// unlike `Value`'s equality: `Int(5)`, `Float(5.0)` and `Date(5)`,
+    /// or `0.0` and `-0.0`, hash apart.
     pub fn content_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         for c in &self.columns {
             c.name().hash(&mut h);
             for v in c.values() {
-                v.hash(&mut h);
+                match v {
+                    Value::Null => h.write_u8(0),
+                    Value::Bool(b) => {
+                        h.write_u8(1);
+                        h.write_u8(u8::from(*b));
+                    }
+                    Value::Int(i) => {
+                        h.write_u8(2);
+                        h.write_i64(*i);
+                    }
+                    Value::Float(f) => {
+                        h.write_u8(3);
+                        h.write_u64(f.to_bits());
+                    }
+                    Value::Str(s) => {
+                        h.write_u8(4);
+                        s.hash(&mut h);
+                    }
+                    Value::Date(d) => {
+                        h.write_u8(5);
+                        h.write_i64(*d);
+                    }
+                }
             }
             0xfeed_u16.hash(&mut h);
         }
@@ -372,6 +397,27 @@ mod tests {
         ])
         .unwrap();
         assert_ne!(a.content_hash(), renamed.content_hash());
+    }
+
+    #[test]
+    fn content_hash_tells_dtypes_and_zero_signs_apart() {
+        let one = |v: Value| DataFrame::from_columns(vec![("x", vec![v])]).unwrap().content_hash();
+        let hashes = [
+            one(Value::Int(5)),
+            one(Value::Float(5.0)),
+            one(Value::Date(5)),
+            one(Value::Float(0.0)),
+            one(Value::Float(-0.0)),
+            one(Value::Int(0)),
+            one(Value::Bool(false)),
+            one(Value::Null),
+        ];
+        for (i, a) in hashes.iter().enumerate() {
+            for b in &hashes[i + 1..] {
+                assert_ne!(a, b, "{hashes:x?}");
+            }
+        }
+        assert_eq!(one(Value::Float(-0.0)), one(Value::Float(-0.0)));
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! {"deterministic": {...}, "meta": {...}, "timing": {...}}
 //! ```
 //!
-//! `deterministic` comes first lexicographically, which lets shell-level
-//! consumers (CI) extract it with a plain
-//! `sed 's/^{"deterministic"://; s/,"meta".*//'` and diff runs at
-//! different thread counts byte-for-byte.
+//! Only `deterministic` is byte-identical at any thread count;
+//! `autosuggest_bench::determinism` compares it structurally, by JSON path.
 
 use crate::metrics::MetricsSnapshot;
 use serde_json::{Map, Value};

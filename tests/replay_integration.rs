@@ -91,8 +91,10 @@ fn logged_hashes_match_their_shared_frames_under_faults() {
     }
     assert_eq!(invocations, 112);
     assert!(shared > 0, "no invocation shares a frame with an earlier reader");
-    // Recorded from the replay that deep-copied every input.
-    assert_eq!(fnv64(&digest), 0x0953_1de6_74d9_b071);
+    // The shared-frame replay matched the deep-copying one it replaced
+    // under the dtype-blind hash; recorded again when `content_hash`
+    // became dtype- and bit-exact.
+    assert_eq!(fnv64(&digest), 0xbd3b_3204_60e9_ad62);
 }
 
 #[test]

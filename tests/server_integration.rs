@@ -591,3 +591,43 @@ fn connection_cap_and_deadlines_shed_idle_and_slow_clients() {
     server.shutdown();
     server.wait().expect("clean shutdown");
 }
+
+/// A micro-batch closes once no other request is still arriving; the
+/// window only bounds it. With a 1 s window, batches that waited it out
+/// would make 8 closed-loop keep-alive clients x 25 requests take about
+/// 25 s; closing early finishes the burst well inside 15 s.
+#[test]
+fn batches_close_before_a_long_window_when_no_request_is_arriving() {
+    use std::time::{Duration, Instant};
+    let (slot, bodies, expected) = trained_slot();
+    let config = ServerConfig { batch_window: Duration::from_secs(1), ..Default::default() };
+    let server = serve_local(slot, config);
+    let addr = server.addr().to_string();
+
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for c in 0..8 {
+            let (addr, bodies, expected) = (&addr, &bodies, &expected);
+            scope.spawn(move || {
+                let stream = TcpStream::connect(addr).expect("connect");
+                stream.set_nodelay(true).expect("nodelay");
+                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+                let mut writer = stream;
+                for i in (c..).take(25) {
+                    let j = i % bodies.len();
+                    http::write_request(&mut writer, "POST", "/suggest", &bodies[j]).expect("send");
+                    let (status, text) = http::read_response(&mut reader, MAX_RESPONSE).expect("recv");
+                    assert_eq!(status, 200, "client {c}: {text}");
+                    let v: Value = serde_json::from_str(&text).expect("JSON body");
+                    assert_eq!(v.get("response").map(Value::to_string).as_ref(), Some(&expected[j]));
+                }
+            });
+        }
+    });
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_secs(15), "the burst waited out batch windows: {elapsed:?}");
+
+    let (status, _) = call(&addr, "POST", "/admin/shutdown", "{}");
+    assert_eq!(status, 200);
+    server.wait().expect("clean exit after HTTP shutdown");
+}

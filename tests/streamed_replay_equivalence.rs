@@ -114,8 +114,10 @@ fn killed_run_resumes_from_manifest_without_re_replaying() {
     assert_eq!(counter(&snap, "store.shards_resumed"), partial.shards_resumed);
 
     // Second run resumes: exactly the 2 completed shards are reused.
-    let ((store, resumed), snap) = obs::with_local_registry(|| {
-        replay_corpus_streamed(&cfg, None, &dir, &shard).expect("resumed run")
+    let ((store, resumed, reports), snap) = obs::with_local_registry(|| {
+        let (store, resumed) = replay_corpus_streamed(&cfg, None, &dir, &shard).expect("resumed run");
+        let reports = streamed_reports(&store);
+        (store, resumed, reports)
     });
     assert!(!resumed.aborted);
     assert_eq!(resumed.shards_resumed, 2, "manifest shards must be reused");
@@ -123,10 +125,16 @@ fn killed_run_resumes_from_manifest_without_re_replaying() {
     assert!(store.all_complete());
     assert_eq!(counter(&snap, "stream.shards_replayed"), resumed.shards_replayed);
     assert_eq!(counter(&snap, "store.shards_resumed"), resumed.shards_resumed);
+    // Each resumed shard file is read once, on open (the resume takes its
+    // stats from that read), and the scan reads every shard once.
+    assert_eq!(counter(&snap, "store.shard_reads"), 2 + resumed.total_shards);
+    // Shards write each distinct input frame once.
+    let (frames, refs) = (counter(&snap, "store.frames_written"), counter(&snap, "store.frame_refs"));
+    assert!(frames < refs, "frame table not shared: {frames} frames for {refs} references");
 
     // And the result is indistinguishable from never having been killed.
     let (baseline_reports, baseline_stats) = in_memory_replay(&cfg, None);
-    assert_eq!(render_reports(&streamed_reports(&store)), render_reports(&baseline_reports));
+    assert_eq!(render_reports(&reports), render_reports(&baseline_reports));
     assert_eq!(resumed.stats, baseline_stats);
     let _ = std::fs::remove_dir_all(&dir);
 }

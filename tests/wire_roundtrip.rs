@@ -183,11 +183,15 @@ fn surrogate_pair_escapes_decode_to_one_cell() {
 
 #[test]
 fn error_documents_decode_to_errors_never_panics() {
-    // Every byte prefix of seeded request bodies, and each body with each
-    // byte in turn replaced by a seeded pick of a JSON-significant one,
-    // must surface as an error or a decoded request, never a panic.
+    // Every byte prefix of seeded request bodies, each body with each byte
+    // in turn replaced by a seeded pick of a JSON-significant one, and
+    // seeded multi-byte mutations of each body must surface as an error or
+    // a decoded request, never a panic.
     const SUBSTITUTES: &[u8] = b"\"\\[]{},:-e0";
+    // Lead bytes of 2-, 3- and 4-byte UTF-8 sequences, each cut short.
+    const TRUNCATED_UTF8: &[&[u8]] = &[b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98"];
     let mut rng = 0x5eed_0003u64;
+    let pick = |rng: &mut u64, n: usize| (splitmix(rng) % n as u64) as usize;
     for _ in 0..20 {
         let body = encode_request(&random_request(&mut rng).as_request()).to_string();
         let bytes = body.as_bytes();
@@ -196,9 +200,34 @@ fn error_documents_decode_to_errors_never_panics() {
         }
         let mut mutated = bytes.to_vec();
         for at in 0..bytes.len() {
-            mutated[at] = SUBSTITUTES[(splitmix(&mut rng) % SUBSTITUTES.len() as u64) as usize];
+            mutated[at] = SUBSTITUTES[pick(&mut rng, SUBSTITUTES.len())];
             parse_and_decode(&mutated);
             mutated[at] = bytes[at];
+        }
+        // A span of 2-8 bytes replaced with JSON-significant bytes,
+        // deleted or duplicated, or a truncated UTF-8 sequence inserted.
+        for _ in 0..500 {
+            let at = pick(&mut rng, bytes.len());
+            let end = (at + 2 + pick(&mut rng, 7)).min(bytes.len());
+            let mut mutated = bytes[..at].to_vec();
+            match pick(&mut rng, 4) {
+                0 => {
+                    for _ in at..end {
+                        mutated.push(SUBSTITUTES[pick(&mut rng, SUBSTITUTES.len())]);
+                    }
+                    mutated.extend(&bytes[end..]);
+                }
+                1 => mutated.extend(&bytes[end..]),
+                2 => {
+                    mutated.extend(&bytes[at..end]);
+                    mutated.extend(&bytes[at..]);
+                }
+                _ => {
+                    mutated.extend(TRUNCATED_UTF8[pick(&mut rng, TRUNCATED_UTF8.len())]);
+                    mutated.extend(&bytes[at..]);
+                }
+            }
+            parse_and_decode(&mutated);
         }
     }
     // Nesting: 128 levels parse (and fail to decode: a cell is no array);
