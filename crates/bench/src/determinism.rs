@@ -18,7 +18,9 @@
 //! 3. `files`: in corpus-scale mode, every shard file and the manifest of
 //!    the two sample stores, by byte offset.
 //!
-//! `repro --check-determinism N` and `tests/determinism.rs` call it.
+//! `repro --check-determinism N` and the determinism test files
+//! (`tests/determinism_across_threads.rs`, `tests/trace_determinism.rs`,
+//! `tests/determinism.rs`) call it.
 
 use crate::tables::{self, ReproContext, GOLDEN_TABLES};
 use autosuggest_core::nextop::NextOpPredictor;

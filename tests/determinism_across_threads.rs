@@ -1,170 +1,73 @@
 //! The parallel runtime's core contract: every result is bit-identical
-//! regardless of thread count. This exercises the full stack — corpus
-//! generation, replay fan-out, GBDT split scans and prediction batching,
-//! candidate enumeration — at 1 thread vs 4 and compares outputs exactly.
-//!
-//! Thread width is switched in-process via `set_thread_override` (the
-//! `AUTOSUGGEST_THREADS` env var is read once per process, so an env-based
-//! sweep would need subprocesses).
+//! regardless of thread count. The determinism checker
+//! (`autosuggest_bench::determinism`) trains and evaluates the fast
+//! configuration at 1 thread and at 4 — corpus generation, replay
+//! fan-out, GBDT split scans and prediction batching, candidate
+//! enumeration — and compares every replay log line, trained-model score,
+//! golden row and robustness counter exactly, clean and under seeded
+//! fault injection. It switches the thread width in-process through
+//! `set_thread_override` and serialises its runs.
 
-use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
-use auto_suggest::corpus::{CorpusConfig, CorpusGenerator, FaultSpec, ReplayEngine};
-use auto_suggest::parallel::set_thread_override;
-use std::sync::Mutex;
+use auto_suggest::core::AutoSuggestConfig;
+use auto_suggest::corpus::FaultSpec;
+use autosuggest_bench::determinism::{self, Run, Workload};
+use autosuggest_bench::tables::GOLDEN_TABLES;
+use serde_json::Value;
+use std::sync::OnceLock;
 
-/// The thread override is process-global, so tests that sweep it must not
-/// overlap (cargo runs `#[test]`s concurrently by default).
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+/// The fast configuration with `faults` passed explicitly, so an ambient
+/// `AUTOSUGGEST_FAULTS` cannot reach the run; every golden table.
+fn fast_tables(seed: u64, faults: &str) -> Workload {
+    let mut config = AutoSuggestConfig::fast(seed);
+    config.faults = Some(FaultSpec::parse(faults).expect("valid fault spec"));
+    let targets = GOLDEN_TABLES.iter().map(|(name, _)| name.to_string()).collect();
+    Workload::Tables { config, targets }
+}
 
-/// Compact, fully-ordered textual log of one replay sweep.
-fn replay_fingerprint(threads: usize) -> String {
-    set_thread_override(Some(threads));
-    let corpus = CorpusGenerator::new(CorpusConfig::small(9)).generate();
-    let engine = ReplayEngine::new(corpus.repository.clone());
-    let mut log = String::new();
-    for nb in &corpus.notebooks {
-        let report = engine.replay(nb);
-        log.push_str(&format!(
-            "{} {:?} cells={} inv={}\n",
-            nb.id,
-            report.outcome,
-            report.cells_executed,
-            report.invocations.len(),
-        ));
-        for inv in &report.invocations {
-            log.push_str(&format!(
-                "  {:?} in={:?} out={}x{} hash={:016x}\n",
-                inv.op,
-                inv.inputs.iter().map(|d| (d.num_rows(), d.num_columns())).collect::<Vec<_>>(),
-                inv.output_rows,
-                inv.output_cols,
-                inv.output_hash,
-            ));
-        }
-    }
-    set_thread_override(None);
-    log
+fn checked(workload: &Workload) -> Run {
+    determinism::check(workload, 4).unwrap_or_else(|diff| panic!("1 and 4 threads differ at {diff}"))
+}
+
+/// One clean check, shared by the tests that read its replay and score
+/// sections.
+fn clean() -> &'static Run {
+    static CLEAN: OnceLock<Run> = OnceLock::new();
+    // A rate-free spec: injection off.
+    CLEAN.get_or_init(|| checked(&fast_tables(9, "seed=0")))
+}
+
+fn non_empty(section: &Value, key: &str) -> bool {
+    section.get(key).and_then(Value::as_array).is_some_and(|a| !a.is_empty())
 }
 
 #[test]
 fn replay_logs_are_bit_identical_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let one = replay_fingerprint(1);
-    let four = replay_fingerprint(4);
-    assert!(!one.is_empty());
-    assert_eq!(one, four, "replay diverged between 1 and 4 threads");
-}
-
-/// Train the full fast pipeline and fingerprint every learned artefact
-/// that could be perturbed by a non-deterministic reduction: GBDT scores
-/// on held-out cases, next-op table scores and rankings, and the
-/// test-split composition itself.
-fn pipeline_fingerprint(threads: usize) -> String {
-    set_thread_override(Some(threads));
-    let system = AutoSuggest::train(AutoSuggestConfig::fast(7));
-    let mut log = format!(
-        "splits join={} groupby={} pivot={} melt={} nextop={}\n",
-        system.test.join.len(),
-        system.test.groupby.len(),
-        system.test.pivot.len(),
-        system.test.melt.len(),
-        system.test.nextop.len(),
-    );
-    if let Some(join) = &system.models.join {
-        for case in system.test.join.iter().take(5) {
-            let cands = auto_suggest::features::enumerate_join_candidates(
-                &case.inputs[0],
-                &case.inputs[1],
-                join.candidate_params(),
-            );
-            log.push_str(&format!("cands={}\n", cands.len()));
-            for c in cands.iter().take(20) {
-                // Full bit pattern: the exact f64, not a rounded rendering.
-                let score = join.score(&case.inputs[0], &case.inputs[1], c);
-                log.push_str(&format!(
-                    "  {:?}/{:?} {:016x}\n",
-                    c.left_cols,
-                    c.right_cols,
-                    score.to_bits()
-                ));
-            }
-        }
-    }
-    if let Some(gb) = &system.models.groupby {
-        for case in system.test.groupby.iter().take(5) {
-            if let Some(df) = case.inputs.first() {
-                for s in gb.suggest(df) {
-                    log.push_str(&format!("gb {} {:016x}\n", s.column, s.score.to_bits()));
-                }
-            }
-        }
-    }
-    // Next-op artefacts: the memoised table scores of every held-out
-    // example, and the rankings of the RNN pair trained side by side.
-    for e in &system.test.nextop {
-        log.push_str(&format!("nextop {:?} {}", e.prefix, e.label));
-        for s in &e.table_scores {
-            log.push_str(&format!(" {:016x}", s.to_bits()));
-        }
-        log.push('\n');
-    }
-    for e in system.test.nextop.iter().take(20) {
-        log.push_str(&format!(
-            "ranked full={:?} rnn_only={:?}\n",
-            system.models.nextop_full.predict_ranked(&e.prefix, &e.table_scores),
-            system.models.nextop_rnn_only.predict_ranked(&e.prefix, &e.table_scores),
-        ));
-    }
-    set_thread_override(None);
-    log
+    let replay = &clean().sections["replay"];
+    let notebooks = replay.get("notebooks").and_then(Value::as_array).expect("replay log");
+    let mut lines = notebooks.iter().filter_map(Value::as_str);
+    // Each invocation is logged as `Op:outputhash`.
+    assert!(lines.any(|line| line.contains(':')), "no invocation output hashes in the log");
 }
 
 #[test]
 fn trained_models_are_bit_identical_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let one = pipeline_fingerprint(1);
-    let four = pipeline_fingerprint(4);
-    assert!(one.contains("splits"));
-    assert_eq!(one, four, "trained pipeline diverged between 1 and 4 threads");
-}
-
-/// Full quarantine-with-retry sweep under seeded fault injection: replay
-/// logs, injected-fault traces, retry counters, and quarantine lists must
-/// all be pure functions of the spec, never of scheduling.
-fn fault_injection_fingerprint(threads: usize) -> String {
-    set_thread_override(Some(threads));
-    let spec = FaultSpec::parse("panic=0.08,io=0.06,timeout=0.05,seed=11,transient=0.5")
-        .expect("valid spec");
-    let corpus = CorpusGenerator::new(CorpusConfig::small(9)).generate();
-    let engine = ReplayEngine::new(corpus.repository.clone()).with_faults(Some(spec));
-    let (reports, stats) = engine.replay_corpus(&corpus.notebooks);
-    assert_eq!(reports.len(), corpus.notebooks.len());
-    assert!(stats.total_injected() > 0, "spec injected nothing");
-    let mut log = String::new();
-    for r in &reports {
-        log.push_str(&format!(
-            "{} {:?} cells={} inv={} retries={} injected={:?}\n",
-            r.notebook_id,
-            r.outcome,
-            r.cells_executed,
-            r.invocations.len(),
-            r.cell_retries,
-            r.injected_faults,
-        ));
+    let scores = &clean().sections["scores"];
+    for model in ["join", "groupby", "nextop"] {
+        assert!(non_empty(scores, model), "no {model} scores");
     }
-    log.push_str(&format!("{stats:?}\n"));
-    set_thread_override(None);
-    log
+    let rows = clean().sections["rows"].as_object().expect("golden rows");
+    assert_eq!(rows.len(), GOLDEN_TABLES.len());
 }
 
 #[test]
 fn fault_injection_is_deterministic_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let one = fault_injection_fingerprint(1);
-    let four = fault_injection_fingerprint(4);
-    assert!(one.contains("injected"));
-    assert_eq!(
-        one, four,
-        "fault-injected replay diverged between 1 and 4 threads"
-    );
+    let run = checked(&fast_tables(7, "panic=0.08,io=0.06,timeout=0.05,seed=11,transient=0.5"));
+    let counters = &run.snapshot.counters;
+    let injected: u64 = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("replay.faults.") && name.ends_with(".injected"))
+        .map(|(_, n)| n)
+        .sum();
+    assert!(injected > 0, "the fault spec injected nothing");
+    assert!(counters.get("replay.cell_retries").copied().unwrap_or(0) > 0);
 }

@@ -3,71 +3,75 @@
 //! call counts — is bit-identical at any thread count. Only the timing
 //! section (histograms over wall-clock, span nanos) may vary.
 //!
-//! This drives the full fast training pipeline under an isolated local
-//! registry at 1 thread and at 4, and compares the rendered deterministic
-//! JSON byte for byte. Thread width is switched in-process via
-//! `set_thread_override`, so the sweep takes the same process-global lock
-//! convention as `tests/determinism_across_threads.rs`.
+//! The determinism checker (`autosuggest_bench::determinism`) trains and
+//! evaluates the fast configuration under an isolated local registry at 1
+//! thread and at 4 and compares the deterministic section by JSON path.
 
-use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
+use auto_suggest::core::AutoSuggestConfig;
+use auto_suggest::corpus::FaultSpec;
 use auto_suggest::obs;
-use auto_suggest::parallel::set_thread_override;
-use std::sync::Mutex;
+use autosuggest_bench::determinism::{self, Run, Workload};
+use autosuggest_bench::tables::GOLDEN_TABLES;
+use serde_json::Value;
+use std::sync::OnceLock;
 
-/// The thread override is process-global, so tests that sweep it must not
-/// overlap (cargo runs `#[test]`s concurrently by default).
-static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+/// The fast configuration, fault injection off whatever
+/// `AUTOSUGGEST_FAULTS` says, checked at 1 vs 4 threads once per binary.
+fn clean() -> &'static Run {
+    static CLEAN: OnceLock<Run> = OnceLock::new();
+    CLEAN.get_or_init(|| {
+        let mut config = AutoSuggestConfig::fast(7);
+        config.faults = Some(FaultSpec::parse("seed=0").expect("valid fault spec"));
+        let targets = GOLDEN_TABLES.iter().map(|(name, _)| name.to_string()).collect();
+        determinism::check(&Workload::Tables { config, targets }, 4)
+            .unwrap_or_else(|diff| panic!("1 and 4 threads differ at {diff}"))
+    })
+}
 
-/// Train the fast pipeline under a fresh local registry and return the
-/// rendered deterministic and timing sections.
-fn trace_sections(threads: usize) -> (String, String) {
-    set_thread_override(Some(threads));
-    // The column/pair caches are process-global; start each run cold so
-    // their hit/miss counters (part of the deterministic section) reflect
-    // this run alone rather than entries interned by a previous in-process
-    // run.
-    auto_suggest::cache::clear_memory();
-    let (_, snapshot) = obs::with_local_registry(|| {
-        AutoSuggest::train(AutoSuggestConfig::fast(7))
-    });
-    set_thread_override(None);
-    (
-        snapshot.deterministic_value().to_string(),
-        snapshot.timing_value().to_string(),
-    )
+/// Whether the span tree of the deterministic section has a span `name`.
+fn has_span(node: &Value, name: &str) -> bool {
+    node.get("children")
+        .and_then(Value::as_object)
+        .is_some_and(|kids| kids.iter().any(|(k, child)| k == name || has_span(child, name)))
 }
 
 #[test]
 fn deterministic_trace_section_is_bit_identical_across_thread_counts() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let (det1, _) = trace_sections(1);
-    let (det4, _) = trace_sections(4);
-    assert_eq!(
-        det1, det4,
-        "deterministic metrics diverged between 1 and 4 threads"
-    );
+    let trace = &clean().sections["trace"];
+    let counters = trace.get("counters").and_then(Value::as_object);
+    assert!(counters.is_some_and(|c| !c.is_empty()), "no counters in {trace}");
+    assert!(trace.get("spans").is_some(), "no span tree in {trace}");
 }
 
 #[test]
 fn trace_covers_the_pipeline_and_separates_timing() {
-    let _guard = OVERRIDE_LOCK.lock().unwrap();
-    let (det, timing) = trace_sections(2);
-    // The span tree must cover the training stages...
-    for span in ["train", "generate_corpus", "replay", "filter_and_split", "train_predictors"] {
-        assert!(det.contains(&format!("\"{span}\"")), "span {span} missing from {det}");
+    let run = clean();
+    let trace = &run.sections["trace"];
+    // The span tree must cover the training and evaluation stages...
+    for span in
+        ["train", "generate_corpus", "replay", "filter_and_split", "train_predictors", "evaluate"]
+    {
+        assert!(trace.get("spans").is_some_and(|s| has_span(s, span)), "span {span} missing");
     }
     // ...and the headline counters must be present and nonzero.
-    for counter in ["corpus.notebooks_generated", "replay.cells_executed", "gbdt.fits"] {
-        assert!(det.contains(&format!("\"{counter}\"")), "counter {counter} missing");
+    for name in [
+        "corpus.notebooks_generated",
+        "replay.cells_executed",
+        "gbdt.fits",
+        "cache.hits",
+        "nextop.tables_scored",
+        "nextop.tables_distinct",
+    ] {
+        let count = run.snapshot.counters.get(name).copied().unwrap_or(0);
+        assert!(count > 0, "counter {name} missing or zero");
     }
-    // Wall-clock measurements live only in the timing section: per-stage
-    // histograms appear there and never in the deterministic view.
+    // Wall-clock measurements live only in the timing section.
+    let (det, timing) = (trace.to_string(), run.snapshot.timing_value().to_string());
     for histo in ["pipeline.", "replay.notebook_seconds", "gbdt.split_scan_seconds"] {
         assert!(timing.contains(histo), "timing histogram {histo} missing");
         assert!(!det.contains(histo), "{histo} leaked into the deterministic view");
     }
-    // The registry was local: the process-global snapshot is untouched by
-    // the training run above.
+    // The registry was local: the process-global snapshot is untouched.
     assert!(!obs::snapshot().counters.contains_key("gbdt.fits"));
 }
 
