@@ -16,8 +16,10 @@
 //! print deterministic per-scenario replay stats on stdout (byte-identical
 //! at any `AUTOSUGGEST_THREADS`). Memory stays bounded by `--shard-size`
 //! notebooks, not by N. A killed run resumes from the store's shard
-//! manifest (`AUTOSUGGEST_SCALE_ABORT=K` stops after K new shards, to
-//! exercise exactly that).
+//! manifest.
+//!
+//! `AUTOSUGGEST_FAULTS` (grammar in `autosuggest_corpus::faults`) injects
+//! seeded replay faults in either mode; it is read once, here.
 //!
 //! `--fast` uses the small test-scale corpus (seconds instead of minutes);
 //! the default corpus is the full ~1:40-scale generation DESIGN.md
@@ -63,17 +65,14 @@ fn run_corpus_scale(
     shard_size: usize,
     store_dir: Option<String>,
     trace_path: Option<&str>,
+    faults: Option<FaultSpec>,
 ) {
     let threads = autosuggest_parallel::current_threads();
     let cfg = CorpusConfig::scaled_to(seed, scale);
-    let faults = FaultSpec::from_env();
     let root = store_dir.map(std::path::PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("autosuggest-scale-{seed}-{scale}"))
     });
-    let abort_after = std::env::var("AUTOSUGGEST_SCALE_ABORT")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok());
-    let opts = autosuggest_corpus::StreamConfig { shard_size, abort_after_shards: abort_after };
+    let opts = autosuggest_corpus::StreamConfig { shard_size, ..Default::default() };
     eprintln!(
         "[repro] corpus-scale: {scale} notebooks, shard size {shard_size}, store {}, threads {threads}",
         root.display()
@@ -174,14 +173,14 @@ fn main() {
             other => targets.push(other.to_string()),
         }
     }
+    let faults = FaultSpec::from_env();
     if let (Some(threads), Some(scale)) = (check_threads, corpus_scale) {
         let corpus = CorpusConfig::scaled_to(seed, scale);
-        let faults = FaultSpec::from_env();
         check(&Workload::CorpusScale { corpus, faults, shard_size }, threads);
         return;
     }
     if let Some(scale) = corpus_scale {
-        run_corpus_scale(scale, seed, shard_size, store_dir, trace_path.as_deref());
+        run_corpus_scale(scale, seed, shard_size, store_dir, trace_path.as_deref(), faults);
         return;
     }
     if targets.is_empty() {
@@ -194,7 +193,8 @@ fn main() {
         }
     }
 
-    let config = tables::repro_config(fast, seed);
+    let mut config = tables::repro_config(fast, seed);
+    config.faults = faults;
     if let Some(threads) = check_threads {
         check(&Workload::Tables { config, targets }, threads);
         return;

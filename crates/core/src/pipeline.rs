@@ -6,7 +6,7 @@ use crate::join_type::JoinTypePredictor;
 use crate::nextop::{single_op_scores, NextOpConfig, NextOpExample, NextOpMode, NextOpPredictor};
 use crate::pivot::{CompatibilityModel, PivotPredictor, PivotSuggestion};
 use crate::unpivot::{UnpivotPredictor, UnpivotSuggestion};
-use autosuggest_cache::{table_row_fingerprint, ColumnCache};
+use autosuggest_cache::table_row_fingerprint;
 use autosuggest_dataframe::DataFrame;
 use autosuggest_corpus::replay::OpInvocation;
 use autosuggest_corpus::{
@@ -30,7 +30,7 @@ pub struct AutoSuggestConfig {
     /// Seed for the grouped split.
     pub split_seed: u64,
     /// Deterministic fault injection into replay. `None` (the default)
-    /// falls back to the `AUTOSUGGEST_FAULTS` environment variable.
+    /// injects no faults.
     pub faults: Option<FaultSpec>,
 }
 
@@ -171,8 +171,8 @@ impl AutoSuggest {
         // notebook and retryable failures quarantined with bounded retry.
         let (reports, robustness) = {
             let _s = obs::span("replay");
-            let faults = config.faults.clone().or_else(FaultSpec::from_env);
-            let engine = ReplayEngine::new(corpus.repository.clone()).with_faults(faults);
+            let engine =
+                ReplayEngine::new(corpus.repository.clone()).with_faults(config.faults.clone());
             engine.replay_corpus(&corpus.notebooks)
         };
         lap(&mut timings, "replay", &mut stage_start);
@@ -369,8 +369,7 @@ impl AutoSuggest {
 }
 
 /// One interactive suggestion request against a trained system. Tables are
-/// borrowed so a batch over many requests can reference shared frames
-/// without cloning.
+/// borrowed, so requests over shared frames need not clone them.
 #[derive(Debug, Clone, Copy)]
 pub enum SuggestRequest<'a> {
     /// Rank join column candidates between two tables (§4.1).
@@ -388,19 +387,6 @@ pub enum SuggestRequest<'a> {
     Unpivot { table: &'a DataFrame },
 }
 
-impl SuggestRequest<'_> {
-    /// The tables this request featurises (one for single-table operators,
-    /// two for Join).
-    fn tables(&self) -> Vec<&DataFrame> {
-        match self {
-            SuggestRequest::Join { left, right, .. } => vec![left, right],
-            SuggestRequest::GroupBy { table }
-            | SuggestRequest::Pivot { table, .. }
-            | SuggestRequest::Unpivot { table } => vec![table],
-        }
-    }
-}
-
 /// The answer to one [`SuggestRequest`], mirroring the per-operator
 /// `suggest` return types.
 #[derive(Debug, Clone, PartialEq)]
@@ -413,10 +399,6 @@ pub enum SuggestResponse {
     /// (the payload names the missing model).
     Unavailable(&'static str),
 }
-
-/// Obs counter for the columns [`TrainedModels::warm_tables`] pushed
-/// through the cache (deterministic section).
-pub const WARM_COLUMNS_COUNTER: &str = "suggest.warm_columns";
 
 /// The served half of a trained system: keep the models, drop the replayed
 /// corpus and the train/test invocations.
@@ -447,22 +429,6 @@ impl TrainedModels {
                 None => SuggestResponse::Unavailable("unpivot"),
             },
         }
-    }
-
-    /// Pre-warm the column cache for every column of every table across
-    /// `reqs`, so the per-request featurisers hit the cache instead of
-    /// re-sketching shared columns per request. Returns the number of
-    /// columns warmed. The cache deduplicates the columns by content, so a
-    /// table shared by several requests is sketched once.
-    pub fn warm_tables(&self, reqs: &[SuggestRequest<'_>]) -> usize {
-        let cache = ColumnCache::global();
-        let cols: Vec<&autosuggest_dataframe::Column> =
-            reqs.iter().flat_map(|req| req.tables()).flat_map(|t| t.columns()).collect();
-        obs::counter_add(WARM_COLUMNS_COUNTER, cols.len() as u64);
-        autosuggest_parallel::par_map(&cols, |c| {
-            cache.artifacts(c);
-        });
-        cols.len()
     }
 }
 
@@ -639,12 +605,34 @@ mod tests {
                     ("id", (0..4).map(Value::Int).collect()),
                 ]),
             ),
+            (
+                "high-overlap near-key columns",
+                frame(vec![
+                    ("id", (0..50).map(Value::Int).collect()),
+                    ("id_next", (1..51).map(Value::Int).collect()),
+                    ("id_dup", (0..50).map(|i| Value::Int(i.min(48))).collect()),
+                    ("key", (0..50).map(|i| Value::Str(format!("k{i}"))).collect()),
+                    ("key_dup", (0..50).map(|i| Value::Str(format!("k{}", i / 2 * 2))).collect()),
+                ]),
+            ),
         ];
         for (name, table) in &cases {
             let scores = single_op_scores(table, gb, pv.compatibility());
             assert_eq!(scores.len(), crate::nextop::NUM_OPS, "{name}");
             for s in &scores {
                 assert!(s.is_finite() && (0.0..=1.0).contains(s), "{name}: {scores:?}");
+            }
+            // The predictors a `/suggest` reaches directly: one score per
+            // column, and a split of exactly the requested dimensions.
+            let ranked = gb.suggest(table);
+            assert_eq!(ranked.len(), table.num_columns(), "{name}");
+            for s in &ranked {
+                assert!(s.score.is_finite() && (0.0..=1.0).contains(&s.score), "{name}: {s:?}");
+            }
+            let dims: Vec<usize> = (0..table.num_columns()).collect();
+            if let Some(s) = pv.suggest(table, &dims) {
+                assert!(s.objective.is_finite(), "{name}: {s:?}");
+                assert_eq!(s.index.len() + s.header.len(), dims.len(), "{name}: {s:?}");
             }
         }
         // The join, join-type and unpivot featurisers over every pair.

@@ -1,20 +1,21 @@
 //! The `autosuggestd` binary: train a model, bind, serve until shutdown.
 //!
 //! ```text
-//! autosuggestd [--addr HOST:PORT] [--seed N] [--queue-capacity N]
-//!              [--max-batch N] [--batch-window-ms N]
+//! autosuggestd [--addr HOST:PORT] [--seed N] [--max-connections N]
 //! ```
 //!
-//! Environment: `AUTOSUGGEST_THREADS` sizes the suggest pool,
-//! `AUTOSUGGEST_FAULTS` enables per-request fault injection
-//! (testing only). Stop with `POST /admin/shutdown`.
+//! Environment: `AUTOSUGGEST_THREADS` sizes the suggest pool and with it
+//! how many requests compute at once; `AUTOSUGGEST_FAULTS` enables
+//! per-request fault injection (testing only; the model itself trains
+//! without faults). Stop with `POST /admin/shutdown`.
 
 use autosuggest_core::model_slot::ModelSlot;
 use autosuggest_core::pipeline::{AutoSuggest, AutoSuggestConfig};
+use autosuggest_corpus::FaultSpec;
 use autosuggest_server::ServerConfig;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Args {
     seed: u64,
@@ -26,7 +27,11 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         seed: 42,
-        config: ServerConfig { addr: "127.0.0.1:7878".to_string(), ..Default::default() },
+        config: ServerConfig {
+            addr: "127.0.0.1:7878".to_string(),
+            faults: FaultSpec::from_env(),
+            ..Default::default()
+        },
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -40,26 +45,16 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?;
             }
-            "--queue-capacity" => {
-                args.config.queue_capacity = value("--queue-capacity")?
+            "--max-connections" => {
+                args.config.max_connections = value("--max-connections")?
                     .parse()
-                    .map_err(|e| format!("--queue-capacity: {e}"))?;
-            }
-            "--max-batch" => {
-                args.config.max_batch = value("--max-batch")?
-                    .parse()
-                    .map_err(|e| format!("--max-batch: {e}"))?;
-            }
-            "--batch-window-ms" => {
-                let ms = value("--batch-window-ms")?
-                    .parse()
-                    .map_err(|e| format!("--batch-window-ms: {e}"))?;
-                args.config.batch_window = Duration::from_millis(ms);
+                    .map_err(|e| format!("--max-connections: {e}"))?;
             }
             "--help" | "-h" => {
-                return Err("usage: autosuggestd [--addr HOST:PORT] [--seed N] \
-                            [--queue-capacity N] [--max-batch N] [--batch-window-ms N]"
-                    .to_string());
+                return Err(
+                    "usage: autosuggestd [--addr HOST:PORT] [--seed N] [--max-connections N]"
+                        .to_string(),
+                );
             }
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }

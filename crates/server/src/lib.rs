@@ -11,27 +11,24 @@
 //! - **Wire format**: JSON requests/responses via
 //!   [`autosuggest_core::wire`], parsed with the vendored `serde_json`
 //!   shim — no external dependencies anywhere in the stack.
-//! - **Admission control**: a bounded [`queue::BatchQueue`]. Each
-//!   connection holds at most one queued job, so the daemon admits at
-//!   most `queue_capacity` open connections, answering more `503`
-//!   without a thread; memory and threads stay bounded. Every connection
-//!   has read and write deadlines (`ServerConfig::io_timeout`): idle ones
-//!   are closed, slow requests answer `408`.
-//! - **Micro-batching**: a single batcher thread drains the queue and
-//!   closes each batch as soon as no other request is partway through
-//!   arriving ([`queue::Arrival`]), at `max_batch` requests, or at the
-//!   `batch_window` upper bound, whichever comes first. It warms the
-//!   column cache for the whole batch (`TrainedModels::warm_tables`) and
-//!   then answers each request on the pool, so concurrent clients share
-//!   column-sketch work.
+//! - **Admission control**: at most `max_connections` open connections,
+//!   one handler thread each; more answer `503` without a thread, so
+//!   memory and threads stay bounded. Every connection has read and write
+//!   deadlines (`ServerConfig::io_timeout`): idle ones are closed, slow
+//!   requests answer `408`.
+//! - **Per-request execution**: each `/suggest` is answered on its own
+//!   connection's handler thread, so no request waits for another to
+//!   arrive. A compute permit, one of as many as the pool has threads,
+//!   bounds how many requests featurise at once whatever the client
+//!   count; the column cache shares sketches between concurrent requests.
 //! - **Hot reload**: `POST /admin/reload` trains a replacement model from
 //!   scratch and installs it with an atomic `Arc` swap
 //!   ([`autosuggest_core::model_slot::ModelSlot`]), which keeps only the
-//!   trained models; in-flight batches finish on the version they started
-//!   with. There is one reload mode.
-//! - **Graceful degradation**: with `AUTOSUGGEST_FAULTS` set, injected
+//!   trained models; in-flight requests finish on the version they
+//!   started with. There is one reload mode.
+//! - **Graceful degradation**: with `ServerConfig::faults` set, injected
 //!   per-request featurisation faults (including real panics) error only
-//!   the affected request; the rest of the batch and the daemon survive.
+//!   the affected request; every other request and the daemon survive.
 //!
 //! See `DESIGN.md` §12 for the protocol and determinism conventions, and
 //! the README quickstart for running the daemon.
@@ -53,7 +50,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod http;
-pub mod queue;
 mod server;
 
 pub use server::{

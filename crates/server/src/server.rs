@@ -1,39 +1,35 @@
-//! The `autosuggestd` daemon core: accept loop, micro-batcher, routes.
+//! The `autosuggestd` daemon core: accept loop, per-connection handlers,
+//! compute permits, routes.
 //!
 //! ## Architecture
 //!
 //! ```text
-//! clients ──► acceptor ──► handler thread per connection ──► BatchQueue (bounded)
-//!   (≤ queue_capacity open,    first byte ─► Arrival ─► push    │ drain while an
-//!    else 503, no thread)                                        │ Arrival is live
-//!                                                                ▼ (≤ max_batch, ≤ window)
-//!                                                          batcher thread
-//!                                              warm_tables + par_try_map over the pool
-//!                                                                │ per-job reply channel
-//!                                                                ▼
-//!                                                      handler writes HTTP response
+//! clients ──► acceptor ──► handler thread per connection (keep-alive loop)
+//!   (≤ max_connections open,      │ read + decode the request
+//!    else 503, no thread)         ▼
+//!                           compute permit (≤ pool threads held at once)
+//!                                 │ suggest under catch_unwind, on the pool
+//!                                 ▼
+//!                           encode + write the response, give the permit back
 //! ```
 //!
-//! Admission control is the queue bound. A connection holds at most one
-//! queued job, since it waits for each answer before reading its next
-//! request, so the acceptor admits at most `queue_capacity` open
-//! connections and answers any beyond that `503` without spawning a
-//! thread (discarding what of their request has arrived, so the close
-//! does not reset the answer away): the cap on threads and the cap on
-//! queued jobs are one number, and daemon memory is bounded regardless
-//! of offered load. (A full queue still answers `429`, though under the
-//! cap it cannot fill.)
+//! Each `/suggest` is answered on its own connection's handler thread. No
+//! request waits for another to arrive, and none is answered by a thread
+//! other than its own. Before it featurises, a handler takes a compute
+//! permit from a counting semaphore sized to the pool's thread count
+//! ([`autosuggest_parallel::current_threads`]), so however many clients
+//! are connected, at most that many requests compute at once; the others
+//! wait for a permit on their own threads. The column cache is
+//! single-flight per shard, so concurrent requests over one table still
+//! sketch each column once.
 //!
-//! A handler takes an [`Arrival`](crate::queue::Arrival) once a
-//! request's first byte is in and drops it right after pushing the job,
-//! or as soon as it knows the request will not join a batch (an error,
-//! another route). The batcher closes a batch as soon as no arrival is
-//! live, so a request waits only for others already on their way;
-//! `batch_window` is the upper bound, paid only for an arrival that
-//! stalls. The batcher warms the column cache for the whole batch
-//! ([`TrainedModels::warm_tables`](autosuggest_core::pipeline::TrainedModels::warm_tables))
-//! and then answers each request on the pool, so concurrent clients
-//! share column-sketch work.
+//! Admission control is the connection cap. The acceptor admits at most
+//! [`ServerConfig::max_connections`] open connections, one handler thread
+//! each, and answers any beyond that `503` without spawning a thread
+//! (discarding what of their request has arrived, so the close does not
+//! reset the answer away). A connection holds at most one request at a
+//! time, since it answers each before reading the next, so daemon threads
+//! and memory stay bounded regardless of offered load.
 //!
 //! Every connection has deadlines of [`ServerConfig::io_timeout`]: to
 //! send a request's first byte (an idle keep-alive connection past it is
@@ -41,22 +37,25 @@
 //! (wall clock, so trickled bytes cannot extend it; a miss answers `408`
 //! and closes), and for each response write.
 //!
+//! Shutdown closes the permits: from then on a `/suggest` that has no
+//! permit yet answers `503`, while one that holds a permit is answered
+//! normally, and [`Server::wait`] returns only once every permit is back.
+//!
 //! ## Determinism contract
 //!
 //! The obs counters recorded under `server.` with plain names
 //! (`server.requests`, `server.responses_ok`, `server.responses_error`,
 //! `server.faults_injected`, and `server.model_swaps` for reloads) are
-//! *per-request facts*: commutative sums of
-//! values that depend only on each request's content, never on how
-//! requests were partitioned into batches. They are bit-identical across
-//! thread counts and batch timings for a fixed request set, and they are
-//! what `/stats` exposes as the `"deterministic"` section. Everything
-//! scheduling-dependent — queue depth, batch count, batch sizes,
-//! busy rejections — uses the `_live` suffix so it lands in the obs
-//! timing view, and appears under `"live"` in `/stats`. (Counters
-//! recorded *below* the batch executor by other crates, e.g. cache
-//! warm-phase hits, are batching-dependent in a concurrent server; they
-//! are visible via the full obs snapshot, not the curated section.)
+//! *per-request facts*: commutative sums of values that depend only on
+//! each request's content, never on which requests computed at the same
+//! time. They are bit-identical across thread counts and timings for a
+//! fixed request set, and they are what `/stats` exposes as the
+//! `"deterministic"` section. Scheduling-dependent state (open
+//! connections, held permits and their high-water mark, refusals) appears
+//! under `"live"` in `/stats`. (Counters recorded by other crates below
+//! `suggest`, e.g. cache hits, depend on which request sketched a shared
+//! column first; they are visible via the full obs snapshot, not the
+//! curated section.)
 //!
 //! ## Model reloads
 //!
@@ -65,37 +64,34 @@
 //! off the serving threads; the slot keeps only its
 //! [`TrainedModels`](autosuggest_core::pipeline::TrainedModels), so the
 //! replayed corpus is freed as soon as training returns. In-flight
-//! batches finish on the snapshot they loaded, and the swap is one atomic
-//! slot store. `?mode=full` is accepted as the explicit spelling of the
-//! one mode; any other mode answers `400`. Exactly one reload runs at a
-//! time — a second request while one is in flight answers `409 Conflict`
-//! with a JSON body instead of queueing up redundant training behind a
-//! lock.
+//! requests finish on the snapshot they loaded, and the swap is one atomic
+//! slot store. There is one reload mode; a query string answers `400`.
+//! Exactly one reload runs at a time — a second request while one is in
+//! flight answers `409 Conflict` with a JSON body instead of queueing up
+//! redundant training behind a lock.
 //!
 //! ## Fault injection
 //!
-//! With `AUTOSUGGEST_FAULTS` set, each `/suggest` request rolls for an
+//! With [`ServerConfig::faults`] set, each `/suggest` request rolls for an
 //! injected featurisation fault keyed on a hash of its body — a pure
 //! function of request content, so fault counts are deterministic too.
-//! `panic`-kind faults actually `panic!` inside the per-request closure
-//! and are contained by the pool's `catch_unwind`; every other kind
-//! surfaces as an error return. Either way the faulted request answers
-//! `500` while the rest of its batch completes normally.
+//! `panic`-kind faults actually `panic!` where `suggest` would run and are
+//! contained by the handler's `catch_unwind`; every other kind surfaces as
+//! an error return. Either way the faulted request answers `500` while
+//! every other request is answered normally.
 
 use crate::http::{self, HttpError, Request};
-use crate::queue::{Arrival, BatchQueue, PushError};
 use autosuggest_core::model_slot::ModelSlot;
-use autosuggest_core::pipeline::{AutoSuggest, AutoSuggestConfig, SuggestResponse};
+use autosuggest_core::pipeline::{AutoSuggest, AutoSuggestConfig};
 use autosuggest_core::wire;
 use autosuggest_corpus::faults::{FaultKind, FaultSpec};
 use autosuggest_obs as obs;
-use autosuggest_parallel::TaskPanic;
 use serde_json::{json, Value};
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -109,14 +105,10 @@ pub const FAULTS_INJECTED_COUNTER: &str = "server.faults_injected";
 pub struct ServerConfig {
     /// Bind address; use port 0 for an OS-assigned port.
     pub addr: String,
-    /// Admission bound: at most this many open connections (more answer
-    /// `503`) and queued jobs (more answer `429`).
-    pub queue_capacity: usize,
-    /// Micro-batch size cap.
-    pub max_batch: usize,
-    /// Longest a micro-batch stays open past its first job, waiting for
-    /// requests still arriving.
-    pub batch_window: Duration,
+    /// Admission bound: at most this many open connections, one handler
+    /// thread each (more answer `503`). With `max_body_bytes` it bounds
+    /// the daemon's memory.
+    pub max_connections: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
     /// Deadline for a request's first byte, for the rest of the request
@@ -124,6 +116,9 @@ pub struct ServerConfig {
     /// (the daemon has no flag for it): it exists so tests can shorten it.
     #[doc(hidden)]
     pub io_timeout: Duration,
+    /// Per-request fault injection for `/suggest` (testing only). `None`,
+    /// the default, injects nothing.
+    pub faults: Option<FaultSpec>,
     /// Trains the replacement model for `POST /admin/reload`.
     pub trainer: Box<dyn Fn(u64) -> AutoSuggest + Send + Sync>,
 }
@@ -132,56 +127,118 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            queue_capacity: 256,
-            max_batch: 32,
-            batch_window: Duration::from_millis(2),
+            max_connections: 256,
             max_body_bytes: 16 * 1024 * 1024,
             io_timeout: Duration::from_secs(10),
+            faults: None,
             trainer: Box::new(|seed| AutoSuggest::train(AutoSuggestConfig::fast(seed))),
         }
     }
 }
 
-/// One queued `/suggest` job. The handler thread blocks on `reply`.
-struct Job {
-    body_hash: u64,
-    request: wire::OwnedSuggestRequest,
-    reply: mpsc::Sender<JobOutcome>,
+/// A first-come-first-served counting semaphore over compute permits.
+/// Closing it is the daemon's shutdown state.
+struct Permits {
+    capacity: usize,
+    state: Mutex<PermitState>,
+    changed: Condvar,
 }
 
-struct JobOutcome {
-    model_version: u64,
-    result: Result<SuggestResponse, String>,
+#[derive(Default)]
+struct PermitState {
+    /// Tickets taken, one per `acquire`: permits go out in ticket order, so
+    /// no waiting request is overtaken by a later one.
+    tickets: u64,
+    /// Permits given back.
+    returned: u64,
+    held: usize,
+    /// High-water mark of `held`.
+    peak: usize,
+    closed: bool,
 }
 
-/// Per-request failure inside the batch executor; `From<TaskPanic>` lets
-/// the pool demote a panicking request to this without aborting siblings.
-struct JobError(String);
+/// A held compute permit, given back on drop.
+struct Permit<'a>(&'a Permits);
 
-impl From<TaskPanic> for JobError {
-    fn from(p: TaskPanic) -> JobError {
-        JobError(format!("request panicked: {}", p.message))
+impl Permits {
+    fn new(capacity: usize) -> Permits {
+        Permits {
+            capacity: capacity.max(1),
+            state: Mutex::new(PermitState::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The state is a few counters, consistent after any panic.
+    fn lock(&self) -> MutexGuard<'_, PermitState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, state: MutexGuard<'a, PermitState>) -> MutexGuard<'a, PermitState> {
+        self.changed.wait(state).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait for a permit; `None` once the permits are closed.
+    fn acquire(&self) -> Option<Permit<'_>> {
+        let mut state = self.lock();
+        let ticket = state.tickets;
+        state.tickets += 1;
+        // Ticket t goes once all but `capacity - 1` of tickets 0..t have
+        // given their permits back.
+        while !state.closed && ticket >= state.returned + self.capacity as u64 {
+            state = self.wait(state);
+        }
+        if state.closed {
+            return None;
+        }
+        state.held += 1;
+        state.peak = state.peak.max(state.held);
+        Some(Permit(self))
+    }
+
+    /// Refuse every later `acquire`, and wake the ones waiting to refuse
+    /// them too. Returns whether the permits were already closed.
+    fn close(&self) -> bool {
+        let was_closed = std::mem::replace(&mut self.lock().closed, true);
+        self.changed.notify_all();
+        was_closed
+    }
+
+    fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
+    /// Block until every held permit is back.
+    fn drain(&self) {
+        let mut state = self.lock();
+        while state.held > 0 {
+            state = self.wait(state);
+        }
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.held -= 1;
+        state.returned += 1;
+        drop(state);
+        self.0.changed.notify_all();
     }
 }
 
 struct Shared {
     addr: SocketAddr,
     slot: Arc<ModelSlot>,
-    queue: BatchQueue<Job>,
+    permits: Permits,
     faults: Option<FaultSpec>,
     ambient: obs::Ambient,
     trace_ids: AtomicU64,
-    shutdown: AtomicBool,
     started: Instant,
+    max_connections: usize,
     max_body_bytes: usize,
-    max_batch: usize,
-    batch_window: Duration,
     io_timeout: Duration,
     trainer: Box<dyn Fn(u64) -> AutoSuggest + Send + Sync>,
-    /// Exact batch-size → count histogram, maintained by the (single)
-    /// batcher thread; scheduling-dependent, reported under `live`.
-    batch_sizes: Mutex<BTreeMap<usize, u64>>,
-    rejected_busy: AtomicU64,
     /// Admitted connections whose handler has not yet finished.
     connections_open: AtomicUsize,
     rejected_conn_cap: AtomicU64,
@@ -195,52 +252,39 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    batcher: JoinHandle<()>,
 }
 
-/// Bind, spawn the acceptor and batcher, and return the running handle.
+/// Bind, spawn the acceptor, and return the running handle.
 ///
 /// Observability flows into whatever obs registry is ambient on the
 /// *calling* thread (the process-global one in the daemon; a local one in
-/// tests), captured once here and installed in every server thread.
+/// tests), captured once here and installed in every server thread. The
+/// compute permits are sized to the pool's thread count at this call.
 pub fn serve(slot: Arc<ModelSlot>, config: ServerConfig) -> io::Result<Server> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
         addr,
         slot,
-        queue: BatchQueue::new(config.queue_capacity),
-        faults: FaultSpec::from_env(),
+        permits: Permits::new(autosuggest_parallel::current_threads()),
+        faults: config.faults,
         ambient: obs::ambient(),
         trace_ids: AtomicU64::new(1),
-        shutdown: AtomicBool::new(false),
         started: Instant::now(),
+        max_connections: config.max_connections,
         max_body_bytes: config.max_body_bytes,
-        max_batch: config.max_batch,
-        batch_window: config.batch_window,
         // Socket timeouts must be nonzero.
         io_timeout: config.io_timeout.max(Duration::from_millis(1)),
         trainer: config.trainer,
-        batch_sizes: Mutex::new(BTreeMap::new()),
-        rejected_busy: AtomicU64::new(0),
         connections_open: AtomicUsize::new(0),
         rejected_conn_cap: AtomicU64::new(0),
         reload_lock: Mutex::new(()),
     });
-
-    let batcher = {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            let ambient = shared.ambient.clone();
-            obs::with_ambient(&ambient, || run_batcher(&shared));
-        })
-    };
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || run_acceptor(listener, &shared))
     };
-
-    Ok(Server { addr, shared, acceptor, batcher })
+    Ok(Server { addr, shared, acceptor })
 }
 
 impl Server {
@@ -254,27 +298,25 @@ impl Server {
         begin_shutdown(&self.shared);
     }
 
-    /// Block until the acceptor and batcher have exited (i.e. after a
-    /// shutdown was requested and in-flight work drained).
+    /// Block until the acceptor has exited and every `/suggest` that held
+    /// a compute permit has been answered (i.e. after a shutdown was
+    /// requested and in-flight work drained).
     pub fn wait(self) -> io::Result<()> {
-        let join = |h: JoinHandle<()>, what: &str| {
-            h.join().map_err(|p| {
-                io::Error::other(format!(
-                    "{what} thread panicked: {}",
-                    autosuggest_parallel::panic_message(p.as_ref())
-                ))
-            })
-        };
-        join(self.acceptor, "acceptor")?;
-        join(self.batcher, "batcher")
+        self.acceptor.join().map_err(|p| {
+            io::Error::other(format!(
+                "acceptor thread panicked: {}",
+                autosuggest_parallel::panic_message(p.as_ref())
+            ))
+        })?;
+        self.shared.permits.drain();
+        Ok(())
     }
 }
 
 fn begin_shutdown(shared: &Arc<Shared>) {
-    if shared.shutdown.swap(true, Ordering::SeqCst) {
+    if shared.permits.close() {
         return; // already shutting down
     }
-    shared.queue.close();
     // Unblock the acceptor's blocking `accept` with a throwaway connection.
     let _ = TcpStream::connect(shared.addr);
 }
@@ -285,7 +327,7 @@ fn begin_shutdown(shared: &Arc<Shared>) {
 
 fn run_acceptor(listener: TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.permits.is_closed() {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -293,7 +335,7 @@ fn run_acceptor(listener: TcpListener, shared: &Arc<Shared>) {
         let _ = stream.set_nodelay(true);
         // Only this thread adds to the count, so checking before adding
         // cannot overshoot the cap.
-        if shared.connections_open.load(Ordering::SeqCst) >= shared.queue.capacity() {
+        if shared.connections_open.load(Ordering::SeqCst) >= shared.max_connections {
             refuse_over_cap(stream, shared);
             continue;
         }
@@ -323,7 +365,7 @@ fn refuse_over_cap(mut stream: TcpStream, shared: &Shared) {
     }
     let body = json!({"error": format!(
         "connection limit of {} reached, retry later",
-        shared.queue.capacity()
+        shared.max_connections
     )});
     // A fresh socket's send buffer always has room for this one answer.
     let _ = http::write_response(&mut stream, 503, &[], &body.to_string());
@@ -388,21 +430,19 @@ fn handle_connection(stream: TcpStream, admitted: Admitted) {
             // Clean keep-alive EOF, idle past the deadline, or I/O error.
             _ => return,
         }
-        let arrival = shared.queue.arrival();
         reader.get_mut().deadline = Instant::now() + shared.io_timeout;
         let error = match http::read_request(&mut reader, shared.max_body_bytes) {
             Ok(None) => return,
             Ok(Some(req)) => {
                 let close = req.close;
                 // An error means the peer went away mid-response.
-                if handle_request(&mut writer, req, arrival, shared).is_err() || close {
+                if handle_request(&mut writer, req, shared).is_err() || close {
                     return;
                 }
                 continue;
             }
             Err(e) => e,
         };
-        drop(arrival);
         let (status, message) = match error {
             HttpError::BodyTooLarge { limit } => (413, format!("body exceeds {limit} byte limit")),
             HttpError::Malformed(m) => (400, format!("malformed request: {m}")),
@@ -426,7 +466,6 @@ fn handle_connection(stream: TcpStream, admitted: Admitted) {
 fn handle_request(
     writer: &mut impl Write,
     req: Request,
-    arrival: Arrival<'_, Job>,
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
     // `Request::path` carries the query string verbatim; split it off so
@@ -435,12 +474,8 @@ fn handle_request(
         Some((path, query)) => (path, query),
         None => (req.path.as_str(), ""),
     };
-    if (req.method.as_str(), path) == ("POST", "/suggest") {
-        return handle_suggest(writer, &req.body, arrival, shared);
-    }
-    // No other route joins a batch.
-    drop(arrival);
     match (req.method.as_str(), path) {
+        ("POST", "/suggest") => handle_suggest(writer, &req.body, shared),
         ("GET", "/healthz") => {
             let body = json!({
                 "status": "ok",
@@ -471,12 +506,7 @@ fn handle_request(
     }
 }
 
-fn handle_suggest(
-    writer: &mut impl Write,
-    body: &[u8],
-    arrival: Arrival<'_, Job>,
-    shared: &Arc<Shared>,
-) -> io::Result<()> {
+fn handle_suggest(writer: &mut impl Write, body: &[u8], shared: &Arc<Shared>) -> io::Result<()> {
     let trace_id = shared.trace_ids.fetch_add(1, Ordering::Relaxed);
     let trace_header = trace_id.to_string();
     let headers = [("X-Trace-Id", trace_header.as_str())];
@@ -490,64 +520,52 @@ fn handle_suggest(
     let request = match parsed {
         Ok(r) => r,
         Err(msg) => {
-            drop(arrival);
             obs::counter_add(RESPONSES_ERROR_COUNTER, 1);
             let body = json!({"trace_id": trace_id, "error": msg});
             return http::write_response(writer, 400, &headers, &body.to_string());
         }
     };
 
-    let (tx, rx) = mpsc::channel();
-    let job = Job { body_hash: autosuggest_corpus::durable::fnv64(body), request, reply: tx };
-    let pushed = shared.queue.try_push(job);
-    // Never held while waiting for the reply: the batcher would wait out
-    // its window for a request that cannot come.
-    drop(arrival);
-    match pushed {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            shared.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            obs::counter_add("server.rejected_busy_live", 1);
-            let body = json!({"trace_id": trace_id, "error": "queue full, retry later"});
-            return http::write_response(writer, 429, &headers, &body.to_string());
+    // Held until the answer is written, so `Server::wait` returns only
+    // once it is.
+    let Some(_permit) = shared.permits.acquire() else {
+        let body = json!({"trace_id": trace_id, "error": "server shutting down"});
+        return http::write_response(writer, 503, &headers, &body.to_string());
+    };
+    let model = shared.slot.load();
+    let body_hash = autosuggest_corpus::durable::fnv64(body);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(kind) = injected_fault(shared, body_hash) {
+            obs::counter_add(FAULTS_INJECTED_COUNTER, 1);
+            if kind == FaultKind::Panic {
+                // A genuine panic, contained just below: proves one
+                // poisoned request cannot take down its handler.
+                panic!("injected {} fault", kind.as_str());
+            }
+            return Err(format!("injected {} fault during featurisation", kind.as_str()));
         }
-        Err(PushError::Closed) => {
-            let body = json!({"trace_id": trace_id, "error": "server shutting down"});
-            return http::write_response(writer, 503, &headers, &body.to_string());
-        }
-    }
+        Ok(model.system.suggest(&request.as_request()))
+    }))
+    .unwrap_or_else(|p| {
+        Err(format!("request panicked: {}", autosuggest_parallel::panic_message(p.as_ref())))
+    });
 
-    match rx.recv() {
-        Ok(JobOutcome { model_version, result: Ok(response) }) => {
+    match result {
+        Ok(response) => {
             obs::counter_add(RESPONSES_OK_COUNTER, 1);
             let body = json!({
                 "trace_id": trace_id,
-                "model_version": model_version,
+                "model_version": model.version,
                 "response": wire::encode_response(&response),
             });
             http::write_response(writer, 200, &headers, &body.to_string())
         }
-        Ok(JobOutcome { result: Err(msg), .. }) => {
+        Err(msg) => {
             obs::counter_add(RESPONSES_ERROR_COUNTER, 1);
             let body = json!({"trace_id": trace_id, "error": msg});
             http::write_response(writer, 500, &headers, &body.to_string())
         }
-        Err(_) => {
-            // Batcher dropped the reply channel without answering — only
-            // possible if it is shutting down mid-flight.
-            obs::counter_add(RESPONSES_ERROR_COUNTER, 1);
-            let body = json!({"trace_id": trace_id, "error": "server shutting down"});
-            http::write_response(writer, 503, &headers, &body.to_string())
-        }
     }
-}
-
-/// Value of `name` in a `k=v&k2=v2` query string, if present.
-fn query_param<'a>(query: &'a str, name: &str) -> Option<&'a str> {
-    query.split('&').find_map(|pair| {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        (key == name).then_some(value)
-    })
 }
 
 fn handle_reload(
@@ -557,9 +575,9 @@ fn handle_reload(
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
     let _span = obs::span("server.reload");
-    let mode = query_param(query, "mode").unwrap_or("full");
-    if mode != "full" {
-        let body = json!({"error": format!("unknown reload mode {mode:?} (expected \"full\")")});
+    // There is one reload mode, so there is nothing to select.
+    if !query.is_empty() {
+        let body = json!({"error": format!("reload takes no query parameters, got {query:?}")});
         return http::write_response(writer, 400, &[], &body.to_string());
     }
     let seed = std::str::from_utf8(body)
@@ -597,68 +615,9 @@ fn handle_reload(
     http::write_response(writer, 200, &[], &response.to_string())
 }
 
-// ---------------------------------------------------------------------------
-// Batcher
-// ---------------------------------------------------------------------------
-
-fn run_batcher(shared: &Arc<Shared>) {
-    while let Some(jobs) = shared.queue.drain_batch(shared.max_batch, shared.batch_window) {
-        if jobs.is_empty() {
-            continue;
-        }
-        execute_batch(&jobs, shared);
-    }
-}
-
-fn execute_batch(jobs: &[Job], shared: &Arc<Shared>) {
-    obs::counter_add("server.batches_live", 1);
-    obs::observe("server.batch_size_live", jobs.len() as f64);
-    obs::gauge_set("server.queue_depth_live", shared.queue.len() as f64);
-    if let Ok(mut sizes) = shared.batch_sizes.lock() {
-        *sizes.entry(jobs.len()).or_insert(0) += 1;
-    }
-
-    let model = shared.slot.load();
-    let requests: Vec<_> = jobs.iter().map(|j| j.request.as_request()).collect();
-    // Warm shared column sketches across the whole batch. Guarded: a
-    // panic during warming must degrade to per-request computation, not
-    // kill the batcher.
-    let ambient = obs::ambient();
-    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        obs::with_ambient(&ambient, || model.system.warm_tables(&requests))
-    }));
-
-    let results: Vec<Result<SuggestResponse, JobError>> =
-        autosuggest_parallel::par_try_map(jobs, |job| {
-            if let Some(kind) = injected_fault(shared, job.body_hash) {
-                obs::counter_add(FAULTS_INJECTED_COUNTER, 1);
-                if kind == FaultKind::Panic {
-                    // A genuine panic, contained by the pool's catch_unwind:
-                    // proves one poisoned request cannot take down the batch.
-                    panic!("injected {} fault", kind.as_str());
-                }
-                return Err(JobError(format!(
-                    "injected {} fault during featurisation",
-                    kind.as_str()
-                )));
-            }
-            Ok(model.system.suggest(&job.request.as_request()))
-        });
-
-    for (job, result) in jobs.iter().zip(results) {
-        let outcome = JobOutcome {
-            model_version: model.version,
-            result: result.map_err(|JobError(msg)| msg),
-        };
-        // A send error means the handler gave up (connection died); the
-        // computed answer is simply dropped.
-        let _ = job.reply.send(outcome);
-    }
-}
-
 /// Roll the fault table for a request, keyed purely on its body hash so
 /// injection is a deterministic property of request *content*, not of
-/// arrival order or batch placement.
+/// arrival order or timing.
 fn injected_fault(shared: &Arc<Shared>, body_hash: u64) -> Option<FaultKind> {
     let spec = shared.faults.as_ref()?;
     spec.fault_for(&format!("req:{body_hash:016x}"), 0, 0, 0)
@@ -669,8 +628,7 @@ fn injected_fault(shared: &Arc<Shared>, body_hash: u64) -> Option<FaultKind> {
 // ---------------------------------------------------------------------------
 
 /// Build the `/stats` document. The `"deterministic"` section is the
-/// curated, thread- and timing-invariant slice (see module docs); CI
-/// diffs its rendering byte-for-byte across thread counts.
+/// curated, thread- and timing-invariant slice (see module docs).
 fn stats_value(shared: &Arc<Shared>) -> Value {
     let snapshot = obs::snapshot();
     let mut deterministic = serde_json::Map::new();
@@ -680,27 +638,18 @@ fn stats_value(shared: &Arc<Shared>) -> Value {
         }
     }
 
-    let sizes = shared
-        .batch_sizes
-        .lock()
-        .map(|m| {
-            let mut hist = serde_json::Map::new();
-            for (size, count) in m.iter() {
-                hist.insert(size.to_string(), Value::from(*count));
-            }
-            Value::Object(hist)
-        })
-        .unwrap_or(Value::Null);
-
+    let (in_flight, in_flight_peak) = {
+        let permits = shared.permits.lock();
+        (permits.held, permits.peak)
+    };
     json!({
         "deterministic": Value::Object(deterministic),
         "live": {
-            "queue_depth": shared.queue.len(),
-            "queue_capacity": shared.queue.capacity(),
-            "rejected_busy": shared.rejected_busy.load(Ordering::Relaxed),
             "connections_open": shared.connections_open.load(Ordering::SeqCst),
+            "max_connections": shared.max_connections,
             "rejected_conn_cap": shared.rejected_conn_cap.load(Ordering::Relaxed),
-            "batch_sizes": sizes,
+            "in_flight": in_flight,
+            "in_flight_peak": in_flight_peak,
             "uptime_seconds": shared.started.elapsed().as_secs_f64(),
         },
         "model": {

@@ -7,15 +7,13 @@
 //! `tests/determinism_across_threads.rs` and `tests/trace_determinism.rs`.
 
 use auto_suggest::core::AutoSuggestConfig;
-use auto_suggest::corpus::{CorpusConfig, FaultSpec};
+use auto_suggest::corpus::CorpusConfig;
 use autosuggest_bench::determinism::{self, Workload};
 use autosuggest_bench::tables::GOLDEN_TABLES;
 
 #[test]
 fn same_seed_same_models_and_data() {
-    let mut config = AutoSuggestConfig::fast(55);
-    // A rate-free spec: injection off whatever `AUTOSUGGEST_FAULTS` says.
-    config.faults = Some(FaultSpec::parse("seed=0").expect("valid fault spec"));
+    let config = AutoSuggestConfig::fast(55);
     let targets = GOLDEN_TABLES.iter().map(|(name, _)| name.to_string()).collect();
     let workload = Workload::Tables { config, targets };
     let (a, b) = (determinism::run(&workload, 1), determinism::run(&workload, 1));

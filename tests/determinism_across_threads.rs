@@ -15,8 +15,8 @@ use autosuggest_bench::tables::GOLDEN_TABLES;
 use serde_json::Value;
 use std::sync::OnceLock;
 
-/// The fast configuration with `faults` passed explicitly, so an ambient
-/// `AUTOSUGGEST_FAULTS` cannot reach the run; every golden table.
+/// The fast configuration under the fault spec `faults` (a rate-free one
+/// injects nothing); every golden table.
 fn fast_tables(seed: u64, faults: &str) -> Workload {
     let mut config = AutoSuggestConfig::fast(seed);
     config.faults = Some(FaultSpec::parse(faults).expect("valid fault spec"));

@@ -6,9 +6,8 @@
 //! drift in a reported metric — a feature change, a GBDT tweak, a corpus
 //! regeneration bug — fails the suite with the exact cell that moved.
 //!
-//! The shared context mirrors `repro --fast --seed 42`, with fault
-//! injection pinned off so an ambient `AUTOSUGGEST_FAULTS` cannot perturb
-//! the goldens. Training runs once and is shared by all table tests.
+//! The shared context mirrors `repro --fast --seed 42` (no fault
+//! injection). Training runs once and is shared by all table tests.
 //!
 //! After an intentional metric change, regenerate with:
 //!
@@ -20,7 +19,7 @@
 
 use autosuggest_bench::tables::{ReproContext, TableRow, GOLDEN_TABLES};
 use autosuggest_core::AutoSuggestConfig;
-use autosuggest_corpus::{CorpusConfig, FaultSpec};
+use autosuggest_corpus::CorpusConfig;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -34,9 +33,6 @@ fn ctx() -> &'static ReproContext {
     CTX.get_or_init(|| {
         let mut config = AutoSuggestConfig::fast(42);
         config.corpus = CorpusConfig::small(42);
-        // A rate-free spec disables injection while short-circuiting the
-        // FaultSpec::from_env fallback, keeping the goldens hermetic.
-        config.faults = Some(FaultSpec::parse("seed=0").expect("rate-free fault spec parses"));
         ReproContext::build(config)
     })
 }

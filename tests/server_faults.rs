@@ -1,34 +1,35 @@
-//! Graceful degradation under injected faults: with `AUTOSUGGEST_FAULTS`
+//! Graceful degradation under injected faults: with `ServerConfig::faults`
 //! set, some `/suggest` requests fail with `500` — but only those
-//! requests. Batch siblings answer normally, the daemon never dies, and
-//! the injected-fault counter is a pure function of request content
+//! requests. Concurrent requests answer normally, the daemon never dies,
+//! and the injected-fault counter is a pure function of request content
 //! (verified by running the identical workload twice and comparing, and
 //! at 1 and 2 threads with a full reload fired mid-burst).
-//!
-//! Lives in its own integration-test binary because it mutates the
-//! process environment before starting the daemon.
 
 use auto_suggest::core::model_slot::ModelSlot;
 use auto_suggest::core::wire::{self, OwnedSuggestRequest};
 use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
+use auto_suggest::corpus::FaultSpec;
 use auto_suggest::dataframe::{DataFrame, Value as Cell};
 use auto_suggest::obs;
 use auto_suggest::parallel::set_thread_override;
-use auto_suggest::server::{http, serve, Server, FAULTS_INJECTED_COUNTER};
+use auto_suggest::server::{http, serve, Server, ServerConfig, FAULTS_INJECTED_COUNTER};
 use serde_json::Value;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::Arc;
 
-/// Every test here serves under this spec; `serve` reads it. Rates chosen
-/// so both the panic path (contained by catch_unwind) and the
-/// error-return path are exercised across 16 distinct request bodies.
+/// Every test here serves under this spec. Rates chosen so both the panic
+/// path (contained by catch_unwind) and the error-return path are
+/// exercised across 16 distinct request bodies.
 const FAULTS: &str = "seed=11,panic=0.2,io=0.2";
 
 fn start_daemon() -> Server {
-    std::env::set_var("AUTOSUGGEST_FAULTS", FAULTS);
     let system = AutoSuggest::train(AutoSuggestConfig::fast(3));
-    serve(Arc::new(ModelSlot::new(system)), Default::default()).expect("bind")
+    let config = ServerConfig {
+        faults: Some(FaultSpec::parse(FAULTS).expect("valid fault spec")),
+        ..Default::default()
+    };
+    serve(Arc::new(ModelSlot::new(system)), config).expect("bind")
 }
 
 fn call(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
@@ -116,7 +117,7 @@ fn injected_faults_error_single_requests_never_the_daemon() {
 
     let (ok_a, faulted_a) = burst(&addr, &bodies, bodies.len(), 1);
     assert!(faulted_a > 0, "fault spec injected nothing across 16 requests");
-    assert!(ok_a > 0, "every request faulted — siblings did not survive");
+    assert!(ok_a > 0, "every request faulted — concurrent requests did not survive");
     assert_eq!(ok_a + faulted_a, bodies.len() as u64);
 
     // Same workload again: fault placement is content-keyed, so the

@@ -5,12 +5,14 @@
 //! served request answers with must render identically to encoding the
 //! response of a direct in-process `TrainedModels::suggest` call on the
 //! same model. Plus: health/stats endpoints, 400s for malformed bodies,
-//! 404s for unknown routes, versioned hot-reload, and graceful shutdown.
+//! 404s for unknown routes, versioned hot-reload, the bound on concurrent
+//! computation, and graceful shutdown.
 
 use auto_suggest::core::model_slot::ModelSlot;
 use auto_suggest::core::wire::{self, OwnedSuggestRequest};
 use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
-use auto_suggest::dataframe::{DataFrame, Value as Cell};
+use auto_suggest::dataframe::{Column, DataFrame, Value as Cell};
+use auto_suggest::parallel::set_thread_override;
 use auto_suggest::server::{http, serve, Server, ServerConfig};
 use serde_json::Value;
 use std::io::BufReader;
@@ -20,16 +22,35 @@ use std::sync::{mpsc, Arc, Mutex};
 
 const MAX_RESPONSE: usize = 64 * 1024 * 1024;
 
+/// One keep-alive client connection.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    fn open(addr: &str) -> Conn {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        Conn { reader: BufReader::new(stream.try_clone().expect("clone")), writer: stream }
+    }
+
+    fn call(&mut self, method: &str, path: &str, body: &str) -> (u16, Value) {
+        http::write_request(&mut self.writer, method, path, body).expect("send");
+        let (status, text) = http::read_response(&mut self.reader, MAX_RESPONSE).expect("recv");
+        let value = serde_json::from_str(&text)
+            .unwrap_or_else(|e| panic!("non-JSON body from {path}: {e}\n{text}"));
+        (status, value)
+    }
+}
+
 fn call(addr: &str, method: &str, path: &str, body: &str) -> (u16, Value) {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    http::write_request(&mut writer, method, path, body).expect("send");
-    let (status, text) = http::read_response(&mut reader, MAX_RESPONSE).expect("recv");
-    let value = serde_json::from_str(&text)
-        .unwrap_or_else(|e| panic!("non-JSON body from {path}: {e}\n{text}"));
-    (status, value)
+    Conn::open(addr).call(method, path, body)
+}
+
+/// `/stats`'s `live.<key>`.
+fn live_u64(stats: &Value, key: &str) -> Option<u64> {
+    stats.get("live").and_then(|live| live.get(key)).and_then(Value::as_u64)
 }
 
 fn mixed_requests() -> Vec<OwnedSuggestRequest> {
@@ -435,8 +456,9 @@ fn second_reload_while_one_is_in_flight_answers_409() {
         auto_suggest::obs::with_local_registry(|| serve(slot, config).expect("bind loopback"));
     let addr = server.addr().to_string();
 
-    // Unknown modes are rejected outright, before the lock is involved.
-    for mode in ["sideways", "incremental"] {
+    // There is one reload mode, so any `mode` (any query string) is
+    // rejected outright, before the lock is involved.
+    for mode in ["sideways", "incremental", "full"] {
         let path = format!("/admin/reload?mode={mode}");
         let (status, v) = call(&addr, "POST", &path, r#"{"seed": 1}"#);
         assert_eq!(status, 400, "{path}: {v}");
@@ -451,13 +473,11 @@ fn second_reload_while_one_is_in_flight_answers_409() {
     };
     entered_rx.recv().expect("first reload reaches its trainer");
 
-    // ...so any further reload answers 409 with a JSON error body.
-    for path in ["/admin/reload?mode=full", "/admin/reload"] {
-        let (status, v) = call(&addr, "POST", path, r#"{"seed": 2}"#);
-        assert_eq!(status, 409, "{path}: {v}");
-        let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
-        assert!(msg.contains("in flight"), "{path}: unhelpful error: {msg}");
-    }
+    // ...so a further reload answers 409 with a JSON error body.
+    let (status, v) = call(&addr, "POST", "/admin/reload", r#"{"seed": 2}"#);
+    assert_eq!(status, 409, "{v}");
+    let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(msg.contains("in flight"), "unhelpful error: {msg}");
 
     // Serving is unaffected while the reload holds the lock.
     let (status, v) = call(&addr, "GET", "/healthz", "");
@@ -470,7 +490,7 @@ fn second_reload_while_one_is_in_flight_answers_409() {
     assert_eq!(status, 200, "{v}");
     assert_eq!(v.get("model_version").and_then(Value::as_i64), Some(2));
 
-    // And the lock is free again: a plain full reload goes through.
+    // And the lock is free again: the next reload goes through.
     let (status, v) = call(&addr, "POST", "/admin/reload", r#"{"seed": 4}"#);
     assert_eq!(status, 200, "{v}");
     assert_eq!(v.get("mode").and_then(Value::as_str), Some("full"));
@@ -480,7 +500,7 @@ fn second_reload_while_one_is_in_flight_answers_409() {
     server.wait().expect("clean shutdown");
 }
 
-/// The connection cap is `queue_capacity`, and every connection has
+/// The connection cap is `max_connections`, and every connection has
 /// deadlines. First, on a daemon with the default 10 s deadline, four
 /// idle keep-alive connections hold every place under a cap of 4 for the
 /// whole phase, so the next two connections are answered `503` without a
@@ -494,12 +514,9 @@ fn connection_cap_and_deadlines_shed_idle_and_slow_clients() {
     use std::time::{Duration, Instant};
     let patience = Duration::from_secs(5);
     let (slot, bodies, expected) = trained_slot();
-    let live_u64 = |stats: &Value, key: &str| {
-        stats.get("live").and_then(|live| live.get(key)).and_then(Value::as_u64)
-    };
 
     let capped =
-        serve_local(Arc::clone(&slot), ServerConfig { queue_capacity: 4, ..Default::default() });
+        serve_local(Arc::clone(&slot), ServerConfig { max_connections: 4, ..Default::default() });
     let addr = capped.addr().to_string();
     // The acceptor takes connections in order, so all four idle ones are
     // admitted before the refused ones are seen.
@@ -531,7 +548,7 @@ fn connection_cap_and_deadlines_shed_idle_and_slow_clients() {
 
     let io_timeout = Duration::from_millis(300);
     let server =
-        serve_local(slot, ServerConfig { queue_capacity: 4, io_timeout, ..Default::default() });
+        serve_local(slot, ServerConfig { max_connections: 4, io_timeout, ..Default::default() });
     let addr = server.addr().to_string();
 
     // The daemon closes each idle connection once it has waited
@@ -592,42 +609,104 @@ fn connection_cap_and_deadlines_shed_idle_and_slow_clients() {
     server.wait().expect("clean shutdown");
 }
 
-/// A micro-batch closes once no other request is still arriving; the
-/// window only bounds it. With a 1 s window, batches that waited it out
-/// would make 8 closed-loop keep-alive clients x 25 requests take about
-/// 25 s; closing early finishes the burst well inside 15 s.
+/// Each request is answered on its own handler thread, and at most as
+/// many compute at once as the pool had threads when the daemon started:
+/// 8 closed-loop keep-alive clients x 25 requests at 2 threads all get
+/// the direct answer, while the high-water count of held compute permits
+/// stays at 1 or 2.
 #[test]
-fn batches_close_before_a_long_window_when_no_request_is_arriving() {
-    use std::time::{Duration, Instant};
+fn concurrent_clients_compute_at_most_one_request_per_pool_thread() {
     let (slot, bodies, expected) = trained_slot();
-    let config = ServerConfig { batch_window: Duration::from_secs(1), ..Default::default() };
-    let server = serve_local(slot, config);
+    set_thread_override(Some(2));
+    let server = serve_local(slot, ServerConfig::default());
     let addr = server.addr().to_string();
 
-    let started = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..8 {
             let (addr, bodies, expected) = (&addr, &bodies, &expected);
             scope.spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).expect("nodelay");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut writer = stream;
+                let mut conn = Conn::open(addr);
                 for i in (c..).take(25) {
                     let j = i % bodies.len();
-                    http::write_request(&mut writer, "POST", "/suggest", &bodies[j]).expect("send");
-                    let (status, text) = http::read_response(&mut reader, MAX_RESPONSE).expect("recv");
-                    assert_eq!(status, 200, "client {c}: {text}");
-                    let v: Value = serde_json::from_str(&text).expect("JSON body");
+                    let (status, v) = conn.call("POST", "/suggest", &bodies[j]);
+                    assert_eq!(status, 200, "client {c}: {v}");
                     assert_eq!(v.get("response").map(Value::to_string).as_ref(), Some(&expected[j]));
                 }
             });
         }
     });
-    let elapsed = started.elapsed();
-    assert!(elapsed < Duration::from_secs(15), "the burst waited out batch windows: {elapsed:?}");
+    set_thread_override(None);
+
+    let (status, stats) = call(&addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+    let peak = live_u64(&stats, "in_flight_peak").expect("in_flight_peak");
+    assert!((1..=2).contains(&peak), "{peak} requests computed at once: {stats}");
 
     let (status, _) = call(&addr, "POST", "/admin/shutdown", "{}");
     assert_eq!(status, 200);
     server.wait().expect("clean exit after HTTP shutdown");
+}
+
+/// Two tables whose join takes long enough (about 0.15 s optimised, over
+/// 1 s unoptimised) to still be computing when the next call arrives.
+fn slow_join() -> OwnedSuggestRequest {
+    let table = |offset: i64| {
+        let columns = (0..10i64)
+            .map(|c| {
+                let values = (0..2000).map(|r| Cell::Int(r * (c + 1) + offset)).collect();
+                Column::new(format!("c{c}_{offset}"), values)
+            })
+            .collect();
+        DataFrame::new(columns).unwrap()
+    };
+    OwnedSuggestRequest::Join { left: table(0), right: table(1), top_k: 3 }
+}
+
+/// Shutdown answers what is computing and refuses what is not: a
+/// `/suggest` that holds a compute permit when `POST /admin/shutdown`
+/// arrives still answers `200` with the direct answer, a `/suggest` sent
+/// after it on a kept-alive connection answers `503`, and `Server::wait`
+/// returns only once the first one is answered.
+#[test]
+fn shutdown_answers_the_request_in_flight_and_refuses_later_ones() {
+    use std::time::{Duration, Instant};
+    let (slot, bodies, _) = trained_slot();
+    let server = serve_local(Arc::clone(&slot), ServerConfig::default());
+    let addr = server.addr().to_string();
+    let slow = slow_join();
+    let slow_body = wire::encode_request(&slow.as_request()).to_string();
+
+    // Admitted before the shutdown, so it is still served after it.
+    let mut kept = Conn::open(&addr);
+    let (status, v) = std::thread::scope(|scope| {
+        let in_flight = scope.spawn(|| call(&addr, "POST", "/suggest", &slow_body));
+        let patience = Instant::now() + Duration::from_secs(60);
+        loop {
+            let (_, stats) = kept.call("GET", "/stats", "");
+            if live_u64(&stats, "in_flight") == Some(1) {
+                break;
+            }
+            assert!(Instant::now() < patience, "the slow request never started: {stats}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (status, v) = kept.call("POST", "/admin/shutdown", "{}");
+        assert_eq!(status, 200, "{v}");
+        let (status, v) = kept.call("POST", "/suggest", &bodies[0]);
+        assert_eq!(status, 503, "{v}");
+        let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(msg.contains("shutting down"), "unhelpful error: {msg}");
+
+        server.wait().expect("clean shutdown");
+        // Every permit is back, so the slow request has been answered.
+        let (_, stats) = kept.call("GET", "/stats", "");
+        assert_eq!(live_u64(&stats, "in_flight"), Some(0), "{stats}");
+        let det = stats.get("deterministic").expect("deterministic section");
+        assert_eq!(det.get("server.responses_ok").and_then(Value::as_i64), Some(1), "{stats}");
+        in_flight.join().expect("slow client")
+    });
+    assert_eq!(status, 200, "{v}");
+    // Computed only now, so the served request met a cold cache.
+    let direct = slot.load().system.suggest(&slow.as_request());
+    let served = v.get("response").expect("response field").to_string();
+    assert_eq!(served, wire::encode_response(&direct).to_string());
 }

@@ -8,20 +8,18 @@
 //! thread and at 4 and compares the deterministic section by JSON path.
 
 use auto_suggest::core::AutoSuggestConfig;
-use auto_suggest::corpus::FaultSpec;
 use auto_suggest::obs;
 use autosuggest_bench::determinism::{self, Run, Workload};
 use autosuggest_bench::tables::GOLDEN_TABLES;
 use serde_json::Value;
 use std::sync::OnceLock;
 
-/// The fast configuration, fault injection off whatever
-/// `AUTOSUGGEST_FAULTS` says, checked at 1 vs 4 threads once per binary.
+/// The fast configuration without fault injection, checked at 1 vs 4
+/// threads once per binary.
 fn clean() -> &'static Run {
     static CLEAN: OnceLock<Run> = OnceLock::new();
     CLEAN.get_or_init(|| {
-        let mut config = AutoSuggestConfig::fast(7);
-        config.faults = Some(FaultSpec::parse("seed=0").expect("valid fault spec"));
+        let config = AutoSuggestConfig::fast(7);
         let targets = GOLDEN_TABLES.iter().map(|(name, _)| name.to_string()).collect();
         determinism::check(&Workload::Tables { config, targets }, 4)
             .unwrap_or_else(|diff| panic!("1 and 4 threads differ at {diff}"))
