@@ -1,12 +1,15 @@
 //! Offline stand-in for the subset of `serde_json` this workspace uses:
 //! [`Value`] (with `Number` and object `Map`), [`from_str`] into `Value`,
 //! `Value`'s `Display` as the one JSON writer, and the [`json!`] macro.
+//! [`from_str`] is built on [`Reader`], a pull reader that decoders of
+//! their own types drive directly, so there is one grammar for both.
 //! Nothing in the workspace serialises typed values, so there is no
 //! `Serialize`/`Deserialize` and no dependency.
 //!
 //! Objects use a `BTreeMap`, so key order is sorted and rendering is
 //! deterministic — trace files and the sample store's manifest rely on it.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -342,20 +345,64 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Deepest array/object nesting [`from_str`] accepts — the same limit as
-/// upstream serde_json. The parser recurses once per level, so without a
-/// bound a body of a few hundred thousand `[` overflows the parsing
-/// thread's stack and aborts the process.
+/// Deepest array/object nesting a [`Reader`] accepts — the same limit as
+/// upstream serde_json. Readers of nested values recurse once per level,
+/// so without a bound a body of a few hundred thousand `[` overflows the
+/// reading thread's stack and aborts the process.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// The powers of ten a double holds exactly: 10^22 is the last one, since
+/// 5^22 < 2^53 < 5^23.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The kind of value that starts at a [`Reader`]'s position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Null,
+    Bool,
+    Number,
+    String,
+    Array,
+    Object,
+}
+
+/// A pull reader over one JSON document: the one grammar behind
+/// [`from_str`], which decoders of their own types also drive directly so
+/// that no [`Value`] tree is built in between.
+///
+/// A caller asks what comes next ([`Reader::peek`]) and reads that value
+/// with the matching method: a scalar read, [`Reader::skip`] for any
+/// value, or a container walk — [`Reader::begin_array`], then one value
+/// per `true` from [`Reader::next_element`]; [`Reader::begin_object`],
+/// then one value per key from [`Reader::next_key`]. [`Reader::finish`]
+/// checks that only whitespace follows the document. An error carries
+/// the line and column where reading stopped, so a document fails with
+/// the same error whichever caller drives the reader.
+pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
+    /// A container was just opened, so its first item has no `,` before it.
+    opened: bool,
 }
 
-impl<'a> Parser<'a> {
+/// Digits of a number as they are scanned: the value of its first 19
+/// significant digits (19 always fit in a `u64`) and how many there are.
+#[derive(Default)]
+struct Digits {
+    mantissa: u64,
+    significant: usize,
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader { text, pos: 0, depth: 0, opened: false }
+    }
+
     fn error(&self, message: impl Into<String>) -> Error {
         let mut line = 1;
         let mut column = 1;
@@ -380,12 +427,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn peek_byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
+        if self.peek_byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -393,54 +440,203 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
+    /// The kind of the next value, after any whitespace.
+    pub fn peek(&mut self) -> Result<Kind, Error> {
         self.skip_ws();
-        match self.peek() {
+        match self.peek_byte() {
             None => Err(self.error("unexpected end of input")),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             Some(other) => Err(self.error(format!("unexpected character `{}`", other as char))),
         }
     }
 
-    /// Run a container parser one nesting level down, failing instead of
-    /// recursing past [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.error("recursion limit exceeded"));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
+    /// Read the next value whole, as a [`Value`] tree.
+    fn value(&mut self) -> Result<Value, Error> {
+        Ok(match self.peek()? {
+            Kind::Null => {
+                self.null()?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(self.bool()?),
+            Kind::Number => Value::Number(self.number()?),
+            Kind::String => Value::String(self.string()?.into_owned()),
+            Kind::Array => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Value::Array(items)
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                let mut map = Map::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    map.insert(key.into_owned(), value);
+                }
+                Value::Object(map)
+            }
+        })
     }
 
-    fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
+    /// Read past the next value, whatever it is.
+    pub fn skip(&mut self) -> Result<(), Error> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.string().map(drop),
+            Kind::Array => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Check that only whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.error("trailing characters"));
+        }
+        Ok(())
+    }
+
+    pub fn null(&mut self) -> Result<(), Error> {
+        self.keyword("null")
+    }
+
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        self.skip_ws();
+        let value = self.peek_byte() == Some(b't');
+        self.keyword(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+
+    fn keyword(&mut self, kw: &str) -> Result<(), Error> {
+        self.skip_ws();
         if self.text.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(format!("expected `{kw}`")))
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// Open an array; read its items with [`Reader::next_element`].
+    pub fn begin_array(&mut self) -> Result<(), Error> {
+        self.open(b'[')
+    }
+
+    /// Open an object; read its members with [`Reader::next_key`].
+    pub fn begin_object(&mut self) -> Result<(), Error> {
+        self.open(b'{')
+    }
+
+    /// Enter a container one nesting level down, failing instead of going
+    /// past [`MAX_DEPTH`].
+    fn open(&mut self, bracket: u8) -> Result<(), Error> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.opened = true;
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+    }
+
+    /// Whether the open array has another element; if so, the caller
+    /// reads it next. `false` consumes the closing `]`.
+    pub fn next_element(&mut self) -> Result<bool, Error> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.opened);
+        match self.peek_byte() {
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.error("expected `,` or `]`")),
+        }
+    }
+
+    /// The open object's next key, whose value the caller reads next;
+    /// `None` consumes the closing `}`.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.opened);
+        match self.peek_byte() {
+            Some(b'}') => {
+                self.close();
+                return Ok(None);
+            }
+            _ if first => {}
+            Some(b',') => self.pos += 1,
+            _ => return Err(self.error("expected `,` or `}`")),
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// The end of the run from `pos` to the next quote, backslash or
+    /// control character (RFC 8259 allows U+0000–U+001F only escaped), or
+    /// to the end of input. All three are ASCII, so the run ends on a
+    /// character boundary of the (already valid UTF-8) input.
+    fn run_end(&self) -> usize {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+        self.pos + run.unwrap_or(rest.len())
+    }
+
+    /// A string. One without escapes is borrowed from the input whole.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.skip_ws();
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let start = self.pos;
+        self.pos = self.run_end();
+        if self.peek_byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&text[start..self.pos]);
         loop {
-            match self.peek() {
+            match self.peek_byte() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
-                    let escaped = match self.text.as_bytes().get(self.pos + 1) {
+                    let escaped = match text.as_bytes().get(self.pos + 1) {
                         Some(b'"') => '"',
                         Some(b'\\') => '\\',
                         Some(b'/') => '/',
@@ -451,7 +647,7 @@ impl<'a> Parser<'a> {
                         Some(b'f') => '\u{000C}',
                         Some(b'u') => {
                             self.pos += 2;
-                            out.push(self.parse_unicode_escape()?);
+                            out.push(self.unicode_escape()?);
                             continue;
                         }
                         _ => {
@@ -466,15 +662,8 @@ impl<'a> Parser<'a> {
                     return Err(self.error("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy the run up to the next quote, backslash or
-                    // control character (RFC 8259 allows U+0000–U+001F only
-                    // escaped) in one step. All are ASCII, so the run ends
-                    // on a character boundary of the (already valid UTF-8)
-                    // input.
-                    let rest = &self.text.as_bytes()[self.pos..];
-                    let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
-                    let end = self.pos + run.unwrap_or(rest.len());
-                    out.push_str(&self.text[self.pos..end]);
+                    let end = self.run_end();
+                    out.push_str(&text[self.pos..end]);
                     self.pos = end;
                 }
             }
@@ -484,14 +673,14 @@ impl<'a> Parser<'a> {
     /// The character of a `\u` escape whose four hex digits start at
     /// `pos`. A UTF-16 surrogate pair is two escapes that make one
     /// character; a surrogate on its own is an error.
-    fn parse_unicode_escape(&mut self) -> Result<char, Error> {
-        let code = match self.parse_hex4()? {
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let code = match self.hex4()? {
             high @ 0xD800..=0xDBFF => {
                 if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
                     return Err(self.error("unpaired surrogate in \\u escape"));
                 }
                 self.pos += 2;
-                match self.parse_hex4()? {
+                match self.hex4()? {
                     low @ 0xDC00..=0xDFFF => 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00),
                     _ => return Err(self.error("unpaired surrogate in \\u escape")),
                 }
@@ -504,7 +693,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Exactly four hex digits; unlike `from_str_radix`, no sign.
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
+    fn hex4(&mut self) -> Result<u32, Error> {
         let text = self.text;
         let digits = text
             .as_bytes()
@@ -519,10 +708,17 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    /// Skip a run of ASCII digits, returning how many there were.
-    fn skip_digits(&mut self) -> usize {
+    /// Scan a run of ASCII digits into `digits`, returning how many there
+    /// were. Leading zeros are not significant.
+    fn scan_digits(&mut self, digits: &mut Digits) -> usize {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        while let Some(d @ b'0'..=b'9') = self.peek_byte() {
+            if digits.significant > 0 || d != b'0' {
+                digits.significant += 1;
+                if digits.significant <= 19 {
+                    digits.mantissa = digits.mantissa * 10 + u64::from(d - b'0');
+                }
+            }
             self.pos += 1;
         }
         self.pos - start
@@ -530,111 +726,100 @@ impl<'a> Parser<'a> {
 
     /// A number by RFC 8259's grammar:
     /// `[-] (0 | [1-9] *DIGIT) [. 1*DIGIT] [(e|E) [+|-] 1*DIGIT]`.
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    ///
+    /// The digits are accumulated while scanning. An integer of at most 19
+    /// significant digits is read from them, and so is a decimal of at
+    /// most 15 significant digits scaled by at most 10^22: both factors
+    /// are exact doubles, so one multiply or divide rounds correctly
+    /// (Clinger's fast path). Every other number is parsed from its text
+    /// by `str::parse`, which is correctly rounded too.
+    pub fn number(&mut self) -> Result<Number, Error> {
+        self.skip_ws();
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek_byte() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        let first = self.peek();
-        let int_digits = self.skip_digits();
+        let first = self.peek_byte();
+        let mut digits = Digits::default();
+        let int_digits = self.scan_digits(&mut digits);
         if int_digits == 0 || (first == Some(b'0') && int_digits > 1) {
             return Err(self.error("invalid number"));
         }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
+        let mut frac_digits = 0;
+        if self.peek_byte() == Some(b'.') {
             self.pos += 1;
-            if self.skip_digits() == 0 {
+            frac_digits = self.scan_digits(&mut digits);
+            if frac_digits == 0 {
                 return Err(self.error("expected digits after `.`"));
             }
-            is_float = true;
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        let mut exponent: Option<i64> = None;
+        if matches!(self.peek_byte(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            let sign = match self.peek_byte() {
+                Some(b'-') => -1,
+                Some(b'+') => 1,
+                _ => 0,
+            };
+            if sign != 0 {
                 self.pos += 1;
             }
-            if self.skip_digits() == 0 {
+            let exp_start = self.pos;
+            let mut value: i64 = 0;
+            while let Some(d @ b'0'..=b'9') = self.peek_byte() {
+                value = value.saturating_mul(10).saturating_add(i64::from(d - b'0'));
+                self.pos += 1;
+            }
+            if self.pos == exp_start {
                 return Err(self.error("expected exponent digits"));
             }
-            is_float = true;
+            exponent = Some(if sign < 0 { -value } else { value });
+        }
+        let is_float = frac_digits > 0 || exponent.is_some();
+        let mantissa = digits.mantissa;
+        if !is_float && digits.significant <= 19 {
+            if !negative && mantissa <= i64::MAX as u64 {
+                return Ok(Number::from(mantissa as i64));
+            }
+            if !negative {
+                return Ok(Number::from(mantissa));
+            }
+            if mantissa <= i64::MIN.unsigned_abs() {
+                // 2^63 wraps to `i64::MIN`, which is its own negation.
+                return Ok(Number::from((mantissa as i64).wrapping_neg()));
+            }
+        }
+        if is_float && digits.significant <= 15 {
+            let scale = exponent.unwrap_or(0).saturating_sub(frac_digits as i64);
+            let power = usize::try_from(scale.unsigned_abs()).ok().and_then(|i| POW10.get(i));
+            if let Some(&power) = power {
+                let magnitude = mantissa as f64;
+                let value = if scale < 0 { magnitude / power } else { magnitude * power };
+                return Ok(Number::from(if negative { -value } else { value }));
+            }
         }
         let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::from(i)));
+                return Ok(Number::from(i));
             }
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::from(u)));
+                return Ok(Number::from(u));
             }
         }
         match text.parse::<f64>() {
-            Ok(f) if f.is_finite() => Ok(Value::Number(Number::from(f))),
+            Ok(f) if f.is_finite() => Ok(Number::from(f)),
             _ => Err(self.error(format!("number out of range `{text}`"))),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.error("expected `,` or `}`")),
-            }
         }
     }
 }
 
 /// Parse a JSON document into a [`Value`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser { text, pos: 0, depth: 0 };
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.text.len() {
-        return Err(parser.error("trailing characters"));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
@@ -839,6 +1024,96 @@ mod tests {
         assert_eq!(value.as_array().unwrap().len(), 1 << 17);
         let secs = started.elapsed().as_secs_f64();
         assert!(secs < 5.0, "parsing {} bytes took {secs:.1} s", doc.len());
+    }
+
+    /// The float `from_str` reads from `text`, by bits, next to
+    /// `str::parse`'s.
+    fn float_bits(text: &str) -> (u64, u64) {
+        let value = from_str(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let read = value.as_f64().unwrap_or_else(|| panic!("{text}: not a number"));
+        (read.to_bits(), text.parse::<f64>().unwrap().to_bits())
+    }
+
+    #[test]
+    fn number_fast_paths_are_bit_exact_against_str_parse() {
+        let mut state = 0x5eed_0005u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // Seeded decimals of 1-17 significant digits, with the point
+        // anywhere and an optional exponent: both sides of the 15-digit
+        // and 10^22 limits of the exact path.
+        for _ in 0..200_000 {
+            let digits = 1 + next() % 17;
+            let mut text = String::new();
+            if next() % 2 == 0 {
+                text.push('-');
+            }
+            let mut mantissa: String =
+                (0..digits).map(|_| char::from(b'0' + (next() % 10) as u8)).collect();
+            if mantissa.len() > 1 && mantissa.starts_with('0') {
+                mantissa.replace_range(..1, "1");
+            }
+            let point = next() % (digits + 1);
+            if point == 0 {
+                mantissa.insert_str(0, "0.");
+            } else if point < digits {
+                mantissa.insert(point as usize, '.');
+            } else if next() % 2 == 0 {
+                mantissa.push_str(".0");
+            }
+            text.push_str(&mantissa);
+            match next() % 4 {
+                0 => text.push_str(&format!("e{}", next() % 30)),
+                1 => text.push_str(&format!("E-{}", next() % 30)),
+                2 => text.push_str(&format!("e+{}", next() % 290)),
+                _ => {}
+            }
+            if !text.contains(['.', 'e', 'E']) {
+                text.push_str(".5");
+            }
+            let (read, parsed) = float_bits(&text);
+            assert_eq!(read, parsed, "{text}");
+        }
+        let edges = [
+            "-0.0", "0.0", "-0e0", "0e-400", "1e15", "999999999999999.0", "9999999999999999.0",
+            "1e22", "1e23", "1e-22", "1e-23", "999999999999999e22", "999999999999999e23",
+            "999999999999999e-22", "0.000000000000000000000001", "123456789012345e-37",
+            "4.9e-324", "2.2250738585072014e-308", "1.7976931348623157e308", "9007199254740993.0",
+            "0.1", "0.3", "1E+2", "1.5e-0",
+        ];
+        for text in edges {
+            let (read, parsed) = float_bits(text);
+            assert_eq!(read, parsed, "{text}");
+        }
+        assert_eq!(float_bits("-0.0").0, (-0.0f64).to_bits());
+        // Integers keep their type up to the `u64` edge; past it they are
+        // floats, as `str::parse::<f64>` reads them.
+        let ints = [
+            ("0", Some(0), Some(0)),
+            ("-0", Some(0), Some(0)),
+            ("9223372036854775807", Some(i64::MAX), Some(i64::MAX as u64)),
+            ("9223372036854775808", None, Some(1 << 63)),
+            ("-9223372036854775808", Some(i64::MIN), None),
+            ("-9223372036854775809", None, None),
+            ("18446744073709551615", None, Some(u64::MAX)),
+            ("18446744073709551616", None, None),
+            ("9999999999999999999", None, Some(9_999_999_999_999_999_999)),
+            ("-9999999999999999999", None, None),
+        ];
+        for (text, as_i64, as_u64) in ints {
+            let value = from_str(text).unwrap();
+            assert_eq!((value.as_i64(), value.as_u64()), (as_i64, as_u64), "{text}");
+            let is_int = as_i64.is_some() || as_u64.is_some();
+            assert_eq!(value.to_string().contains('.'), !is_int, "{text}");
+            if !is_int {
+                let (read, parsed) = float_bits(text);
+                assert_eq!(read, parsed, "{text}");
+            }
+        }
     }
 
     #[test]

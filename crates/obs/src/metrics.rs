@@ -161,8 +161,8 @@ impl MetricsRegistry {
 
 /// Names ending in `_seconds` / `_nanos` carry wall-clock measurements,
 /// and names ending in `_live` carry scheduling-dependent observations
-/// (queue depths, micro-batch sizes — values that legitimately vary with
-/// thread count and arrival timing). Both are excluded from the
+/// (permits held by concurrent per-connection handlers, peak RSS — values
+/// that legitimately vary with thread count and arrival timing). Both are excluded from the
 /// deterministic part of a snapshot and reported in the timing view
 /// instead. Every such metric in the workspace follows this suffix
 /// convention.
@@ -377,25 +377,26 @@ mod tests {
 
     #[test]
     fn live_suffix_is_excluded_from_deterministic_view() {
-        // `_live` marks scheduling-dependent observations (queue depth,
-        // micro-batch sizes): they must land in the timing view only, so
-        // the deterministic section stays thread-invariant for a server
-        // under concurrent load.
+        // `_live` marks scheduling-dependent observations (permits held
+        // by concurrent per-connection handlers, how long each waited for
+        // one): they must land in the timing view only, so the
+        // deterministic section stays thread-invariant for a server under
+        // concurrent load.
         let reg = MetricsRegistry::new();
-        reg.counter_add("server.batches_live", 7);
+        reg.counter_add("server.permit_waits_live", 7);
         reg.counter_add("server.requests", 10);
-        reg.gauge_set("server.queue_depth_live", 3.0);
-        reg.observe("server.batch_size_live", 4.0);
+        reg.gauge_set("server.in_flight_live", 3.0);
+        reg.observe("server.permit_wait_ms_live", 4.0);
         let snap = reg.snapshot();
         let det = snap.deterministic_value().to_string();
         assert!(det.contains("\"server.requests\":10"));
-        assert!(!det.contains("batches_live"));
-        assert!(!det.contains("queue_depth_live"));
-        assert!(!det.contains("batch_size_live"));
+        assert!(!det.contains("permit_waits_live"));
+        assert!(!det.contains("in_flight_live"));
+        assert!(!det.contains("permit_wait_ms_live"));
         let timing = snap.timing_value().to_string();
-        assert!(timing.contains("\"server.batches_live\":7"));
-        assert!(timing.contains("queue_depth_live"));
-        assert!(timing.contains("batch_size_live"));
+        assert!(timing.contains("\"server.permit_waits_live\":7"));
+        assert!(timing.contains("in_flight_live"));
+        assert!(timing.contains("permit_wait_ms_live"));
     }
 
     #[test]

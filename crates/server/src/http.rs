@@ -12,6 +12,7 @@
 //! size all have hard caps, so a malicious or confused peer cannot make
 //! the daemon buffer unbounded input.
 
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, Write};
 
 /// Longest accepted request line or header line, in bytes.
@@ -211,6 +212,33 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Room for a message's status or request line and headers.
+const HEAD_BYTES: usize = 160;
+
+/// Send one whole message — `head`, each of `headers`, a blank line, then
+/// `body` — with a single `write_all`. On a socket with `TCP_NODELAY`
+/// each write is its own send and, for a small message, its own segment,
+/// so writing the message piece by piece would cost a segment per piece.
+fn send(
+    writer: &mut impl Write,
+    head: fmt::Arguments<'_>,
+    headers: &[(&str, &str)],
+    body: &str,
+) -> io::Result<()> {
+    let mut message = String::with_capacity(HEAD_BYTES + body.len());
+    // Formatting into a `String` cannot fail.
+    let _ = message.write_fmt(head);
+    for &(name, value) in headers {
+        for part in [name, ": ", value, "\r\n"] {
+            message.push_str(part);
+        }
+    }
+    message.push_str("\r\n");
+    message.push_str(body);
+    writer.write_all(message.as_bytes())?;
+    writer.flush()
+}
+
 /// Write a complete response with a JSON body and optional extra headers.
 pub fn write_response(
     writer: &mut impl Write,
@@ -218,18 +246,16 @@ pub fn write_response(
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> io::Result<()> {
-    write!(
+    send(
         writer,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        status,
-        reason(status),
-        body.len()
-    )?;
-    for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    write!(writer, "\r\n{body}")?;
-    writer.flush()
+        format_args!(
+            "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+            reason(status),
+            body.len()
+        ),
+        extra_headers,
+        body,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -243,12 +269,15 @@ pub fn write_request(
     path: &str,
     body: &str,
 ) -> io::Result<()> {
-    write!(
+    send(
         writer,
-        "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    writer.flush()
+        format_args!(
+            "{method} {path} HTTP/1.1\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+            body.len()
+        ),
+        &[],
+        body,
+    )
 }
 
 /// Read a response: `(status, body)`. Companion to [`write_request`];
@@ -447,6 +476,52 @@ mod tests {
     fn get_without_content_length_still_parses() {
         let req = parse("GET /stats HTTP/1.1\r\n\r\n").unwrap().unwrap();
         assert!(req.body.is_empty());
+    }
+
+    /// Counts `write` calls, taking every byte of each.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_message_is_one_write_of_unchanged_bytes() {
+        let long = format!("[{}]", "1,".repeat(4096) + "1");
+        for body in ["{\"ok\":true}", "", long.as_str()] {
+            let mut out = CountingWriter::default();
+            let headers = [("X-Trace-Id", "7"), ("X-Extra", "a b")];
+            write_response(&mut out, 200, &headers, body).unwrap();
+            assert_eq!(out.writes, 1, "response with a {}-byte body", body.len());
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+                 X-Trace-Id: 7\r\nX-Extra: a b\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+
+            let mut out = CountingWriter::default();
+            write_request(&mut out, "POST", "/suggest", body).unwrap();
+            assert_eq!(out.writes, 1, "request with a {}-byte body", body.len());
+            let expected = format!(
+                "POST /suggest HTTP/1.1\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -513,10 +513,11 @@ fn handle_suggest(writer: &mut impl Write, body: &[u8], shared: &Arc<Shared>) ->
     let _span = obs::span("server.request");
     obs::counter_add(REQUESTS_COUNTER, 1);
 
+    // The body's bytes go straight into the request's columns: no JSON
+    // tree is built for it.
     let parsed = std::str::from_utf8(body)
         .map_err(|_| "body is not UTF-8".to_string())
-        .and_then(|text| serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}")))
-        .and_then(|v: Value| wire::decode_request(&v).map_err(|e| e.to_string()));
+        .and_then(|text| wire::decode_request_text(text).map_err(|e| e.to_string()));
     let request = match parsed {
         Ok(r) => r,
         Err(msg) => {
@@ -533,9 +534,8 @@ fn handle_suggest(writer: &mut impl Write, body: &[u8], shared: &Arc<Shared>) ->
         return http::write_response(writer, 503, &headers, &body.to_string());
     };
     let model = shared.slot.load();
-    let body_hash = autosuggest_corpus::durable::fnv64(body);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(kind) = injected_fault(shared, body_hash) {
+        if let Some(kind) = injected_fault(shared, body) {
             obs::counter_add(FAULTS_INJECTED_COUNTER, 1);
             if kind == FaultKind::Panic {
                 // A genuine panic, contained just below: proves one
@@ -617,9 +617,10 @@ fn handle_reload(
 
 /// Roll the fault table for a request, keyed purely on its body hash so
 /// injection is a deterministic property of request *content*, not of
-/// arrival order or timing.
-fn injected_fault(shared: &Arc<Shared>, body_hash: u64) -> Option<FaultKind> {
+/// arrival order or timing. Without a fault spec the body is not hashed.
+fn injected_fault(shared: &Arc<Shared>, body: &[u8]) -> Option<FaultKind> {
     let spec = shared.faults.as_ref()?;
+    let body_hash = autosuggest_corpus::durable::fnv64(body);
     spec.fault_for(&format!("req:{body_hash:016x}"), 0, 0, 0)
 }
 

@@ -24,8 +24,10 @@
 //!   multiset fingerprints → interned sketches/statistics; hit/miss/eviction
 //!   counters land in the deterministic obs section);
 //! * [`server`] — `autosuggestd`, the long-running HTTP suggestion daemon
-//!   (bounded admission queue, cross-request micro-batching, versioned
-//!   model hot-reload, JSON wire format from [`core::wire`]).
+//!   (a handler thread per connection under a connection cap, compute
+//!   permits bounding concurrent featurisation, versioned model
+//!   hot-reload, JSON wire format from [`core::wire`] decoded from the
+//!   body straight into columns).
 //!
 //! ```no_run
 //! use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
