@@ -4,54 +4,24 @@ use super::{render_table, ReproContext, TableRow};
 use autosuggest_corpus::stats::corpus_stats;
 use autosuggest_corpus::OpKind;
 
-/// Map notebook-id archetype prefixes to the operator they target.
-fn archetype_of(notebook_id: &str) -> Option<&'static str> {
-    for tag in ["join", "groupby", "pivot", "unpivot", "json", "flow"] {
-        if notebook_id.starts_with(&format!("nb-{tag}-")) {
-            return Some(tag);
-        }
-    }
-    None
-}
-
 fn stats_and_rows(ctx: &ReproContext) -> (autosuggest_corpus::stats::CorpusStats, Vec<TableRow>) {
-    // Re-run filtering over the full invocation stream (including operators
-    // like json_normalize that the predictors do not consume).
-    let all: Vec<_> = ctx
-        .system
-        .reports
-        .iter()
-        .flat_map(|r| r.invocations.iter().cloned())
+    let stats = corpus_stats(&ctx.system.reports, &ctx.system.filter_stats);
+    let ops = [OpKind::Merge, OpKind::Pivot, OpKind::Melt, OpKind::GroupBy, OpKind::JsonNormalize];
+    let rows = ops
+        .into_iter()
+        .map(|op| {
+            let counts = stats.per_operator.get(&op).cloned().unwrap_or_default();
+            TableRow::new(
+                op.as_str(),
+                vec![
+                    counts.notebooks_sampled as f64,
+                    counts.notebooks_replayed as f64,
+                    counts.operators_replayed as f64,
+                    counts.operators_post_filter as f64,
+                ],
+            )
+        })
         .collect();
-    let (filtered, _) = autosuggest_corpus::filter_invocations(all, 5);
-    let stats = corpus_stats(&ctx.system.reports, &filtered);
-
-    let ops = [
-        ("join", OpKind::Merge),
-        ("pivot", OpKind::Pivot),
-        ("unpivot", OpKind::Melt),
-        ("groupby", OpKind::GroupBy),
-        ("json", OpKind::JsonNormalize),
-    ];
-    let mut rows = Vec::new();
-    for (tag, op) in ops {
-        let sampled = ctx
-            .system
-            .reports
-            .iter()
-            .filter(|r| archetype_of(&r.notebook_id) == Some(tag))
-            .count();
-        let counts = stats.per_operator.get(&op).cloned().unwrap_or_default();
-        rows.push(TableRow::new(
-            op.as_str(),
-            vec![
-                sampled as f64,
-                counts.notebooks_replayed as f64,
-                counts.operators_replayed as f64,
-                counts.operators_post_filter as f64,
-            ],
-        ));
-    }
     (stats, rows)
 }
 

@@ -251,14 +251,7 @@ impl AutoSuggest {
             let started = std::time::Instant::now();
             let streams: Vec<(&ReplayReport, Vec<&OpInvocation>)> = reports
                 .iter()
-                .map(|report| {
-                    let stream = report
-                        .invocations
-                        .iter()
-                        .filter(|i| i.op.sequence_id().is_some())
-                        .collect::<Vec<_>>();
-                    (report, stream)
-                })
+                .map(|report| (report, report.op_sequence().collect::<Vec<_>>()))
                 .filter(|(_, stream)| stream.len() >= 2)
                 .collect();
             let inputs: Vec<&DataFrame> = streams
@@ -495,6 +488,19 @@ mod tests {
     }
 
     #[test]
+    fn filter_stats_match_a_fresh_filter_over_every_report() {
+        // Table 2's "#op filtered" column reads these counts; a fresh filter
+        // over every replayed invocation is the reference.
+        let system = &fast3().0;
+        let all: Vec<OpInvocation> =
+            system.reports.iter().flat_map(|r| r.invocations.iter().cloned()).collect();
+        let (kept, fresh) = filter_invocations(all, 5);
+        assert_eq!(system.filter_stats, fresh);
+        assert_eq!(system.filter_stats.kept_per_op.values().sum::<usize>(), kept.len());
+        assert!(system.filter_stats.kept_per_op.contains_key(&OpKind::JsonNormalize));
+    }
+
+    #[test]
     fn zero_groupby_sequence_corpus_trains_without_panicking() {
         // Regression: a replay log with no groupby (and no sequence)
         // notebooks used to panic in single-operator scoring; now the
@@ -521,8 +527,7 @@ mod tests {
         // Reference: one scoring call per invocation, in report order.
         let (mut train, mut test) = (Vec::new(), Vec::new());
         for report in &system.reports {
-            let stream: Vec<&OpInvocation> =
-                report.invocations.iter().filter(|i| i.op.sequence_id().is_some()).collect();
+            let stream: Vec<&OpInvocation> = report.op_sequence().collect();
             if stream.len() < 2 {
                 continue;
             }

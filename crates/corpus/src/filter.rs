@@ -5,7 +5,7 @@ use crate::durable::ByteWriter;
 use crate::flowgraph::OpKind;
 use crate::replay::OpInvocation;
 use crate::store::put_params;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 /// Filtering outcome counts (the deltas behind Table 2's last row).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -17,6 +17,9 @@ pub struct FilterStats {
     /// Inputs trivially small (fewer than `min_rows` rows).
     pub dropped_tiny: usize,
     pub kept: usize,
+    /// `kept` by operator (Table 2's "#op filtered" column). Ordered, so
+    /// the `Debug` rendering is the same in every run.
+    pub kept_per_op: BTreeMap<OpKind, usize>,
 }
 
 /// Deduplicate and de-trivialise invocations.
@@ -49,6 +52,7 @@ pub fn filter_invocations(
             stats.dropped_duplicate += 1;
             continue;
         }
+        *stats.kept_per_op.entry(inv.op).or_insert(0) += 1;
         kept.push(inv);
     }
     stats.kept = kept.len();
@@ -118,6 +122,22 @@ mod tests {
         // fill value are different calls (both were `null` as JSON).
         let (kept, _) = filter_invocations(vec![pivot(None), pivot(Some(f64::NAN))], 5);
         assert_eq!(kept.len(), 2);
+    }
+
+    #[test]
+    fn per_operator_counts_sum_to_kept() {
+        let json = OpInvocation {
+            op: OpKind::JsonNormalize,
+            params: OpParams::JsonNormalize { record_path: None },
+            ..inv("c", 10, false)
+        };
+        let invs =
+            vec![inv("a", 10, false), inv("b", 10, false), pivot(None), json, inv("d", 3, true)];
+        let (kept, stats) = filter_invocations(invs, 5);
+        assert_eq!(stats.kept_per_op.values().sum::<usize>(), stats.kept);
+        assert_eq!(stats.kept, kept.len());
+        let expected = [(OpKind::DropNa, 1), (OpKind::Pivot, 1), (OpKind::JsonNormalize, 1)];
+        assert_eq!(stats.kept_per_op, expected.into_iter().collect());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! API, install missing packages, re-execute, and instrument every operator
 //! invocation.
 //!
-//! The result of replay is a stream of [`replay::OpInvocation`] records and
-//! per-notebook [`flowgraph::FlowGraph`]s — the "click-through log"
-//! equivalent every predictor trains on.
+//! The result of replay is one [`replay::ReplayReport`] per notebook whose
+//! [`replay::OpInvocation`] records, in execution order, are also the
+//! notebook's data-flow graph ([`flowgraph`], §3.3) — the "click-through
+//! log" equivalent every predictor trains on.
 //!
 //! Failures are first-class citizens: [`error::ReplayError`] classifies
 //! them, [`faults::FaultSpec`] injects them deterministically, and
@@ -45,7 +46,7 @@ pub use datasets::DatasetRepository;
 pub use error::{ReplayError, ReplayErrorKind};
 pub use faults::{FaultKind, FaultSpec, KindCounters, RobustnessStats};
 pub use filter::{filter_invocations, FilterStats};
-pub use flowgraph::{FlowGraph, OpKind};
+pub use flowgraph::OpKind;
 pub use lang::{CellAst, Expr, Stmt};
 pub use nbgen::{CorpusConfig, CorpusGenerator, GeneratedCorpus};
 pub use notebook::{Cell, Notebook};

@@ -10,6 +10,7 @@
 //! failures that make replay success rates match Table 2's shape.
 
 use crate::datasets::DatasetRepository;
+use crate::flowgraph::OpKind;
 use crate::lang::{Expr, FillValue, Stmt};
 use crate::notebook::{Cell, Notebook};
 use crate::tablegen::{GenTable, JoinCase, TableGenConfig, TableGenerator};
@@ -209,6 +210,27 @@ pub(crate) fn generate_jobs(cfg: &CorpusConfig, jobs: &[Job]) -> GeneratedCorpus
     GeneratedCorpus { notebooks, repository }
 }
 
+/// The `<scenario>` of a notebook id `nb-<scenario>-<serial>` (the
+/// generating archetype's tag, as `CorpusGenerator::next_id` writes it),
+/// or `None` for an id of another shape.
+pub fn scenario_of(notebook_id: &str) -> Option<&str> {
+    let (scenario, _serial) = notebook_id.strip_prefix("nb-")?.rsplit_once('-')?;
+    Some(scenario)
+}
+
+/// The operator a notebook's scenario is generated around (`None` for
+/// `flow` notebooks, which chain several, and for foreign ids).
+pub fn primary_op(notebook_id: &str) -> Option<OpKind> {
+    Some(match scenario_of(notebook_id)? {
+        "join" => OpKind::Merge,
+        "groupby" => OpKind::GroupBy,
+        "pivot" => OpKind::Pivot,
+        "unpivot" => OpKind::Melt,
+        "json" => OpKind::JsonNormalize,
+        _ => return None,
+    })
+}
+
 /// The corpus generator. `CorpusGenerator::new(cfg).generate()` builds the
 /// full corpus; internally each notebook is produced by a short-lived
 /// per-notebook generator whose RNG, table generator, and serial are all
@@ -267,6 +289,7 @@ impl CorpusGenerator {
         (notebooks, generator.repo)
     }
 
+    /// `nb-<kind>-<serial>`, which [`scenario_of`] parses back.
     fn next_id(&self, kind: &str) -> String {
         format!("nb-{kind}-{:05}", self.serial)
     }
@@ -960,6 +983,15 @@ mod tests {
     use crate::replay::{ReplayEngine, ReplayOutcome};
 
     #[test]
+    fn notebook_ids_parse_back_to_scenario_and_operator() {
+        assert_eq!(scenario_of("nb-join-00012"), Some("join"));
+        assert_eq!(scenario_of("nb-groupby-00001"), Some("groupby"));
+        assert_eq!(scenario_of("weird"), None);
+        assert_eq!(primary_op("nb-unpivot-00003"), Some(OpKind::Melt));
+        assert_eq!(primary_op("nb-flow-00004"), None);
+    }
+
+    #[test]
     fn small_corpus_generates() {
         let corpus = CorpusGenerator::new(CorpusConfig::small(1)).generate();
         assert!(corpus.notebooks.len() >= 150);
@@ -967,6 +999,11 @@ mod tests {
         let ids: std::collections::HashSet<_> =
             corpus.notebooks.iter().map(|n| &n.id).collect();
         assert_eq!(ids.len(), corpus.notebooks.len());
+        // Every id parses back to the archetype that generated it.
+        let scenarios: std::collections::BTreeSet<&str> =
+            corpus.notebooks.iter().filter_map(|nb| scenario_of(&nb.id)).collect();
+        let all = ["flow", "groupby", "join", "json", "pivot", "unpivot"];
+        assert_eq!(scenarios, all.into_iter().collect());
     }
 
     #[test]
@@ -1041,7 +1078,7 @@ mod tests {
         for nb in &corpus.notebooks {
             let report = engine.replay(nb);
             assert_eq!(report.outcome, ReplayOutcome::Success, "{}", nb.id);
-            seq_lens.push(report.flow.op_sequence().len());
+            seq_lens.push(report.op_sequence().count());
         }
         assert!(seq_lens.iter().any(|&l| l >= 3), "lens {seq_lens:?}");
     }

@@ -12,7 +12,7 @@
 use crate::datasets::{extract_urls, DatasetRepository};
 use crate::error::{ReplayError, ReplayErrorKind};
 use crate::faults::{FaultKind, FaultSpec, RobustnessStats};
-use crate::flowgraph::{FlowGraph, OpKind};
+use crate::flowgraph::OpKind;
 use crate::lang::{expr_inputs, Expr, FillValue, Stmt};
 use crate::notebook::Notebook;
 use autosuggest_dataframe::ops::{self, Agg, DropHow, JoinType};
@@ -146,9 +146,9 @@ pub struct ReplayReport {
     pub outcome: ReplayOutcome,
     /// Cells successfully executed before failure (== all cells on success).
     pub cells_executed: usize,
-    /// Instrumented invocations from successfully executed cells.
+    /// Instrumented invocations from successfully executed cells, in
+    /// execution order: the edges of the notebook's data-flow graph (§3.3).
     pub invocations: Vec<OpInvocation>,
-    pub flow: FlowGraph,
     /// Packages installed on demand while replaying.
     pub packages_installed: Vec<String>,
     /// Files recovered via basename search / URLs / the dataset API.
@@ -159,6 +159,15 @@ pub struct ReplayReport {
     /// Kinds of the faults injected into this replay, in injection order
     /// (empty when no fault spec is active).
     pub injected_faults: Vec<ReplayErrorKind>,
+}
+
+impl ReplayReport {
+    /// The notebook's operator sequence (§3.3): its invocations in
+    /// execution order, restricted to the sequence vocabulary
+    /// ([`OpKind::SEQUENCE_OPS`]; `json_normalize` is left out).
+    pub fn op_sequence(&self) -> impl Iterator<Item = &OpInvocation> {
+        self.invocations.iter().filter(|inv| inv.op.sequence_id().is_some())
+    }
 }
 
 /// Engine configuration.
@@ -276,7 +285,6 @@ impl ReplayEngine {
             outcome: ReplayOutcome::Success,
             cells_executed: 0,
             invocations: Vec::new(),
-            flow: FlowGraph::new(),
             packages_installed: Vec::new(),
             files_recovered: Vec::new(),
             cell_retries: 0,
@@ -293,12 +301,10 @@ impl ReplayEngine {
                 // The snapshot shares every frame and file with `env`.
                 let mut trial_env = env.clone();
                 let mut trial_log: Vec<OpInvocation> = Vec::new();
-                let mut trial_flow: Vec<(OpKind, Vec<u64>, u64)> = Vec::new();
                 let mut budget = self.config.cell_row_budget;
                 let mut trial = CellTrial {
                     env: &mut trial_env,
                     log: &mut trial_log,
-                    flow: &mut trial_flow,
                     budget: &mut budget,
                     injected: &mut report.injected_faults,
                     round,
@@ -322,9 +328,6 @@ impl ReplayEngine {
                     Ok(()) => {
                         env = trial_env;
                         report.invocations.extend(trial_log);
-                        for (op, ins, out) in trial_flow {
-                            report.flow.record(op, ins, out);
-                        }
                         report.cells_executed += 1;
                         break;
                     }
@@ -746,7 +749,6 @@ impl ReplayEngine {
             }
         }
         let output_hash = output.content_hash();
-        trial.flow.push((op, input_hashes.clone(), output_hash));
         trial.log.push(OpInvocation {
             notebook_id: nb.id.clone(),
             dataset_group: nb.dataset_group.clone(),
@@ -793,7 +795,6 @@ struct Env {
 struct CellTrial<'a> {
     env: &'a mut Env,
     log: &'a mut Vec<OpInvocation>,
-    flow: &'a mut Vec<(OpKind, Vec<u64>, u64)>,
     budget: &'a mut usize,
     injected: &'a mut Vec<ReplayErrorKind>,
     round: usize,
@@ -837,7 +838,6 @@ fn failed_report(nb: &Notebook, err: ReplayError) -> ReplayReport {
         outcome: ReplayOutcome::from_error(err),
         cells_executed: 0,
         invocations: Vec::new(),
-        flow: FlowGraph::new(),
         packages_installed: Vec::new(),
         files_recovered: Vec::new(),
         cell_retries: 0,
@@ -1019,7 +1019,36 @@ mod tests {
             }
             other => panic!("wrong params {other:?}"),
         }
-        assert_eq!(report.flow.op_sequence(), vec![OpKind::Merge]);
+        assert_eq!(report.op_sequence().map(|i| i.op).collect::<Vec<_>>(), vec![OpKind::Merge]);
+    }
+
+    #[test]
+    fn json_normalize_is_an_edge_but_not_in_the_op_sequence() {
+        let engine = ReplayEngine::new(DatasetRepository::new());
+        let mut nb = Notebook::new("t", "g");
+        nb.add_file("d.json", r#"[{"k":"a","v":1},{"k":"b","v":2},{"k":"a","v":3}]"#);
+        nb.push_cell(Cell::code(vec![
+            Stmt::Assign {
+                var: "d".into(),
+                expr: Expr::JsonNormalize { path: "d.json".into(), record_path: None },
+            },
+            Stmt::Assign {
+                var: "g".into(),
+                expr: Expr::GroupBy {
+                    frame: "d".into(),
+                    keys: vec!["k".into()],
+                    aggs: vec![("v".into(), Agg::Sum)],
+                },
+            },
+        ]));
+        let report = engine.replay(&nb);
+        assert_eq!(report.outcome, ReplayOutcome::Success);
+        let ops: Vec<OpKind> = report.invocations.iter().map(|i| i.op).collect();
+        assert_eq!(ops, vec![OpKind::JsonNormalize, OpKind::GroupBy]);
+        // The groupby edge reads the frame the json_normalize edge produced.
+        assert_eq!(report.invocations[1].input_hashes, vec![report.invocations[0].output_hash]);
+        let seq: Vec<OpKind> = report.op_sequence().map(|i| i.op).collect();
+        assert_eq!(seq, vec![OpKind::GroupBy]);
     }
 
     #[test]

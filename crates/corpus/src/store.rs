@@ -33,7 +33,7 @@
 
 use crate::durable::{self, bad_data, fnv64, ByteReader, ByteWriter, Record, RecordFile, Records};
 use crate::faults::{KindCounters, RobustnessStats};
-use crate::flowgraph::{FlowGraph, OpKind};
+use crate::flowgraph::OpKind;
 use crate::replay::{OpInvocation, OpParams, ReplayOutcome, ReplayReport};
 use autosuggest_dataframe::ops::{Agg, JoinType};
 use autosuggest_dataframe::{Column, DataFrame, Value};
@@ -50,7 +50,8 @@ const MAGIC: [u8; 4] = *b"ASGS";
 /// 2: a per-shard frame table; invocations reference frames by index.
 /// 3: `input_hashes`/`output_hash` are dtype- and bit-exact
 /// (`DataFrame::content_hash`).
-const VERSION: u16 = 3;
+/// 4: report skeletons no longer repeat the invocations' flow edges.
+const VERSION: u16 = 4;
 /// 2: `file_fnv` is the shard's trailer fold ([`durable::RecordFile::fold`]),
 /// no longer a hash of the whole file, so a v1 manifest must not be read.
 const MANIFEST_VERSION: u64 = 2;
@@ -497,37 +498,6 @@ fn error_kind_from_tag(t: u8) -> io::Result<crate::error::ReplayErrorKind> {
     })
 }
 
-fn put_flow(w: &mut ByteWriter, flow: &FlowGraph) {
-    let edges = flow.edges();
-    w.put_usize(edges.len());
-    for e in edges {
-        w.put_u8(op_kind_tag(e.op));
-        w.put_usize(e.inputs.len());
-        for &i in &e.inputs {
-            w.put_u64(i);
-        }
-        w.put_u64(e.output);
-    }
-}
-
-/// Rebuild a flow graph by re-recording edges in order; `record` assigns
-/// `step = index`, so the round-trip is exact.
-fn get_flow(r: &mut ByteReader) -> io::Result<FlowGraph> {
-    let n = r.get_usize()?;
-    let mut flow = FlowGraph::new();
-    for _ in 0..n {
-        let op = op_kind_from_tag(r.get_u8()?)?;
-        let n_inputs = r.get_usize()?;
-        let mut inputs = Vec::with_capacity(n_inputs.min(1 << 12));
-        for _ in 0..n_inputs {
-            inputs.push(r.get_u64()?);
-        }
-        let output = r.get_u64()?;
-        flow.record(op, inputs, output);
-    }
-    Ok(flow)
-}
-
 /// The per-operator sample record: one instrumented invocation, its inputs
 /// as frame-table indices, and its parameters — the store's equivalent of
 /// the exemplar pipeline's `data.csv` + `param.json` pair.
@@ -600,7 +570,6 @@ fn encode_report_skeleton(rep: &ReplayReport) -> Vec<u8> {
     put_outcome(&mut w, &rep.outcome);
     w.put_usize(rep.cells_executed);
     w.put_usize(rep.invocations.len());
-    put_flow(&mut w, &rep.flow);
     put_str_vec(&mut w, &rep.packages_installed);
     put_str_vec(&mut w, &rep.files_recovered);
     w.put_usize(rep.cell_retries);
@@ -624,7 +593,6 @@ fn decode_report_skeleton(payload: &[u8]) -> io::Result<ReportSkeleton> {
     let outcome = get_outcome(&mut r)?;
     let cells_executed = r.get_usize()?;
     let pending_invocations = r.get_usize()?;
-    let flow = get_flow(&mut r)?;
     let packages_installed = get_str_vec(&mut r)?;
     let files_recovered = get_str_vec(&mut r)?;
     let cell_retries = r.get_usize()?;
@@ -641,7 +609,6 @@ fn decode_report_skeleton(payload: &[u8]) -> io::Result<ReportSkeleton> {
             outcome,
             cells_executed,
             invocations: Vec::with_capacity(pending_invocations.min(1 << 10)),
-            flow,
             packages_installed,
             files_recovered,
             cell_retries,
@@ -1259,9 +1226,6 @@ mod tests {
     }
 
     fn report() -> ReplayReport {
-        let mut flow = FlowGraph::new();
-        flow.record(OpKind::Merge, vec![1, 2], 3);
-        flow.record(OpKind::Pivot, vec![3], 4);
         ReplayReport {
             notebook_id: "nb-join-00001".into(),
             dataset_group: "grp-join-00001".into(),
@@ -1271,7 +1235,6 @@ mod tests {
                 .into_iter()
                 .map(|(op, p)| invocation(op, p))
                 .collect(),
-            flow,
             packages_installed: vec!["seaborn".into()],
             files_recovered: vec!["a.csv".into()],
             cell_retries: 2,

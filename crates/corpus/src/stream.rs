@@ -24,7 +24,7 @@
 //! in-memory path is pinned by `tests/streamed_replay_equivalence.rs`.
 
 use crate::faults::{FaultSpec, RobustnessStats};
-use crate::nbgen::{corpus_jobs, generate_jobs, CorpusConfig};
+use crate::nbgen::{corpus_jobs, generate_jobs, scenario_of, CorpusConfig};
 use crate::replay::{ReplayConfig, ReplayEngine};
 use crate::store::SampleStore;
 use autosuggest_obs as obs;
@@ -39,7 +39,7 @@ pub struct StreamConfig {
     /// this, not to corpus size.
     pub shard_size: usize,
     /// Stop (successfully) after replaying this many *new* shards —
-    /// simulates a killed run for resume tests and the CI smoke job.
+    /// simulates a killed run for the resume tests.
     pub abort_after_shards: Option<usize>,
 }
 
@@ -153,14 +153,15 @@ pub struct ScenarioStats {
 }
 
 /// Scan every stored report and bucket counts by scenario, where the
-/// scenario is the archetype embedded in the notebook id
-/// (`nb-<scenario>-<serial>`). Streaming: holds one shard at a time.
+/// scenario is the archetype embedded in the notebook id ([`scenario_of`];
+/// anything unparseable buckets under "other"). Streaming: holds one shard
+/// at a time.
 pub fn scan_scenario_stats(store: &SampleStore) -> io::Result<BTreeMap<String, ScenarioStats>> {
     let mut out: BTreeMap<String, ScenarioStats> = BTreeMap::new();
     for report in store.reports() {
         let report = report?;
-        let scenario = scenario_of(&report.notebook_id);
-        let slot = out.entry(scenario).or_default();
+        let scenario = scenario_of(&report.notebook_id).unwrap_or("other");
+        let slot = out.entry(scenario.to_string()).or_default();
         slot.notebooks += 1;
         if matches!(report.outcome, crate::replay::ReplayOutcome::Success) {
             slot.replayed_ok += 1;
@@ -170,17 +171,6 @@ pub fn scan_scenario_stats(store: &SampleStore) -> io::Result<BTreeMap<String, S
         slot.cell_retries += report.cell_retries;
     }
     Ok(out)
-}
-
-/// `nb-<scenario>-<serial>` → `<scenario>` (anything unparseable buckets
-/// under "other").
-fn scenario_of(notebook_id: &str) -> String {
-    let parts: Vec<&str> = notebook_id.split('-').collect();
-    if parts.len() >= 3 && parts[0] == "nb" {
-        parts[1..parts.len() - 1].join("-")
-    } else {
-        "other".to_string()
-    }
 }
 
 /// Render scenario stats as a deterministic fixed-order text table — the
@@ -258,12 +248,5 @@ mod tests {
         let (_, snap) = obs::with_local_registry(|| scan_scenario_stats(&store).expect("scan"));
         assert_eq!(reads(&snap), Some(summary.total_shards as u64));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn scenario_parsing_extracts_archetype() {
-        assert_eq!(scenario_of("nb-join-00012"), "join");
-        assert_eq!(scenario_of("nb-groupby-00001"), "groupby");
-        assert_eq!(scenario_of("weird"), "other");
     }
 }

@@ -82,15 +82,16 @@ fn main() {
         );
     }
 
+    // Each invocation is one edge of the data-flow graph, in execution order.
     println!("\nData-flow graph (Fig. 4):");
-    for e in report.flow.edges() {
+    for (step, inv) in report.invocations.iter().enumerate() {
         println!(
-            "  step {}: {:?} --{}-> {:016x}",
-            e.step,
-            e.inputs.iter().map(|h| format!("{h:016x}")).collect::<Vec<_>>(),
-            e.op,
-            e.output,
+            "  step {step}: {:?} --{}-> {:016x}",
+            inv.input_hashes.iter().map(|h| format!("{h:016x}")).collect::<Vec<_>>(),
+            inv.op,
+            inv.output_hash,
         );
     }
-    println!("\nOperator sequence: {:?}", report.flow.op_sequence());
+    let sequence: Vec<_> = report.op_sequence().map(|inv| inv.op).collect();
+    println!("\nOperator sequence: {sequence:?}");
 }

@@ -5,6 +5,7 @@ use auto_suggest::corpus::{
     filter_invocations, grouped_split, CorpusConfig, CorpusGenerator, FaultSpec, OpKind,
     ReplayEngine, ReplayOutcome,
 };
+use std::collections::HashSet;
 use std::sync::Arc;
 
 #[test]
@@ -122,9 +123,10 @@ fn flow_graphs_capture_multi_step_pipelines() {
     let mut with_sources = 0;
     for nb in &corpus.notebooks {
         let report = engine.replay(nb);
-        let seq = report.flow.op_sequence();
-        max_len = max_len.max(seq.len());
-        if !report.flow.source_frames().is_empty() {
+        max_len = max_len.max(report.op_sequence().count());
+        // A source frame (read from a file) is an edge input no edge produced.
+        let produced: HashSet<u64> = report.invocations.iter().map(|i| i.output_hash).collect();
+        if report.invocations.iter().flat_map(|i| &i.input_hashes).any(|h| !produced.contains(h)) {
             with_sources += 1;
         }
     }

@@ -44,7 +44,7 @@ fn in_memory_replay(
 }
 
 /// Debug renderings are the strictest practical equality for reports
-/// (every field, including nested flow graphs and fault labels).
+/// (every field, including nested invocations and fault labels).
 fn render_reports(reports: &[ReplayReport]) -> Vec<String> {
     reports.iter().map(|r| format!("{r:?}")).collect()
 }
