@@ -2,12 +2,19 @@
 //!
 //! Notebook replay resolves data files (§3.2 of the paper) and loads them
 //! through this reader, inferring int/float/bool/date/str per column the
-//! way `pd.read_csv` does.
+//! way `pd.read_csv` does. The generator writes every planted data file
+//! through the writer. Both make one pass: the reader borrows each plain
+//! field straight from the input and pushes it into its column, and the
+//! writer formats each cell straight into one output buffer. DESIGN.md
+//! §5.1 states the contract; `tests/csv_reference.rs` holds both functions
+//! to the row-matrix codec they replaced.
 
 use crate::column::Column;
 use crate::error::{DataFrameError, Result};
 use crate::frame::DataFrame;
 use crate::value::{DType, Value};
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 /// Parse CSV text (first row = header) into a [`DataFrame`].
 ///
@@ -15,158 +22,256 @@ use crate::value::{DType, Value};
 /// newlines. Each column's dtype is inferred from its cells; a column with
 /// mixed incompatible types falls back to strings for *all* its cells so the
 /// column is homogeneous.
+///
+/// Only `"`, `,`, `\r` and `\n` are special. A `\r` outside quotes is
+/// dropped wherever it appears; inside quotes it is kept. A `"` opens a
+/// quoted section only while its field has no content yet. A final record
+/// with no content (say `""` with no newline) is dropped. A malformed quote
+/// anywhere fails the whole parse, ahead of the first ragged row, whose
+/// error line counts records, not physical lines.
 pub fn read_csv_str(text: &str) -> Result<DataFrame> {
-    let rows = parse_rows(text)?;
-    let mut iter = rows.into_iter();
-    let header = match iter.next() {
-        Some(h) => h,
-        None => return Ok(DataFrame::empty()),
-    };
-    let ncols = header.len();
-    let mut raw_cols: Vec<Vec<String>> = vec![Vec::new(); ncols];
-    for (line, row) in iter.enumerate() {
-        if row.len() != ncols {
-            return Err(DataFrameError::Parse {
-                line: line + 2,
-                message: format!("expected {ncols} fields, found {}", row.len()),
+    let mut fields = Fields { text, pos: 0, line: 1 };
+    let mut header: Vec<Cow<str>> = Vec::new();
+    let mut cells: Vec<Vec<Cow<str>>> = Vec::new();
+    let mut record = 0usize;
+    let mut col = 0usize;
+    let mut ragged = None;
+    loop {
+        let (field, end) = fields.next_field()?;
+        if end == End::Eof && col == 0 && field.is_empty() {
+            break;
+        }
+        if record == 0 {
+            header.push(field);
+        } else if ragged.is_none() && col < cells.len() {
+            cells[col].push(field);
+        }
+        col += 1;
+        if end == End::Comma {
+            continue;
+        }
+        if record == 0 {
+            cells = header.iter().map(|_| Vec::new()).collect();
+        } else if col != header.len() && ragged.is_none() {
+            ragged = Some(DataFrameError::Parse {
+                line: record + 1,
+                message: format!("expected {} fields, found {col}", header.len()),
             });
         }
-        for (c, cell) in row.into_iter().enumerate() {
-            raw_cols[c].push(cell);
+        record += 1;
+        col = 0;
+        if end == End::Eof {
+            break;
         }
     }
-
-    let mut columns = Vec::with_capacity(ncols);
-    for (name, raw) in header.into_iter().zip(raw_cols) {
-        let inferred: Vec<Value> = raw.iter().map(|s| Value::infer_from_str(s)).collect();
-        // Homogenise: if inference produced an incompatible mix, keep strings.
-        let mut dtype = DType::Null;
-        let mut mixed = false;
-        for v in &inferred {
-            if v.is_null() {
-                continue;
-            }
-            dtype = match dtype.unify(v.dtype()) {
-                Some(u) => u,
-                None => {
-                    mixed = true;
-                    break;
-                }
-            };
-        }
-        let values = if mixed {
-            raw.iter()
-                .map(|s| {
-                    let t = s.trim();
-                    if t.is_empty() {
-                        Value::Null
-                    } else {
-                        Value::Str(t.to_string())
-                    }
-                })
-                .collect()
-        } else {
-            inferred
-        };
-        columns.push(Column::new(name, values));
+    if let Some(err) = ragged {
+        return Err(err);
     }
+    if record == 0 {
+        return Ok(DataFrame::empty());
+    }
+    let columns = header
+        .into_iter()
+        .zip(cells)
+        .map(|(name, raw)| infer_column(name.into_owned(), &raw))
+        .collect();
     DataFrame::new(columns)
 }
 
-/// Serialise a frame to CSV text (header + rows), quoting where needed.
-pub fn write_csv_string(df: &DataFrame) -> String {
-    let mut out = String::new();
-    let names: Vec<String> = df
-        .column_names()
+/// Infer each cell, stopping at the first dtype that does not unify with
+/// the ones before it: such a column keeps every cell as trimmed text.
+fn infer_column(name: String, raw: &[Cow<str>]) -> Column {
+    let mut values = Vec::with_capacity(raw.len());
+    let mut dtype = DType::Null;
+    for cell in raw {
+        let v = Value::infer_from_str(cell);
+        if !v.is_null() {
+            match dtype.unify(v.dtype()) {
+                Some(u) => dtype = u,
+                None => return Column::new(name, raw.iter().map(|c| str_cell(c)).collect()),
+            }
+        }
+        values.push(v);
+    }
+    Column::new(name, values)
+}
+
+fn str_cell(raw: &str) -> Value {
+    let t = raw.trim();
+    if t.is_empty() {
+        Value::Null
+    } else {
+        Value::Str(t.to_string())
+    }
+}
+
+/// What ended a field.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum End {
+    Comma,
+    Newline,
+    Eof,
+}
+
+/// A cursor over CSV text that yields one unescaped field at a time.
+struct Fields<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Physical line of `pos`, for quote errors.
+    line: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The next field and what ended it. A field that is unquoted and has
+    /// no `\r` is borrowed from the input. Every special byte is ASCII, so
+    /// each slice boundary falls on a char boundary.
+    fn next_field(&mut self) -> Result<(Cow<'a, str>, End)> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let mut i = next_special(bytes, start);
+        match bytes.get(i) {
+            None | Some(b',') | Some(b'\n') => {
+                let end = self.finish(i);
+                return Ok((Cow::Borrowed(&self.text[start..i]), end));
+            }
+            _ => {}
+        }
+        let mut buf = String::from(&self.text[start..i]);
+        let mut in_quotes = false;
+        loop {
+            if in_quotes {
+                let close = bytes[i..].iter().position(|&b| b == b'"').map(|k| i + k);
+                let stop = close.unwrap_or(bytes.len());
+                self.line += bytes[i..stop].iter().filter(|&&b| b == b'\n').count();
+                buf.push_str(&self.text[i..stop]);
+                let Some(close) = close else {
+                    return Err(DataFrameError::Parse {
+                        line: self.line,
+                        message: "unterminated quoted field".into(),
+                    });
+                };
+                if bytes.get(close + 1) == Some(&b'"') {
+                    buf.push('"');
+                    i = close + 2;
+                } else {
+                    in_quotes = false;
+                    i = close + 1;
+                }
+                continue;
+            }
+            let stop = next_special(bytes, i);
+            buf.push_str(&self.text[i..stop]);
+            i = stop;
+            match bytes.get(i) {
+                None | Some(b',') | Some(b'\n') => {
+                    let end = self.finish(i);
+                    return Ok((Cow::Owned(buf), end));
+                }
+                Some(b'\r') => i += 1,
+                _ if buf.is_empty() => {
+                    in_quotes = true;
+                    i += 1;
+                }
+                _ => {
+                    return Err(DataFrameError::Parse {
+                        line: self.line,
+                        message: "unexpected quote inside unquoted field".into(),
+                    })
+                }
+            }
+        }
+    }
+
+    /// Step past the terminator at `i` (if any) and name it.
+    fn finish(&mut self, i: usize) -> End {
+        match self.text.as_bytes().get(i) {
+            None => {
+                self.pos = i;
+                End::Eof
+            }
+            Some(b',') => {
+                self.pos = i + 1;
+                End::Comma
+            }
+            _ => {
+                self.pos = i + 1;
+                self.line += 1;
+                End::Newline
+            }
+        }
+    }
+}
+
+/// Index of the first special byte at or after `from`, or `bytes.len()`.
+fn next_special(bytes: &[u8], from: usize) -> usize {
+    bytes[from..]
         .iter()
-        .map(|n| quote_if_needed(n))
-        .collect();
-    out.push_str(&names.join(","));
+        .position(|&b| matches!(b, b',' | b'\n' | b'\r' | b'"'))
+        .map_or(bytes.len(), |k| from + k)
+}
+
+/// Serialise a frame to CSV text (header + rows), quoting where needed.
+///
+/// A name or string cell is quoted when it holds `,`, `"`, `\n` or `\r`,
+/// with its quotes doubled. A finite float whose rendering has no `.`
+/// (an integral value of magnitude 1e15 or more) gets `.0`, so it reads
+/// back as a float rather than an int.
+pub fn write_csv_string(df: &DataFrame) -> String {
+    let columns = df.columns();
+    // Generated cells average about seven bytes with their comma; longer
+    // cells grow the buffer. Sized by cell count, the guess stays below the
+    // frame's own 32 bytes per cell.
+    let mut out = String::with_capacity((df.num_rows() + 1) * (columns.len() * 8 + 1));
+    for (j, c) in columns.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        push_text(&mut out, c.name());
+    }
     out.push('\n');
     for i in 0..df.num_rows() {
-        let cells: Vec<String> = df
-            .columns()
-            .iter()
-            .map(|c| quote_if_needed(&c.get(i).render()))
-            .collect();
-        out.push_str(&cells.join(","));
+        for (j, c) in columns.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_cell(&mut out, c.get(i));
+        }
         out.push('\n');
     }
     out
 }
 
-fn quote_if_needed(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+fn push_cell(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => {}
+        Value::Str(s) => push_text(out, s),
+        Value::Float(x) => {
+            let start = out.len();
+            let _ = write!(out, "{v}");
+            if x.is_finite() && !out[start..].contains('.') {
+                out.push_str(".0");
+            }
+        }
+        // Bools, ints and dates never render a special byte.
+        other => {
+            let _ = write!(out, "{other}");
+        }
     }
 }
 
-/// Split CSV text into rows of unescaped fields.
-fn parse_rows(text: &str) -> Result<Vec<Vec<String>>> {
-    let mut rows = Vec::new();
-    let mut row: Vec<String> = Vec::new();
-    let mut field = String::new();
-    let mut in_quotes = false;
-    let mut chars = text.chars().peekable();
-    let mut line = 1usize;
-    let mut any = false;
-
-    while let Some(ch) = chars.next() {
-        any = true;
-        if in_quotes {
-            match ch {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
-                }
-                '\n' => {
-                    line += 1;
-                    field.push('\n');
-                }
-                c => field.push(c),
-            }
-        } else {
-            match ch {
-                '"' => {
-                    if field.is_empty() {
-                        in_quotes = true;
-                    } else {
-                        return Err(DataFrameError::Parse {
-                            line,
-                            message: "unexpected quote inside unquoted field".into(),
-                        });
-                    }
-                }
-                ',' => {
-                    row.push(std::mem::take(&mut field));
-                }
-                '\r' => {}
-                '\n' => {
-                    line += 1;
-                    row.push(std::mem::take(&mut field));
-                    rows.push(std::mem::take(&mut row));
-                }
-                c => field.push(c),
-            }
+fn push_text(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r')) {
+        out.push_str(s);
+        return;
+    }
+    out.push('"');
+    for (k, part) in s.split('"').enumerate() {
+        if k > 0 {
+            out.push_str("\"\"");
         }
+        out.push_str(part);
     }
-    if in_quotes {
-        return Err(DataFrameError::Parse {
-            line,
-            message: "unterminated quoted field".into(),
-        });
-    }
-    if any && (!field.is_empty() || !row.is_empty()) {
-        row.push(field);
-        rows.push(row);
-    }
-    Ok(rows)
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -261,5 +366,93 @@ mod tests {
     #[test]
     fn unterminated_quote_errors() {
         assert!(read_csv_str("a\n\"oops\n").is_err());
+    }
+
+    #[test]
+    fn header_only_with_trailing_comma_and_no_newline_has_three_columns() {
+        let df = read_csv_str("a,b,").unwrap();
+        assert_eq!(df.column_names(), vec!["a", "b", ""]);
+        assert_eq!(df.num_rows(), 0);
+    }
+
+    #[test]
+    fn last_row_cut_after_a_comma_is_ragged() {
+        let err = read_csv_str("a,b,c\n1,2,3\n4,").unwrap_err();
+        assert_eq!(
+            err,
+            DataFrameError::Parse { line: 3, message: "expected 3 fields, found 2".into() }
+        );
+        // With two columns the cut row is a whole row with an empty cell.
+        let df = read_csv_str("a,b\n1,").unwrap();
+        assert_eq!(df.num_rows(), 1);
+        assert_eq!(df.column("b").unwrap().get(0), &Value::Null);
+    }
+
+    #[test]
+    fn quote_errors_win_over_an_earlier_ragged_row() {
+        let err = read_csv_str("a,b\n1\n\"x,2\n").unwrap_err();
+        assert_eq!(
+            err,
+            DataFrameError::Parse { line: 4, message: "unterminated quoted field".into() }
+        );
+        let err = read_csv_str("a,b\n1\n2,x\"y\n").unwrap_err();
+        assert_eq!(
+            err,
+            DataFrameError::Parse {
+                line: 3,
+                message: "unexpected quote inside unquoted field".into()
+            }
+        );
+    }
+
+    #[test]
+    fn ragged_row_line_counts_records_not_physical_lines() {
+        // The ragged row is the third record but starts on physical line 4.
+        let err = read_csv_str("a,b\n\"x\ny\",1\n2\n").unwrap_err();
+        assert!(matches!(err, DataFrameError::Parse { line: 3, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn final_empty_quoted_line_without_newline_is_dropped() {
+        let df = read_csv_str("a\n1\n\"\"").unwrap();
+        assert_eq!(df.num_rows(), 1);
+        assert_eq!(df.column("a").unwrap().get(0), &Value::Int(1));
+    }
+
+    #[test]
+    fn quote_reopens_after_an_empty_quoted_section_and_cr() {
+        let df = read_csv_str("a\n\"\"\r\"x\"\n").unwrap();
+        assert_eq!(df.column("a").unwrap().get(0), &Value::Str("x".into()));
+    }
+
+    #[test]
+    fn carriage_returns_in_names_and_cells_roundtrip() {
+        let df = DataFrame::from_columns(vec![
+            ("a\rb", vec![Value::Str("x\ry".into()), Value::Str("p\rq".into())]),
+            ("c", vec![Value::Int(1), Value::Int(2)]),
+        ])
+        .unwrap();
+        let text = write_csv_string(&df);
+        assert_eq!(text, "\"a\rb\",c\n\"x\ry\",1\n\"p\rq\",2\n");
+        let back = read_csv_str(&text).unwrap();
+        assert_eq!(back.column_names(), vec!["a\rb", "c"]);
+        assert_eq!(back.content_hash(), df.content_hash());
+    }
+
+    #[test]
+    fn large_integral_floats_roundtrip_as_floats() {
+        let floats = [1e15, -2e20, 1e300, 123_456_789_012_345_680.0, 2.5e15, 1e15 + 0.5];
+        let df = DataFrame::from_columns(vec![(
+            "x",
+            floats.iter().map(|&f| Value::Float(f)).collect(),
+        )])
+        .unwrap();
+        let text = write_csv_string(&df);
+        assert!(text.starts_with("x\n1000000000000000.0\n-200000000000000000000.0\n"), "{text}");
+        let back = read_csv_str(&text).unwrap();
+        assert_eq!(back.schema().field(0).dtype, DType::Float);
+        assert_eq!(back.content_hash(), df.content_hash());
+        // Tables still print these without a fraction.
+        assert_eq!(Value::Float(1e15).to_string(), "1000000000000000");
     }
 }
