@@ -65,7 +65,7 @@ fn cand_name_similarity(left: &DataFrame, right: &DataFrame, cand: &JoinCandidat
 }
 
 /// **Max-Overlap**: rank by Jaccard similarity of value sets — the common
-/// heuristic of [39] and [36].
+/// heuristic of \[39\] and \[36\].
 pub struct MaxOverlap;
 
 impl JoinBaseline for MaxOverlap {

@@ -44,13 +44,13 @@ fn pattern_signature(col: &Column) -> (DType, u8, u8) {
     (col.dtype(), class, avg_len / 3) // bucketise length
 }
 
-/// **Pattern-similarity** [58]: collapse the largest group of columns whose
+/// **Pattern-similarity** \[58\]: collapse the largest group of columns whose
 /// value patterns are identical.
 pub fn pattern_similarity_select(df: &DataFrame) -> Vec<usize> {
     largest_group_by_key(df, pattern_signature)
 }
 
-/// **Col-name-similarity** [79]: cluster columns by name similarity
+/// **Col-name-similarity** \[79\]: cluster columns by name similarity
 /// (Jaccard over trigrams); collapse the largest cluster.
 pub fn col_name_similarity_select(df: &DataFrame) -> Vec<usize> {
     let n = df.num_columns();
@@ -78,13 +78,13 @@ pub fn col_name_similarity_select(df: &DataFrame) -> Vec<usize> {
     largest_component(&mut parent, n)
 }
 
-/// **Data-type** [79]: collapse the largest group of columns sharing a
+/// **Data-type** \[79\]: collapse the largest group of columns sharing a
 /// dtype.
 pub fn data_type_select(df: &DataFrame) -> Vec<usize> {
     largest_group_by_key(df, |c| c.dtype())
 }
 
-/// **Contiguous-type** [79]: like Data-type, but the collapsed columns must
+/// **Contiguous-type** \[79\]: like Data-type, but the collapsed columns must
 /// be contiguous in the table — pick the longest same-dtype run.
 pub fn contiguous_type_select(df: &DataFrame) -> Vec<usize> {
     let n = df.num_columns();

@@ -90,7 +90,6 @@ pub fn cmut(ctx: &ReproContext) -> String {
 /// zeroed and report the prec@1 drop — the causal counterpart of Table 4.
 pub fn join_knockout(ctx: &ReproContext) -> String {
     let gbdt = &ctx.system.config.gbdt;
-    let cand_params = &ctx.system.config.candidates;
     let groups: Vec<&str> = {
         let mut g: Vec<&str> = JOIN_FEATURE_GROUPS.iter().map(|&(_, n)| n).collect();
         g.dedup();
@@ -114,8 +113,7 @@ pub fn join_knockout(ctx: &ReproContext) -> String {
         let mut labels = Vec::new();
         for inv in &ctx.system.train.join {
             let Some(truth) = ground_truth_candidate(inv) else { continue };
-            let cands =
-                candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth, cand_params);
+            let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
             let mut kept: Vec<JoinCandidate> = Vec::with_capacity(cands.len());
             let mut negs = 0;
             for cand in &cands {
@@ -142,8 +140,7 @@ pub fn join_knockout(ctx: &ReproContext) -> String {
         let mut hits = Vec::new();
         for inv in &ctx.system.test.join {
             let Some(truth) = ground_truth_candidate(inv) else { continue };
-            let cands =
-                candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth, cand_params);
+            let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
             // Featurise the pool once (batch path hashes each distinct key
             // tuple once per table) and compare predicted scores; `max_by`
             // tie-breaking (last max wins) matches the previous pairwise form.

@@ -9,25 +9,17 @@ use autosuggest_ranking::{mean, ndcg_at_k, precision_at_k};
 
 /// Per-method metrics over a set of join cases: prec@1, prec@2, ndcg@1,
 /// ndcg@2.
-fn evaluate<R>(cases: &[&OpInvocation], ctx: &ReproContext, mut rank: R) -> Vec<f64>
+fn evaluate<R>(cases: &[&OpInvocation], mut rank: R) -> Vec<f64>
 where
     R: FnMut(&OpInvocation, &[autosuggest_features::JoinCandidate]) -> Vec<usize>,
 {
-    let params = ctx
-        .system
-        .models
-        .join
-        .as_ref()
-        .expect("join model trained")
-        .candidate_params();
     let mut p1 = Vec::new();
     let mut p2 = Vec::new();
     let mut n1 = Vec::new();
     let mut n2 = Vec::new();
     for inv in cases {
         let Some(truth) = ground_truth_candidate(inv) else { continue };
-        let cands =
-            candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth, params);
+        let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
         let order = rank(inv, &cands);
         let ranked: Vec<bool> = order.iter().map(|&i| cands[i] == truth).collect();
         p1.push(precision_at_k(&ranked, 1, 1));
@@ -45,7 +37,7 @@ pub fn rows(ctx: &ReproContext) -> Vec<TableRow> {
 
     let mut ours = vec![TableRow::new(
         "Auto-Suggest",
-        evaluate(&cases, ctx, |inv, cands| {
+        evaluate(&cases, |inv, cands| {
             model.rank_candidates(&inv.inputs[0], &inv.inputs[1], cands)
         }),
     )];
@@ -59,7 +51,7 @@ pub fn rows(ctx: &ReproContext) -> Vec<TableRow> {
     for (name, method) in &literature {
         ours.push(TableRow::new(
             *name,
-            evaluate(&cases, ctx, |inv, cands| {
+            evaluate(&cases, |inv, cands| {
                 method.rank(&inv.inputs[0], &inv.inputs[1], cands)
             }),
         ));
@@ -74,14 +66,14 @@ pub fn rows(ctx: &ReproContext) -> Vec<TableRow> {
     ];
     ours.push(TableRow::new(
         "Auto-Suggest (sampled)",
-        evaluate(&sample, ctx, |inv, cands| {
+        evaluate(&sample, |inv, cands| {
             model.rank_candidates(&inv.inputs[0], &inv.inputs[1], cands)
         }),
     ));
     for (name, method) in &vendors {
         ours.push(TableRow::new(
             *name,
-            evaluate(&sample, ctx, |inv, cands| {
+            evaluate(&sample, |inv, cands| {
                 method.rank(&inv.inputs[0], &inv.inputs[1], cands)
             }),
         ));

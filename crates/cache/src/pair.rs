@@ -78,7 +78,7 @@ pub struct KeyTupleSet {
 
 impl KeyTupleSet {
     /// Hash every non-null key tuple of `cols` in row order (rows with any
-    /// null key cell are skipped, matching `key_tuple_hashes`), without
+    /// null key cell are skipped: a null never matches in a join), without
     /// deduplicating. This is the unavoidable per-lookup pass: it both
     /// derives the content fingerprint and feeds the (cached) dedup.
     pub fn raw_tuple_hashes(df: &DataFrame, cols: &[usize]) -> Vec<u64> {
@@ -263,8 +263,8 @@ mod tests {
 
     #[test]
     fn key_tuple_set_matches_hashset_semantics() {
-        // Null rows skipped, duplicates collapsed — same contract as
-        // features::candidates::key_tuple_hashes.
+        // Null rows skipped, duplicates collapsed — the contract of a
+        // `HashSet` of the non-null tuple hashes.
         let t = df(vec![
             ("a", vec![Value::Int(1), Value::Null, Value::Int(1), Value::Int(2)]),
             ("b", vec![Value::Int(5), Value::Int(6), Value::Int(5), Value::Int(7)]),

@@ -136,7 +136,7 @@ mod tests {
                     .filter(|i| i.op == OpKind::GroupBy),
             );
         }
-        let (filtered, _) = autosuggest_corpus::filter_invocations(invs, 5);
+        let (filtered, _) = autosuggest_corpus::filter_invocations(invs);
         let refs: Vec<&OpInvocation> = filtered.iter().collect();
         let gbdt = GbdtParams { n_trees: 40, ..Default::default() };
         (GroupByAggPredictor::train(&refs, &gbdt).unwrap(), filtered)

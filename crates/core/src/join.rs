@@ -3,7 +3,7 @@
 
 use autosuggest_corpus::replay::{OpInvocation, OpParams};
 use autosuggest_features::{
-    enumerate_join_candidates, join_features, join_features_batch, CandidateParams, JoinCandidate,
+    enumerate_join_candidates, join_features, join_features_batch, JoinCandidate,
     JOIN_FEATURE_GROUPS, JOIN_FEATURE_NAMES,
 };
 use autosuggest_dataframe::DataFrame;
@@ -41,9 +41,8 @@ pub fn candidates_with_truth(
     left: &DataFrame,
     right: &DataFrame,
     truth: &JoinCandidate,
-    params: &CandidateParams,
 ) -> Vec<JoinCandidate> {
-    let mut cands = enumerate_join_candidates(left, right, params);
+    let mut cands = enumerate_join_candidates(left, right);
     if !cands.contains(truth) {
         cands.push(truth.clone());
     }
@@ -54,18 +53,13 @@ pub fn candidates_with_truth(
 #[derive(Debug, Clone)]
 pub struct JoinColumnPredictor {
     model: Gbdt,
-    cand_params: CandidateParams,
 }
 
 impl JoinColumnPredictor {
     /// Train from merge invocations. Negative candidates are capped per
     /// case to keep the label distribution workable (point-wise ranking
     /// with 0/1 labels, §4.1).
-    pub fn train(
-        invocations: &[&OpInvocation],
-        gbdt: &GbdtParams,
-        cand_params: CandidateParams,
-    ) -> Option<Self> {
+    pub fn train(invocations: &[&OpInvocation], gbdt: &GbdtParams) -> Option<Self> {
         const MAX_NEGATIVES: usize = 40;
         // Candidate enumeration + feature extraction per invocation is the
         // expensive part of training; invocations are independent, so fan
@@ -78,7 +72,7 @@ impl JoinColumnPredictor {
             };
             let left = &inv.inputs[0];
             let right = &inv.inputs[1];
-            let cands = candidates_with_truth(left, right, &truth, &cand_params);
+            let cands = candidates_with_truth(left, right, &truth);
             // Select kept candidates first (truth + capped negatives), then
             // featurise the kept set in one batch so each distinct key-column
             // tuple is hashed once per table rather than once per candidate.
@@ -114,7 +108,7 @@ impl JoinColumnPredictor {
         }
         let names = JOIN_FEATURE_NAMES.iter().map(|s| s.to_string()).collect();
         let data = Dataset::new(names, rows, labels).ok()?;
-        Some(JoinColumnPredictor { model: Gbdt::fit(&data, gbdt), cand_params })
+        Some(JoinColumnPredictor { model: Gbdt::fit(&data, gbdt) })
     }
 
     /// Score one candidate.
@@ -144,7 +138,7 @@ impl JoinColumnPredictor {
 
     /// Produce ranked join suggestions for two tables (the Fig. 1 API).
     pub fn suggest(&self, left: &DataFrame, right: &DataFrame, top_k: usize) -> Vec<JoinSuggestion> {
-        let cands = enumerate_join_candidates(left, right, &self.cand_params);
+        let cands = enumerate_join_candidates(left, right);
         let order = self.rank_candidates(left, right, &cands);
         order
             .into_iter()
@@ -171,10 +165,6 @@ impl JoinColumnPredictor {
     /// Feature-group importances (Table 4).
     pub fn importance_by_group(&self) -> Vec<(String, f64)> {
         aggregate_importance(&self.model.feature_importance(), &JOIN_FEATURE_GROUPS)
-    }
-
-    pub fn candidate_params(&self) -> &CandidateParams {
-        &self.cand_params
     }
 }
 
@@ -204,11 +194,10 @@ mod tests {
                     .filter(|i| i.op == OpKind::Merge),
             );
         }
-        let (filtered, _) = autosuggest_corpus::filter_invocations(invs, 5);
+        let (filtered, _) = autosuggest_corpus::filter_invocations(invs);
         let refs: Vec<&OpInvocation> = filtered.iter().collect();
         let gbdt = GbdtParams { n_trees: 40, ..Default::default() };
-        let model =
-            JoinColumnPredictor::train(&refs, &gbdt, CandidateParams::default()).unwrap();
+        let model = JoinColumnPredictor::train(&refs, &gbdt).unwrap();
         (model, filtered)
     }
 
@@ -221,12 +210,7 @@ mod tests {
         let mut total = 0;
         for inv in &invs {
             let truth = ground_truth_candidate(inv).unwrap();
-            let cands = candidates_with_truth(
-                &inv.inputs[0],
-                &inv.inputs[1],
-                &truth,
-                model.candidate_params(),
-            );
+            let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
             let best = model.rank_candidates(&inv.inputs[0], &inv.inputs[1], &cands)[0];
             total += 1;
             if cands[best] == truth {
@@ -270,6 +254,6 @@ mod tests {
     #[test]
     fn train_returns_none_without_data() {
         let gbdt = GbdtParams::default();
-        assert!(JoinColumnPredictor::train(&[], &gbdt, CandidateParams::default()).is_none());
+        assert!(JoinColumnPredictor::train(&[], &gbdt).is_none());
     }
 }

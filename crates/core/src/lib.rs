@@ -33,7 +33,7 @@ pub mod wire;
 pub use groupby::{GroupByAggPredictor, GroupBySuggestion};
 pub use join::{JoinColumnPredictor, JoinSuggestion};
 pub use join_type::JoinTypePredictor;
-pub use nextop::{NextOpPredictor, NextOpConfig};
+pub use nextop::NextOpPredictor;
 pub use pipeline::{
     AutoSuggest, AutoSuggestConfig, SuggestRequest, SuggestResponse, TrainedModels,
 };

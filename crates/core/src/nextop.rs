@@ -105,56 +105,40 @@ pub enum NextOpMode {
     SingleOperators,
 }
 
-/// Configuration for the next-operator model.
-#[derive(Debug, Clone)]
-pub struct NextOpConfig {
-    pub mode: NextOpMode,
-    pub embed_dim: usize,
-    pub hidden_dim: usize,
-    pub mlp_hidden: usize,
-    pub epochs: usize,
-    pub lr: f64,
-    pub seed: u64,
-}
-
-impl Default for NextOpConfig {
-    fn default() -> Self {
-        NextOpConfig {
-            mode: NextOpMode::Full,
-            embed_dim: 12,
-            hidden_dim: 24,
-            mlp_hidden: 24,
-            epochs: 40,
-            lr: 5e-3,
-            seed: 7,
-        }
-    }
-}
+/// Fig. 13's network: operator embedding width, GRU hidden width and the
+/// joint MLP's hidden width.
+const EMBED_DIM: usize = 12;
+const HIDDEN_DIM: usize = 24;
+const MLP_HIDDEN: usize = 24;
+/// Adam step size and the RNG seed of the weight initialisation.
+const LR: f64 = 5e-3;
+const SEED: u64 = 7;
 
 /// The next-operator predictor.
 #[derive(Debug, Clone)]
 pub struct NextOpPredictor {
-    cfg: NextOpConfig,
+    mode: NextOpMode,
     rnn: Option<RnnClassifier>,
 }
 
 impl NextOpPredictor {
-    /// Train on examples. `SingleOperators` mode needs no training.
-    pub fn train(cfg: NextOpConfig, examples: &[NextOpExample]) -> Self {
-        let rnn = match cfg.mode {
+    /// Train on examples for `epochs` epochs. `SingleOperators` mode needs
+    /// no training.
+    pub fn train(mode: NextOpMode, epochs: usize, examples: &[NextOpExample]) -> Self {
+        let rnn = match mode {
             NextOpMode::SingleOperators => None,
             mode => {
                 let extra_dim = if mode == NextOpMode::Full { NUM_OPS } else { 0 };
                 let rnn_cfg = RnnConfig {
                     vocab: NUM_OPS,
-                    embed_dim: cfg.embed_dim,
-                    hidden_dim: cfg.hidden_dim,
+                    embed_dim: EMBED_DIM,
+                    hidden_dim: HIDDEN_DIM,
                     extra_dim,
-                    mlp_hidden: cfg.mlp_hidden,
+                    mlp_hidden: MLP_HIDDEN,
                     classes: NUM_OPS,
-                    lr: cfg.lr,
-                    epochs: cfg.epochs,
-                    seed: cfg.seed,
+                    lr: LR,
+                    epochs,
+                    seed: SEED,
                 };
                 let seq_examples: Vec<SequenceExample> = examples
                     .iter()
@@ -173,12 +157,12 @@ impl NextOpPredictor {
                 Some(model)
             }
         };
-        NextOpPredictor { cfg, rnn }
+        NextOpPredictor { mode, rnn }
     }
 
     /// Operator ids ranked by likelihood of coming next.
     pub fn predict_ranked(&self, prefix: &[usize], table_scores: &[f64]) -> Vec<usize> {
-        match (&self.rnn, self.cfg.mode) {
+        match (&self.rnn, self.mode) {
             (None, _) => {
                 let mut order: Vec<usize> = (0..NUM_OPS).collect();
                 order.sort_by(|&a, &b| {
@@ -196,7 +180,7 @@ impl NextOpPredictor {
     /// (one allocation pass for the whole batch); each output row is
     /// bit-identical to the per-query call.
     pub fn predict_ranked_batch(&self, queries: &[(&[usize], &[f64])]) -> Vec<Vec<usize>> {
-        match (&self.rnn, self.cfg.mode) {
+        match (&self.rnn, self.mode) {
             (None, _) => queries
                 .iter()
                 .map(|(p, ts)| self.predict_ranked(p, ts))
@@ -216,7 +200,7 @@ impl NextOpPredictor {
     }
 
     pub fn mode(&self) -> NextOpMode {
-        self.cfg.mode
+        self.mode
     }
 }
 
@@ -250,16 +234,14 @@ mod tests {
 
     #[test]
     fn rnn_only_learns_sequence_rules() {
-        let cfg = NextOpConfig { mode: NextOpMode::RnnOnly, epochs: 80, ..Default::default() };
-        let model = NextOpPredictor::train(cfg, &fake_examples());
+        let model = NextOpPredictor::train(NextOpMode::RnnOnly, 80, &fake_examples());
         assert_eq!(model.predict(&[5], &[0.0; NUM_OPS]), OpKind::GroupBy);
         assert_eq!(model.predict(&[5, 3], &[0.0; NUM_OPS]), OpKind::Pivot);
     }
 
     #[test]
     fn single_operators_mode_ranks_by_scores_without_training() {
-        let cfg = NextOpConfig { mode: NextOpMode::SingleOperators, ..Default::default() };
-        let model = NextOpPredictor::train(cfg, &[]);
+        let model = NextOpPredictor::train(NextOpMode::SingleOperators, 40, &[]);
         let mut scores = vec![0.0; NUM_OPS];
         scores[4] = 0.9; // melt
         assert_eq!(model.predict(&[], &scores), OpKind::Melt);
@@ -281,8 +263,7 @@ mod tests {
                 label: if melt_like { 4 } else { 3 },
             });
         }
-        let cfg = NextOpConfig { mode: NextOpMode::Full, epochs: 80, ..Default::default() };
-        let model = NextOpPredictor::train(cfg, &examples);
+        let model = NextOpPredictor::train(NextOpMode::Full, 80, &examples);
         let mut melt_table = vec![0.0; NUM_OPS];
         melt_table[4] = 0.9;
         melt_table[3] = 0.05;
@@ -296,8 +277,7 @@ mod tests {
     #[test]
     fn batch_ranking_matches_per_query_ranking() {
         for mode in [NextOpMode::Full, NextOpMode::RnnOnly, NextOpMode::SingleOperators] {
-            let cfg = NextOpConfig { mode, epochs: 20, ..Default::default() };
-            let model = NextOpPredictor::train(cfg, &fake_examples());
+            let model = NextOpPredictor::train(mode, 20, &fake_examples());
             let queries: Vec<(Vec<usize>, Vec<f64>)> = vec![
                 (vec![5], vec![0.1; NUM_OPS]),
                 (vec![], vec![0.5; NUM_OPS]),
@@ -315,8 +295,7 @@ mod tests {
 
     #[test]
     fn ranked_output_is_permutation_of_ops() {
-        let cfg = NextOpConfig { mode: NextOpMode::SingleOperators, ..Default::default() };
-        let model = NextOpPredictor::train(cfg, &[]);
+        let model = NextOpPredictor::train(NextOpMode::SingleOperators, 40, &[]);
         let mut r = model.predict_ranked(&[], &[0.3; NUM_OPS]);
         r.sort_unstable();
         assert_eq!(r, (0..NUM_OPS).collect::<Vec<_>>());

@@ -3,7 +3,7 @@
 use crate::groupby::{GroupByAggPredictor, GroupBySuggestion};
 use crate::join::{JoinColumnPredictor, JoinSuggestion};
 use crate::join_type::JoinTypePredictor;
-use crate::nextop::{single_op_scores, NextOpConfig, NextOpExample, NextOpMode, NextOpPredictor};
+use crate::nextop::{single_op_scores, NextOpExample, NextOpMode, NextOpPredictor};
 use crate::pivot::{CompatibilityModel, PivotPredictor, PivotSuggestion};
 use crate::unpivot::{UnpivotPredictor, UnpivotSuggestion};
 use autosuggest_cache::table_row_fingerprint;
@@ -13,7 +13,6 @@ use autosuggest_corpus::{
     filter_invocations, is_test_group, CorpusConfig, CorpusGenerator, FaultSpec, FilterStats,
     OpKind, ReplayEngine, ReplayReport, RobustnessStats,
 };
-use autosuggest_features::CandidateParams;
 use autosuggest_gbdt::GbdtParams;
 use autosuggest_obs as obs;
 use autosuggest_nn::NgramModel;
@@ -23,12 +22,8 @@ use autosuggest_nn::NgramModel;
 pub struct AutoSuggestConfig {
     pub corpus: CorpusConfig,
     pub gbdt: GbdtParams,
-    pub candidates: CandidateParams,
-    pub nextop: NextOpConfig,
-    /// Test fraction of the grouped 80/20 split (§6.1).
-    pub test_fraction: f64,
-    /// Seed for the grouped split.
-    pub split_seed: u64,
+    /// Training epochs of the two next-operator RNNs.
+    pub nextop_epochs: usize,
     /// Deterministic fault injection into replay. `None` (the default)
     /// injects no faults.
     pub faults: Option<FaultSpec>,
@@ -39,10 +34,7 @@ impl Default for AutoSuggestConfig {
         AutoSuggestConfig {
             corpus: CorpusConfig::default(),
             gbdt: GbdtParams::default(),
-            candidates: CandidateParams::default(),
-            nextop: NextOpConfig::default(),
-            test_fraction: 0.2,
-            split_seed: 17,
+            nextop_epochs: 40,
             faults: None,
         }
     }
@@ -54,7 +46,7 @@ impl AutoSuggestConfig {
         AutoSuggestConfig {
             corpus: CorpusConfig::small(seed),
             gbdt: GbdtParams { n_trees: 40, ..Default::default() },
-            nextop: NextOpConfig { epochs: 25, ..Default::default() },
+            nextop_epochs: 25,
             ..Default::default()
         }
     }
@@ -87,10 +79,7 @@ pub struct TestData {
 pub struct TrainData {
     pub join: Vec<OpInvocation>,
     pub groupby: Vec<OpInvocation>,
-    pub pivot: Vec<OpInvocation>,
-    pub melt: Vec<OpInvocation>,
     pub nextop: Vec<NextOpExample>,
-    pub sequences: Vec<Vec<usize>>,
 }
 
 /// The trained Auto-Suggest system plus everything the evaluation needs.
@@ -182,13 +171,13 @@ impl AutoSuggest {
             .iter()
             .flat_map(|r| r.invocations.iter().cloned())
             .collect();
-        let (filtered, filter_stats) = filter_invocations(all_invocations, 5);
+        let (filtered, filter_stats) = filter_invocations(all_invocations);
 
         // Grouped 80/20 split (§6.1): group key = dataset_group. One moving
         // pass buckets each kept invocation by side and family, in order.
         let (mut train, mut test) = (ByFamily::default(), ByFamily::default());
         for inv in filtered {
-            if is_test_group(&inv.dataset_group, config.test_fraction, config.split_seed) {
+            if is_test_group(&inv.dataset_group) {
                 test.push(inv);
             } else {
                 train.push(inv);
@@ -208,7 +197,7 @@ impl AutoSuggest {
         let ((join, join_type), (groupby, compat)) = autosuggest_parallel::join(
             || {
                 (
-                    JoinColumnPredictor::train(&join_refs, &config.gbdt, config.candidates.clone()),
+                    JoinColumnPredictor::train(&join_refs, &config.gbdt),
                     JoinTypePredictor::train(&join_refs, &config.gbdt),
                 )
             },
@@ -278,8 +267,7 @@ impl AutoSuggest {
                 .collect();
             let per_report = autosuggest_parallel::par_map_indexed(streams.len(), |r| {
                 let (report, stream) = &streams[r];
-                let is_test =
-                    is_test_group(&report.dataset_group, config.test_fraction, config.split_seed);
+                let is_test = is_test_group(&report.dataset_group);
                 let mut prefix: Vec<usize> = Vec::new();
                 let mut examples = Vec::with_capacity(stream.len());
                 for (inv, &slot) in stream.iter().zip(&slots[offsets[r]..]) {
@@ -304,22 +292,19 @@ impl AutoSuggest {
             obs::observe_since("nextop.scoring_seconds", started);
         }
 
-        // The two RNN variants share no state and each seeds its own RNG
-        // from its config, so training them side by side is bit-identical
-        // to training them one after the other (at one thread the pool runs
-        // them inline).
+        // The two RNN variants share no state and each seeds its own RNG,
+        // so training them side by side is bit-identical to training them
+        // one after the other (at one thread the pool runs them inline).
         let modes = [NextOpMode::Full, NextOpMode::RnnOnly];
         let trained = autosuggest_parallel::par_map(&modes, |&mode| {
-            NextOpPredictor::train(NextOpConfig { mode, ..config.nextop.clone() }, &train_examples)
+            NextOpPredictor::train(mode, config.nextop_epochs, &train_examples)
         });
         let [nextop_full, nextop_rnn_only]: [NextOpPredictor; 2] = match trained.try_into() {
             Ok(pair) => pair,
             Err(_) => unreachable!("par_map returns one model per mode"),
         };
-        let nextop_single_ops = NextOpPredictor::train(
-            NextOpConfig { mode: NextOpMode::SingleOperators, ..config.nextop.clone() },
-            &[],
-        );
+        let nextop_single_ops =
+            NextOpPredictor::train(NextOpMode::SingleOperators, config.nextop_epochs, &[]);
         let mut ngram = NgramModel::new(3, crate::nextop::NUM_OPS);
         ngram.train(&train_sequences);
         drop(nextop_span);
@@ -340,10 +325,7 @@ impl AutoSuggest {
             train: TrainData {
                 join: train.join,
                 groupby: train.groupby,
-                pivot: train.pivot,
-                melt: train.melt,
                 nextop: train_examples,
-                sequences: train_sequences,
             },
             test: TestData {
                 join: test.join,
@@ -494,7 +476,7 @@ mod tests {
         let system = &fast3().0;
         let all: Vec<OpInvocation> =
             system.reports.iter().flat_map(|r| r.invocations.iter().cloned()).collect();
-        let (kept, fresh) = filter_invocations(all, 5);
+        let (kept, fresh) = filter_invocations(all);
         assert_eq!(system.filter_stats, fresh);
         assert_eq!(system.filter_stats.kept_per_op.values().sum::<usize>(), kept.len());
         assert!(system.filter_stats.kept_per_op.contains_key(&OpKind::JsonNormalize));
@@ -531,9 +513,7 @@ mod tests {
             if stream.len() < 2 {
                 continue;
             }
-            let config = &system.config;
-            let is_test =
-                is_test_group(&report.dataset_group, config.test_fraction, config.split_seed);
+            let is_test = is_test_group(&report.dataset_group);
             let mut prefix = Vec::new();
             for inv in stream {
                 let label = inv.op.sequence_id().unwrap();
@@ -653,8 +633,7 @@ mod tests {
                 for s in join.suggest(left, right, 3) {
                     assert!(s.score.is_finite(), "{pair}: {s:?}");
                 }
-                let candidates =
-                    autosuggest_features::enumerate_join_candidates(left, right, join.candidate_params());
+                let candidates = autosuggest_features::enumerate_join_candidates(left, right);
                 for cand in &candidates {
                     let scores = join_type.scores(left, right, cand);
                     assert!(scores.iter().all(|s| s.is_finite()), "{pair}: {scores:?}");

@@ -241,8 +241,8 @@ mod tests {
                 }
             }
         }
-        let (pivots, _) = autosuggest_corpus::filter_invocations(pivots, 5);
-        let (melts, _) = autosuggest_corpus::filter_invocations(melts, 5);
+        let (pivots, _) = autosuggest_corpus::filter_invocations(pivots);
+        let (melts, _) = autosuggest_corpus::filter_invocations(melts);
         let prefs: Vec<&OpInvocation> = pivots.iter().collect();
         let mrefs: Vec<&OpInvocation> = melts.iter().collect();
         let gbdt = GbdtParams { n_trees: 40, ..Default::default() };

@@ -80,7 +80,7 @@ mod tests {
                 }
             }
         }
-        let (melts, _) = autosuggest_corpus::filter_invocations(melts, 5);
+        let (melts, _) = autosuggest_corpus::filter_invocations(melts);
         let prefs: Vec<&OpInvocation> = pivots.iter().collect();
         let mrefs: Vec<&OpInvocation> = melts.iter().collect();
         let gbdt = GbdtParams { n_trees: 40, ..Default::default() };

@@ -14,7 +14,7 @@ pub struct FilterStats {
     /// Identical invocation (same operator, same inputs, same parameters) —
     /// within one notebook (loops) or across notebooks (forks/copies).
     pub dropped_duplicate: usize,
-    /// Inputs trivially small (fewer than `min_rows` rows).
+    /// Inputs trivially small (fewer than `MIN_INPUT_ROWS` = 5 rows).
     pub dropped_tiny: usize,
     pub kept: usize,
     /// `kept` by operator (Table 2's "#op filtered" column). Ordered, so
@@ -22,23 +22,23 @@ pub struct FilterStats {
     pub kept_per_op: BTreeMap<OpKind, usize>,
 }
 
+/// An invocation with an input of fewer rows is dropped: "input tables are
+/// trivially small with less than 5 rows" (§6.1).
+const MIN_INPUT_ROWS: usize = 5;
+
 /// Deduplicate and de-trivialise invocations.
 ///
 /// The duplicate key is (operator, input hashes, full parameters, output
 /// hash), the parameters in the sample store's exact encoding — the
 /// paper's "identical invocation on the same tables across notebooks, or
-/// repetitive invocations inside a loop". `min_rows` = 5 matches "input
-/// tables are trivially small with less than 5 rows".
-pub fn filter_invocations(
-    invocations: Vec<OpInvocation>,
-    min_rows: usize,
-) -> (Vec<OpInvocation>, FilterStats) {
+/// repetitive invocations inside a loop".
+pub fn filter_invocations(invocations: Vec<OpInvocation>) -> (Vec<OpInvocation>, FilterStats) {
     let mut stats = FilterStats { total: invocations.len(), ..Default::default() };
     let mut seen: HashSet<(OpKind, Vec<u64>, Vec<u8>, u64)> =
         HashSet::with_capacity(invocations.len());
     let mut kept = Vec::with_capacity(invocations.len());
     for inv in invocations {
-        if inv.inputs.iter().any(|t| t.num_rows() < min_rows) {
+        if inv.inputs.iter().any(|t| t.num_rows() < MIN_INPUT_ROWS) {
             stats.dropped_tiny += 1;
             continue;
         }
@@ -92,8 +92,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_dropped_across_notebooks() {
-        let (kept, stats) =
-            filter_invocations(vec![inv("a", 10, false), inv("b", 10, false)], 5);
+        let (kept, stats) = filter_invocations(vec![inv("a", 10, false), inv("b", 10, false)]);
         assert_eq!(kept.len(), 1);
         assert_eq!(stats.dropped_duplicate, 1);
     }
@@ -115,12 +114,11 @@ mod tests {
 
     #[test]
     fn different_params_are_not_duplicates() {
-        let (kept, _) =
-            filter_invocations(vec![inv("a", 10, false), inv("a", 10, true)], 5);
+        let (kept, _) = filter_invocations(vec![inv("a", 10, false), inv("a", 10, true)]);
         assert_eq!(kept.len(), 2);
         // The key holds the exact parameter bytes: no fill value and a NaN
         // fill value are different calls (both were `null` as JSON).
-        let (kept, _) = filter_invocations(vec![pivot(None), pivot(Some(f64::NAN))], 5);
+        let (kept, _) = filter_invocations(vec![pivot(None), pivot(Some(f64::NAN))]);
         assert_eq!(kept.len(), 2);
     }
 
@@ -133,7 +131,7 @@ mod tests {
         };
         let invs =
             vec![inv("a", 10, false), inv("b", 10, false), pivot(None), json, inv("d", 3, true)];
-        let (kept, stats) = filter_invocations(invs, 5);
+        let (kept, stats) = filter_invocations(invs);
         assert_eq!(stats.kept_per_op.values().sum::<usize>(), stats.kept);
         assert_eq!(stats.kept, kept.len());
         let expected = [(OpKind::DropNa, 1), (OpKind::Pivot, 1), (OpKind::JsonNormalize, 1)];
@@ -142,8 +140,7 @@ mod tests {
 
     #[test]
     fn tiny_inputs_are_dropped() {
-        let (kept, stats) =
-            filter_invocations(vec![inv("a", 3, false), inv("b", 10, false)], 5);
+        let (kept, stats) = filter_invocations(vec![inv("a", 3, false), inv("b", 10, false)]);
         assert_eq!(kept.len(), 1);
         assert_eq!(stats.dropped_tiny, 1);
         assert_eq!(stats.total, 2);
@@ -152,8 +149,7 @@ mod tests {
 
     #[test]
     fn different_inputs_same_params_kept() {
-        let (kept, _) =
-            filter_invocations(vec![inv("a", 10, false), inv("a", 11, false)], 5);
+        let (kept, _) = filter_invocations(vec![inv("a", 10, false), inv("a", 11, false)]);
         assert_eq!(kept.len(), 2);
     }
 
@@ -171,7 +167,7 @@ mod tests {
             inputs: vec![std::sync::Arc::new(floats)],
             ..inv("b", 10, false)
         };
-        let (kept, stats) = filter_invocations(vec![inv("a", 10, false), on_floats], 5);
+        let (kept, stats) = filter_invocations(vec![inv("a", 10, false), on_floats]);
         assert_eq!(kept.len(), 2);
         assert_eq!(stats.dropped_duplicate, 0);
     }

@@ -51,10 +51,10 @@ pub use lang::{CellAst, Expr, Stmt};
 pub use nbgen::{CorpusConfig, CorpusGenerator, GeneratedCorpus};
 pub use notebook::{Cell, Notebook};
 pub use replay::{OpInvocation, ReplayEngine, ReplayOutcome, ReplayReport};
-pub use split::{grouped_split, is_test_group, SplitSets};
+pub use split::is_test_group;
 pub use store::SampleStore;
 pub use stream::{
     corpus_id, replay_corpus_streamed, scan_scenario_stats, ScenarioStats, StreamConfig,
     StreamSummary,
 };
-pub use tablegen::{TableGenConfig, TableGenerator, TableKind};
+pub use tablegen::TableGenerator;

@@ -13,7 +13,7 @@ use crate::datasets::DatasetRepository;
 use crate::flowgraph::OpKind;
 use crate::lang::{Expr, FillValue, Stmt};
 use crate::notebook::{Cell, Notebook};
-use crate::tablegen::{GenTable, JoinCase, TableGenConfig, TableGenerator};
+use crate::tablegen::{GenTable, JoinCase, TableGenerator};
 use autosuggest_dataframe::io::write_csv_string;
 use autosuggest_dataframe::ops::Agg;
 use rand::rngs::StdRng;
@@ -36,7 +36,6 @@ pub struct CorpusConfig {
     pub flow_notebooks: usize,
     /// Plant recoverable quirks and unrecoverable failures.
     pub plant_failures: bool,
-    pub tables: TableGenConfig,
 }
 
 impl Default for CorpusConfig {
@@ -50,7 +49,6 @@ impl Default for CorpusConfig {
             json_notebooks: 60,
             flow_notebooks: 420,
             plant_failures: true,
-            tables: TableGenConfig::default(),
         }
     }
 }
@@ -83,7 +81,6 @@ impl CorpusConfig {
             json_notebooks: scaled[4],
             flow_notebooks: scaled[5],
             plant_failures: true,
-            tables: TableGenConfig::default(),
         }
     }
 
@@ -98,7 +95,6 @@ impl CorpusConfig {
             json_notebooks: 8,
             flow_notebooks: 40,
             plant_failures: true,
-            tables: TableGenConfig::default(),
         }
     }
 }
@@ -256,10 +252,7 @@ impl CorpusGenerator {
         let tag = archetype.stream_tag();
         CorpusGenerator {
             rng: StdRng::seed_from_u64(derive_seed(cfg.seed, tag, ordinal as u64, 1)),
-            tables: TableGenerator::new(
-                derive_seed(cfg.seed, tag, ordinal as u64, 2),
-                cfg.tables.clone(),
-            ),
+            tables: TableGenerator::new(derive_seed(cfg.seed, tag, ordinal as u64, 2)),
             cfg: cfg.clone(),
             repo: DatasetRepository::new(),
             serial: ordinal,

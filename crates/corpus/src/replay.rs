@@ -238,14 +238,6 @@ impl ReplayEngine {
         self
     }
 
-    pub fn config(&self) -> &ReplayConfig {
-        &self.config
-    }
-
-    pub fn faults(&self) -> Option<&FaultSpec> {
-        self.faults.as_ref()
-    }
-
     /// Replay one notebook end to end (quarantine round 0).
     pub fn replay(&self, nb: &Notebook) -> ReplayReport {
         self.replay_round(nb, 0)

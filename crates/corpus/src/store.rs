@@ -1040,11 +1040,6 @@ impl SampleStore {
         durable::publish(&self.root.join("manifest.json"), [doc.to_string().as_bytes()])
     }
 
-    /// Ids of completed shards, ascending.
-    pub fn completed_shards(&self) -> Vec<usize> {
-        self.shards.keys().copied().collect()
-    }
-
     pub(crate) fn shard_meta(&self, id: usize) -> Option<ShardMeta> {
         self.shards.get(&id).copied()
     }
@@ -1138,6 +1133,11 @@ mod tests {
     use super::*;
     use crate::error::ReplayErrorKind;
     use std::path::Path;
+
+    /// Ids of the shards `store` holds as complete, ascending.
+    fn completed(store: &SampleStore) -> Vec<usize> {
+        store.shards.keys().copied().collect()
+    }
 
     fn frame() -> DataFrame {
         DataFrame::new(vec![
@@ -1446,20 +1446,20 @@ mod tests {
     fn store_write_read_and_resume() {
         let root = tmpdir("resume");
         let mut store = SampleStore::open(&root, "corpus-a", 2, 3).unwrap();
-        assert!(store.completed_shards().is_empty());
+        assert!(completed(&store).is_empty());
         store.write_shard(0, &[report()], &stats()).unwrap();
         store.write_shard(2, &[], &RobustnessStats::default()).unwrap();
 
         // Reopen with the same identity: completed shards survive.
         let store2 = SampleStore::open(&root, "corpus-a", 2, 3).unwrap();
-        assert_eq!(store2.completed_shards(), vec![0, 2]);
+        assert_eq!(completed(&store2), vec![0, 2]);
         let (reports, _) = store2.read_shard(0).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].notebook_id, "nb-join-00001");
 
         // Reopen with a different corpus id: store resets.
         let store3 = SampleStore::open(&root, "corpus-b", 2, 3).unwrap();
-        assert!(store3.completed_shards().is_empty());
+        assert!(completed(&store3).is_empty());
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -1476,7 +1476,7 @@ mod tests {
         fs::write(&shard0, bytes).unwrap();
 
         let store2 = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
-        assert_eq!(store2.completed_shards(), vec![1]);
+        assert_eq!(completed(&store2), vec![1]);
         assert!(!shard0.exists(), "corrupt shard should be deleted");
         let _ = fs::remove_dir_all(&root);
     }
@@ -1498,7 +1498,7 @@ mod tests {
             let store = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
             assert!(!orphan.exists(), "tmp of {k} bytes survived open");
             assert!(!orphan2.exists());
-            assert!(store.completed_shards().is_empty());
+            assert!(completed(&store).is_empty());
             assert!(store.read_shard(0).is_err());
         }
         let _ = fs::remove_dir_all(&root);
@@ -1565,7 +1565,7 @@ mod tests {
             }
 
             let mut store = SampleStore::open(&root, "corpus-a", 1, 3).unwrap();
-            assert_eq!(store.completed_shards(), vec![0, 1], "{state}");
+            assert_eq!(completed(&store), vec![0, 1], "{state}");
             let tmps: Vec<String> =
                 store_files(&root).into_keys().filter(|n| n.contains(".tmp")).collect();
             assert!(tmps.is_empty(), "{state}: open left {tmps:?}");
@@ -1591,7 +1591,7 @@ mod tests {
             fs::write(&shard0, &image[..k]).unwrap();
             fs::write(root.join("manifest.json"), &manifest).unwrap();
             let reopened = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
-            assert_eq!(reopened.completed_shards(), vec![1], "truncated to {k} bytes");
+            assert_eq!(completed(&reopened), vec![1], "truncated to {k} bytes");
             assert!(!shard0.exists(), "shard truncated to {k} bytes was not deleted");
         }
         let _ = fs::remove_dir_all(&root);
@@ -1618,7 +1618,7 @@ mod tests {
             fs::write(&shard0, &flipped).unwrap();
             fs::write(root.join("manifest.json"), &manifest).unwrap();
             let reopened = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();
-            assert_eq!(reopened.completed_shards(), vec![1], "bit flipped at byte {at}");
+            assert_eq!(completed(&reopened), vec![1], "bit flipped at byte {at}");
             assert!(!shard0.exists(), "shard with a bit flipped at byte {at} was not deleted");
         }
         let _ = fs::remove_dir_all(&root);
@@ -1635,7 +1635,7 @@ mod tests {
         assert_eq!(manifest.matches(&current).count(), 1, "{manifest}");
         fs::write(&path, manifest.replace(&current, "\"version\":1")).unwrap();
         let reopened = SampleStore::open(&root, "corpus-a", 1, 2).unwrap();
-        assert!(reopened.completed_shards().is_empty());
+        assert!(completed(&reopened).is_empty());
         assert!(!root.join("shards").join("shard-00000.asg").exists());
         let _ = fs::remove_dir_all(&root);
     }

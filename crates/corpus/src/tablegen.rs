@@ -101,45 +101,20 @@ pub struct JoinCase {
     pub how: JoinType,
 }
 
-/// Knobs for table generation.
-#[derive(Debug, Clone)]
-pub struct TableGenConfig {
-    /// Range of entity counts for fact/dimension tables.
-    pub min_entities: usize,
-    pub max_entities: usize,
-    /// Range of the year span for temporal dimensions.
-    pub min_years: usize,
-    pub max_years: usize,
-}
-
-impl Default for TableGenConfig {
-    fn default() -> Self {
-        TableGenConfig { min_entities: 8, max_entities: 30, min_years: 2, max_years: 5 }
-    }
-}
-
-/// Table kinds the generator can produce directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableKind {
-    Fact,
-    Dimension,
-    WidePivot,
-}
+/// Range of entity counts of a join scenario's entity pool.
+const ENTITIES: std::ops::RangeInclusive<usize> = 8..=30;
+/// Range of the year span of a fact table's temporal dimension.
+const YEARS: std::ops::RangeInclusive<usize> = 2..=5;
 
 /// Seeded generator of realistic tables and join scenarios.
 pub struct TableGenerator {
     rng: StdRng,
-    cfg: TableGenConfig,
     serial: u64,
 }
 
 impl TableGenerator {
-    pub fn new(seed: u64, cfg: TableGenConfig) -> Self {
-        TableGenerator { rng: StdRng::seed_from_u64(seed), cfg, serial: 0 }
-    }
-
-    pub fn with_seed(seed: u64) -> Self {
-        TableGenerator::new(seed, TableGenConfig::default())
+    pub fn new(seed: u64) -> Self {
+        TableGenerator { rng: StdRng::seed_from_u64(seed), serial: 0 }
     }
 
     fn next_serial(&mut self) -> u64 {
@@ -173,7 +148,7 @@ impl TableGenerator {
     /// entity id, entity name), a temporal dimension, then measures on the
     /// right. Row = entity × period (optionally × quarter).
     pub fn fact_table(&mut self, entities: &[Entity]) -> GenTable {
-        let years = self.rng.random_range(self.cfg.min_years..=self.cfg.max_years);
+        let years = self.rng.random_range(YEARS);
         let base_year = 2004 + self.rng.random_range(0..10) as i64;
         let with_quarter = self.rng.random_bool(0.4);
         let n_measures = self.rng.random_range(1..=3);
@@ -554,9 +529,7 @@ impl TableGenerator {
 
     /// A complete join scenario with planted ground truth (§4.1 / §6.5.1-2).
     pub fn join_pair(&mut self) -> JoinCase {
-        let n = self
-            .rng
-            .random_range(self.cfg.min_entities..=self.cfg.max_entities);
+        let n = self.rng.random_range(ENTITIES);
         let entities = self.entities(n);
 
         // 68% strict FK joins; the rest are ad-hoc with partial overlap.
@@ -747,7 +720,7 @@ mod tests {
 
     #[test]
     fn entities_have_fd_structure() {
-        let mut g = TableGenerator::with_seed(1);
+        let mut g = TableGenerator::new(1);
         let es = g.entities(20);
         assert_eq!(es.len(), 20);
         let ids: std::collections::HashSet<_> = es.iter().map(|e| &e.id).collect();
@@ -756,7 +729,7 @@ mod tests {
 
     #[test]
     fn fact_table_layout() {
-        let mut g = TableGenerator::with_seed(2);
+        let mut g = TableGenerator::new(2);
         let es = g.entities(10);
         let t = g.fact_table(&es);
         // Every dim and measure resolves to a real column.
@@ -775,7 +748,7 @@ mod tests {
 
     #[test]
     fn measures_lean_right_but_interleaving_occurs() {
-        let mut g = TableGenerator::with_seed(17);
+        let mut g = TableGenerator::new(17);
         let mut mean_dim_pos = 0.0;
         let mut mean_measure_pos = 0.0;
         let mut interleaved = 0;
@@ -807,7 +780,7 @@ mod tests {
 
     #[test]
     fn dimension_table_key_is_unique() {
-        let mut g = TableGenerator::with_seed(3);
+        let mut g = TableGenerator::new(3);
         let es = g.entities(15);
         let d = g.dimension_table(&es, "Model");
         let key = d.df.column("Model").unwrap();
@@ -817,7 +790,7 @@ mod tests {
 
     #[test]
     fn wide_pivot_table_has_homogeneous_block() {
-        let mut g = TableGenerator::with_seed(4);
+        let mut g = TableGenerator::new(4);
         let t = g.wide_pivot_table(8);
         assert_eq!(t.meta.collapse_cols.len(), 8);
         for c in &t.meta.collapse_cols {
@@ -842,7 +815,7 @@ mod tests {
 
     #[test]
     fn wide_pivot_traps_appear_at_configured_rates() {
-        let mut g = TableGenerator::with_seed(14);
+        let mut g = TableGenerator::new(14);
         let mut with_total = 0;
         let mut with_numeric_id = 0;
         for _ in 0..60 {
@@ -862,7 +835,7 @@ mod tests {
 
     #[test]
     fn adhoc_dimension_tables_can_have_duplicate_keys() {
-        let mut g = TableGenerator::with_seed(15);
+        let mut g = TableGenerator::new(15);
         let es = g.entities(30);
         let d = g.dimension_table_with_dups(&es, "id", true);
         let key = d.df.column("id").unwrap();
@@ -871,7 +844,7 @@ mod tests {
 
     #[test]
     fn join_pair_ground_truth_is_joinable() {
-        let mut g = TableGenerator::with_seed(5);
+        let mut g = TableGenerator::new(5);
         for _ in 0..10 {
             let case = g.join_pair();
             let l = case.left.df.column(&case.left_on[0]).unwrap();
@@ -885,7 +858,7 @@ mod tests {
 
     #[test]
     fn join_type_distribution_is_mostly_inner() {
-        let mut g = TableGenerator::with_seed(6);
+        let mut g = TableGenerator::new(6);
         let mut inner = 0;
         let total = 300;
         for _ in 0..total {
@@ -899,8 +872,8 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let mut a = TableGenerator::with_seed(9);
-        let mut b = TableGenerator::with_seed(9);
+        let mut a = TableGenerator::new(9);
+        let mut b = TableGenerator::new(9);
         let ea = a.entities(5);
         let eb = b.entities(5);
         let ta = a.fact_table(&ea);

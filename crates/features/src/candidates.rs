@@ -3,7 +3,6 @@
 use autosuggest_cache::{ColumnArtifacts, ColumnCache, MinHashSketch, BASE_SKETCH_K};
 use autosuggest_dataframe::{DataFrame, DType};
 use autosuggest_obs as obs;
-use std::collections::HashSet;
 
 /// A candidate join: column index sets `S ⊆ T` and `S' ⊆ T'` with
 /// `|S| = |S'|`.
@@ -18,65 +17,30 @@ pub struct JoinCandidate {
 pub const JOIN_SKETCH_K: usize = 64;
 const _: () = assert!(JOIN_SKETCH_K <= BASE_SKETCH_K);
 
-/// Knobs for candidate enumeration.
-#[derive(Debug, Clone)]
-pub struct CandidateParams {
-    /// Single-column pairs whose best-direction containment estimate falls
-    /// below this are pruned (kept lax: pruning must not drop ground truth).
-    pub min_containment: f64,
-    /// Maximum key width; 2 covers the multi-column joins seen in notebooks.
-    pub max_width: usize,
-    /// Cap on emitted candidates (safety valve for very wide tables).
-    pub max_candidates: usize,
-}
+/// Single-column pairs whose best-direction containment estimate falls
+/// below this are pruned (kept lax: pruning must not drop ground truth).
+const MIN_CONTAINMENT: f64 = 0.02;
 
-impl Default for CandidateParams {
-    fn default() -> Self {
-        CandidateParams {
-            min_containment: 0.02,
-            max_width: 2,
-            max_candidates: 2_000,
-        }
-    }
-}
-
-/// Distinct non-null tuple hashes for a column set.
-///
-/// Delegates to the canonical implementation in `autosuggest_cache`
-/// ([`autosuggest_cache::KeyTupleSet`]) so the null-skip and hashing
-/// semantics live in exactly one place; the featuriser's hot path uses the
-/// cached `PairCache::key_tuples` instead of this eager set.
-pub fn key_tuple_hashes(df: &DataFrame, cols: &[usize]) -> HashSet<u64> {
-    autosuggest_cache::KeyTupleSet::compute(df, cols)
-        .hashes()
-        .iter()
-        .copied()
-        .collect()
-}
+/// Cap on emitted candidates (safety valve for very wide tables). Keys are
+/// at most two columns wide, which covers the multi-column joins seen in
+/// notebooks.
+const MAX_CANDIDATES: usize = 2_000;
 
 /// Enumerate join candidates between `left` and `right`.
 ///
 /// Single-column pairs are kept when their dtypes unify (footnote 2's
 /// type-mismatch pruning) and the sketched containment in either direction
-/// clears `min_containment`. Two-column candidates are built from ordered
-/// pairs of surviving single-column candidates that use distinct columns on
-/// both sides.
-pub fn enumerate_join_candidates(
-    left: &DataFrame,
-    right: &DataFrame,
-    params: &CandidateParams,
-) -> Vec<JoinCandidate> {
+/// clears `MIN_CONTAINMENT` (0.02). Two-column candidates are built from
+/// ordered pairs of surviving single-column candidates that use distinct
+/// columns on both sides. At most `MAX_CANDIDATES` (2000) are emitted.
+pub fn enumerate_join_candidates(left: &DataFrame, right: &DataFrame) -> Vec<JoinCandidate> {
     let _span = obs::span("enumerate_join_candidates");
-    let out = enumerate_inner(left, right, params);
+    let out = enumerate_inner(left, right, MAX_CANDIDATES);
     obs::counter_add("features.join_candidates", out.len() as u64);
     out
 }
 
-fn enumerate_inner(
-    left: &DataFrame,
-    right: &DataFrame,
-    params: &CandidateParams,
-) -> Vec<JoinCandidate> {
+fn enumerate_inner(left: &DataFrame, right: &DataFrame, max_candidates: usize) -> Vec<JoinCandidate> {
     // Per-column sketches and dtypes come from the content-addressed cache:
     // the same column enumerated against many partners (or re-enumerated
     // across training and evaluation) is fingerprinted and computed once.
@@ -111,7 +75,7 @@ fn enumerate_inner(
                 let c = lsketch[li]
                     .containment_in(&rsketch[ri])
                     .max(rsketch[ri].containment_in(&lsketch[li]));
-                if c >= params.min_containment {
+                if c >= MIN_CONTAINMENT {
                     row.push((li, ri));
                 }
             }
@@ -124,30 +88,25 @@ fn enumerate_inner(
     // Apply the cap to the singles *before* deriving anything from them, so
     // two-column candidates can only combine singles that are themselves
     // emitted — a pair never references a constituent the cap dropped.
-    singles.truncate(params.max_candidates);
+    singles.truncate(max_candidates);
 
     let mut out: Vec<JoinCandidate> = singles
         .iter()
         .map(|&(l, r)| JoinCandidate { left_cols: vec![l], right_cols: vec![r] })
         .collect();
 
-    if params.max_width >= 2 {
-        'pairs: for (i, &(l1, r1)) in singles.iter().enumerate() {
-            for &(l2, r2) in &singles[i + 1..] {
-                if l1 == l2 || r1 == r2 {
-                    continue;
-                }
-                if out.len() >= params.max_candidates {
-                    break 'pairs;
-                }
-                out.push(JoinCandidate {
-                    left_cols: vec![l1, l2],
-                    right_cols: vec![r1, r2],
-                });
+    'pairs: for (i, &(l1, r1)) in singles.iter().enumerate() {
+        for &(l2, r2) in &singles[i + 1..] {
+            if l1 == l2 || r1 == r2 {
+                continue;
             }
+            if out.len() >= max_candidates {
+                break 'pairs;
+            }
+            out.push(JoinCandidate { left_cols: vec![l1, l2], right_cols: vec![r1, r2] });
         }
     }
-    out.truncate(params.max_candidates);
+    out.truncate(max_candidates);
     out
 }
 
@@ -155,6 +114,7 @@ fn enumerate_inner(
 mod tests {
     use super::*;
     use autosuggest_dataframe::Value;
+    use std::collections::HashSet;
 
     fn strcol(vals: &[&str]) -> Vec<Value> {
         vals.iter().map(|s| Value::Str((*s).into())).collect()
@@ -168,7 +128,7 @@ mod tests {
     fn type_mismatch_is_pruned() {
         let l = DataFrame::from_columns(vec![("name", strcol(&["a", "b"]))]).unwrap();
         let r = DataFrame::from_columns(vec![("id", intcol(&[1, 2]))]).unwrap();
-        let cands = enumerate_join_candidates(&l, &r, &CandidateParams::default());
+        let cands = enumerate_join_candidates(&l, &r);
         assert!(cands.is_empty());
     }
 
@@ -184,7 +144,7 @@ mod tests {
             ("weeks", intcol(&[3, 9])),
         ])
         .unwrap();
-        let cands = enumerate_join_candidates(&l, &r, &CandidateParams::default());
+        let cands = enumerate_join_candidates(&l, &r);
         assert!(cands.contains(&JoinCandidate { left_cols: vec![0], right_cols: vec![0] }));
         // rank ↔ weeks also survives (ints with overlapping values) — the
         // ranking model, not the enumerator, must demote it.
@@ -195,7 +155,7 @@ mod tests {
     fn disjoint_value_sets_are_pruned() {
         let l = DataFrame::from_columns(vec![("a", strcol(&["x", "y"]))]).unwrap();
         let r = DataFrame::from_columns(vec![("b", strcol(&["p", "q"]))]).unwrap();
-        let cands = enumerate_join_candidates(&l, &r, &CandidateParams::default());
+        let cands = enumerate_join_candidates(&l, &r);
         assert!(cands.is_empty());
     }
 
@@ -211,7 +171,7 @@ mod tests {
             ("d2", intcol(&[1, 2])),
         ])
         .unwrap();
-        let cands = enumerate_join_candidates(&l, &r, &CandidateParams::default());
+        let cands = enumerate_join_candidates(&l, &r);
         assert!(cands
             .iter()
             .any(|c| c.left_cols == vec![0, 1] && c.right_cols == vec![0, 1]));
@@ -238,8 +198,7 @@ mod tests {
             )
             .unwrap()
         };
-        let params = CandidateParams { max_candidates: 50, ..Default::default() };
-        let cands = enumerate_join_candidates(&frame("l"), &frame("r"), &params);
+        let cands = enumerate_inner(&frame("l"), &frame("r"), 50);
         assert_eq!(cands.len(), 50);
     }
 
@@ -264,8 +223,7 @@ mod tests {
         // 5×5 identical int columns → 25 surviving singles; a cap of 9
         // must keep exactly the first 9 singles of the lexicographic
         // enumeration and emit no pairs built from dropped singles.
-        let params = CandidateParams { max_candidates: 9, ..Default::default() };
-        let cands = enumerate_join_candidates(&dense_frame("l", 5), &dense_frame("r", 5), &params);
+        let cands = enumerate_inner(&dense_frame("l", 5), &dense_frame("r", 5), 9);
         let expected: Vec<JoinCandidate> = (0..5)
             .flat_map(|l| (0..5).map(move |r| (l, r)))
             .take(9)
@@ -281,8 +239,7 @@ mod tests {
         // must decompose into two singles that are themselves in the
         // output — the invariant the untruncated-`singles` pair loop
         // violated by construction.
-        let params = CandidateParams { max_candidates: 20, ..Default::default() };
-        let cands = enumerate_join_candidates(&dense_frame("l", 4), &dense_frame("r", 4), &params);
+        let cands = enumerate_inner(&dense_frame("l", 4), &dense_frame("r", 4), 20);
         assert_eq!(cands.len(), 20);
         let singles: HashSet<(usize, usize)> = cands
             .iter()
@@ -304,28 +261,10 @@ mod tests {
     fn capped_enumeration_is_a_prefix_of_the_uncapped_one() {
         // Tightening the cap must only ever drop a suffix, never reorder or
         // substitute candidates.
-        let uncapped = enumerate_join_candidates(
-            &dense_frame("l", 4),
-            &dense_frame("r", 4),
-            &CandidateParams::default(),
-        );
+        let uncapped = enumerate_join_candidates(&dense_frame("l", 4), &dense_frame("r", 4));
         for cap in [1, 7, 16, 21, 40, uncapped.len()] {
-            let params = CandidateParams { max_candidates: cap, ..Default::default() };
-            let capped =
-                enumerate_join_candidates(&dense_frame("l", 4), &dense_frame("r", 4), &params);
+            let capped = enumerate_inner(&dense_frame("l", 4), &dense_frame("r", 4), cap);
             assert_eq!(capped.len(), cap.min(uncapped.len()));
             assert_eq!(capped[..], uncapped[..capped.len()]);
         }
-    }
-
-    #[test]
-    fn key_tuple_hashes_skip_null_rows() {
-        let df = DataFrame::from_columns(vec![
-            ("a", vec![Value::Int(1), Value::Null, Value::Int(1)]),
-            ("b", vec![Value::Int(2), Value::Int(3), Value::Int(2)]),
-        ])
-        .unwrap();
-        let hashes = key_tuple_hashes(&df, &[0, 1]);
-        assert_eq!(hashes.len(), 1); // row 1 skipped, rows 0 and 2 identical
-    }
-}
+    }}

@@ -15,20 +15,19 @@
 //!
 //! Candidate enumeration for joins — with the paper's type-mismatch and
 //! sketch-based containment pruning (footnote 2) — lives in
-//! [`candidates`]; the MinHash-style sketch in [`sketch`] (re-exported from
-//! `autosuggest-cache`, which interns sketches and column statistics in a
-//! content-addressed cache the featurisers fetch through).
+//! [`candidates`]; its MinHash sketches come from `autosuggest-cache`,
+//! which interns sketches and column statistics in a content-addressed
+//! cache the featurisers fetch through.
 
 pub mod affinity;
 pub mod candidates;
 pub mod groupby;
 pub mod join;
-pub mod sketch;
 
 pub use affinity::{
     affinity_features, AffinityFeatures, AffinityProfile, AFFINITY_FEATURE_NAMES,
 };
-pub use candidates::{enumerate_join_candidates, CandidateParams, JoinCandidate};
+pub use candidates::{enumerate_join_candidates, JoinCandidate};
 pub use groupby::{
     groupby_features, groupby_features_from_artifacts, ColumnNamePrior, GroupByFeatures,
     GROUPBY_FEATURE_NAMES,
@@ -36,4 +35,3 @@ pub use groupby::{
 pub use join::{
     join_features, join_features_batch, JoinFeatures, JOIN_FEATURE_GROUPS, JOIN_FEATURE_NAMES,
 };
-pub use sketch::MinHashSketch;

@@ -4,20 +4,21 @@ use crate::data::Dataset;
 use crate::tree::{Grower, Presorted, RegressionTree, TreeParams};
 use autosuggest_obs as obs;
 
+/// Shrinkage applied to each tree's contribution.
+pub const LEARNING_RATE: f64 = 0.1;
+
 /// Hyper-parameters for the boosted ensemble.
 #[derive(Debug, Clone)]
 pub struct GbdtParams {
     /// Number of boosting rounds (trees).
     pub n_trees: usize,
-    /// Shrinkage applied to each tree's contribution.
-    pub learning_rate: f64,
     /// Per-tree parameters.
     pub tree: TreeParams,
 }
 
 impl Default for GbdtParams {
     fn default() -> Self {
-        GbdtParams { n_trees: 100, learning_rate: 0.1, tree: TreeParams::default() }
+        GbdtParams { n_trees: 100, tree: TreeParams::default() }
     }
 }
 
@@ -30,7 +31,6 @@ impl Default for GbdtParams {
 #[derive(Debug, Clone)]
 pub struct Gbdt {
     base: f64,
-    learning_rate: f64,
     trees: Vec<RegressionTree>,
     feature_names: Vec<String>,
 }
@@ -69,25 +69,18 @@ impl Gbdt {
             // adding its value row by row is the per-row predict update.
             for (rows, value) in grower.leaves() {
                 for &i in rows {
-                    preds[i] += params.learning_rate * value;
+                    preds[i] += LEARNING_RATE * value;
                 }
             }
             trees.push(tree);
         }
         obs::observe_since("gbdt.fit_seconds", fit_started);
-        Gbdt {
-            base,
-            learning_rate: params.learning_rate,
-            trees,
-            feature_names: data.feature_names().to_vec(),
-        }
+        Gbdt { base, trees, feature_names: data.feature_names().to_vec() }
     }
 
     /// Predict the regression score for one feature vector.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.base
-            + self.learning_rate
-                * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        self.base + LEARNING_RATE * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
     }
 
     /// Gain-based feature importance, normalised to sum to 1 (all-zero when

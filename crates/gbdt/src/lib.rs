@@ -23,7 +23,7 @@ mod data;
 mod importance;
 mod tree;
 
-pub use boost::{Gbdt, GbdtParams};
+pub use boost::{Gbdt, GbdtParams, LEARNING_RATE};
 pub use data::Dataset;
 pub use importance::{aggregate_importance, normalize};
 pub use tree::{RegressionTree, TreeParams};

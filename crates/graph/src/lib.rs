@@ -10,7 +10,7 @@
 //! This crate provides the weighted [`AffinityGraph`], the
 //! [Stoer–Wagner](stoer_wagner) global min-cut, exact and min-cut-based
 //! [AMPT solvers](ampt), the [CMUT greedy](cmut) with an exhaustive
-//! reference, and the [Rand index](rand_index) used to score predicted
+//! reference, and the [Rand index](rand_index()) used to score predicted
 //! splits (Table 8).
 
 mod affinity_graph;

@@ -19,13 +19,13 @@
 //! the subnormal range — and stay there forever, because `fl(0.9·m)` has
 //! fixed points at the smallest denormals. Each such element then triggers
 //! several ~hundred-cycle microcode assists per step for the rest of
-//! training. The [`FastGate`] lane below proves, per element, that the
+//! training. The `FastGate` lane below proves, per element, that the
 //! update leaves the parameter bit-unchanged and computes the moment decay
 //! exactly in integer arithmetic, issuing no denormal FP ops at all. The
 //! AVX-512 kernel sorts each block's lanes into `Skip`, `Decay` and `Slow`
 //! with mask compares and decays its `Decay` lanes in vector integer
 //! arithmetic (IFMA), so no lane falls back to per-element code; the
-//! portable loop sends every element through [`apply_one`].
+//! portable loop sends every element through `apply_one`.
 
 /// Adam state over one flat parameter arena: the first and second moments
 /// share the arena's layout, and each [`Adam::step`] updates every

@@ -1,6 +1,6 @@
 //! N-gram language model with MLE estimates and backoff.
 //!
-//! The Table 11 baseline: "N-gram [66] is another popular language modeling
+//! The Table 11 baseline: "N-gram \[66\] is another popular language modeling
 //! approach … implemented with trigrams and MLE". Contexts unseen at
 //! training time back off to shorter n-grams, ending at the unigram
 //! distribution (uniform if even that is empty).

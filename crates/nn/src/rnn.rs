@@ -4,7 +4,7 @@
 //! ## Training kernels
 //!
 //! Training runs through the allocation-free batch kernels of
-//! [`crate::matmul`] with one reusable [`Scratch`] workspace per call, one
+//! [`crate::matmul`] with one reusable `Scratch` workspace per call, one
 //! example per Adam step: each epoch shuffles the examples with a seeded
 //! RNG and steps through them in that order.
 //!
@@ -158,10 +158,6 @@ impl RnnClassifier {
             params,
             cfg,
         }
-    }
-
-    pub fn config(&self) -> &RnnConfig {
-        &self.cfg
     }
 
     /// Batched forward pass over `group` (example indices sharing one

@@ -29,7 +29,7 @@
 //!
 //! Workers are spawned per call via `std::thread::scope`, so closures may
 //! borrow freely from the caller. Spawn cost (~tens of µs) is amortised by
-//! the [`SEQ_CUTOFF`] guard: small inputs run inline on the caller thread.
+//! the `SEQ_CUTOFF` guard: small inputs run inline on the caller thread.
 //!
 //! ## Thread-count knobs
 //!

@@ -8,7 +8,7 @@
 use auto_suggest::baselines::join::{JoinBaseline, MaxOverlap};
 use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
 use auto_suggest::dataframe::{DataFrame, Value};
-use auto_suggest::features::{enumerate_join_candidates, CandidateParams};
+use auto_suggest::features::enumerate_join_candidates;
 
 fn books() -> (DataFrame, DataFrame) {
     let left = DataFrame::from_columns(vec![
@@ -55,7 +55,7 @@ fn main() {
     let (left, right) = books();
     println!("\nLeft table:\n{left}\nRight table:\n{right}");
 
-    let cands = enumerate_join_candidates(&left, &right, &CandidateParams::default());
+    let cands = enumerate_join_candidates(&left, &right);
     println!("{} join candidates survive pruning", cands.len());
 
     println!("\nAuto-Suggest ranking:");

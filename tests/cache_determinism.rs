@@ -215,9 +215,7 @@ fn pair_tier_counters_are_deterministic_across_thread_counts() {
 
 #[test]
 fn join_features_batch_matches_sequential_join_features() {
-    use auto_suggest::features::{
-        enumerate_join_candidates, join_features, join_features_batch, CandidateParams,
-    };
+    use auto_suggest::features::{enumerate_join_candidates, join_features, join_features_batch};
     let left = DataFrame::from_columns(vec![
         ("id", (0..60).map(Value::Int).collect()),
         ("region", (0..60).map(|i| Value::Str(format!("r{}", i % 7))).collect()),
@@ -229,7 +227,7 @@ fn join_features_batch_matches_sequential_join_features() {
         ("region", (0..60).map(|i| Value::Str(format!("r{}", i % 9))).collect()),
     ])
     .unwrap();
-    let cands = enumerate_join_candidates(&left, &right, &CandidateParams::default());
+    let cands = enumerate_join_candidates(&left, &right);
     assert!(cands.len() >= 2, "workload needs several candidates");
     let sequential: Vec<Vec<f64>> = cands
         .iter()
@@ -246,7 +244,6 @@ fn join_features_batch_matches_sequential_join_features() {
 
 #[test]
 fn cache_counters_appear_in_deterministic_trace_section() {
-    let params = auto_suggest::features::CandidateParams::default();
     let left = DataFrame::from_columns(vec![
         ("a", (0..40).map(Value::Int).collect()),
         ("b", (0..40).map(|i| Value::Str(format!("v{i}"))).collect()),
@@ -256,8 +253,8 @@ fn cache_counters_appear_in_deterministic_trace_section() {
     let ((), snap) = obs::with_local_registry(|| {
         // Enumerate the same pair twice: the second pass hits for every
         // column the first pass interned.
-        auto_suggest::features::enumerate_join_candidates(&left, &right, &params);
-        auto_suggest::features::enumerate_join_candidates(&left, &right, &params);
+        auto_suggest::features::enumerate_join_candidates(&left, &right);
+        auto_suggest::features::enumerate_join_candidates(&left, &right);
     });
     let det = snap.deterministic_value().to_string();
     assert!(det.contains("\"cache.hits\""), "cache.hits missing from {det}");

@@ -328,7 +328,7 @@ fn writer_matches_reference_on_every_generated_table() {
     }
     // The generator's own frames, before any CSV round trip.
     for seed in SEEDS {
-        let mut gen = TableGenerator::with_seed(seed);
+        let mut gen = TableGenerator::new(seed);
         for _ in 0..20 {
             let case = gen.join_pair();
             let entities = gen.entities(12);

@@ -21,7 +21,7 @@ fn system() -> &'static AutoSuggest {
         cfg.corpus.unpivot_notebooks = 40;
         cfg.corpus.json_notebooks = 10;
         cfg.corpus.flow_notebooks = 140;
-        cfg.nextop.epochs = 50;
+        cfg.nextop_epochs = 50;
         AutoSuggest::train(cfg)
     })
 }
@@ -34,12 +34,7 @@ fn join_model_beats_max_overlap_on_held_out_cases() {
     let mut overlap = Vec::new();
     for inv in &sys.test.join {
         let Some(truth) = ground_truth_candidate(inv) else { continue };
-        let cands = candidates_with_truth(
-            &inv.inputs[0],
-            &inv.inputs[1],
-            &truth,
-            model.candidate_params(),
-        );
+        let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
         let best = model.rank_candidates(&inv.inputs[0], &inv.inputs[1], &cands)[0];
         ours.push(if cands[best] == truth { 1.0 } else { 0.0 });
         let ob = MaxOverlap.rank(&inv.inputs[0], &inv.inputs[1], &cands)[0];

@@ -36,7 +36,7 @@ fn foreign_files_survive_store_and_cache_open() {
     let shard = store_root.join("shards").join("shard-00000.asg");
     assert!(shard.exists());
     let reset = SampleStore::open(&store_root, "corpus-b", 4, 2).unwrap();
-    assert!(reset.completed_shards().is_empty());
+    assert!(reset.resumed_stats(0).is_none());
     assert!(!shard.exists(), "reset kept a shard of the old corpus");
     assert!(shard_notes.exists(), "store reset deleted a user file under shards/");
 

@@ -2,7 +2,7 @@
 
 use auto_suggest::corpus::durable::fnv64;
 use auto_suggest::corpus::{
-    filter_invocations, grouped_split, CorpusConfig, CorpusGenerator, FaultSpec, OpKind,
+    filter_invocations, is_test_group, CorpusConfig, CorpusGenerator, FaultSpec, OpKind,
     ReplayEngine, ReplayOutcome,
 };
 use std::collections::HashSet;
@@ -33,7 +33,7 @@ fn corpus_replay_filter_split_pipeline() {
     assert!(successes > corpus.notebooks.len() / 4);
 
     let total = invocations.len();
-    let (filtered, stats) = filter_invocations(invocations, 5);
+    let (filtered, stats) = filter_invocations(invocations);
     assert_eq!(stats.total, total);
     assert_eq!(stats.kept, filtered.len());
     assert!(stats.dropped_duplicate > 0, "loop-duplicates must be planted and dropped");
@@ -50,15 +50,13 @@ fn corpus_replay_filter_split_pipeline() {
         );
     }
 
-    // Grouped split keeps dataset groups intact.
-    let split = grouped_split(&filtered, |i| i.dataset_group.as_str(), 0.2, 3);
-    let test_groups: std::collections::HashSet<&str> = split
-        .test
-        .iter()
-        .map(|&i| filtered[i].dataset_group.as_str())
-        .collect();
-    for &i in &split.train {
-        assert!(!test_groups.contains(filtered[i].dataset_group.as_str()));
+    // Grouped split keeps dataset groups intact, and both sides get cases.
+    let (test, train): (Vec<_>, Vec<_>) =
+        filtered.iter().partition(|i| is_test_group(&i.dataset_group));
+    assert!(!test.is_empty() && !train.is_empty());
+    let test_groups: HashSet<&str> = test.iter().map(|i| i.dataset_group.as_str()).collect();
+    for i in &train {
+        assert!(!test_groups.contains(i.dataset_group.as_str()));
     }
 }
 

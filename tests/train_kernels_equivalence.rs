@@ -13,7 +13,9 @@
 //! Thread width is switched in-process via `set_thread_override`; tests
 //! that sweep it serialise on a lock because the override is process-global.
 
-use auto_suggest::gbdt::{normalize, Dataset, Gbdt, GbdtParams, RegressionTree, TreeParams};
+use auto_suggest::gbdt::{
+    normalize, Dataset, Gbdt, GbdtParams, RegressionTree, TreeParams, LEARNING_RATE,
+};
 use auto_suggest::nn::{RnnClassifier, RnnConfig, SequenceExample};
 use auto_suggest::parallel::set_thread_override;
 use rand::{Rng, SeedableRng};
@@ -125,15 +127,12 @@ fn reference_boost(data: &Dataset, params: &GbdtParams) -> (Vec<f64>, Vec<f64>) 
         let residuals: Vec<f64> = (0..n).map(|i| data.label(i) - preds[i]).collect();
         let tree = RegressionTree::fit_resort(data, &residuals, &idx, &params.tree);
         for (i, p) in preds.iter_mut().enumerate() {
-            *p += params.learning_rate * tree.predict(data.row(i));
+            *p += LEARNING_RATE * tree.predict(data.row(i));
         }
         trees.push(tree);
     }
     let scores = (0..n)
-        .map(|i| {
-            base + params.learning_rate
-                * trees.iter().map(|t| t.predict(data.row(i))).sum::<f64>()
-        })
+        .map(|i| base + LEARNING_RATE * trees.iter().map(|t| t.predict(data.row(i))).sum::<f64>())
         .collect();
     let mut importance = vec![0.0; data.num_features()];
     for t in &trees {
