@@ -21,6 +21,13 @@
 //! verified and decoded on the pool (`par_map`, results in table order), so
 //! the files are the same at any thread count.
 //!
+//! Every read goes through one walker, `walk_shard`, which checks the
+//! framing, the manifest checksum, the shard's structure and every record
+//! checksum, then decodes only as deep as its caller needs: the stats
+//! record (`SampleStore::open`), report skeletons
+//! (`SampleStore::skeletons`, which the per-scenario scan counts from,
+//! decoding no frame) or whole reports ([`SampleStore::reports`]).
+//!
 //! Replay shares input frames between invocations (one `Arc` per bound
 //! variable), and a shard keeps that sharing on disk: version 2 writes a
 //! frame table of the shard's distinct input frames once, and each
@@ -580,10 +587,15 @@ fn encode_report_skeleton(rep: &ReplayReport) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// A decoded skeleton plus the number of invocation records that follow.
-struct ReportSkeleton {
-    report: ReplayReport,
-    pending_invocations: usize,
+/// A report as its skeleton record stores it, plus the number of
+/// invocation records that follow it. `report.invocations` is filled only
+/// when the shard is read whole ([`SampleStore::reports`]); the skeleton
+/// scan (`SampleStore::skeletons`) leaves it empty.
+#[derive(Debug, Clone)]
+pub(crate) struct ReportSkeleton {
+    pub report: ReplayReport,
+    /// Invocation records stored for this report.
+    pub invocations: usize,
 }
 
 fn decode_report_skeleton(payload: &[u8]) -> io::Result<ReportSkeleton> {
@@ -592,7 +604,7 @@ fn decode_report_skeleton(payload: &[u8]) -> io::Result<ReportSkeleton> {
     let dataset_group = r.get_str()?;
     let outcome = get_outcome(&mut r)?;
     let cells_executed = r.get_usize()?;
-    let pending_invocations = r.get_usize()?;
+    let invocations = r.get_usize()?;
     let packages_installed = get_str_vec(&mut r)?;
     let files_recovered = get_str_vec(&mut r)?;
     let cell_retries = r.get_usize()?;
@@ -608,13 +620,13 @@ fn decode_report_skeleton(payload: &[u8]) -> io::Result<ReportSkeleton> {
             dataset_group,
             outcome,
             cells_executed,
-            invocations: Vec::with_capacity(pending_invocations.min(1 << 10)),
+            invocations: Vec::new(),
             packages_installed,
             files_recovered,
             cell_retries,
             injected_faults,
         },
-        pending_invocations,
+        invocations,
     })
 }
 
@@ -729,15 +741,17 @@ fn encode_shard(shard_id: usize, reports: &[ReplayReport], stats: &RobustnessSta
     ShardImage { file, frames: table.frames.len(), frame_refs: table.refs }
 }
 
-/// A shard image's records, once its framing is whole and its trailer
-/// fold matches `fold`, the manifest's checksum. Payloads are still
-/// unverified: callers verify each one before decoding it.
-fn framed_records(buf: &[u8], fold: u64) -> io::Result<Vec<Record<'_>>> {
-    let records = Records::open(buf, MAGIC, VERSION)?;
-    if records.fold() != fold {
-        return Err(bad_data("shard does not match its manifest checksum"));
-    }
-    Ok(records.into_records())
+/// How deep [`walk_shard`] decodes. Every depth makes the same checks of
+/// framing, structure and checksums; they differ only in what they build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Depth {
+    /// The stats record only: `SampleStore::open`.
+    Stats,
+    /// Report skeletons and stats, no frame or invocation payload decoded:
+    /// [`SampleStore::skeletons`].
+    Skeletons,
+    /// Whole reports: [`SampleStore::read_shard`] and [`SampleStore::reports`].
+    Reports,
 }
 
 /// Verify every record's payload on the pool; the first failure in file
@@ -746,33 +760,24 @@ fn verify_all<'a>(records: &[Record<'a>]) -> io::Result<Vec<&'a [u8]>> {
     par_map(records, Record::verify).into_iter().collect()
 }
 
-/// Only a shard image's robustness stats, after checking it against the
-/// manifest's `fold` and verifying every record checksum (skips decoding
-/// the report and invocation payloads).
-fn decode_shard_stats(buf: &[u8], fold: u64) -> io::Result<RobustnessStats> {
-    let records = framed_records(buf, fold)?;
-    let payloads = verify_all(&records)?;
-    for (record, payload) in records.iter().zip(payloads) {
-        match record.tag {
-            TAG_STATS => return decode_stats(payload),
-            TAG_END => break,
-            _ => {}
-        }
-    }
-    Err(bad_data("shard missing stats record"))
-}
-
-/// Parse a complete shard file image back into reports + stats. Nothing
-/// is returned unless the image matches the manifest's `fold` and every
-/// record checksum holds. Frame records are verified and decoded on the
-/// pool; the other records are verified on the pool and then decoded in
-/// order, since each invocation belongs to the report before it.
-fn decode_shard(
+/// Walk a complete shard file image and decode it to `depth`. Nothing is
+/// returned unless the image matches the manifest's `fold`, its header
+/// matches `shard_id` and the frames, reports and records that follow, and
+/// every record checksum holds, frames included. Records are verified on
+/// the pool (frames decoded there too at [`Depth::Reports`]); reports and
+/// invocations are walked in order, since each invocation belongs to the
+/// report before it.
+fn walk_shard(
     shard_id: usize,
     buf: &[u8],
     fold: u64,
-) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
-    let records = framed_records(buf, fold)?;
+    depth: Depth,
+) -> io::Result<(Vec<ReportSkeleton>, RobustnessStats)> {
+    let records = Records::open(buf, MAGIC, VERSION)?;
+    if records.fold() != fold {
+        return Err(bad_data("shard does not match its manifest checksum"));
+    }
+    let records = records.into_records();
     let (header, rest) = records
         .split_first()
         .filter(|(header, _)| header.tag == TAG_SHARD_HEADER)
@@ -792,47 +797,49 @@ fn decode_shard(
         return Err(bad_data(format!("shard does not hold the {frame_count} frames it declares")));
     }
     let (frame_records, rest) = rest.split_at(frame_count);
-    let frames: Vec<Arc<DataFrame>> = par_map(frame_records, |record| {
-        let mut r = ByteReader::new(record.verify()?);
-        let frame = get_frame(&mut r)?;
-        r.finish()?;
-        Ok(Arc::new(frame))
-    })
-    .into_iter()
-    .collect::<io::Result<_>>()?;
+    let frames: Vec<Arc<DataFrame>> = if depth == Depth::Reports {
+        par_map(frame_records, |record| {
+            let mut r = ByteReader::new(record.verify()?);
+            let frame = get_frame(&mut r)?;
+            r.finish()?;
+            Ok(Arc::new(frame))
+        })
+        .into_iter()
+        .collect::<io::Result<_>>()?
+    } else {
+        verify_all(frame_records)?;
+        Vec::new()
+    };
 
     let mut payloads = rest.iter().map(|r| r.tag).zip(verify_all(rest)?);
-    let mut reports: Vec<ReplayReport> = Vec::with_capacity(notebook_count.min(rest.len()));
-    let mut pending = 0usize;
+    let mut skeletons: Vec<ReportSkeleton> = Vec::new();
+    let (mut reports, mut pending) = (0usize, 0usize);
     let mut stats: Option<RobustnessStats> = None;
     loop {
         let (tag, payload) =
             payloads.next().ok_or_else(|| bad_data("shard missing end record"))?;
         match tag {
+            TAG_REPORT | TAG_STATS | TAG_END if pending != 0 => {
+                return Err(bad_data(format!("record tag {tag} before {pending} invocations")));
+            }
+            TAG_INVOCATION if pending == 0 => {
+                return Err(bad_data("more invocation records than the report declared"));
+            }
             TAG_REPORT => {
-                if pending != 0 {
-                    return Err(bad_data("report record before invocations drained"));
-                }
                 let skel = decode_report_skeleton(payload)?;
-                pending = skel.pending_invocations;
-                reports.push(skel.report);
+                pending = skel.invocations;
+                reports += 1;
+                if depth != Depth::Stats {
+                    skeletons.push(skel);
+                }
             }
             TAG_INVOCATION => {
-                let rep = reports
-                    .last_mut()
-                    .ok_or_else(|| bad_data("invocation record before any report"))?;
-                if pending == 0 {
-                    return Err(bad_data("more invocation records than the report declared"));
-                }
-                rep.invocations.push(decode_invocation(payload, &frames)?);
                 pending -= 1;
-            }
-            TAG_STATS => {
-                if pending != 0 {
-                    return Err(bad_data("stats record before invocations drained"));
+                if let (Depth::Reports, Some(skel)) = (depth, skeletons.last_mut()) {
+                    skel.report.invocations.push(decode_invocation(payload, &frames)?);
                 }
-                stats = Some(decode_stats(payload)?);
             }
+            TAG_STATS => stats = Some(decode_stats(payload)?),
             TAG_END => break,
             t => return Err(bad_data(format!("unknown record tag {t}"))),
         }
@@ -840,14 +847,13 @@ fn decode_shard(
     if payloads.next().is_some() {
         return Err(bad_data("records after the end record"));
     }
-    if reports.len() != notebook_count {
+    if reports != notebook_count {
         return Err(bad_data(format!(
-            "shard header declared {notebook_count} reports, found {}",
-            reports.len()
+            "shard header declared {notebook_count} reports, found {reports}"
         )));
     }
     let stats = stats.ok_or_else(|| bad_data("shard missing stats record"))?;
-    Ok((reports, stats))
+    Ok((skeletons, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -905,11 +911,11 @@ impl SampleStore {
     ///
     /// An existing manifest is honoured only if `(corpus_id, shard_size,
     /// total_shards)` all match; otherwise the store is reset.
-    /// Listed shards are read once, verified against their manifest
-    /// checksum and their record checksums, and their stats kept
-    /// ([`Self::resumed_stats`]); corrupt or
-    /// missing shards are dropped from the manifest (and will be
-    /// re-replayed). Stale tmp files from crashed writers are swept.
+    /// Listed shards are read once and walked to their stats record with
+    /// every check a full read makes (manifest checksum, structure, record
+    /// checksums), and their stats kept ([`Self::resumed_stats`]); corrupt,
+    /// malformed or missing shards are dropped from the manifest (and will
+    /// be re-replayed). Stale tmp files from crashed writers are swept.
     pub fn open(
         root: impl Into<PathBuf>,
         corpus_id: &str,
@@ -956,11 +962,8 @@ impl SampleStore {
             let listed: Vec<usize> = store.shards.keys().copied().collect();
             let mut dropped = false;
             for id in listed {
-                let stats = store
-                    .read_shard_file(id)
-                    .and_then(|(bytes, fold)| decode_shard_stats(&bytes, fold));
-                match stats {
-                    Ok(stats) => {
+                match store.read(id, Depth::Stats) {
+                    Ok((_, stats)) => {
                         store.resumed.insert(id, stats);
                     }
                     Err(_) => {
@@ -1090,41 +1093,50 @@ impl SampleStore {
         Ok(())
     }
 
-    /// A listed shard's bytes, unverified, and the checksum the manifest
-    /// lists for them: the decoders check one against the other before
-    /// they return anything. Counts each file read in `store.shard_reads`.
-    fn read_shard_file(&self, id: usize) -> io::Result<(Vec<u8>, u64)> {
+    /// Read shard `id`'s file once and walk it to `depth` ([`walk_shard`]).
+    /// Counts each file read in `store.shard_reads`.
+    fn read(&self, id: usize, depth: Depth) -> io::Result<(Vec<ReportSkeleton>, RobustnessStats)> {
+        let _span = obs::span("store_read");
         let meta = self
             .shards
             .get(&id)
             .ok_or_else(|| bad_data(format!("shard {id} not in manifest")))?;
         let bytes = fs::read(self.shard_path(id))?;
         obs::counter_add("store.shard_reads", 1);
-        Ok((bytes, meta.file_fnv))
+        walk_shard(id, &bytes, meta.file_fnv, depth)
     }
 
     /// Load one completed shard's reports and stats.
     pub fn read_shard(&self, id: usize) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
-        let _span = obs::span("store_read");
-        let (bytes, fold) = self.read_shard_file(id)?;
-        let (reports, stats) = decode_shard(id, &bytes, fold)?;
-        obs::counter_add("store.shards_read", 1);
-        obs::counter_add("store.reports_read", reports.len() as u64);
-        Ok((reports, stats))
+        let (skeletons, stats) = self.read(id, Depth::Reports)?;
+        Ok((skeletons.into_iter().map(|s| s.report).collect(), stats))
+    }
+
+    /// Every completed shard's reports walked to `depth`, in shard-id
+    /// order, one shard in memory at a time. A shard that fails to read
+    /// yields one error in its place.
+    fn stream(&self, depth: Depth) -> impl Iterator<Item = io::Result<ReportSkeleton>> + '_ {
+        self.shards.keys().flat_map(move |&id| {
+            let (skeletons, err) = match self.read(id, depth) {
+                Ok((skeletons, _stats)) => (skeletons, None),
+                Err(e) => (Vec::new(), Some(e)),
+            };
+            skeletons.into_iter().map(Ok).chain(err.map(Err))
+        })
     }
 
     /// Stream every completed shard's reports in shard-id order, holding
     /// one shard in memory at a time; concatenated output equals the
-    /// in-memory `replay_corpus` report order exactly. A shard that fails
-    /// to read yields one error in its place.
+    /// in-memory `replay_corpus` report order exactly.
     pub fn reports(&self) -> impl Iterator<Item = io::Result<ReplayReport>> + '_ {
-        self.shards.keys().flat_map(move |&id| {
-            let (reports, err) = match self.read_shard(id) {
-                Ok((reports, _stats)) => (reports, None),
-                Err(e) => (Vec::new(), Some(e)),
-            };
-            reports.into_iter().map(Ok).chain(err.map(Err))
-        })
+        self.stream(Depth::Reports).map(|s| s.map(|s| s.report))
+    }
+
+    /// [`Self::reports`] without the invocations: each report's skeleton
+    /// and its invocation count. Every record is still read and verified,
+    /// but no frame or invocation payload is decoded.
+    pub(crate) fn skeletons(&self) -> impl Iterator<Item = io::Result<ReportSkeleton>> + '_ {
+        self.stream(Depth::Skeletons)
     }
 }
 
@@ -1267,6 +1279,18 @@ mod tests {
         dir
     }
 
+    const DEPTHS: [Depth; 3] = [Depth::Stats, Depth::Skeletons, Depth::Reports];
+
+    /// A shard image walked to [`Depth::Reports`], as `read_shard` returns it.
+    fn decode_shard(
+        shard_id: usize,
+        buf: &[u8],
+        fold: u64,
+    ) -> io::Result<(Vec<ReplayReport>, RobustnessStats)> {
+        let (skeletons, stats) = walk_shard(shard_id, buf, fold, Depth::Reports)?;
+        Ok((skeletons.into_iter().map(|s| s.report).collect(), stats))
+    }
+
     /// One report whose invocations are `invs`, in a one-report shard
     /// image, decoded again.
     fn shard_roundtrip(invs: Vec<OpInvocation>) -> (ShardImage, Vec<OpInvocation>) {
@@ -1385,9 +1409,21 @@ mod tests {
         let (decoded, ds) = decode_shard(4, &bytes, fold).unwrap();
         assert_eq!(format!("{reports:?}"), format!("{decoded:?}"));
         assert_eq!(s, ds);
-        assert_eq!(decode_shard_stats(&bytes, fold).unwrap(), s);
-        assert!(decode_shard(4, &bytes, fold ^ 1).is_err(), "another fold");
-        assert!(decode_shard_stats(&bytes, fold ^ 1).is_err());
+        let (skeletons, ds) = walk_shard(4, &bytes, fold, Depth::Skeletons).unwrap();
+        assert_eq!(ds, s);
+        let counts: Vec<usize> = skeletons.iter().map(|k| k.invocations).collect();
+        assert_eq!(counts, vec![8, 0]);
+        for (skel, rep) in skeletons.iter().zip(&reports) {
+            let bare = ReplayReport { invocations: Vec::new(), ..rep.clone() };
+            assert_eq!(format!("{:?}", skel.report), format!("{bare:?}"));
+        }
+        let (none, ds) = walk_shard(4, &bytes, fold, Depth::Stats).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(ds, s);
+        for depth in DEPTHS {
+            assert!(walk_shard(4, &bytes, fold ^ 1, depth).is_err(), "another fold at {depth:?}");
+            assert!(walk_shard(5, &bytes, fold, depth).is_err(), "another id at {depth:?}");
+        }
     }
 
     #[test]
@@ -1397,8 +1433,9 @@ mod tests {
         let (mut bytes, fold) = (file.to_bytes(), file.fold());
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        assert!(decode_shard(0, &bytes, fold).is_err());
-        assert!(decode_shard_stats(&bytes, fold).is_err());
+        for depth in DEPTHS {
+            assert!(walk_shard(0, &bytes, fold, depth).is_err(), "{depth:?}");
+        }
     }
 
     /// A shard of `n` one-invocation reports, each on its own distinct
@@ -1479,6 +1516,49 @@ mod tests {
         assert_eq!(completed(&store2), vec![1]);
         assert!(!shard0.exists(), "corrupt shard should be deleted");
         let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn shards_whose_structure_is_wrong_are_dropped_on_open() {
+        // Every checksum and the manifest fold hold; only the structure is
+        // wrong. One header declares two reports where the file holds one;
+        // in the other, stats come first and a report declares one
+        // invocation that never follows.
+        let mut rep = report();
+        rep.invocations.truncate(1);
+        let bare = ReplayReport { invocations: Vec::new(), ..rep.clone() };
+        let cases = [
+            (2, vec![(TAG_REPORT, encode_report_skeleton(&bare)), (TAG_STATS, encode_stats(&stats()))]),
+            (1, vec![(TAG_STATS, encode_stats(&stats())), (TAG_REPORT, encode_report_skeleton(&rep))]),
+        ];
+        for (declared, records) in cases {
+            let root = tmpdir("malformed");
+            let mut store = SampleStore::open(&root, "corpus-a", 1, 2).unwrap();
+            store.write_shard(1, &[], &RobustnessStats::default()).unwrap();
+            let mut file = RecordFile::new(MAGIC, VERSION);
+            let mut header = ByteWriter::default();
+            for v in [0, declared, 0] {
+                header.put_usize(v);
+            }
+            file.record(TAG_SHARD_HEADER, &header.into_bytes());
+            for (tag, payload) in &records {
+                file.record(*tag, payload);
+            }
+            file.record(TAG_END, &[]);
+            for depth in DEPTHS {
+                assert!(walk_shard(0, &file.to_bytes(), file.fold(), depth).is_err(), "{depth:?}");
+            }
+            durable::publish(&store.shard_path(0), file.parts()).unwrap();
+            let meta = ShardMeta { file_fnv: file.fold(), notebooks: declared, invocations: 0 };
+            store.shards.insert(0, meta);
+            store.write_manifest().unwrap();
+
+            let reopened = SampleStore::open(&root, "corpus-a", 1, 2).unwrap();
+            assert_eq!(completed(&reopened), vec![1]);
+            assert_eq!(reopened.resumed_stats(0), None);
+            assert!(!store.shard_path(0).exists(), "malformed shard should be deleted");
+            let _ = fs::remove_dir_all(&root);
+        }
     }
 
     #[test]
@@ -1614,7 +1694,10 @@ mod tests {
         for at in 0..image.len() {
             let mut flipped = image.clone();
             flipped[at] ^= 1 << (at % 8);
-            assert!(decode_shard(0, &flipped, fold).is_err(), "bit flipped at byte {at} decoded");
+            for depth in DEPTHS {
+                let walked = walk_shard(0, &flipped, fold, depth);
+                assert!(walked.is_err(), "bit flipped at byte {at} walked to {depth:?}");
+            }
             fs::write(&shard0, &flipped).unwrap();
             fs::write(root.join("manifest.json"), &manifest).unwrap();
             let reopened = SampleStore::open(&root, "corpus-a", 2, 2).unwrap();

@@ -23,10 +23,11 @@
 //! different configuration is never resumed into. Equivalence with the
 //! in-memory path is pinned by `tests/streamed_replay_equivalence.rs`.
 
+use crate::durable::{fnv64, ByteWriter};
 use crate::faults::{FaultSpec, RobustnessStats};
 use crate::nbgen::{corpus_jobs, generate_jobs, scenario_of, CorpusConfig};
 use crate::replay::{ReplayConfig, ReplayEngine};
-use crate::store::SampleStore;
+use crate::store::{ReportSkeleton, SampleStore};
 use autosuggest_obs as obs;
 use std::collections::BTreeMap;
 use std::io;
@@ -68,16 +69,22 @@ pub struct StreamSummary {
     pub aborted: bool,
 }
 
-/// Content-addressed identity of a streamed corpus: configuration, fault
-/// spec, and replay budgets all feed the id, so a store written under any
-/// different setting fails the resume gate and is rebuilt.
+/// Content-addressed identity of a streamed corpus: `cfg`'s generation
+/// fields, the rendered fault spec and the replay budgets, in a fixed
+/// encoding, so a store written under any different setting fails the
+/// resume gate and is rebuilt while renaming a field moves nothing. The
+/// destructuring is exhaustive, so a new setting must be encoded here.
 pub fn corpus_id(cfg: &CorpusConfig, faults: Option<&FaultSpec>) -> String {
-    let descriptor = format!(
-        "{cfg:?}|faults={}|replay={:?}",
-        faults.map(|f| f.render()).unwrap_or_default(),
-        ReplayConfig::default(),
-    );
-    format!("{:016x}", crate::durable::fnv64(descriptor.as_bytes()))
+    let CorpusConfig { seed, join_notebooks: join, groupby_notebooks: groupby, pivot_notebooks: pivot,
+        unpivot_notebooks: unpivot, json_notebooks: json, flow_notebooks: flow, plant_failures } = *cfg;
+    let ReplayConfig { cell_row_budget, max_retries, max_notebook_rounds } = ReplayConfig::default();
+    let mut w = ByteWriter::default();
+    w.put_u64(seed);
+    [join, groupby, pivot, unpivot, json, flow].into_iter().for_each(|n| w.put_usize(n));
+    w.put_bool(plant_failures);
+    w.put_str(&faults.map(FaultSpec::render).unwrap_or_default());
+    [cell_row_budget, max_retries, max_notebook_rounds].into_iter().for_each(|n| w.put_usize(n));
+    format!("{:016x}", fnv64(&w.into_bytes()))
 }
 
 /// Generate and replay `cfg`'s corpus shard by shard, spilling each shard's
@@ -154,19 +161,21 @@ pub struct ScenarioStats {
 
 /// Scan every stored report and bucket counts by scenario, where the
 /// scenario is the archetype embedded in the notebook id ([`scenario_of`];
-/// anything unparseable buckets under "other"). Streaming: holds one shard
-/// at a time.
+/// anything unparseable buckets under "other"). Counts from the report
+/// skeletons (`SampleStore::skeletons`): every shard byte is read and
+/// verified, but no frame or invocation is decoded. Streaming: holds one
+/// shard's skeletons at a time.
 pub fn scan_scenario_stats(store: &SampleStore) -> io::Result<BTreeMap<String, ScenarioStats>> {
     let mut out: BTreeMap<String, ScenarioStats> = BTreeMap::new();
-    for report in store.reports() {
-        let report = report?;
+    for skeleton in store.skeletons() {
+        let ReportSkeleton { report, invocations } = skeleton?;
         let scenario = scenario_of(&report.notebook_id).unwrap_or("other");
         let slot = out.entry(scenario.to_string()).or_default();
         slot.notebooks += 1;
         if matches!(report.outcome, crate::replay::ReplayOutcome::Success) {
             slot.replayed_ok += 1;
         }
-        slot.invocations += report.invocations.len();
+        slot.invocations += invocations;
         slot.cells_executed += report.cells_executed;
         slot.cell_retries += report.cell_retries;
     }
@@ -218,6 +227,16 @@ mod tests {
         let spec = FaultSpec::parse("seed=1;io=0.5").ok();
         assert_ne!(corpus_id(&a, None), corpus_id(&a, spec.as_ref()));
         assert_eq!(corpus_id(&a, None), corpus_id(&a, None));
+        let unplanted = CorpusConfig { plant_failures: false, ..a.clone() };
+        assert_ne!(corpus_id(&a, None), corpus_id(&unplanted, None));
+    }
+
+    /// The id is a fixed encoding of its inputs: renaming a field or
+    /// changing a `Debug` rendering must not move it, and a new input must
+    /// move it on purpose (update this literal and say so).
+    #[test]
+    fn corpus_id_is_pinned() {
+        assert_eq!(corpus_id(&CorpusConfig::small(1), None), "064cbf6265421bf2");
     }
 
     /// A run killed after 2 shards and resumed reads each resumed shard

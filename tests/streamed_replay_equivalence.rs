@@ -5,12 +5,15 @@
 //! after shard corruption, and with fault injection active.
 
 use auto_suggest::corpus::durable::Records;
+use auto_suggest::corpus::nbgen::scenario_of;
 use auto_suggest::corpus::stream::render_scenario_stats;
 use auto_suggest::corpus::{
     replay_corpus_streamed, scan_scenario_stats, CorpusConfig, CorpusGenerator, FaultSpec,
-    ReplayEngine, ReplayReport, RobustnessStats, StreamConfig,
+    ReplayEngine, ReplayOutcome, ReplayReport, RobustnessStats, ScenarioStats, StreamConfig,
 };
 use auto_suggest::obs::{self, MetricsSnapshot};
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::PathBuf;
 
 /// A corpus small enough to replay several times in one test binary.
@@ -228,5 +231,90 @@ fn fault_injected_streamed_replay_matches_in_memory() {
         "fault injection must be shard-invariant (notebook-indexed, not stream-indexed)"
     );
     assert_eq!(summary.stats, baseline_stats);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The per-scenario table tallied over fully decoded reports, the way the
+/// scan counted before it stopped decoding invocations.
+fn tally_reports(reports: &[ReplayReport]) -> BTreeMap<String, ScenarioStats> {
+    let mut out: BTreeMap<String, ScenarioStats> = BTreeMap::new();
+    for rep in reports {
+        let slot = out.entry(scenario_of(&rep.notebook_id).unwrap_or("other").into()).or_default();
+        slot.notebooks += 1;
+        slot.replayed_ok += usize::from(rep.outcome == ReplayOutcome::Success);
+        slot.invocations += rep.invocations.len();
+        slot.cells_executed += rep.cells_executed;
+        slot.cell_retries += rep.cell_retries;
+    }
+    out
+}
+
+#[test]
+fn scenario_scan_counts_what_the_full_decode_holds() {
+    let cfg = tiny_corpus(53);
+    let faults = FaultSpec::parse("seed=3;transient=0.6;io=0.4;panic=0.15;package=0.3")
+        .expect("valid fault spec");
+    let dir = store_dir("scan");
+    let (store, summary) = replay_corpus_streamed(
+        &cfg,
+        Some(faults),
+        &dir,
+        &StreamConfig { shard_size: 6, ..Default::default() },
+    )
+    .expect("faulted streamed replay");
+    assert!(summary.stats.total_injected() > 0, "the fault spec must fire");
+
+    let (scan, snap) = obs::with_local_registry(|| scan_scenario_stats(&store).expect("scan"));
+    // The scan reads each shard file once, like a full read.
+    assert_eq!(counter(&snap, "store.shard_reads"), summary.total_shards);
+    let want = tally_reports(&streamed_reports(&store));
+    assert_eq!(scan, want, "per-scenario counts, field by field");
+    // Every field is exercised: failures, retries and invocations occur.
+    assert!(want.values().any(|s| s.replayed_ok < s.notebooks));
+    assert!(want.values().any(|s| s.cell_retries > 0 && s.invocations > 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each record of an `ASGS` shard image as `(tag, payload byte range)`:
+/// after the 4-byte magic and 2-byte version, records are
+/// `tag u8 · len u32 LE · payload · fnv64 u64 LE`.
+fn record_payloads(image: &[u8]) -> Vec<(u8, Range<usize>)> {
+    let mut out = Vec::new();
+    let mut at = 6;
+    while at < image.len() {
+        let len = u32::from_le_bytes(image[at + 1..at + 5].try_into().unwrap()) as usize;
+        out.push((image[at], at + 5..at + 5 + len));
+        at += 5 + len + 8;
+    }
+    out
+}
+
+#[test]
+fn scan_fails_on_a_flipped_byte_in_a_frame_or_an_invocation_payload() {
+    // The scan decodes neither record kind, but must still verify both.
+    const TAG_INVOCATION: u8 = 3;
+    const TAG_FRAME: u8 = 6;
+    let cfg = tiny_corpus(59);
+    let dir = store_dir("scanflip");
+    let shard = StreamConfig { shard_size: 5, ..Default::default() };
+    let (store, _) = replay_corpus_streamed(&cfg, None, &dir, &shard).expect("replay");
+    assert!(scan_scenario_stats(&store).is_ok());
+
+    let victim = dir.join("shards").join("shard-00001.asg");
+    let image = std::fs::read(&victim).expect("read shard");
+    for tag in [TAG_FRAME, TAG_INVOCATION] {
+        let (_, payload) = record_payloads(&image)
+            .into_iter()
+            .find(|(t, range)| *t == tag && !range.is_empty())
+            .expect("shard holds a record of this kind");
+        let mut flipped = image.clone();
+        flipped[payload.start + payload.len() / 2] ^= 0x01;
+        std::fs::write(&victim, &flipped).expect("corrupt shard");
+        let err = scan_scenario_stats(&store).expect_err("scan of a corrupt shard");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&format!("checksum mismatch (tag {tag})")), "{err}");
+    }
+    std::fs::write(&victim, &image).expect("restore shard");
+    assert!(scan_scenario_stats(&store).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
