@@ -177,6 +177,24 @@ mod tests {
     }
 
     #[test]
+    fn column_fingerprint_of_a_mixed_column_is_pinned() {
+        // Cache keys must not move when the fold is refactored.
+        let mixed = col(vec![
+            Value::Int(3),
+            Value::Float(2.5),
+            Value::Str("north".into()),
+            Value::Null,
+            Value::Bool(true),
+            Value::Date(19_000),
+            Value::Int(3),
+        ]);
+        assert_eq!(
+            column_fingerprint(&mixed).to_string(),
+            "926f34e7ec477559be9cdda6700875df"
+        );
+    }
+
+    #[test]
     fn name_is_not_part_of_the_column_key() {
         let a = Column::new("alpha", vec![Value::Int(1), Value::Int(2)]);
         let b = Column::new("beta", vec![Value::Int(1), Value::Int(2)]);
