@@ -93,13 +93,6 @@ pub fn min_cardinality_scores(df: &DataFrame) -> Vec<f64> {
         .collect()
 }
 
-/// Rank columns descending by score (stable).
-pub fn rank_desc(scores: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +132,7 @@ mod tests {
     #[test]
     fn min_cardinality_ranks_dimensions_first() {
         let s = min_cardinality_scores(&filings());
-        let order = rank_desc(&s);
+        let order = autosuggest_ranking::rank_desc(&s);
         // sector and year (3 distinct) above revenue (12 distinct).
         assert!(order[0] < 2 && order[1] < 2);
         assert_eq!(order[2], 2);
@@ -161,10 +154,5 @@ mod tests {
         )])
         .unwrap();
         assert!(h.scores(&unseen)[0] < 0.5);
-    }
-
-    #[test]
-    fn rank_desc_is_stable() {
-        assert_eq!(rank_desc(&[0.5, 0.9, 0.5]), vec![1, 0, 2]);
     }
 }

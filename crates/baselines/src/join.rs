@@ -1,35 +1,44 @@
 //! Join-column prediction baselines (Table 3).
 //!
-//! Each method scores a [`JoinCandidate`]; ranking descending by score
-//! yields its suggestion list. All are white-box reimplementations of the
+//! Each method scores a [`JoinCandidate`] from its §4.1 [`JoinFeatures`]
+//! (computed once per case by the caller and shared by every method) plus
+//! the tables themselves; ranking descending by score yields its
+//! suggestion list. All are white-box reimplementations of the
 //! published methods the paper compares against, with their documented
 //! emphases: FK-style uniqueness + inclusion-dependency checks (ML-FK,
 //! PowerPivot), distributional distances (Multi, Holistic), and plain value
 //! overlap (Max-Overlap).
 
 use autosuggest_dataframe::{DataFrame, DType};
-use autosuggest_features::{join_features, JoinCandidate};
+use autosuggest_features::{JoinCandidate, JoinFeatures};
+use autosuggest_ranking::rank_desc;
 
 /// A join-column scoring method.
 pub trait JoinBaseline {
     fn name(&self) -> &'static str;
-    /// Higher = more likely the intended join.
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64;
+    /// Higher = more likely the intended join. `feats` is `cand`'s feature
+    /// vector.
+    fn score(
+        &self,
+        left: &DataFrame,
+        right: &DataFrame,
+        cand: &JoinCandidate,
+        feats: &JoinFeatures,
+    ) -> f64;
 
-    /// Rank candidates descending (stable for ties).
+    /// Rank candidates descending (stable for ties); `feats[i]` is the
+    /// feature vector of `cands[i]`.
     fn rank(
         &self,
         left: &DataFrame,
         right: &DataFrame,
         cands: &[JoinCandidate],
+        feats: &[JoinFeatures],
     ) -> Vec<usize> {
-        let scores: Vec<f64> = cands
-            .iter()
-            .map(|c| self.score(left, right, c))
-            .collect();
-        let mut order: Vec<usize> = (0..cands.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-        order
+        assert_eq!(cands.len(), feats.len(), "one feature vector per candidate");
+        let scores: Vec<f64> =
+            cands.iter().zip(feats).map(|(c, f)| self.score(left, right, c, f)).collect();
+        rank_desc(&scores)
     }
 }
 
@@ -73,8 +82,8 @@ impl JoinBaseline for MaxOverlap {
         "max-overlap"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
-        join_features(left, right, cand).get("jaccard_similarity")
+    fn score(&self, _: &DataFrame, _: &DataFrame, _: &JoinCandidate, f: &JoinFeatures) -> f64 {
+        f.get("jaccard_similarity")
     }
 }
 
@@ -91,8 +100,13 @@ impl JoinBaseline for MlFk {
         "ML-FK"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
-        let f = join_features(left, right, cand);
+    fn score(
+        &self,
+        left: &DataFrame,
+        right: &DataFrame,
+        cand: &JoinCandidate,
+        f: &JoinFeatures,
+    ) -> f64 {
         // FK direction: the side with higher distinct ratio is the key side;
         // inclusion is measured *into* that side.
         let keyness = f.get("distinct_ratio_max");
@@ -120,7 +134,13 @@ impl JoinBaseline for PowerPivot {
         "PowerPivot"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
+    fn score(
+        &self,
+        left: &DataFrame,
+        right: &DataFrame,
+        cand: &JoinCandidate,
+        f: &JoinFeatures,
+    ) -> f64 {
         // Heuristic pruning: every key column must be a string.
         let all_str = cand
             .left_cols
@@ -133,7 +153,6 @@ impl JoinBaseline for PowerPivot {
         if !all_str {
             return f64::NEG_INFINITY;
         }
-        let f = join_features(left, right, cand);
         if f.get("distinct_ratio_max") < 0.9 {
             return f.get("containment_max") * 0.1; // not key-like: demoted
         }
@@ -199,7 +218,13 @@ impl JoinBaseline for Multi {
         "Multi"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
+    fn score(
+        &self,
+        left: &DataFrame,
+        right: &DataFrame,
+        cand: &JoinCandidate,
+        _: &JoinFeatures,
+    ) -> f64 {
         -distributional_distance(left, right, cand)
     }
 }
@@ -213,8 +238,13 @@ impl JoinBaseline for Holistic {
         "Holistic"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
-        let f = join_features(left, right, cand);
+    fn score(
+        &self,
+        left: &DataFrame,
+        right: &DataFrame,
+        cand: &JoinCandidate,
+        f: &JoinFeatures,
+    ) -> f64 {
         let dist = distributional_distance(left, right, cand);
         0.9 * (1.0 - dist)
             + 0.8 * f.get("containment_max")
@@ -227,6 +257,7 @@ impl JoinBaseline for Holistic {
 mod tests {
     use super::*;
     use autosuggest_dataframe::Value;
+    use autosuggest_features::join_features_batch;
 
     /// The Fig. 5 trap: titles partially overlap (the true join), while the
     /// integer rank/weeks pair has perfect containment.
@@ -266,27 +297,29 @@ mod tests {
     #[test]
     fn max_overlap_falls_for_the_integer_trap() {
         let (l, r, cands) = books();
+        let f = join_features_batch(&l, &r, &cands);
         let m = MaxOverlap;
         // weeks {1,2,3,4} ⊂ rank {1..5}: jaccard 4/5 = 0.8 beats titles 2/7.
-        assert!(m.score(&l, &r, &cands[1]) > m.score(&l, &r, &cands[0]));
-        assert_eq!(m.rank(&l, &r, &cands)[0], 1);
+        assert!(m.score(&l, &r, &cands[1], &f[1]) > m.score(&l, &r, &cands[0], &f[0]));
+        assert_eq!(m.rank(&l, &r, &cands, &f)[0], 1);
     }
 
     #[test]
     fn mlfk_prefers_named_string_keys() {
         let (l, r, cands) = books();
-        let m = MlFk;
+        let f = join_features_batch(&l, &r, &cands);
         // Name similarity (title vs title_on_list) + string bonus push the
         // true pair above the integer trap despite lower overlap.
-        assert_eq!(m.rank(&l, &r, &cands)[0], 0);
+        assert_eq!(MlFk.rank(&l, &r, &cands, &f)[0], 0);
     }
 
     #[test]
     fn powerpivot_prunes_integer_pairs() {
         let (l, r, cands) = books();
+        let f = join_features_batch(&l, &r, &cands);
         let p = PowerPivot;
-        assert_eq!(p.score(&l, &r, &cands[1]), f64::NEG_INFINITY);
-        assert!(p.score(&l, &r, &cands[0]).is_finite());
+        assert_eq!(p.score(&l, &r, &cands[1], &f[1]), f64::NEG_INFINITY);
+        assert!(p.score(&l, &r, &cands[0], &f[0]).is_finite());
     }
 
     #[test]
@@ -309,13 +342,13 @@ mod tests {
 
     #[test]
     fn holistic_and_multi_score_identity_highest() {
-        let (l, _, _) = books();
-        let cand = JoinCandidate { left_cols: vec![0], right_cols: vec![0] };
-        let self_cands = [cand.clone()];
+        let (l, r, cands) = books();
+        let truth = &cands[..1];
+        let self_f = join_features_batch(&l, &l, truth);
+        let cross_f = join_features_batch(&l, &r, truth);
         for b in [&Multi as &dyn JoinBaseline, &Holistic] {
-            let self_score = b.score(&l, &l.clone(), &cand);
-            let (l2, r2, _) = books();
-            let cross = b.score(&l2, &r2, &self_cands[0]);
+            let self_score = b.score(&l, &l, &truth[0], &self_f[0]);
+            let cross = b.score(&l, &r, &truth[0], &cross_f[0]);
             assert!(self_score >= cross, "{}", b.name());
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The N-gram model lives in `autosuggest_nn::NgramModel`; the RNN-only and
 //! Single-Operators variants are configurations of the core predictor. This
-//! module provides the Random baseline and shared ranking helpers.
+//! module provides the Random baseline.
 
 use autosuggest_corpus::OpKind;
 use rand::rngs::StdRng;
@@ -29,13 +29,6 @@ impl RandomNextOp {
     }
 }
 
-/// Rank operator ids descending by score (stable for ties).
-pub fn rank_ops(scores: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,10 +44,5 @@ mod tests {
         assert_eq!(sorted, (0..7).collect::<Vec<_>>());
         // Different queries shuffle differently (almost surely).
         assert_ne!(r.predict_ranked(0), r.predict_ranked(1));
-    }
-
-    #[test]
-    fn rank_ops_orders_by_score() {
-        assert_eq!(rank_ops(&[0.1, 0.9, 0.5]), vec![1, 2, 0]);
     }
 }

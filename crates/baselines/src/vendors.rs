@@ -10,7 +10,7 @@
 use crate::join::JoinBaseline;
 use autosuggest_dataframe::ops::JoinType;
 use autosuggest_dataframe::{DataFrame, DType};
-use autosuggest_features::{join_features, JoinCandidate};
+use autosuggest_features::{JoinCandidate, JoinFeatures};
 
 /// **Vendor-A** (the strongest commercial join recommender, 0.76 prec@1 in
 /// Table 3): combines value overlap with key-ness and a type sanity check —
@@ -23,8 +23,7 @@ impl JoinBaseline for VendorA {
         "Vendor-A"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
-        let f = join_features(left, right, cand);
+    fn score(&self, _: &DataFrame, _: &DataFrame, _: &JoinCandidate, f: &JoinFeatures) -> f64 {
         let type_bonus = if f.get("key_is_string") > 0.0 { 0.3 } else { 0.0 };
         f.get("containment_max") * f.get("distinct_ratio_max") + type_bonus
     }
@@ -39,7 +38,13 @@ impl JoinBaseline for VendorB {
         "Vendor-B"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
+    fn score(
+        &self,
+        left: &DataFrame,
+        right: &DataFrame,
+        cand: &JoinCandidate,
+        f: &JoinFeatures,
+    ) -> f64 {
         let same_name = cand
             .left_cols
             .iter()
@@ -48,7 +53,6 @@ impl JoinBaseline for VendorB {
                 left.column_at(l).name().to_lowercase()
                     == right.column_at(r).name().to_lowercase()
             });
-        let f = join_features(left, right, cand);
         if same_name {
             1.0 + f.get("jaccard_similarity")
         } else {
@@ -66,8 +70,7 @@ impl JoinBaseline for VendorC {
         "Vendor-C"
     }
 
-    fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
-        let f = join_features(left, right, cand);
+    fn score(&self, _: &DataFrame, _: &DataFrame, _: &JoinCandidate, f: &JoinFeatures) -> f64 {
         if f.get("distinct_ratio_max") < 0.8 {
             return f.get("jaccard_similarity") * 0.2;
         }
@@ -116,6 +119,14 @@ pub fn vendor_c_groupby_scores(df: &DataFrame) -> Vec<f64> {
 mod tests {
     use super::*;
     use autosuggest_dataframe::Value;
+    use autosuggest_features::join_features_batch;
+
+    /// `method`'s score of the single-column candidate `(0, 0)`.
+    fn score_first_columns(method: &dyn JoinBaseline, left: &DataFrame, right: &DataFrame) -> f64 {
+        let cand = [JoinCandidate { left_cols: vec![0], right_cols: vec![0] }];
+        let f = join_features_batch(left, right, &cand);
+        method.score(left, right, &cand[0], &f[0])
+    }
 
     fn sample() -> DataFrame {
         DataFrame::from_columns(vec![
@@ -143,9 +154,7 @@ mod tests {
             vec![Value::Str("x".into()), Value::Str("y".into())],
         )])
         .unwrap();
-        let b = VendorB;
-        let cand = JoinCandidate { left_cols: vec![0], right_cols: vec![0] };
-        assert!(b.score(&df, &df.clone(), &cand) > 1.0);
+        assert!(score_first_columns(&VendorB, &df, &df) > 1.0);
     }
 
     #[test]
@@ -179,8 +188,9 @@ mod tests {
             (0..10).map(|i| Value::Int(i % 2)).collect(),
         )])
         .unwrap();
-        let a = VendorA;
-        let cand = JoinCandidate { left_cols: vec![0], right_cols: vec![0] };
-        assert!(a.score(&keys, &keys.clone(), &cand) > a.score(&dups, &dups.clone(), &cand));
+        assert!(
+            score_first_columns(&VendorA, &keys, &keys)
+                > score_first_columns(&VendorA, &dups, &dups)
+        );
     }
 }

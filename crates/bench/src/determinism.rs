@@ -221,8 +221,7 @@ fn model_scores(system: &AutoSuggest) -> Value {
         for case in system.test.join.iter().take(5) {
             let (left, right) = (&case.inputs[0], &case.inputs[1]);
             let candidates = autosuggest_features::enumerate_join_candidates(left, right);
-            let scores: Vec<f64> = candidates.iter().map(|c| model.score(left, right, c)).collect();
-            join.push(bit_patterns(&scores));
+            join.push(bit_patterns(&model.scores(left, right, &candidates)));
         }
     }
     let mut groupby = Vec::new();

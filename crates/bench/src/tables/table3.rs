@@ -4,81 +4,69 @@ use super::{render_table, ReproContext, TableRow};
 use autosuggest_baselines::join::{Holistic, JoinBaseline, MaxOverlap, MlFk, Multi, PowerPivot};
 use autosuggest_baselines::vendors::{VendorA, VendorB, VendorC};
 use autosuggest_core::join::{candidates_with_truth, ground_truth_candidate};
-use autosuggest_corpus::replay::OpInvocation;
-use autosuggest_ranking::{mean, ndcg_at_k, precision_at_k};
+use autosuggest_features::join_features_batch;
+use autosuggest_ranking::{mean, ndcg_at_k, precision_at_k, rank_desc};
 
-/// Per-method metrics over a set of join cases: prec@1, prec@2, ndcg@1,
-/// ndcg@2.
-fn evaluate<R>(cases: &[&OpInvocation], mut rank: R) -> Vec<f64>
-where
-    R: FnMut(&OpInvocation, &[autosuggest_features::JoinCandidate]) -> Vec<usize>,
-{
-    let mut p1 = Vec::new();
-    let mut p2 = Vec::new();
-    let mut n1 = Vec::new();
-    let mut n2 = Vec::new();
-    for inv in cases {
-        let Some(truth) = ground_truth_candidate(inv) else { continue };
-        let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
-        let order = rank(inv, &cands);
-        let ranked: Vec<bool> = order.iter().map(|&i| cands[i] == truth).collect();
-        p1.push(precision_at_k(&ranked, 1, 1));
-        p2.push(precision_at_k(&ranked, 1, 2));
-        n1.push(ndcg_at_k(&ranked, 1, 1));
-        n2.push(ndcg_at_k(&ranked, 1, 2));
-    }
-    vec![mean(&p1), mean(&p2), mean(&n1), mean(&n2)]
+/// The vendors are evaluated on the first 200 cases only (the paper cannot
+/// script the vendor UIs; we keep the protocol for comparability).
+const VENDOR_CASES: usize = 200;
+
+/// One method's prec@1, prec@2, ndcg@1 and ndcg@2, averaged over its
+/// cases; each case is the method's ranking as relevance flags.
+fn metrics(cases: &[Vec<bool>]) -> Vec<f64> {
+    let avg = |metric: fn(&[bool], usize, usize) -> f64, k: usize| {
+        mean(&cases.iter().map(|ranked| metric(ranked, 1, k)).collect::<Vec<_>>())
+    };
+    vec![avg(precision_at_k, 1), avg(precision_at_k, 2), avg(ndcg_at_k, 1), avg(ndcg_at_k, 2)]
 }
 
 /// Our computed rows only (golden-file regression surface).
 pub fn rows(ctx: &ReproContext) -> Vec<TableRow> {
     let model = ctx.system.models.join.as_ref().expect("join model trained");
-    let cases: Vec<&OpInvocation> = ctx.system.test.join.iter().collect();
+    let literature: [(&str, &dyn JoinBaseline); 5] = [
+        ("ML-FK", &MlFk),
+        ("PowerPivot", &PowerPivot),
+        ("Multi", &Multi),
+        ("Holistic", &Holistic),
+        ("max-overlap", &MaxOverlap),
+    ];
+    let vendors: [(&str, &dyn JoinBaseline); 3] =
+        [("Vendor-A", &VendorA), ("Vendor-B", &VendorB), ("Vendor-C", &VendorC)];
 
-    let mut ours = vec![TableRow::new(
-        "Auto-Suggest",
-        evaluate(&cases, |inv, cands| {
-            model.rank_candidates(&inv.inputs[0], &inv.inputs[1], cands)
-        }),
-    )];
-    let literature: Vec<(&str, Box<dyn JoinBaseline>)> = vec![
-        ("ML-FK", Box::new(MlFk)),
-        ("PowerPivot", Box::new(PowerPivot)),
-        ("Multi", Box::new(Multi)),
-        ("Holistic", Box::new(Holistic)),
-        ("max-overlap", Box::new(MaxOverlap)),
-    ];
-    for (name, method) in &literature {
-        ours.push(TableRow::new(
-            *name,
-            evaluate(&cases, |inv, cands| {
-                method.rank(&inv.inputs[0], &inv.inputs[1], cands)
-            }),
-        ));
+    let mut ours: Vec<Vec<bool>> = Vec::new();
+    let mut sampled = 0;
+    let mut literature_cases: Vec<Vec<Vec<bool>>> = vec![Vec::new(); literature.len()];
+    let mut vendor_cases: Vec<Vec<Vec<bool>>> = vec![Vec::new(); vendors.len()];
+    for (i, inv) in ctx.system.test.join.iter().enumerate() {
+        let Some(truth) = ground_truth_candidate(inv) else { continue };
+        let (left, right) = (&inv.inputs[0], &inv.inputs[1]);
+        // Every method ranks the same candidates from the same feature
+        // vectors (§6.5.1), so each case is enumerated and featurised once.
+        let cands = candidates_with_truth(left, right, &truth);
+        let feats = join_features_batch(left, right, &cands);
+        let relevance =
+            |order: Vec<usize>| -> Vec<bool> { order.iter().map(|&j| cands[j] == truth).collect() };
+        ours.push(relevance(rank_desc(&model.predict(&feats))));
+        for ((_, method), out) in literature.iter().zip(&mut literature_cases) {
+            out.push(relevance(method.rank(left, right, &cands, &feats)));
+        }
+        if i < VENDOR_CASES {
+            sampled += 1;
+            for ((_, method), out) in vendors.iter().zip(&mut vendor_cases) {
+                out.push(relevance(method.rank(left, right, &cands, &feats)));
+            }
+        }
     }
-    // Vendors: evaluated on a sample of up to 200 cases (the paper cannot
-    // script the vendor UIs; we keep the protocol for comparability).
-    let sample: Vec<&OpInvocation> = cases.iter().take(200).copied().collect();
-    let vendors: Vec<(&str, Box<dyn JoinBaseline>)> = vec![
-        ("Vendor-A", Box::new(VendorA)),
-        ("Vendor-B", Box::new(VendorB)),
-        ("Vendor-C", Box::new(VendorC)),
-    ];
-    ours.push(TableRow::new(
-        "Auto-Suggest (sampled)",
-        evaluate(&sample, |inv, cands| {
-            model.rank_candidates(&inv.inputs[0], &inv.inputs[1], cands)
-        }),
-    ));
-    for (name, method) in &vendors {
-        ours.push(TableRow::new(
-            *name,
-            evaluate(&sample, |inv, cands| {
-                method.rank(&inv.inputs[0], &inv.inputs[1], cands)
-            }),
-        ));
+
+    let mut rows = vec![TableRow::new("Auto-Suggest", metrics(&ours))];
+    for ((name, _), cases) in literature.iter().zip(&literature_cases) {
+        rows.push(TableRow::new(*name, metrics(cases)));
     }
-    ours
+    rows.push(TableRow::new("Auto-Suggest (sampled)", metrics(&ours[..sampled])));
+    for ((name, _), cases) in vendors.iter().zip(&vendor_cases) {
+        rows.push(TableRow::new(*name, metrics(cases)));
+    }
+    rows
 }
 
 /// Run the Table 3 evaluation; returns the rendered table.

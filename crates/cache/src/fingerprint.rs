@@ -54,7 +54,7 @@ const LANE_B: (u64, u64) = (0xff51_afd7_ed55_8ccd, 0xc4ce_b9fe_1a85_ec53);
 /// `5 == 5.0`, but the cached artifacts carry the column's dtype, so
 /// `[1, 2]` as `Int` and `[1.0, 2.0]` as `Float` must be different keys.
 pub fn column_fingerprint(col: &Column) -> ColumnFingerprint {
-    values_fingerprint(col.values().iter().map(cell_digest), col.len())
+    multiset_fingerprint(col.values().iter().map(cell_digest), col.len(), 0)
 }
 
 /// One cell's digest: its value hash salted with its dtype slot (see
@@ -64,10 +64,16 @@ fn cell_digest(v: &autosuggest_dataframe::Value) -> u64 {
 }
 
 /// Fold pre-hashed digests into a 128-bit multiset fingerprint under a
-/// domain `tag`, so fingerprints of different artifact kinds (column value
-/// multisets vs. key-tuple multisets of a given width) can never collide by
-/// construction. `tag = 0` reproduces [`values_fingerprint`] exactly.
-pub(crate) fn tagged_multiset_fingerprint<I: IntoIterator<Item = u64>>(
+/// domain `tag`, so fingerprints of different kinds (column value multisets
+/// under `tag = 0`, table row multisets under a schema tag) cannot collide
+/// by construction.
+///
+/// Commutative fold: each lane sums an independently mixed view of every
+/// digest, so permuting rows cannot change the result, while any single-cell
+/// edit shifts both lanes. Seeding with the length separates e.g. `[x]` from
+/// `[x, x]` even under the (impossible for mixed sums) event of a lane
+/// collision on values alone.
+fn multiset_fingerprint<I: IntoIterator<Item = u64>>(
     hashes: I,
     len: usize,
     tag: u64,
@@ -85,24 +91,8 @@ pub(crate) fn tagged_multiset_fingerprint<I: IntoIterator<Item = u64>>(
     ColumnFingerprint(((lane_a as u128) << 64) | lane_b as u128)
 }
 
-/// Fold pre-hashed value digests into a 128-bit multiset fingerprint.
-fn values_fingerprint<I: IntoIterator<Item = u64>>(hashes: I, len: usize) -> ColumnFingerprint {
-    // Commutative fold: each lane sums an independently mixed view of every
-    // value digest, so permuting rows cannot change the result, while any
-    // single-cell edit shifts both lanes. Seeding with the length separates
-    // e.g. `[x]` from `[x, x]` even under the (impossible for mixed sums)
-    // event of a lane collision on values alone.
-    let mut lane_a = mix(len as u64 ^ 0x9e37_79b9_7f4a_7c15, LANE_A.0, LANE_A.1);
-    let mut lane_b = mix(len as u64 ^ 0x2545_f491_4f6c_dd1d, LANE_B.0, LANE_B.1);
-    for h in hashes {
-        lane_a = lane_a.wrapping_add(mix(h, LANE_A.0, LANE_A.1));
-        lane_b = lane_b.wrapping_add(mix(h, LANE_B.0, LANE_B.1));
-    }
-    ColumnFingerprint(((lane_a as u128) << 64) | lane_b as u128)
-}
-
-/// Domain tag separating row-aligned table fingerprints from column and
-/// key-tuple multisets.
+/// Domain tag separating row-aligned table fingerprints from column
+/// multisets.
 const ROW_TAG: u64 = 0x524f_5753_4554_0001;
 
 /// Fingerprint a whole table *row-aligned*: the multiset of its rows, each
@@ -128,7 +118,7 @@ pub fn table_row_fingerprint(df: &DataFrame) -> ColumnFingerprint {
             .iter()
             .fold(schema, |acc, col| mix(acc ^ cell_digest(col.get(i)), LANE_B.0, LANE_B.1))
     });
-    tagged_multiset_fingerprint(rows, df.num_rows(), ROW_TAG ^ schema)
+    multiset_fingerprint(rows, df.num_rows(), ROW_TAG ^ schema)
 }
 
 #[cfg(test)]

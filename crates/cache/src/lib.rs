@@ -15,45 +15,38 @@
 //!   so a hit is bit-identical to recomputation.
 //! * [`ColumnCache`] — a sharded LRU keyed by fingerprint, returning
 //!   `Arc`-interned artifacts.
-//! * [`PairCache`] — the join featuriser's key-tuple sets and pair-level
-//!   intersections, on the same sharded LRU.
 //!
-//! Every tier lives in process memory only; nothing is kept on disk
-//! between processes.
+//! The cache lives in process memory only; nothing is kept on disk between
+//! processes. The join featuriser's key-tuple sets are not cached here: a
+//! caller featurises each table pair's candidates in one
+//! `features::join_features_batch` call, which builds each distinct column
+//! tuple's set once for that call.
 //!
 //! # Determinism contract
 //!
 //! `cache.{hits,misses,evictions}` are mirrored into the `autosuggest-obs`
 //! deterministic section, so they must be byte-identical at any
-//! `AUTOSUGGEST_THREADS`. Every in-memory tier is one sharded LRU that
-//! computes a missing value inside the owning shard's lock (single-flight
-//! per key; see the `lru` module), and artifacts are always built at one
-//! sketch size, [`BASE_SKETCH_K`], from which every smaller sketch the
-//! pipeline asks for is derived exactly by truncation — so no entry is
-//! ever rebuilt, and `misses = distinct fingerprints`. The default
-//! capacity is sized so the repro workload never evicts.
+//! `AUTOSUGGEST_THREADS`. The cache is one sharded LRU that computes a
+//! missing value inside the owning shard's lock (single-flight per key; see
+//! the `lru` module), and artifacts are always built at one sketch size,
+//! [`BASE_SKETCH_K`], from which every smaller sketch the pipeline asks for
+//! is derived exactly by truncation — so no entry is ever rebuilt, and
+//! `misses = distinct fingerprints`. The default capacity is sized so the
+//! repro workload never evicts.
 //!
-//! Every tier is always on. The cache never changes an answer: a hit is
-//! the value a recomputation would produce, so a cold run (after
-//! [`clear_memory`]) and a warm run answer alike.
+//! The cache is always on. It never changes an answer: a hit is the value a
+//! recomputation would produce, so a cold run (after [`clear_memory`]) and
+//! a warm run answer alike.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod artifacts;
 mod fingerprint;
 mod lru;
-mod pair;
 mod sketch;
 
 pub use artifacts::{dtype_slot, ColumnArtifacts, BASE_SKETCH_K};
-pub use fingerprint::{
-    column_fingerprint, table_row_fingerprint, ColumnFingerprint,
-};
-pub use pair::{
-    KeyTupleSet, PairCache, PairOverlap, DEFAULT_PAIR_CAPACITY, DEFAULT_TUPLE_CAPACITY,
-    PAIR_EVICTIONS_COUNTER, PAIR_HITS_COUNTER, PAIR_MISSES_COUNTER, TUPLE_EVICTIONS_COUNTER,
-    TUPLE_HITS_COUNTER, TUPLE_MISSES_COUNTER,
-};
+pub use fingerprint::{column_fingerprint, table_row_fingerprint, ColumnFingerprint};
 pub use sketch::MinHashSketch;
 
 use autosuggest_dataframe::Column;
@@ -109,17 +102,20 @@ pub struct ColumnCache {
     lru: ShardedLru<ColumnFingerprint, Arc<ColumnArtifacts>>,
 }
 
-/// Drop every entry in the global tiers and reset their counters.
+/// Drop every entry in the global cache and reset its counters.
 pub fn clear_memory() {
     ColumnCache::global().clear();
-    PairCache::global().clear();
 }
 
-/// Per-tier counter snapshot across the global caches.
+/// Counter snapshot of the global cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
     pub column: CacheStats,
+    /// Always zero: there is no tuple-set tier. Kept because perfbench
+    /// still reads it.
     pub tuple: CacheStats,
+    /// Always zero: there is no pair-overlap tier. Kept because perfbench
+    /// still reads it.
     pub pair: CacheStats,
 }
 
@@ -134,14 +130,9 @@ impl TierStats {
     }
 }
 
-/// Snapshot the three tiers of the global caches.
+/// Snapshot the global cache's counters.
 pub fn tier_stats() -> TierStats {
-    let pair_cache = PairCache::global();
-    TierStats {
-        column: ColumnCache::global().stats(),
-        tuple: pair_cache.tuple_stats(),
-        pair: pair_cache.pair_stats(),
-    }
+    TierStats { column: ColumnCache::global().stats(), ..TierStats::default() }
 }
 
 impl ColumnCache {

@@ -1,5 +1,4 @@
-//! The sharded, single-flight LRU behind every in-memory cache tier
-//! (column artifacts, key-tuple sets, pair overlaps).
+//! The sharded, single-flight LRU behind the column-artifact cache.
 //!
 //! # Determinism contract
 //!
@@ -14,7 +13,7 @@
 //!   shard.
 //!
 //! Counters are mirrored into the deterministic obs section under the
-//! tier's `[hits, misses, evictions]` names.
+//! owner's `[hits, misses, evictions]` names.
 
 use crate::CacheStats;
 use std::collections::HashMap;

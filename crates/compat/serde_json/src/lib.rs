@@ -53,10 +53,6 @@ impl Number {
             NumberRepr::Float(f) => Some(f),
         }
     }
-
-    pub fn is_i64(&self) -> bool {
-        self.as_i64().is_some()
-    }
 }
 
 impl fmt::Display for Number {
@@ -151,10 +147,6 @@ impl Value {
 
     pub fn is_object(&self) -> bool {
         matches!(self, Value::Object(_))
-    }
-
-    pub fn is_array(&self) -> bool {
-        matches!(self, Value::Array(_))
     }
 
     pub fn is_null(&self) -> bool {

@@ -5,6 +5,7 @@ use autosuggest_dataframe::DataFrame;
 use autosuggest_features::groupby::GROUPBY_FEATURE_GROUPS;
 use autosuggest_features::{groupby_features, ColumnNamePrior, GROUPBY_FEATURE_NAMES};
 use autosuggest_gbdt::{aggregate_importance, Dataset, Gbdt, GbdtParams};
+use autosuggest_ranking::rank_desc;
 
 /// A ranked GroupBy column suggestion.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,9 +90,7 @@ impl GroupByAggPredictor {
     /// list a UI wizard would show.
     pub fn suggest(&self, df: &DataFrame) -> Vec<GroupBySuggestion> {
         let scores = self.scores(df);
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-        order
+        rank_desc(&scores)
             .into_iter()
             .map(|i| GroupBySuggestion {
                 column: df.column_at(i).name().to_string(),

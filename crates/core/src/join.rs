@@ -3,11 +3,12 @@
 
 use autosuggest_corpus::replay::{OpInvocation, OpParams};
 use autosuggest_features::{
-    enumerate_join_candidates, join_features, join_features_batch, JoinCandidate,
+    enumerate_join_candidates, join_features_batch, JoinCandidate, JoinFeatures,
     JOIN_FEATURE_GROUPS, JOIN_FEATURE_NAMES,
 };
 use autosuggest_dataframe::DataFrame;
 use autosuggest_gbdt::{aggregate_importance, Dataset, Gbdt, GbdtParams};
+use autosuggest_ranking::rank_desc;
 
 /// One ranked join suggestion.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,9 +112,16 @@ impl JoinColumnPredictor {
         Some(JoinColumnPredictor { model: Gbdt::fit(&data, gbdt) })
     }
 
-    /// Score one candidate.
-    pub fn score(&self, left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> f64 {
-        self.model.predict(&join_features(left, right, cand).values)
+    /// Model scores of already-featurised candidates, in input order.
+    pub fn predict(&self, feats: &[JoinFeatures]) -> Vec<f64> {
+        autosuggest_parallel::Pool::global()
+            .with_min_items(64)
+            .par_map(feats, |f| self.model.predict(&f.values))
+    }
+
+    /// Featurise `cands` in one batch and score them, in input order.
+    pub fn scores(&self, left: &DataFrame, right: &DataFrame, cands: &[JoinCandidate]) -> Vec<f64> {
+        self.predict(&join_features_batch(left, right, cands))
     }
 
     /// Rank an explicit candidate list (descending), returning indices.
@@ -123,24 +131,14 @@ impl JoinColumnPredictor {
         right: &DataFrame,
         cands: &[JoinCandidate],
     ) -> Vec<usize> {
-        // Wide tables can enumerate thousands of candidates; featurise the
-        // whole pool in one batch (each distinct key-column tuple hashed
-        // once per table) and score the rows (input order preserved,
-        // tie-break unchanged).
-        let feats = join_features_batch(left, right, cands);
-        let scores: Vec<f64> = autosuggest_parallel::Pool::global()
-            .with_min_items(64)
-            .par_map(&feats, |f| self.model.predict(&f.values));
-        let mut order: Vec<usize> = (0..cands.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-        order
+        rank_desc(&self.scores(left, right, cands))
     }
 
     /// Produce ranked join suggestions for two tables (the Fig. 1 API).
     pub fn suggest(&self, left: &DataFrame, right: &DataFrame, top_k: usize) -> Vec<JoinSuggestion> {
         let cands = enumerate_join_candidates(left, right);
-        let order = self.rank_candidates(left, right, &cands);
-        order
+        let scores = self.scores(left, right, &cands);
+        rank_desc(&scores)
             .into_iter()
             .take(top_k)
             .map(|i| {
@@ -156,7 +154,7 @@ impl JoinColumnPredictor {
                         .iter()
                         .map(|&ci| right.column_at(ci).name().to_string())
                         .collect(),
-                    score: self.score(left, right, c),
+                    score: scores[i],
                 }
             })
             .collect()
@@ -232,6 +230,24 @@ mod tests {
         assert!(!suggestions.is_empty());
         assert!(suggestions[0].score >= suggestions.last().unwrap().score);
         assert!(!suggestions[0].left_cols.is_empty());
+    }
+
+    #[test]
+    fn suggest_scores_equal_the_batch_scores_of_the_top_k() {
+        let (model, invs) = train_small();
+        let (left, right) = (&invs[0].inputs[0], &invs[0].inputs[1]);
+        let suggestions = model.suggest(left, right, 3);
+        let top: Vec<JoinCandidate> = suggestions
+            .iter()
+            .map(|s| JoinCandidate {
+                left_cols: s.left_cols.iter().map(|n| left.column_index(n).unwrap()).collect(),
+                right_cols: s.right_cols.iter().map(|n| right.column_index(n).unwrap()).collect(),
+            })
+            .collect();
+        let got: Vec<u64> = suggestions.iter().map(|s| s.score.to_bits()).collect();
+        let want: Vec<u64> =
+            model.scores(left, right, &top).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::join::ground_truth_candidate;
 use autosuggest_corpus::replay::{OpInvocation, OpParams};
 use autosuggest_dataframe::ops::JoinType;
 use autosuggest_dataframe::DataFrame;
-use autosuggest_features::{join_features, JoinCandidate};
+use autosuggest_features::{join_features_batch, JoinCandidate};
 use autosuggest_gbdt::{Dataset, Gbdt, GbdtParams};
 
 /// Feature names for the join-type model.
@@ -30,7 +30,7 @@ pub fn join_type_features(
     right: &DataFrame,
     cand: &JoinCandidate,
 ) -> Vec<f64> {
-    let jf = join_features(left, right, cand);
+    let jf = &join_features_batch(left, right, std::slice::from_ref(cand))[0];
     let lrows = left.num_rows().max(1) as f64;
     let rrows = right.num_rows().max(1) as f64;
     let right_names: Vec<String> = right

@@ -9,6 +9,7 @@ use autosuggest_dataframe::{DataFrame, DType};
 use autosuggest_graph::cmut_greedy;
 use autosuggest_nn::rnn::SequenceExample;
 use autosuggest_nn::{RnnClassifier, RnnConfig};
+use autosuggest_ranking::rank_desc;
 
 /// Number of operators in the prediction vocabulary
 /// ([`OpKind::SEQUENCE_OPS`]).
@@ -163,13 +164,7 @@ impl NextOpPredictor {
     /// Operator ids ranked by likelihood of coming next.
     pub fn predict_ranked(&self, prefix: &[usize], table_scores: &[f64]) -> Vec<usize> {
         match (&self.rnn, self.mode) {
-            (None, _) => {
-                let mut order: Vec<usize> = (0..NUM_OPS).collect();
-                order.sort_by(|&a, &b| {
-                    table_scores[b].total_cmp(&table_scores[a]).then(a.cmp(&b))
-                });
-                order
-            }
+            (None, _) => rank_desc(&table_scores[..NUM_OPS]),
             (Some(rnn), NextOpMode::Full) => rnn.predict_ranked(prefix, table_scores),
             (Some(rnn), _) => rnn.predict_ranked(prefix, &[]),
         }

@@ -63,11 +63,6 @@ impl Notebook {
     pub fn add_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
         Arc::make_mut(&mut self.repo_files).insert(path.into(), content.into());
     }
-
-    /// Total statement count (diagnostics).
-    pub fn num_statements(&self) -> usize {
-        self.cells.iter().map(|c| c.ast.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -96,6 +91,5 @@ mod tests {
         nb.add_file("data/titanic.csv", "a,b\n1,2\n");
         assert_eq!(nb.cells.len(), 1);
         assert!(nb.repo_files.contains_key("data/titanic.csv"));
-        assert_eq!(nb.num_statements(), 0);
     }
 }

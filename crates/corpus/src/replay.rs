@@ -837,24 +837,6 @@ fn failed_report(nb: &Notebook, err: ReplayError) -> ReplayReport {
     }
 }
 
-/// Parse `ModuleNotFoundError: No module named 'pkg'`.
-pub fn parse_missing_package(err: &str) -> Option<String> {
-    let marker = "No module named '";
-    let start = err.find(marker)? + marker.len();
-    let rest = &err[start..];
-    let end = rest.find('\'')?;
-    Some(rest[..end].to_string())
-}
-
-/// Parse `FileNotFoundError: No such file: 'path'`.
-pub fn parse_missing_file(err: &str) -> Option<String> {
-    let marker = "No such file: '";
-    let start = err.find(marker)? + marker.len();
-    let rest = &err[start..];
-    let end = rest.find('\'')?;
-    Some(rest[..end].to_string())
-}
-
 /// The basename of a path in either Unix or Windows notation (authors
 /// hard-code both, §3.2).
 pub fn basename(path: &str) -> String {
@@ -1118,15 +1100,6 @@ mod tests {
 
     #[test]
     fn error_message_parsers() {
-        assert_eq!(
-            parse_missing_package("ModuleNotFoundError: No module named 'seaborn'"),
-            Some("seaborn".into())
-        );
-        assert_eq!(parse_missing_package("SyntaxError"), None);
-        assert_eq!(
-            parse_missing_file("FileNotFoundError: No such file: 'a/b.csv'"),
-            Some("a/b.csv".into())
-        );
         assert_eq!(basename("D:\\x\\y.csv"), "y.csv");
         assert_eq!(basename("a/b/c.csv"), "c.csv");
         assert_eq!(basename("plain.csv"), "plain.csv");

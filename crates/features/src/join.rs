@@ -1,9 +1,17 @@
 //! Join-candidate features (§4.1) — the eight groups of Table 4.
+//!
+//! [`join_features_batch`] is the one featuriser: a caller enumerates a
+//! table pair's candidates once, featurises them in one call and lets every
+//! ranker read the same vectors. Within a call, each distinct key-column
+//! tuple's set of key-tuple hashes is built once and shared by every
+//! candidate that uses it; per-column dtypes and ranges come from the
+//! process-wide column cache (`autosuggest_cache`).
 
 use crate::candidates::JoinCandidate;
-use autosuggest_cache::{ColumnArtifacts, ColumnCache, KeyTupleSet, PairCache};
-use autosuggest_dataframe::{DataFrame, DType};
+use autosuggest_cache::{ColumnArtifacts, ColumnCache};
+use autosuggest_dataframe::{DataFrame, DType, Value};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Names of the join feature vector entries, in extraction order.
@@ -68,65 +76,103 @@ impl JoinFeatures {
     }
 }
 
-/// Extract the §4.1 feature vector for candidate `(S, S')`.
-///
-/// Key-tuple sets and the pair-level intersection come from the pair-aware
-/// cache tier (`autosuggest_cache::PairCache`): each distinct
-/// `(content, key tuple)` builds its set once and each distinct content
-/// *pair* intersects once, process-wide. Callers featurising many
-/// candidates for one table pair should prefer [`join_features_batch`],
-/// which additionally hoists the per-tuple hashing pass out of the
-/// per-candidate path.
-pub fn join_features(
-    left: &DataFrame,
-    right: &DataFrame,
-    cand: &JoinCandidate,
-) -> JoinFeatures {
-    let pairs = PairCache::global();
-    let lkeys = pairs.key_tuples(left, &cand.left_cols);
-    let rkeys = pairs.key_tuples(right, &cand.right_cols);
-    join_features_with_sets(left, right, cand, &lkeys, &rkeys)
+/// Hash one key tuple: a `DefaultHasher` fed each cell in column order.
+fn tuple_hash(vals: &[&Value]) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for v in vals {
+        v.hash(&mut h);
+    }
+    h.finish()
 }
 
-/// Extract feature vectors for every candidate of one table pair, sharing
-/// key-tuple sets across candidates.
+/// The distinct non-null key-tuple hashes of one `(table, column tuple)`,
+/// sorted ascending. Containment, jaccard and the distinct ratio all derive
+/// from two such sets' sizes and their intersection.
+#[derive(Debug)]
+struct KeyTupleSet {
+    hashes: Vec<u64>,
+}
+
+impl KeyTupleSet {
+    /// Hash every key tuple of `cols` and deduplicate. Rows with any null
+    /// key cell are skipped: a null never matches in a join.
+    fn new(df: &DataFrame, cols: &[usize]) -> KeyTupleSet {
+        let mut hashes = Vec::with_capacity(df.num_rows());
+        let mut vals = Vec::with_capacity(cols.len());
+        'row: for i in 0..df.num_rows() {
+            vals.clear();
+            for &c in cols {
+                let v = df.column_at(c).get(i);
+                if v.is_null() {
+                    continue 'row;
+                }
+                vals.push(v);
+            }
+            hashes.push(tuple_hash(&vals));
+        }
+        hashes.sort_unstable();
+        hashes.dedup();
+        KeyTupleSet { hashes }
+    }
+
+    /// Number of distinct non-null key tuples.
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// Exact `|self ∩ other|` via a linear merge over the sorted hashes —
+    /// the same count a `HashSet::intersection` of the two sets produces.
+    fn intersection_size(&self, other: &KeyTupleSet) -> usize {
+        let (a, b) = (&self.hashes, &other.hashes);
+        let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    n += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        n
+    }
+}
+
+/// Extract the §4.1 feature vector of every candidate of one table pair.
 ///
-/// This is the hot batched path: each distinct `(side, column tuple)` of
-/// the request is hashed and fetched exactly once (candidates repeat
-/// tuples heavily — every two-column candidate reuses two single-column
-/// sets' columns, and `rank_candidates`/training touch the same tuples for
-/// hundreds of candidates), then candidates are featurised across the pool
-/// with the memoized sets. Output order matches `cands`; every vector is
-/// bit-identical to calling [`join_features`] per candidate.
+/// Candidates repeat column tuples heavily (every two-column candidate
+/// reuses two single-column candidates' columns), so each distinct
+/// `(side, column tuple)` builds its set of key-tuple hashes once per call,
+/// fanned out over the pool; candidates are then featurised across the pool
+/// from those sets. Output order matches `cands`, and each vector is the one
+/// a one-element call would produce. Featurise a case's candidates in one
+/// call and let every consumer read the vectors.
 pub fn join_features_batch(
     left: &DataFrame,
     right: &DataFrame,
     cands: &[JoinCandidate],
 ) -> Vec<JoinFeatures> {
-    let pairs = PairCache::global();
-    // Distinct column tuples per side, in first-appearance order so cache
-    // counters stay independent of the candidate mix.
-    let mut ltuples: Vec<Vec<usize>> = Vec::new();
-    let mut rtuples: Vec<Vec<usize>> = Vec::new();
+    let mut ltuples: Vec<&[usize]> = Vec::new();
+    let mut rtuples: Vec<&[usize]> = Vec::new();
     for cand in cands {
-        if !ltuples.contains(&cand.left_cols) {
-            ltuples.push(cand.left_cols.clone());
+        if !ltuples.contains(&cand.left_cols.as_slice()) {
+            ltuples.push(&cand.left_cols);
         }
-        if !rtuples.contains(&cand.right_cols) {
-            rtuples.push(cand.right_cols.clone());
+        if !rtuples.contains(&cand.right_cols.as_slice()) {
+            rtuples.push(&cand.right_cols);
         }
     }
-    // One fetch per distinct tuple — the expensive pass — fanned out over
-    // the pool (single-flight keeps the counters thread-invariant).
     let pool = autosuggest_parallel::Pool::global().with_min_items(8);
-    let lsets: Vec<Arc<KeyTupleSet>> =
-        pool.par_map(&ltuples, |cols| pairs.key_tuples(left, cols));
-    let rsets: Vec<Arc<KeyTupleSet>> =
-        pool.par_map(&rtuples, |cols| pairs.key_tuples(right, cols));
-    let lmap: HashMap<&[usize], &Arc<KeyTupleSet>> =
-        ltuples.iter().map(|t| t.as_slice()).zip(&lsets).collect();
-    let rmap: HashMap<&[usize], &Arc<KeyTupleSet>> =
-        rtuples.iter().map(|t| t.as_slice()).zip(&rsets).collect();
+    let lsets = pool.par_map(&ltuples, |cols| KeyTupleSet::new(left, cols));
+    let rsets = pool.par_map(&rtuples, |cols| KeyTupleSet::new(right, cols));
+    let lmap: HashMap<&[usize], &KeyTupleSet> = ltuples.iter().copied().zip(&lsets).collect();
+    let rmap: HashMap<&[usize], &KeyTupleSet> = rtuples.iter().copied().zip(&rsets).collect();
     pool.with_min_items(16).par_map(cands, |cand| {
         let lkeys = lmap[cand.left_cols.as_slice()];
         let rkeys = rmap[cand.right_cols.as_slice()];
@@ -153,9 +199,8 @@ fn join_features_with_sets(
     let distinct_r = rkeys.len() as f64 / rrows as f64;
 
     // Exact value overlap on tuple hashes (tables at replay scale are small
-    // enough to afford exact sets; sketches are only for pruning). The
-    // intersection size is memoized per distinct content pair.
-    let inter = PairCache::global().intersection(lkeys, rkeys) as f64;
+    // enough to afford exact sets; sketches are only for pruning).
+    let inter = lkeys.intersection_size(rkeys) as f64;
     let union = (lkeys.len() + rkeys.len()) as f64 - inter;
     let jaccard = if union > 0.0 { inter / union } else { 0.0 };
     let cont_l = if !lkeys.is_empty() { inter / lkeys.len() as f64 } else { 0.0 };
@@ -274,7 +319,54 @@ fn join_features_with_sets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autosuggest_dataframe::Value;
+    use std::collections::HashSet;
+
+    fn featurise_one(left: &DataFrame, right: &DataFrame, cand: &JoinCandidate) -> JoinFeatures {
+        join_features_batch(left, right, std::slice::from_ref(cand)).remove(0)
+    }
+
+    fn ints(vals: &[i64]) -> Vec<Value> {
+        vals.iter().map(|&i| Value::Int(i)).collect()
+    }
+
+    #[test]
+    fn key_tuple_set_matches_hashset_semantics() {
+        // Null rows skipped, duplicates collapsed — the contract of a
+        // `HashSet` of the non-null tuple hashes.
+        let t = DataFrame::from_columns(vec![
+            ("a", vec![Value::Int(1), Value::Null, Value::Int(1), Value::Int(2)]),
+            ("b", vec![Value::Int(5), Value::Int(6), Value::Int(5), Value::Int(7)]),
+        ])
+        .unwrap();
+        let set = KeyTupleSet::new(&t, &[0, 1]);
+        assert_eq!(set.len(), 2); // (1,5) twice → once; null row skipped
+        assert!(set.hashes.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn intersection_matches_hashset_intersection() {
+        let l = DataFrame::from_columns(vec![("a", ints(&[1, 2, 3, 4, 5]))]).unwrap();
+        let r = DataFrame::from_columns(vec![("a", ints(&[4, 5, 6, 7]))]).unwrap();
+        let ls = KeyTupleSet::new(&l, &[0]);
+        let rs = KeyTupleSet::new(&r, &[0]);
+        let lh: HashSet<u64> = ls.hashes.iter().copied().collect();
+        let rh: HashSet<u64> = rs.hashes.iter().copied().collect();
+        assert_eq!(ls.intersection_size(&rs), lh.intersection(&rh).count());
+        assert_eq!(ls.intersection_size(&rs), 2);
+        assert_eq!(rs.intersection_size(&ls), 2);
+    }
+
+    #[test]
+    fn tuple_sets_are_row_aligned() {
+        // Re-pairing values across columns keeps every per-column multiset
+        // but changes the tuples, so the overlap must drop.
+        let t = DataFrame::from_columns(vec![("a", ints(&[1, 2])), ("b", ints(&[10, 20]))]).unwrap();
+        let crossed =
+            DataFrame::from_columns(vec![("a", ints(&[1, 2])), ("b", ints(&[20, 10]))]).unwrap();
+        let ts = KeyTupleSet::new(&t, &[0, 1]);
+        assert_eq!(ts.intersection_size(&KeyTupleSet::new(&t, &[0, 1])), 2);
+        assert_eq!(ts.intersection_size(&KeyTupleSet::new(&crossed, &[0, 1])), 0);
+    }
 
     fn books() -> (DataFrame, DataFrame) {
         // Fig. 5 of the paper: the title columns are the true join despite
@@ -307,7 +399,7 @@ mod tests {
     #[test]
     fn feature_vector_matches_name_table() {
         let (l, r) = books();
-        let f = join_features(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
+        let f = featurise_one(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
         assert_eq!(f.values.len(), JOIN_FEATURE_NAMES.len());
         assert_eq!(f.values.len(), JOIN_FEATURE_GROUPS.len());
     }
@@ -315,7 +407,7 @@ mod tests {
     #[test]
     fn title_pair_has_partial_overlap_and_string_type() {
         let (l, r) = books();
-        let f = join_features(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
+        let f = featurise_one(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
         // 2 shared titles of 5 distinct → jaccard 0.4.
         assert!((f.get("jaccard_similarity") - 2.0 / 5.0).abs() < 1e-9);
         assert_eq!(f.get("key_is_string"), 1.0);
@@ -328,7 +420,7 @@ mod tests {
         // rank 1..=4 fully contains weeks {1,2,3}: high containment, but the
         // int-type indicator (not string) lets the model discount it.
         let (l, r) = books();
-        let f = join_features(&l, &r, &JoinCandidate { left_cols: vec![1], right_cols: vec![1] });
+        let f = featurise_one(&l, &r, &JoinCandidate { left_cols: vec![1], right_cols: vec![1] });
         assert_eq!(f.get("containment_right_in_left"), 1.0);
         assert_eq!(f.get("key_is_string"), 0.0);
         assert_eq!(f.get("key_is_int"), 1.0);
@@ -337,7 +429,7 @@ mod tests {
     #[test]
     fn distinct_ratio_detects_keys() {
         let (l, r) = books();
-        let f = join_features(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
+        let f = featurise_one(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
         assert_eq!(f.get("distinct_ratio_left"), 1.0);
         assert_eq!(f.get("distinct_ratio_right"), 1.0);
     }
@@ -350,7 +442,7 @@ mod tests {
             (100..110).map(Value::Int).collect(),
         )])
         .unwrap();
-        let f = join_features(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
+        let f = featurise_one(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
         assert_eq!(f.get("range_overlap"), 0.0);
     }
 
@@ -361,7 +453,7 @@ mod tests {
             ("b", (0..6).map(|i| Value::Int(i % 2)).collect()),
         ])
         .unwrap();
-        let f = join_features(
+        let f = featurise_one(
             &l,
             &l.clone(),
             &JoinCandidate { left_cols: vec![0, 1], right_cols: vec![0, 1] },
@@ -379,7 +471,7 @@ mod tests {
         )])
         .unwrap();
         let r = DataFrame::from_columns(vec![("a", (0..50).map(Value::Int).collect())]).unwrap();
-        let f = join_features(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
+        let f = featurise_one(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] });
         assert_eq!(f.get("table_stats_row_ratio"), 100.0);
     }
 
@@ -387,7 +479,7 @@ mod tests {
     #[should_panic(expected = "unknown join feature")]
     fn unknown_feature_name_panics() {
         let (l, r) = books();
-        join_features(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] })
+        featurise_one(&l, &r, &JoinCandidate { left_cols: vec![0], right_cols: vec![0] })
             .get("bogus");
     }
 }

@@ -32,6 +32,4 @@ pub use groupby::{
     groupby_features, groupby_features_from_artifacts, ColumnNamePrior, GroupByFeatures,
     GROUPBY_FEATURE_NAMES,
 };
-pub use join::{
-    join_features, join_features_batch, JoinFeatures, JOIN_FEATURE_GROUPS, JOIN_FEATURE_NAMES,
-};
+pub use join::{join_features_batch, JoinFeatures, JOIN_FEATURE_GROUPS, JOIN_FEATURE_NAMES};

@@ -65,10 +65,7 @@ impl NgramModel {
 
     /// Symbols ranked by descending probability after `prefix`.
     pub fn predict_ranked(&self, prefix: &[usize]) -> Vec<usize> {
-        let p = self.predict_dist(prefix);
-        let mut order: Vec<usize> = (0..self.vocab).collect();
-        order.sort_by(|&a, &b| p[b].total_cmp(&p[a]).then(a.cmp(&b)));
-        order
+        autosuggest_ranking::rank_desc(&self.predict_dist(prefix))
     }
 }
 

@@ -25,6 +25,7 @@
 use crate::adam::Adam;
 use crate::layers::{relu_backward_into, relu_in_place, softmax_rows, Dense, Embedding};
 use autosuggest_obs as obs;
+use autosuggest_ranking::rank_desc;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -356,13 +357,6 @@ impl RnnClassifier {
         opt.step(&mut self.params, grads);
         loss
     }
-}
-
-/// Indices of `p` sorted by descending value (ties broken by index).
-fn rank_desc(p: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..p.len()).collect();
-    order.sort_by(|&a, &b| p[b].total_cmp(&p[a]).then(a.cmp(&b)));
-    order
 }
 
 /// Scale the gradients so their joint L2 norm is at most `max_norm`.

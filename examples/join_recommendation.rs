@@ -8,7 +8,7 @@
 use auto_suggest::baselines::join::{JoinBaseline, MaxOverlap};
 use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
 use auto_suggest::dataframe::{DataFrame, Value};
-use auto_suggest::features::enumerate_join_candidates;
+use auto_suggest::features::{enumerate_join_candidates, join_features_batch};
 
 fn books() -> (DataFrame, DataFrame) {
     let left = DataFrame::from_columns(vec![
@@ -65,8 +65,8 @@ fn main() {
 
     // The Fig. 5 trap: weeks_on_list {1..4} is fully contained in
     // rank_on_list {1..5}, so overlap alone prefers the integer pair.
-    let overlap = MaxOverlap;
-    let order = overlap.rank(&left, &right, &cands);
+    let feats = join_features_batch(&left, &right, &cands);
+    let order = MaxOverlap.rank(&left, &right, &cands, &feats);
     let top = &cands[order[0]];
     println!(
         "\nmax-overlap instead picks: {:?} = {:?}",

@@ -6,7 +6,8 @@ use auto_suggest::baselines::unpivot::data_type_select;
 use auto_suggest::core::join::{candidates_with_truth, ground_truth_candidate};
 use auto_suggest::core::pivot::melt_ground_truth;
 use auto_suggest::core::{AutoSuggest, AutoSuggestConfig};
-use auto_suggest::ranking::{mean, set_prf};
+use auto_suggest::features::join_features_batch;
+use auto_suggest::ranking::{mean, rank_desc, set_prf};
 
 fn system() -> &'static AutoSuggest {
     use std::sync::OnceLock;
@@ -34,10 +35,12 @@ fn join_model_beats_max_overlap_on_held_out_cases() {
     let mut overlap = Vec::new();
     for inv in &sys.test.join {
         let Some(truth) = ground_truth_candidate(inv) else { continue };
-        let cands = candidates_with_truth(&inv.inputs[0], &inv.inputs[1], &truth);
-        let best = model.rank_candidates(&inv.inputs[0], &inv.inputs[1], &cands)[0];
+        let (left, right) = (&inv.inputs[0], &inv.inputs[1]);
+        let cands = candidates_with_truth(left, right, &truth);
+        let feats = join_features_batch(left, right, &cands);
+        let best = rank_desc(&model.predict(&feats))[0];
         ours.push(if cands[best] == truth { 1.0 } else { 0.0 });
-        let ob = MaxOverlap.rank(&inv.inputs[0], &inv.inputs[1], &cands)[0];
+        let ob = MaxOverlap.rank(left, right, &cands, &feats)[0];
         overlap.push(if cands[ob] == truth { 1.0 } else { 0.0 });
     }
     assert!(ours.len() >= 5, "need held-out join cases");
